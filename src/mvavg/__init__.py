@@ -8,13 +8,12 @@ from .models import (ModelSpec, ProbeSampler, REGISTRY, build_model,
                      make_plaplace_1d, make_porous_media_1d, probe_hypothesis,
                      run_probe_suite)
 from .noise import NoisePlan
-from .integrate import (BlowUpError, FullRunner, MultiscaleParams,
-                        ParticleEnsemble, TrajectoryRecorder, increment_stats,
-                        resolve_params, simulate_full, step_aux_frozen, step_full)
+from .integrate import (BlowUpError, FullRunner, MultiscaleParams, TrajectoryRecorder,
+                        resolve_params, simulate_full)
 from .averaging import (AveragedRunner, FrozenEstimate, FrozenParams, HmmConfig,
                         MixingFailure, default_frozen_params, estimate_fbar,
                         estimate_mixing_rate, frozen_simulate, simulate_averaged)
 from .study import (ConfigError, RateReport, StudyConfig, load_config,
-                    run_aux_diagnostic, run_rate_study, strong_error, write_report)
+                    run_aux_diagnostic, run_rate_study, write_report)
 
 __version__ = "0.1.0"

@@ -30,8 +30,8 @@ from typing import Optional
 import numpy as np
 
 from . import noise as noise_mod
-from .integrate import (MultiscaleParams, ParticleEnsemble, TrajectoryRecorder,
-                        _check_finite, _FastSolver, _tame)
+from .integrate import (MultiscaleParams, TrajectoryRecorder, _check_finite,
+                        _FastSolver, _tame)
 from .measure import MeasureMoments
 from .models import ModelSpec, empirical_view, fast_norm_sq
 
@@ -78,13 +78,17 @@ def default_frozen_params(model: ModelSpec, x_frozen, mu_frozen, y_init=None,
         h_micro=h_micro, replicas=replicas)
 
 
-def _frozen_batch(model, fp, noise, paths_y0, n_steps, on_sample=None,
+def _frozen_batch(model, x_frozen, mu, h, noise, paths_y0, n_steps, on_sample=None,
                   start_step=0, chunk=512):
-    """March a block of frozen paths; optionally visit each post-step state."""
+    """March a block of frozen paths at step h; optionally visit each post-step state.
+
+    Row i of ``x_frozen`` (or the one shared row) is the slow state that path
+    i sees; path i consumes stream (FROZEN, particle=i) from ``start_step``
+    on, so two marches from the same plan and start step share increments.
+    """
     P = paths_y0.shape[0]
-    Xa = np.broadcast_to(fp.x_frozen, (P, model.slow_dim))
-    mu = fp.mu_frozen
-    solver = _FastSolver(model, fp.h_micro)
+    Xa = np.broadcast_to(x_frozen, (P, model.slow_dim))
+    solver = _FastSolver(model, h)
     frc = model.a2_split[1](Xa, mu) if model.a2_split is not None else None
     Z = paths_y0
     k = 0
@@ -97,7 +101,7 @@ def _frozen_batch(model, fp, noise, paths_y0, n_steps, on_sample=None,
             k += 1
             if on_sample is not None:
                 on_sample(k, Z)
-        _check_finite(Xa, Z, k * fp.h_micro, "frozen run")
+        _check_finite(Xa, Z, k * h, "frozen run")
     return Z
 
 
@@ -124,7 +128,7 @@ def frozen_simulate(model: ModelSpec, fp: FrozenParams, noise: noise_mod.NoisePl
             times.append(t)
             snaps.append(Zk.copy())
 
-    _frozen_batch(model, fp, noise, Z, n_steps, on_sample=visit)
+    _frozen_batch(model, fp.x_frozen, fp.mu_frozen, h, noise, Z, n_steps, on_sample=visit)
     return np.asarray(times), np.stack(snaps)
 
 
@@ -159,7 +163,6 @@ def estimate_fbar(model: ModelSpec, fp: FrozenParams,
     Z = np.broadcast_to(fp.y_init, (R, model.fast_dim)).copy()
     Xa = np.broadcast_to(fp.x_frozen, (R, model.slow_dim))
     mu = fp.mu_frozen
-
     batch_sums = np.zeros((R, BATCHES_PER_PATH, model.slow_dim))
 
     def visit(k, Zk):
@@ -167,7 +170,7 @@ def estimate_fbar(model: ModelSpec, fp: FrozenParams,
         if 0 <= j < n_samp:
             batch_sums[:, j // batch_len, :] += model.f(Xa, mu, Zk)
 
-    _frozen_batch(model, fp, noise, Z, n_burn + n_samp, on_sample=visit)
+    _frozen_batch(model, fp.x_frozen, mu, h, noise, Z, n_burn + n_samp, on_sample=visit)
     batch_means = batch_sums / batch_len
     flat = batch_means.reshape(R * BATCHES_PER_PATH, model.slow_dim)
     fbar = flat.mean(axis=0)
@@ -195,22 +198,19 @@ def estimate_mixing_rate(model: ModelSpec, fp: FrozenParams, y_alt,
         raise ValueError("y_alt must differ from y_init")
     h = fp.h_micro
     n_steps = int(round(fp.sample_horizon / h))
-    P = n_pairs
-    Xa = np.broadcast_to(fp.x_frozen, (P, model.slow_dim))
-    mu = fp.mu_frozen
-    solver = _FastSolver(model, h)
-    frc = model.a2_split[1](Xa, mu) if model.a2_split is not None else None
-    Z1 = np.broadcast_to(fp.y_init, (P, model.fast_dim)).copy()
-    Z2 = np.broadcast_to(y_alt, (P, model.fast_dim)).copy()
+    # the first copy's path is held (n_steps x n_pairs x fast_dim floats); the
+    # second copy, marched on the same increments, is compared against it
+    path = [np.broadcast_to(fp.y_init, (n_pairs, model.fast_dim)).copy()]
+    _frozen_batch(model, fp.x_frozen, fp.mu_frozen, h, noise, path[0], n_steps,
+                  on_sample=lambda k, Z: path.append(Z))
     gaps = np.empty(n_steps + 1)
-    gaps[0] = float(np.mean(fast_norm_sq(model, Z1 - Z2)))
-    for chunk_start in range(0, n_steps, 512):
-        n_sub = min(512, n_steps - chunk_start)
-        xi = noise.gaussians(noise_mod.FROZEN, chunk_start, n_sub, P, model.n_fast_modes)
-        for j in range(n_sub):
-            Z1 = solver.step(Xa, mu, Z1, xi[j], forcing=frc)
-            Z2 = solver.step(Xa, mu, Z2, xi[j], forcing=frc)
-            gaps[chunk_start + j + 1] = float(np.mean(fast_norm_sq(model, Z1 - Z2)))
+
+    def gap(k, Z):
+        gaps[k] = float(np.mean(fast_norm_sq(model, path[k] - Z)))
+
+    Z = np.broadcast_to(y_alt, (n_pairs, model.fast_dim)).copy()
+    gap(0, Z)
+    _frozen_batch(model, fp.x_frozen, fp.mu_frozen, h, noise, Z, n_steps, on_sample=gap)
     t = h * np.arange(n_steps + 1)
     valid = gaps > gaps[0] * rel_floor
     # stop at the first collapsed point: later samples are noise-floor chatter
@@ -300,7 +300,6 @@ class AveragedRunner:
         if mode == "hmm":
             self.hmm = (hmm or HmmConfig()).resolved(model, params)
             self.frozen_noise = noise.derive(9001)
-            self.frozen_solver = _FastSolver(model, self.hmm.h_frozen)
             self._Z = np.broadcast_to(model.default_y0,
                                       (self.hmm.replicas * N, model.fast_dim)).copy()
             self.frozen_step = 0
@@ -319,20 +318,14 @@ class AveragedRunner:
         n_burn = int(round((self.hmm.burn_in_initial if first else self.hmm.burn_in) / hf))
         n_samp = max(MIN_SAMPLE_STEPS, int(round(self.hmm.horizon / hf)))
         n_tot = n_burn + n_samp
-        Z = self._Z
-        frc = m.a2_split[1](Xa, mu) if m.a2_split is not None else None
         acc = np.zeros((M * N, m.slow_dim))
-        done = 0
-        while done < n_tot:
-            n_sub = min(512, n_tot - done)
-            xi = self.frozen_noise.gaussians(noise_mod.FROZEN, self.frozen_step + done,
-                                             n_sub, M * N, m.n_fast_modes)
-            for j in range(n_sub):
-                Z = self.frozen_solver.step(Xa, mu, Z, xi[j], forcing=frc)
-                if done + j >= n_burn:
-                    acc += m.f(Xa, mu, Z)
-            done += n_sub
-        self._Z = Z
+
+        def visit(k, Z):
+            if k > n_burn:
+                np.add(acc, m.f(Xa, mu, Z), out=acc)
+
+        self._Z = _frozen_batch(m, Xa, mu, hf, self.frozen_noise, self._Z, n_tot,
+                                on_sample=visit, start_step=self.frozen_step)
         self.frozen_step += n_tot
         per_rep = (acc / n_samp).reshape(M, N, m.slow_dim)
         self._fbar = per_rep.mean(axis=0)
@@ -400,9 +393,6 @@ def simulate_averaged(model: ModelSpec, x0, n_particles: int,
                             hmm=hmm, recorder=recorder,
                             collect_fbar_cache=collect_fbar_cache)
     runner.run()
-    recorder.final_ensemble = ParticleEnsemble(
-        slow=runner.X.copy(), fast=np.zeros((runner.X.shape[0], 0)),
-        time=runner.k * runner.h, step=runner.k, model_id=model.model_id)
     recorder.fbar_cache = runner.fbar_cache
     return recorder
 

@@ -15,13 +15,13 @@ import sys
 import numpy as np
 
 from . import noise as noise_mod
+from . import study
 from .averaging import (FrozenParams, MixingFailure, default_frozen_params,
                         estimate_fbar, simulate_averaged, write_fbar_cache)
 from .integrate import BlowUpError, TrajectoryRecorder, simulate_full
 from .measure import MeasureMoments
 from .models import run_probe_suite
-from .study import (ConfigError, StudyConfig, config_from_dict, run_aux_diagnostic,
-                    run_rate_study, write_report)
+from .study import ConfigError, StudyConfig, run_aux_diagnostic, run_rate_study, write_report
 
 
 def _parse_value(text):
@@ -32,30 +32,15 @@ def _parse_value(text):
 
 
 def _load_cfg(args) -> StudyConfig:
-    raw = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                raw = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {args.config}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if args.model:
-        raw["model"] = args.model
-    if args.out:
-        raw["out_dir"] = args.out
-    if args.workers is not None:
-        raw["workers"] = args.workers
+    overrides = {key: val for key, val in (("model", args.model), ("out_dir", args.out),
+                                           ("workers", args.workers), ("seed", args.seed))
+                 if val is not None}
     for kv in args.param or []:
         if "=" not in kv:
             raise ConfigError(f"--param expects key=value, got {kv!r}")
         key, val = kv.split("=", 1)
-        raw.setdefault("model_params", {})[key] = _parse_value(val)
-    cfg = config_from_dict(raw)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
+        overrides.setdefault("model_params", {})[key] = _parse_value(val)
+    return study.load_config(args.config, overrides)
 
 
 def _cmd_simulate(args) -> int:
@@ -110,9 +95,8 @@ def _cmd_average(args) -> int:
     x0, _ = cfg.initial_states(model)
     rec = TrajectoryRecorder(stride_steps=max(1, params.n_steps // cfg.record_points))
     rec = simulate_averaged(model, x0, cfg.n_particles, params,
-                            noise_mod.NoisePlan(cfg.seed), mode=cfg.averaged_mode,
-                            hmm=cfg.hmm_config() if cfg.averaged_mode == "hmm" else None,
-                            recorder=rec, collect_fbar_cache=True)
+                            noise_mod.NoisePlan(cfg.seed), recorder=rec,
+                            collect_fbar_cache=True, **cfg.averaged_mode_kwargs(model))
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "averaged_trajectories.csv")
     rec.dump_csv(path)

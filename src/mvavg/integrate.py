@@ -44,6 +44,10 @@ class BlowUpError(RuntimeError):
         msg += "; consider a smaller h_micro or the semi-implicit fast mode"
         super().__init__(msg)
 
+    def __reduce__(self):
+        # rebuild from the fields, so the error survives a process pool
+        return type(self), (self.time, self.particle, self.context)
+
 
 @dataclass(frozen=True)
 class MultiscaleParams:
@@ -68,9 +72,7 @@ class MultiscaleParams:
                 f"h_micro={self.h_micro} does not resolve the fast scale: "
                 f"need h_micro <= {self.H_FRACTION_MAX} * epsilon")
         if self.delta_block is not None:
-            steps = round(self.delta_block / self.h_micro)
-            if steps < 1 or abs(steps * self.h_micro - self.delta_block) > 1e-9 * self.delta_block:
-                raise ValueError("delta_block must be a positive integer multiple of h_micro")
+            self.block_steps(self.delta_block, "delta_block")
 
     @property
     def n_steps(self) -> int:
@@ -78,11 +80,12 @@ class MultiscaleParams:
             return 0
         return max(1, int(round(self.t_end / self.h_micro)))
 
-    def delta_steps(self, delta: Optional[float] = None) -> int:
-        d = self.delta_block if delta is None else delta
-        if d is None:
-            d = self.epsilon ** (2.0 / 3.0)
-        return max(1, int(round(d / self.h_micro)))
+    def block_steps(self, delta: float, name: str) -> int:
+        """Micro steps in a block of length ``delta`` (named ``name`` in errors)."""
+        steps = round(delta / self.h_micro)
+        if steps < 1 or abs(steps * self.h_micro - delta) > 1e-9 * delta:
+            raise ValueError(f"{name} must be a positive integer multiple of h_micro")
+        return steps
 
 
 def resolve_params(epsilon: float, t_end: float, h_factor: float = 0.02,
@@ -97,27 +100,6 @@ def resolve_params(epsilon: float, t_end: float, h_factor: float = 0.02,
                             delta_block=steps * h)
 
 
-@dataclass
-class ParticleEnsemble:
-    """N coupled (slow, fast) particle states at one time."""
-
-    slow: np.ndarray   # (N, slow_dim)
-    fast: np.ndarray   # (N, fast_dim)
-    time: float
-    step: int
-    model_id: str
-
-    def __post_init__(self):
-        self.slow = np.atleast_2d(np.asarray(self.slow, dtype=float))
-        self.fast = np.atleast_2d(np.asarray(self.fast, dtype=float))
-        if self.slow.shape[0] != self.fast.shape[0] or self.slow.shape[0] < 1:
-            raise ValueError("slow and fast blocks must hold the same N >= 1 particles")
-
-    @property
-    def n_particles(self) -> int:
-        return self.slow.shape[0]
-
-
 class TrajectoryRecorder:
     """Slow-state snapshots on a fixed step stride plus running diagnostics."""
 
@@ -130,7 +112,6 @@ class TrajectoryRecorder:
         self.slow: list[np.ndarray] = []
         self.fast: list[np.ndarray] = []
         self.moment_flag = False
-        self.final_ensemble: Optional[ParticleEnsemble] = None
 
     def maybe_record(self, step, time, slow, fast, last=False):
         if step % self.stride_steps == 0 or last:
@@ -258,13 +239,15 @@ class FullRunner:
         self.n_steps = params.n_steps
         self.recorder = recorder
 
-        self.aux_steps = params.delta_steps(aux_delta) if aux_delta is not None else None
+        self.aux_steps = (params.block_steps(aux_delta, "aux_delta")
+                          if aux_delta is not None else None)
         if self.aux_steps is not None:
             self.Y_aux = self.Y.copy()
             self._aux_snap = None
             self.gap_sum = 0.0
             self.gap_count = 0
-        self.inc_steps = params.delta_steps(increment_delta) if increment_delta is not None else None
+        self.inc_steps = (params.block_steps(increment_delta, "increment_delta")
+                          if increment_delta is not None else None)
         if self.inc_steps is not None:
             self._X_block = self.X.copy()
             self.inc_sum = 0.0
@@ -333,13 +316,7 @@ class FullRunner:
             self.advance(min(chunk, self.n_steps - self.k))
         if self.recorder is not None:
             self.recorder.moment_flag = self.moment_flag
-            self.recorder.final_ensemble = self.ensemble()
         return self
-
-    def ensemble(self) -> ParticleEnsemble:
-        return ParticleEnsemble(slow=self.X.copy(), fast=self.Y.copy(),
-                                time=self.k * self.h, step=self.k,
-                                model_id=self.model.model_id)
 
     @property
     def aux_gap(self) -> float:
@@ -352,49 +329,6 @@ class FullRunner:
         return self.inc_sum / max(self.inc_count, 1)
 
 
-def step_full(model: ModelSpec, ens: ParticleEnsemble, params: MultiscaleParams,
-              noise: noise_mod.NoisePlan,
-              slow_kind: int = noise_mod.SLOW) -> ParticleEnsemble:
-    """One Euler-Maruyama micro step of the full system for all particles."""
-    if ens.time + params.h_micro > params.t_end + 1e-12:
-        raise ValueError("step would overrun t_end")
-    m = model
-    N = ens.n_particles
-    h = params.h_micro
-    mu = empirical_view(m, ens.slow)
-    xs = noise.gaussians(slow_kind, ens.step, 1, N, m.n_slow_modes)[0]
-    xf = noise.gaussians(noise_mod.FAST, ens.step, 1, N, m.n_fast_modes)[0]
-    drift = m.a1(ens.slow, mu) + m.f(ens.slow, mu, ens.fast)
-    if m.tame_slow:
-        drift = _tame(m, drift, h)
-    X = ens.slow + h * drift + math.sqrt(h) * m.b1_apply(ens.slow, mu, xs)
-    Y = _FastSolver(m, h / params.epsilon).step(ens.slow, mu, ens.fast, xf)
-    t = (ens.step + 1) * h
-    _check_finite(X, Y, t, "step_full")
-    return ParticleEnsemble(slow=X, fast=Y, time=t, step=ens.step + 1,
-                            model_id=ens.model_id)
-
-
-def step_aux_frozen(model: ModelSpec, ens_aux: ParticleEnsemble,
-                    frozen_slow, frozen_mu, params: MultiscaleParams,
-                    noise: noise_mod.NoisePlan) -> ParticleEnsemble:
-    """Advance the auxiliary fast process one micro step.
-
-    The drift and diffusion see the slow states and measure captured at the
-    last block boundary; the Gaussian increments are the ones the true fast
-    process consumes at this step index (shared stream ids).
-    """
-    m = model
-    xf = noise.gaussians(noise_mod.FAST, ens_aux.step, 1, ens_aux.n_particles,
-                         m.n_fast_modes)[0]
-    Y = _FastSolver(m, params.h_micro / params.epsilon).step(
-        frozen_slow, frozen_mu, ens_aux.fast, xf)
-    t = (ens_aux.step + 1) * params.h_micro
-    _check_finite(ens_aux.slow, Y, t, "step_aux_frozen")
-    return ParticleEnsemble(slow=ens_aux.slow, fast=Y, time=t,
-                            step=ens_aux.step + 1, model_id=ens_aux.model_id)
-
-
 def simulate_full(model: ModelSpec, x0, y0, n_particles: int,
                   params: MultiscaleParams, noise: noise_mod.NoisePlan,
                   recorder: Optional[TrajectoryRecorder] = None,
@@ -405,26 +339,3 @@ def simulate_full(model: ModelSpec, x0, y0, n_particles: int,
     FullRunner(model, x0, y0, n_particles, params, noise, recorder=recorder,
                init_spread=init_spread).run(chunk=chunk)
     return recorder
-
-
-def increment_stats(recorder: TrajectoryRecorder, delta: float, model: ModelSpec) -> float:
-    """Block-increment statistic from recorded snapshots.
-
-    Approximates (1/T) int_0^T E||X_t - X_{t(delta)}||^2 dt by the sample
-    mean over recorded times, where t(delta) floors t to the block grid.
-    Requires the block size to be a multiple of the recording stride.
-    """
-    times = recorder.time_array()
-    if len(times) < 2:
-        raise ValueError("recorder holds too few snapshots")
-    dt = times[1] - times[0]
-    ratio = delta / dt
-    if abs(ratio - round(ratio)) > 1e-8 or round(ratio) < 1:
-        raise ValueError(f"delta={delta} is not a multiple of the recording stride {dt}")
-    slow = recorder.slow_array()
-    vals = []
-    for j, t in enumerate(times):
-        jb = int(math.floor(t / delta + 1e-12) * round(ratio))
-        jb = min(jb, len(times) - 1)
-        vals.append(float(np.mean(slow_norm_sq(model, slow[j] - slow[jb]))))
-    return float(np.mean(vals))

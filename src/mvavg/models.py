@@ -7,8 +7,10 @@ A :class:`ModelSpec` packages the five coefficient maps of a slow-fast system
 
 where mu is the law of the slow component, represented throughout by the
 moments (mean, mu(||.||^2)) of the N-particle empirical measure.  Coefficient
-callables are vectorised over stacked particle rows and must stay pure: the
-integrator invokes them concurrently across particle blocks.
+callables are vectorised over stacked particle rows (one call evaluates all N
+particles of a micro step, in one process) and must stay pure: bitwise replay
+and the common-random-number coupling rely on a call depending only on its
+arguments.
 
 The registry exposes four concrete systems ("linear-benchmark",
 "mvsde-cubic", "porous-media-1d", "plaplace-1d") plus one deliberately

@@ -124,17 +124,6 @@ class NoisePlan:
         k0, k1 = self._keys()
         return _normals_from_words(*_philox(c0, c1, c2, c3, k0, k1))
 
-    def gaussians_for_particles(self, kind, step_start, n_steps, particles, n_modes, extra=0):
-        """Same as :meth:`gaussians` but for an explicit particle-index array."""
-        particles = np.asarray(particles, dtype=np.uint64)
-        steps = np.arange(step_start, step_start + n_steps, dtype=np.uint64)
-        c0 = (steps & _MASK32)[:, None, None]
-        c1 = ((steps >> np.uint64(32)) | np.uint64(kind << 16))[:, None, None]
-        c2 = particles[None, :, None]
-        c3 = (np.arange(n_modes, dtype=np.uint64) | np.uint64(extra << 16))[None, None, :]
-        k0, k1 = self._keys()
-        return _normals_from_words(*_philox(c0, c1, c2, c3, k0, k1))
-
     def derive(self, *tags):
         """Hash (seed, tags) into a fresh 64-bit seed for an independent plan.
 

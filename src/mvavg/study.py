@@ -29,7 +29,7 @@ import numpy as np
 
 from . import noise as noise_mod
 from .averaging import AveragedRunner, HmmConfig
-from .integrate import FullRunner, MultiscaleParams, resolve_params
+from .integrate import BlowUpError, FullRunner, MultiscaleParams, resolve_params
 from .models import REGISTRY, ModelSpec, build_model, slow_norm_sq
 
 SLOPE_TOLERANCE_FRACTION = 0.1
@@ -92,6 +92,9 @@ class StudyConfig:
             raise ConfigError("averaged_mode: must be 'exact' or 'hmm'")
         if self.workers < 1:
             raise ConfigError("workers: must be >= 1")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) \
+                or not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed: must be an integer in [0, 2^64), got {self.seed!r}")
         if self.n_particles is None:
             self.n_particles = 200 if self.model in ("porous-media-1d", "plaplace-1d") else 1000
         if self.n_particles < 1:
@@ -118,9 +121,15 @@ class StudyConfig:
         y0 = np.asarray(self.y0, dtype=float) if self.y0 is not None else model.default_y0
         return x0, y0
 
-    def hmm_config(self) -> HmmConfig:
+    def averaged_mode_kwargs(self, model: ModelSpec) -> dict:
+        """``mode`` and ``hmm`` arguments of the averaged run for this model."""
+        if self.averaged_mode == "exact":
+            if model.exact_fbar is None:
+                raise ConfigError(f"averaged_mode: model {self.model!r} has no closed-form "
+                                  "fbar; use 'hmm'")
+            return {"mode": "exact"}
         try:
-            return HmmConfig(**self.hmm)
+            return {"mode": "hmm", "hmm": HmmConfig(**self.hmm)}
         except TypeError as exc:
             raise ConfigError(f"hmm: {exc}") from exc
 
@@ -128,27 +137,38 @@ class StudyConfig:
         return dataclasses.asdict(self)
 
 
-def load_config(path: str) -> StudyConfig:
-    """Read and validate a JSON study config; unknown keys are rejected."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return config_from_dict(raw)
+def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> StudyConfig:
+    """Read the JSON study config at ``path`` (if any), apply overrides, validate.
 
-
-def config_from_dict(raw: dict) -> StudyConfig:
+    The seed comes from ``overrides``, else the MVAVG_SEED environment
+    variable, else the file.  A ``model_params`` override is merged into the
+    file's parameters; unknown keys are rejected.
+    """
+    raw = {}
+    if path:
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except FileNotFoundError as exc:
+            raise ConfigError(f"config file not found: {path}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError("config: the file must hold a JSON object")
+    if "MVAVG_SEED" in os.environ:
+        try:
+            raw["seed"] = int(os.environ["MVAVG_SEED"])
+        except ValueError as exc:
+            raise ConfigError(f"seed: MVAVG_SEED must be an integer: {exc}") from exc
+    for key, val in (overrides or {}).items():
+        if key == "model_params":
+            if not isinstance(raw.get(key, {}), dict):
+                raise ConfigError("model_params: must be a JSON object")
+            val = {**raw.get(key, {}), **val}
+        raw[key] = val
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    if "MVAVG_SEED" in os.environ:
-        try:
-            raw = dict(raw, seed=int(os.environ["MVAVG_SEED"]))
-        except ValueError as exc:
-            raise ConfigError(f"seed: MVAVG_SEED must be an integer: {exc}") from exc
     try:
         return StudyConfig(**raw)
     except TypeError as exc:
@@ -159,9 +179,15 @@ def config_from_dict(raw: dict) -> StudyConfig:
 # strong error at one epsilon
 # ---------------------------------------------------------------------------
 
-def _coupled_error_once(model: ModelSpec, cfg: StudyConfig, epsilon: float,
-                        plan: noise_mod.NoisePlan) -> dict:
-    """One replication: lockstep full/averaged runs under shared slow noise."""
+def _coupled_error_once(cfg: StudyConfig, eps_index: int, rep: int) -> tuple:
+    """One replication job: lockstep full/averaged runs under shared slow noise.
+
+    Returns (error_sq, aux_gap, increment_stat) of replication ``rep`` at
+    grid point ``eps_index``; the serial and the pooled study both run it.
+    """
+    model = cfg.build_model()
+    epsilon = cfg.epsilon_grid[eps_index]
+    plan = noise_mod.NoisePlan(cfg.seed).derive(4242, rep)
     params = cfg.params_for(epsilon)
     x0, y0 = cfg.initial_states(model)
     N = cfg.n_particles
@@ -170,10 +196,9 @@ def _coupled_error_once(model: ModelSpec, cfg: StudyConfig, epsilon: float,
                       aux_delta=delta, increment_delta=delta,
                       context=f"full eps={epsilon:g} seed={plan.seed}")
     avg_kind = noise_mod.SLOW if cfg.crn else noise_mod.SLOW_ALT
-    avg = AveragedRunner(model, x0, N, params, plan, mode=cfg.averaged_mode,
-                         hmm=cfg.hmm_config() if cfg.averaged_mode == "hmm" else None,
-                         slow_kind=avg_kind,
-                         context=f"averaged eps={epsilon:g} seed={plan.seed}")
+    avg = AveragedRunner(model, x0, N, params, plan, slow_kind=avg_kind,
+                         context=f"averaged eps={epsilon:g} seed={plan.seed}",
+                         **cfg.averaged_mode_kwargs(model))
     n_steps = params.n_steps
     stride = max(1, n_steps // cfg.record_points)
     sup_sq = np.zeros(N)
@@ -186,41 +211,21 @@ def _coupled_error_once(model: ModelSpec, cfg: StudyConfig, epsilon: float,
         k += n_sub
         diff_sq = slow_norm_sq(model, full.X - avg.X)
         np.maximum(sup_sq, diff_sq, out=sup_sq)
-    return {
-        "error_sq": float(np.mean(sup_sq)),
-        "aux_gap": full.aux_gap,
-        "increment_stat": full.increment_stat,
-    }
+    return float(np.mean(sup_sq)), full.aux_gap, full.increment_stat
 
 
-def strong_error(model: ModelSpec, cfg: StudyConfig, epsilon: float, seed: int) -> dict:
-    """Monte Carlo strong-error estimate at one epsilon.
+def aggregate(epsilon: float, results) -> RateRow:
+    """One grid point's row from its replication results, in replication order.
 
-    Replications are independent seeds; within a replication the particle
-    ensemble shares one empirical measure, so the standard error is computed
-    across replications only.
+    Replications are independent seeds; within a replication the particles
+    share one empirical measure, so the standard error is taken across
+    replications only.
     """
-    reps = [_coupled_error_once(model, cfg, epsilon,
-                                noise_mod.NoisePlan(seed).derive(4242, rep))
-            for rep in range(cfg.replications)]
-    errs = np.array([r["error_sq"] for r in reps])
-    out = {
-        "epsilon": epsilon,
-        "error_sq": float(errs.mean()),
-        "std_error": float(errs.std(ddof=1) / math.sqrt(len(errs))) if len(errs) > 1 else 0.0,
-        "aux_gap": float(np.mean([r["aux_gap"] for r in reps])),
-        "increment_stat": float(np.mean([r["increment_stat"] for r in reps])),
-    }
-    return out
-
-
-def _rate_job(cfg_dict: dict, eps_index: int, rep: int) -> tuple:
-    cfg = StudyConfig(**cfg_dict)
-    model = cfg.build_model()
-    epsilon = cfg.epsilon_grid[eps_index]
-    res = _coupled_error_once(model, cfg, epsilon,
-                              noise_mod.NoisePlan(cfg.seed).derive(4242, rep))
-    return (eps_index, rep, res["error_sq"], res["aux_gap"], res["increment_stat"])
+    errs = np.array([r[0] for r in results])
+    se = float(errs.std(ddof=1) / math.sqrt(len(errs))) if len(errs) > 1 else 0.0
+    return RateRow(epsilon, float(errs.mean()), se,
+                   float(np.mean([r[1] for r in results])),
+                   float(np.mean([r[2] for r in results])))
 
 
 # ---------------------------------------------------------------------------
@@ -283,56 +288,42 @@ def assemble_report(rows, incomplete=False, failures=()) -> RateReport:
                       incomplete=incomplete, failures=list(failures))
 
 
-def run_rate_study(cfg: StudyConfig, error_fn=None) -> RateReport:
+def _outcome(job, *args):
+    """A job's result, or the BlowUpError it raised; other errors propagate."""
+    try:
+        return job(*args)
+    except BlowUpError as exc:
+        return exc
+
+
+def run_rate_study(cfg: StudyConfig) -> RateReport:
     """Full epsilon sweep with the configured worker count.
 
-    ``error_fn`` is a test hook: when given, it supplies error_sq(epsilon)
-    directly and no simulation runs.  Grid points that blow up are recorded
-    and flagged; the report is then marked incomplete.
+    Every replication runs the same job, in-process or on a process pool.  A
+    grid point with a blown-up replication is recorded as a failure and left
+    out, and the report is then marked incomplete; any other error is raised.
     """
     if len(cfg.epsilon_grid) < 3:
         raise ConfigError("epsilon_grid: a rate study needs at least 3 grid points")
-    if error_fn is not None:
-        rows = [RateRow(e, float(error_fn(e)), 0.0, 0.0, 0.0) for e in cfg.epsilon_grid]
-        return assemble_report(rows)
-
+    cfg.averaged_mode_kwargs(cfg.build_model())   # a config error before any job runs
     jobs = [(i, rep) for i in range(len(cfg.epsilon_grid))
             for rep in range(cfg.replications)]
-    results = {}
-    failures = []
     if cfg.workers > 1:
-        cfg_dict = cfg.to_dict()
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futs = {pool.submit(_rate_job, cfg_dict, i, rep): (i, rep) for i, rep in jobs}
-            for fut, key in futs.items():
-                try:
-                    i, rep, err, aux, inc = fut.result()
-                    results[(i, rep)] = (err, aux, inc)
-                except Exception as exc:  # blow-ups surface per grid point
-                    failures.append((cfg.epsilon_grid[key[0]], repr(exc)))
+            futs = [pool.submit(_coupled_error_once, cfg, i, rep) for i, rep in jobs]
+            outcomes = [_outcome(fut.result) for fut in futs]
     else:
-        model = cfg.build_model()
-        for i, rep in jobs:
-            try:
-                res = _coupled_error_once(model, cfg, cfg.epsilon_grid[i],
-                                          noise_mod.NoisePlan(cfg.seed).derive(4242, rep))
-                results[(i, rep)] = (res["error_sq"], res["aux_gap"], res["increment_stat"])
-            except Exception as exc:
-                failures.append((cfg.epsilon_grid[i], repr(exc)))
+        outcomes = [_outcome(_coupled_error_once, cfg, i, rep) for i, rep in jobs]
 
-    rows = []
-    incomplete = False
+    rows, failures = [], []
+    R = cfg.replications
     for i, epsilon in enumerate(cfg.epsilon_grid):
-        per = [results[(i, rep)] for rep in range(cfg.replications) if (i, rep) in results]
-        if len(per) < cfg.replications:
-            incomplete = True
-            continue
-        errs = np.array([p[0] for p in per])
-        se = float(errs.std(ddof=1) / math.sqrt(len(errs))) if len(errs) > 1 else 0.0
-        rows.append(RateRow(epsilon, float(errs.mean()), se,
-                            float(np.mean([p[1] for p in per])),
-                            float(np.mean([p[2] for p in per]))))
-    return assemble_report(rows, incomplete=incomplete, failures=failures)
+        per = outcomes[i * R:(i + 1) * R]
+        failed = [exc for exc in per if isinstance(exc, BlowUpError)]
+        failures += [(epsilon, repr(exc)) for exc in failed]
+        if not failed:
+            rows.append(aggregate(epsilon, per))
+    return assemble_report(rows, incomplete=bool(failures), failures=failures)
 
 
 def run_aux_diagnostic(cfg: StudyConfig, epsilon: float, deltas=None) -> list:

@@ -1,13 +1,13 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from mvavg.integrate import (BlowUpError, FullRunner, MultiscaleParams,
-                             ParticleEnsemble, TrajectoryRecorder, _FastSolver,
-                             increment_stats, resolve_params, simulate_full,
-                             step_aux_frozen, step_full)
+                             TrajectoryRecorder, _FastSolver, resolve_params,
+                             simulate_full)
 from mvavg.measure import MeasureMoments
 from mvavg.models import build_model, empirical_view
 from mvavg.noise import NoisePlan
@@ -37,21 +37,10 @@ def test_zero_coefficients_leave_ensemble_fixed():
                     {"a11": 0.0, "a12": 0.0, "f0": 0.0, "sigma1": 0.0,
                      "k1": 0.0, "k2": 0.0, "sigma2": 0.0})
     params = resolve_params(0.1, 1.0)
-    ens = ParticleEnsemble(slow=np.zeros((4, 1)), fast=np.zeros((4, 1)),
-                           time=0.0, step=0, model_id=m.model_id)
-    out = step_full(m, ens, params, NoisePlan(1))
-    assert np.all(out.slow == 0.0) and np.all(out.fast == 0.0)
-    assert out.time == pytest.approx(params.h_micro)
-    assert out.step == 1
-
-
-def test_step_full_respects_horizon():
-    m = build_model("linear-benchmark")
-    params = MultiscaleParams(epsilon=0.1, t_end=0.002, h_micro=0.002)
-    ens = ParticleEnsemble(np.zeros((1, 1)), np.zeros((1, 1)), 0.0, 0, m.model_id)
-    ens = step_full(m, ens, params, NoisePlan(1))
-    with pytest.raises(ValueError):
-        step_full(m, ens, params, NoisePlan(1))
+    r = FullRunner(m, [0.0], [0.0], 4, params, NoisePlan(1))
+    r.advance(1)
+    assert np.all(r.X == 0.0) and np.all(r.Y == 0.0)
+    assert r.k == 1 and r.X.shape == (4, 1)
 
 
 def test_deterministic_linear_matches_matrix_exponential():
@@ -112,19 +101,6 @@ def test_aux_process_block_of_one_step_matches_truth():
     assert r.aux_gap == 0.0
 
 
-def test_step_aux_frozen_shares_fast_noise():
-    m = build_model("linear-benchmark")
-    params = resolve_params(0.05, 0.5)
-    plan = NoisePlan(8)
-    ens = ParticleEnsemble(np.full((4, 1), 1.0), np.full((4, 1), 1.0), 0.0, 0,
-                           m.model_id)
-    mu = empirical_view(m, ens.slow)
-    nxt = step_full(m, ens, params, plan)
-    aux = step_aux_frozen(m, ens, ens.slow, mu, params, plan)
-    # same frozen args and same increments on step 0: identical fast update
-    assert np.allclose(aux.fast, nxt.fast, atol=1e-15)
-
-
 def test_blowup_raises_with_context():
     m = build_model("broken-antidissipative")
     params = resolve_params(0.01, 1.0)
@@ -171,8 +147,7 @@ def test_moment_flag_stays_clear_on_sane_run():
     rec = TrajectoryRecorder(stride_steps=100)
     simulate_full(m, [1.0], [1.0], 64, params, NoisePlan(14), recorder=rec)
     assert rec.moment_flag is False
-    assert rec.final_ensemble is not None
-    assert rec.final_ensemble.time == pytest.approx(1.0)
+    assert rec.time_array()[-1] == pytest.approx(1.0)
 
 
 def test_recorder_csv_format(tmp_path):
@@ -189,51 +164,61 @@ def test_recorder_csv_format(tmp_path):
     float(t), int(p), int(idx), float(val)
 
 
+def test_blowup_error_survives_pickling():
+    err = pickle.loads(pickle.dumps(BlowUpError(0.5, 3, "c")))
+    assert (err.time, err.particle, err.context) == (0.5, 3, "c")
+    assert str(err) == str(BlowUpError(0.5, 3, "c"))
+
+
 # ---------------------------------------------------------------------------
 # increment statistic
 # ---------------------------------------------------------------------------
 
-def synthetic_recorder(times, values):
-    rec = TrajectoryRecorder(stride_steps=1)
-    rec.times = list(times)
-    rec.slow = [np.array([[v]]) for v in values]
-    return rec
+def decaying_slow(**kw):
+    # deterministic slow component x' = -x, decoupled from the fast one
+    return build_model("linear-benchmark", {"a11": -1.0, "a12": 0.0, "f0": 0.0,
+                                            "sigma1": 0.0, **kw})
 
 
-def test_increment_stats_constant_path():
-    m = build_model("linear-benchmark")
-    times = np.linspace(0.0, 1.0, 101)
-    rec = synthetic_recorder(times, np.ones_like(times))
-    assert increment_stats(rec, 0.1, m) == 0.0
+def test_increment_stat_constant_path():
+    m = decaying_slow(a11=0.0)
+    params = MultiscaleParams(epsilon=0.1, t_end=1.0, h_micro=0.002)
+    r = FullRunner(m, [1.0], [1.0], 2, params, NoisePlan(1), increment_delta=0.1).run()
+    assert r.increment_stat == 0.0
 
 
-def test_increment_stats_exponential_path_vs_quadrature():
-    # x_t = e^{-t}: (1/T) int (x_t - x_{t(d)})^2 dt by dense Riemann quadrature
-    m = build_model("linear-benchmark")
-    T, delta = 1.0, 0.1
-    times = np.linspace(0.0, T, 1001)
-    rec = synthetic_recorder(times, np.exp(-times))
-    est = increment_stats(rec, delta, m)
+def test_increment_stat_vs_euler_sum_and_quadrature():
+    # X_k = (1 - h)^k: the statistic averages (X_k - X_{block start of step k})^2
+    # over k = 1..n, which is a right Riemann sum of (1/T) int (x_t - x_{t(d)})^2 dt
+    m = decaying_slow()
+    T, delta, h = 1.0, 0.1, 0.0005
+    params = MultiscaleParams(epsilon=0.1, t_end=T, h_micro=h)
+    r = FullRunner(m, [1.0], [1.0], 1, params, NoisePlan(1), increment_delta=delta).run()
+    s = round(delta / h)
+    k = np.arange(1, params.n_steps + 1)
+    euler = np.mean(((1 - h) ** k - (1 - h) ** ((k - 1) // s * s)) ** 2)
+    assert r.increment_stat == pytest.approx(euler, rel=1e-9)
     tt = np.linspace(0.0, T, 200_001)
     ref = np.mean((np.exp(-tt) - np.exp(-np.floor(tt / delta + 1e-12) * delta)) ** 2)
-    assert est == pytest.approx(ref, rel=0.02)
+    assert r.increment_stat == pytest.approx(ref, rel=0.02)
 
 
-def test_increment_stats_scales_linearly_in_delta():
+def test_increment_stat_scales_linearly_in_delta():
     m = build_model("linear-benchmark")
-    params = resolve_params(0.05, 1.0)
-    rec = TrajectoryRecorder(stride_steps=5)
-    simulate_full(m, [1.0], [1.0], 512, params, NoisePlan(16), recorder=rec)
-    s1 = increment_stats(rec, 0.10, m)
-    s2 = increment_stats(rec, 0.05, m)
+    params = MultiscaleParams(epsilon=0.05, t_end=1.0, h_micro=0.001)
+    s1, s2 = (FullRunner(m, [1.0], [1.0], 512, params, NoisePlan(16),
+                         increment_delta=d).run().increment_stat for d in (0.10, 0.05))
     assert 1.5 < s1 / s2 < 2.7  # halving delta roughly halves the statistic
 
 
-def test_increment_stats_stride_mismatch():
+def test_increment_stat_stride_mismatch():
     m = build_model("linear-benchmark")
-    rec = synthetic_recorder(np.linspace(0.0, 1.0, 101), np.ones(101))
-    with pytest.raises(ValueError):
-        increment_stats(rec, 0.015, m)
+    params = MultiscaleParams(epsilon=0.1, t_end=1.0, h_micro=0.01)
+    for key in ("aux_delta", "increment_delta"):
+        with pytest.raises(ValueError, match=key):
+            FullRunner(m, [1.0], [1.0], 2, params, NoisePlan(1), **{key: 0.015})
+        with pytest.raises(ValueError, match=key):
+            FullRunner(m, [1.0], [1.0], 2, params, NoisePlan(1), **{key: 0.0})
 
 
 def test_zero_horizon_returns_initial_state_only():
@@ -242,7 +227,6 @@ def test_zero_horizon_returns_initial_state_only():
     rec = simulate_full(m, [1.5], [0.5], 4, params, NoisePlan(17))
     assert rec.time_array().tolist() == [0.0]
     assert np.all(rec.slow_array()[0] == 1.5)
-    assert rec.final_ensemble.time == 0.0
 
 
 def test_initial_spread_knob():

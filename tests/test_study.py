@@ -5,13 +5,13 @@ import os
 import numpy as np
 import pytest
 
+from mvavg import study
 from mvavg.cli import main
 from mvavg.models import build_model
 from mvavg.noise import NoisePlan
-from mvavg.study import (ConfigError, StudyConfig, _coupled_error_once,
-                         assemble_report, config_from_dict, fit_loglog,
-                         load_config, read_rate_report, run_rate_study,
-                         strong_error, write_report)
+from mvavg.study import (ConfigError, RateRow, StudyConfig, _coupled_error_once,
+                         aggregate, assemble_report, fit_loglog, load_config,
+                         read_rate_report, run_rate_study, write_report)
 
 
 def write_cfg(tmp_path, **kw):
@@ -57,6 +57,9 @@ def test_bad_values_name_offending_key(tmp_path):
                               model_params={"gamma": -1.0}))
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.json"))
+    (tmp_path / "list.json").write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="JSON object"):
+        load_config(str(tmp_path / "list.json"))
 
 
 def test_env_seed_override(tmp_path, monkeypatch):
@@ -66,6 +69,44 @@ def test_env_seed_override(tmp_path, monkeypatch):
     monkeypatch.setenv("MVAVG_SEED", "not-an-int")
     with pytest.raises(ConfigError, match="MVAVG_SEED"):
         load_config(path)
+
+
+def test_seed_validated_and_flag_takes_precedence(tmp_path, monkeypatch):
+    for bad in (-1, 2 ** 64, "abc", 1.5, True):
+        with pytest.raises(ConfigError, match="seed"):
+            load_config(write_cfg(tmp_path, model="linear-benchmark", seed=bad))
+    assert load_config(write_cfg(tmp_path, model="linear-benchmark",
+                                 seed=2 ** 64 - 1)).seed == 2 ** 64 - 1
+    path = write_cfg(tmp_path, model="linear-benchmark", seed=1)
+    monkeypatch.setenv("MVAVG_SEED", "777")
+    assert load_config(path, {"seed": 5}).seed == 5
+    monkeypatch.setenv("MVAVG_SEED", "-3")
+    with pytest.raises(ConfigError, match="seed"):
+        load_config(path)
+    monkeypatch.delenv("MVAVG_SEED")
+    assert main(["simulate", "--model", "linear-benchmark", "--seed", "-1",
+                 "--out", str(tmp_path)]) == 2
+
+
+def test_param_overrides_merge_into_file_params(tmp_path):
+    path = write_cfg(tmp_path, model="linear-benchmark", model_params={"gamma": 3.0})
+    cfg = load_config(path, {"model_params": {"k1": 0.5}, "workers": 2})
+    assert cfg.model_params == {"gamma": 3.0, "k1": 0.5}
+    assert cfg.workers == 2
+    with pytest.raises(ConfigError, match="not_a_key"):
+        load_config(path, {"not_a_key": 1})
+    listed = write_cfg(tmp_path, model="linear-benchmark", model_params=[1])
+    with pytest.raises(ConfigError, match="model_params"):
+        load_config(listed, {"model_params": {"k1": 0.5}})
+
+
+def test_exact_mode_needs_closed_form_fbar(tmp_path, capsys):
+    cfg = StudyConfig(model="mvsde-cubic", epsilon_grid=[0.1, 0.05, 0.02])
+    with pytest.raises(ConfigError, match="averaged_mode"):
+        run_rate_study(cfg)
+    for cmd in ("rate-study", "average"):
+        assert main([cmd, "--model", "broken-antidissipative", "--out", str(tmp_path)]) == 2
+        assert "averaged_mode" in capsys.readouterr().err
 
 
 def test_measure_dependent_needs_two_particles():
@@ -81,24 +122,25 @@ def test_measure_dependent_needs_two_particles():
 # fit and verdict logic
 # ---------------------------------------------------------------------------
 
+def synthetic_report(error_of, grid=(0.1, 0.05, 0.02, 0.01, 0.005)):
+    return assemble_report([RateRow(e, float(error_of(e)), 0.0, 0.0, 0.0) for e in grid])
+
+
 def test_synthetic_power_law_passes():
-    cfg = StudyConfig(model="linear-benchmark", replications=1)
-    report = run_rate_study(cfg, error_fn=lambda e: e ** (2.0 / 3.0))
+    report = synthetic_report(lambda e: e ** (2.0 / 3.0))
     assert report.slope == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert report.strictly_decreasing
     assert report.verdict == "pass"
 
 
 def test_synthetic_flat_errors_fail():
-    cfg = StudyConfig(model="linear-benchmark", replications=1)
-    report = run_rate_study(cfg, error_fn=lambda e: 0.5)
+    report = synthetic_report(lambda e: 0.5)
     assert not report.strictly_decreasing
     assert report.verdict == "fail"
 
 
 def test_verdict_reproducible_by_independent_least_squares():
-    cfg = StudyConfig(model="linear-benchmark", replications=1)
-    report = run_rate_study(cfg, error_fn=lambda e: 3.0 * e ** 0.9)
+    report = synthetic_report(lambda e: 3.0 * e ** 0.9)
     x = np.log(np.array([r.epsilon for r in report.rows]))
     y = np.log(np.array([r.error_sq for r in report.rows]))
     n = len(x)
@@ -119,51 +161,77 @@ def test_fit_loglog_r_squared_perfect_line():
 # strong error behaviour
 # ---------------------------------------------------------------------------
 
+def one_point_row(cfg):
+    """The rate-study row of a one-point grid: every replication job, aggregated."""
+    return aggregate(cfg.epsilon_grid[0],
+                     [_coupled_error_once(cfg, 0, rep) for rep in range(cfg.replications)])
+
+
 def test_decoupled_system_has_zero_error():
     cfg = StudyConfig(model="linear-benchmark", model_params={"f0": 0.0},
-                      n_particles=32, replications=2, t_end=0.5, seed=3)
-    m = build_model("linear-benchmark", {"f0": 0.0})
-    res = strong_error(m, cfg, 0.05, cfg.seed)
-    assert res["error_sq"] <= 1e-20
+                      n_particles=32, epsilon_grid=[0.05], replications=2,
+                      t_end=0.5, seed=3)
+    assert one_point_row(cfg).error_sq <= 1e-20
 
 
-def test_strong_error_reports_replication_spread():
-    cfg = StudyConfig(model="linear-benchmark", n_particles=64, replications=3,
-                      t_end=0.25, seed=5)
-    m = build_model("linear-benchmark")
-    res = strong_error(m, cfg, 0.05, cfg.seed)
-    assert res["error_sq"] > 0.0
-    assert res["std_error"] > 0.0
-    assert res["aux_gap"] > 0.0
-    assert res["increment_stat"] > 0.0
+def test_replication_aggregate_reports_spread():
+    cfg = StudyConfig(model="linear-benchmark", n_particles=64, epsilon_grid=[0.05],
+                      replications=3, t_end=0.25, seed=5)
+    row = one_point_row(cfg)
+    assert row.epsilon == 0.05
+    assert row.error_sq > 0.0
+    assert row.std_error > 0.0
+    assert row.aux_gap > 0.0
+    assert row.increment_stat > 0.0
+    errs = [_coupled_error_once(cfg, 0, rep)[0] for rep in range(3)]
+    assert row.error_sq == float(np.mean(errs))
+    assert row.std_error == pytest.approx(np.std(errs, ddof=1) / math.sqrt(3), rel=1e-12)
 
 
 def test_crn_coupling_reduces_variance():
     # common random numbers vs independent slow noise, once at eps = 0.05
-    base = dict(model="linear-benchmark", n_particles=256, replications=4,
-                t_end=0.5, seed=7)
-    m = build_model("linear-benchmark")
-    crn = strong_error(m, StudyConfig(**base, crn=True), 0.05, 7)
-    ind = strong_error(m, StudyConfig(**base, crn=False), 0.05, 7)
-    assert crn["std_error"] < ind["std_error"]
-    assert crn["error_sq"] < ind["error_sq"]
+    base = dict(model="linear-benchmark", n_particles=256, epsilon_grid=[0.05],
+                replications=4, t_end=0.5, seed=7)
+    crn = one_point_row(StudyConfig(**base, crn=True))
+    ind = one_point_row(StudyConfig(**base, crn=False))
+    assert crn.std_error < ind.std_error
+    assert crn.error_sq < ind.error_sq
 
 
 def test_sup_dominates_terminal_error():
-    cfg = StudyConfig(model="linear-benchmark", n_particles=16, replications=1,
-                      t_end=0.25, seed=9)
+    cfg = StudyConfig(model="linear-benchmark", n_particles=16, epsilon_grid=[0.05],
+                      replications=1, t_end=0.25, seed=9)
     m = build_model("linear-benchmark")
     params = cfg.params_for(0.05)
     from mvavg.averaging import AveragedRunner
     from mvavg.integrate import FullRunner
     from mvavg.models import slow_norm_sq
     plan = NoisePlan(9).derive(4242, 0)
-    res = _coupled_error_once(m, cfg, 0.05, plan)
+    error_sq, _, _ = _coupled_error_once(cfg, 0, 0)
     full = FullRunner(m, *cfg.initial_states(m), cfg.n_particles, params, plan).run()
     avg = AveragedRunner(m, cfg.initial_states(m)[0], cfg.n_particles, params,
                          plan, mode="exact").run()
     terminal = float(np.mean(slow_norm_sq(m, full.X - avg.X)))
-    assert res["error_sq"] >= terminal - 1e-15
+    assert error_sq >= terminal - 1e-15
+
+
+def test_study_rows_come_from_the_job_and_aggregator():
+    cfg = StudyConfig(model="linear-benchmark", n_particles=16,
+                      epsilon_grid=[0.1, 0.05, 0.02], replications=2, t_end=0.1, seed=4)
+    report = run_rate_study(cfg)
+    for i, row in enumerate(report.rows):
+        one = StudyConfig(**{**cfg.to_dict(), "epsilon_grid": [cfg.epsilon_grid[i]]})
+        assert row == one_point_row(one)
+
+
+def test_programming_error_in_a_job_propagates(monkeypatch):
+    def broken_job(cfg, eps_index, rep):
+        raise TypeError("not a blow-up")
+    monkeypatch.setattr(study, "_coupled_error_once", broken_job)
+    cfg = StudyConfig(model="linear-benchmark", n_particles=4,
+                      epsilon_grid=[0.1, 0.05, 0.02], replications=1, t_end=0.1)
+    with pytest.raises(TypeError, match="not a blow-up"):
+        run_rate_study(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +239,7 @@ def test_sup_dominates_terminal_error():
 # ---------------------------------------------------------------------------
 
 def test_report_roundtrip_full_precision(tmp_path):
-    cfg = StudyConfig(model="linear-benchmark", replications=1)
-    report = run_rate_study(cfg, error_fn=lambda e: math.pi * e ** 0.7)
+    report = synthetic_report(lambda e: math.pi * e ** 0.7)
     paths = write_report(report, str(tmp_path))
     rows = read_rate_report(paths["rate_report"])
     for got, want in zip(rows, report.rows):
@@ -185,21 +252,38 @@ def test_report_roundtrip_full_precision(tmp_path):
 
 
 def test_rate_report_header_contract(tmp_path):
-    cfg = StudyConfig(model="linear-benchmark", replications=1)
-    report = run_rate_study(cfg, error_fn=lambda e: e)
+    report = synthetic_report(lambda e: e)
     paths = write_report(report, str(tmp_path))
     header = open(paths["rate_report"]).readline().strip()
     assert header == "epsilon,error_sq,std_error,aux_gap,increment_stat"
 
 
-def test_workers_give_identical_results(tmp_path):
-    base = dict(model="linear-benchmark", n_particles=64,
-                epsilon_grid=[0.1, 0.05, 0.02], replications=2, t_end=0.25, seed=13)
+WORKER_CASES = (
+    dict(model="linear-benchmark", n_particles=64, replications=2, t_end=0.25, seed=13),
+    dict(model="mvsde-cubic", n_particles=16, replications=1, t_end=0.2, seed=14,
+         averaged_mode="hmm",
+         hmm={"replicas": 1, "horizon": 0.5, "burn_in": 0.2, "h_frozen": 0.02}),
+)
+
+
+def test_workers_give_identical_results():
+    # the cases run in one test (not parametrized) so that its id stays stable
+    for base in WORKER_CASES:
+        grid = [0.1, 0.05, 0.02]
+        r1 = run_rate_study(StudyConfig(**base, epsilon_grid=grid, workers=1))
+        r2 = run_rate_study(StudyConfig(**base, epsilon_grid=grid, workers=3))
+        assert r1.rows == r2.rows, base["model"]
+
+
+def test_blowup_failures_identical_across_workers():
+    base = dict(model="linear-benchmark", model_params={"a11": 40.0}, n_particles=8,
+                epsilon_grid=[0.1, 0.05, 0.02], replications=2, t_end=1.0, seed=2024)
     r1 = run_rate_study(StudyConfig(**base, workers=1))
-    r2 = run_rate_study(StudyConfig(**base, workers=3))
-    for a, b in zip(r1.rows, r2.rows):
-        assert a.error_sq == b.error_sq
-        assert a.aux_gap == b.aux_gap
+    r2 = run_rate_study(StudyConfig(**base, workers=2))
+    assert len(r1.failures) == 6
+    assert all("BlowUpError" in msg for _, msg in r1.failures)
+    assert r1.failures == r2.failures
+    assert r1.incomplete and not r1.rows
 
 
 # ---------------------------------------------------------------------------
