@@ -58,8 +58,10 @@ class FrozenParams:
     def __post_init__(self):
         self.x_frozen = np.asarray(self.x_frozen, dtype=float).reshape(-1)
         self.y_init = np.asarray(self.y_init, dtype=float).reshape(-1)
-        if self.burn_in < 0 or self.sample_horizon <= 0:
-            raise ValueError("burn_in must be >= 0 and sample_horizon > 0")
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be >= 0")
+        if self.sample_horizon <= 0:
+            raise ValueError("sample_horizon must be positive")
         if self.h_micro <= 0:
             raise ValueError("h_micro must be positive")
         if self.replicas < 1:

@@ -43,11 +43,24 @@ def _load_cfg(args) -> StudyConfig:
     return study.load_config(args.config, overrides)
 
 
+def _epsilon_params(cfg: StudyConfig, flag):
+    """The --epsilon value (default: the first grid point) and its step bundle."""
+    epsilon = flag if flag is not None else cfg.epsilon_grid[0]
+    try:
+        return epsilon, cfg.params_for(epsilon)
+    except ValueError as exc:
+        raise ConfigError(f"--epsilon: {exc}") from exc
+
+
+# FrozenParams fields set by freeze flags; their range errors name the field first
+_FREEZE_FLAGS = {"burn_in": "--burn-in", "sample_horizon": "--horizon",
+                 "h_micro": "--h", "replicas": "--replicas"}
+
+
 def _cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
     model = cfg.build_model()
-    epsilon = args.epsilon if args.epsilon is not None else cfg.epsilon_grid[0]
-    params = cfg.params_for(epsilon)
+    epsilon, params = _epsilon_params(cfg, args.epsilon)
     x0, y0 = cfg.initial_states(model)
     rec = TrajectoryRecorder(stride_steps=max(1, params.n_steps // cfg.record_points),
                              record_fast=True)
@@ -70,13 +83,19 @@ def _cmd_freeze(args) -> int:
     mu_mean = (np.array([float(v) for v in args.mu_mean.split(",")])
                if args.mu_mean else np.zeros(model.slow_dim))
     mu = MeasureMoments(mean=mu_mean, second_moment=args.mu_m2)
-    fp = default_frozen_params(model, x, mu, sample_horizon=args.horizon,
-                               h_micro=args.h, replicas=args.replicas)
-    if args.burn_in is not None:
-        fp = FrozenParams(x_frozen=x, mu_frozen=mu, y_init=fp.y_init,
-                          burn_in=args.burn_in, sample_horizon=args.horizon,
-                          h_micro=args.h, replicas=args.replicas)
-    est = estimate_fbar(model, fp, noise_mod.NoisePlan(cfg.seed))
+    try:
+        fp = default_frozen_params(model, x, mu, sample_horizon=args.horizon,
+                                   h_micro=args.h, replicas=args.replicas)
+        if args.burn_in is not None:
+            fp = FrozenParams(x_frozen=x, mu_frozen=mu, y_init=fp.y_init,
+                              burn_in=args.burn_in, sample_horizon=args.horizon,
+                              h_micro=args.h, replicas=args.replicas)
+        est = estimate_fbar(model, fp, noise_mod.NoisePlan(cfg.seed))
+    except ValueError as exc:
+        flag = _FREEZE_FLAGS.get(str(exc).split(" ", 1)[0].split("=", 1)[0])
+        if flag is None:
+            raise
+        raise ConfigError(f"{flag}: {exc}") from exc
     for i, (v, se) in enumerate(zip(est.fbar, est.std_error)):
         print(f"fbar[{i}] = {v:.10g} +- {se:.3g}  (n_effective={est.n_effective})")
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -90,8 +109,7 @@ def _cmd_freeze(args) -> int:
 def _cmd_average(args) -> int:
     cfg = _load_cfg(args)
     model = cfg.build_model()
-    epsilon = args.epsilon if args.epsilon is not None else cfg.epsilon_grid[0]
-    params = cfg.params_for(epsilon)
+    epsilon, params = _epsilon_params(cfg, args.epsilon)
     x0, _ = cfg.initial_states(model)
     rec = TrajectoryRecorder(stride_steps=max(1, params.n_steps // cfg.record_points))
     rec = simulate_averaged(model, x0, cfg.n_particles, params,
@@ -134,7 +152,7 @@ def _cmd_probe(args) -> int:
 
 def _cmd_aux(args) -> int:
     cfg = _load_cfg(args)
-    epsilon = args.epsilon if args.epsilon is not None else cfg.epsilon_grid[0]
+    epsilon, _ = _epsilon_params(cfg, args.epsilon)
     table = run_aux_diagnostic(cfg, epsilon)
     print("delta,gap,gap_over_delta")
     for row in table:

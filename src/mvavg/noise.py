@@ -34,6 +34,12 @@ _W1 = np.uint64(0xBB67AE85)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _INV53 = float(2.0 ** -53)
 
+# counter field limits (see NoisePlan); a value past its field would alias
+# another stream, so gaussians and derive refuse it
+_STEP_LIMIT = 2 ** 48
+_PARTICLE_LIMIT = 2 ** 32
+_FIELD16_LIMIT = 2 ** 16
+
 
 _SHIFT32 = np.uint64(32)
 
@@ -102,6 +108,9 @@ class NoisePlan:
         word1 = step bits 32..47 | kind << 16
         word2 = particle index
         word3 = mode | extra << 16
+
+    so steps lie below 2^48, particles below 2^32, and kind, mode and extra
+    below 2^16; requests outside these fields raise ValueError.
     """
 
     seed: int
@@ -116,6 +125,17 @@ class NoisePlan:
 
     def gaussians(self, kind, step_start, n_steps, n_particles, n_modes, extra=0):
         """Standard normals of shape (n_steps, n_particles, n_modes)."""
+        if not 0 <= step_start <= step_start + n_steps <= _STEP_LIMIT:
+            raise ValueError(f"steps [{step_start}, {step_start + n_steps}) "
+                             "outside the 48-bit step counter")
+        if not 0 <= n_particles <= _PARTICLE_LIMIT:
+            raise ValueError(f"n_particles={n_particles} outside the 32-bit particle counter")
+        if not 0 <= n_modes <= _FIELD16_LIMIT:
+            raise ValueError(f"n_modes={n_modes} outside the 16-bit mode counter")
+        if not 0 <= extra < _FIELD16_LIMIT:
+            raise ValueError(f"extra={extra} outside its 16-bit field")
+        if not 0 <= kind < _FIELD16_LIMIT:
+            raise ValueError(f"kind={kind} outside its 16-bit field")
         steps = np.arange(step_start, step_start + n_steps, dtype=np.uint64)
         c0 = (steps & _MASK32)[:, None, None]
         c1 = ((steps >> np.uint64(32)) | np.uint64(kind << 16))[:, None, None]
@@ -128,8 +148,16 @@ class NoisePlan:
         """Hash (seed, tags) into a fresh 64-bit seed for an independent plan.
 
         Used to hand disjoint noise universes to replications and embedded
-        frozen runs without coordinating step offsets.
+        frozen runs without coordinating step offsets.  At most three
+        non-negative integer tags: the first below 2^48, the others below 2^32.
         """
+        if len(tags) > 3:
+            raise ValueError(f"derive takes at most 3 tags, got {len(tags)}")
+        for i, tag in enumerate(tags):
+            limit = _STEP_LIMIT if i == 0 else _PARTICLE_LIMIT
+            if not isinstance(tag, (int, np.integer)) or not 0 <= tag < limit:
+                raise ValueError(f"derive tag {i} must be an integer in [0, {limit}), "
+                                 f"got {tag!r}")
         t = list(tags) + [0, 0, 0]
         c0 = np.uint64(t[0] & 0xFFFFFFFF)
         c1 = np.uint64(((t[0] >> 32) & 0xFFFF) | (_DERIVE << 16))

@@ -3,7 +3,9 @@
 Provides the tridiagonal Laplacian, the discrete norms that realise the
 function-space norms used by the PDE models (L^2, H^1_0, H^-1, L^r), and
 truncation onto the lowest discrete sine modes.  All operations accept
-stacked fields of shape (..., n_interior) and are pure.
+stacked fields of shape (..., n_interior) and are pure.  The solves apply a
+dense inverse built once per (n_interior, shift) and cached: the operators
+are fixed, and a small dense product is cheaper than a banded solve per call.
 
 Discrete conventions, with dx = 1/(n+1) and ghost values u_0 = u_{n+1} = 0:
 
@@ -74,32 +76,35 @@ def lambda1(grid: Grid1D) -> float:
 
 @lru_cache(maxsize=32)
 def _laplacian_banded(n: int) -> np.ndarray:
-    # ab-form of -laplacian * dx^2 (scaled back on use); SPD tridiagonal
+    # ab-form of -laplacian; SPD tridiagonal, read-only (callers copy to shift it)
     dx2 = (1.0 / (n + 1)) ** 2
     ab = np.zeros((3, n))
     ab[0, 1:] = -1.0 / dx2
     ab[1, :] = 2.0 / dx2
     ab[2, :-1] = -1.0 / dx2
+    ab.flags.writeable = False
     return ab
+
+
+@lru_cache(maxsize=32)
+def _shifted_inverse(n: int, shift: float) -> np.ndarray:
+    """Dense read-only (shift*I - laplacian)^{-1}, one banded solve on the identity."""
+    ab = _laplacian_banded(n).copy()
+    ab[1, :] += shift
+    inv = solve_banded((1, 1), ab, np.eye(n), check_finite=False)
+    inv.flags.writeable = False
+    return inv
 
 
 def solve_neg_laplacian(grid: Grid1D, rhs) -> np.ndarray:
     """Solve (-laplacian) w = rhs for stacked right-hand sides."""
-    rhs = _check(grid, rhs)
-    ab = _laplacian_banded(grid.n_interior)
-    flat = rhs.reshape(-1, grid.n_interior).T
-    sol = solve_banded((1, 1), ab, flat, check_finite=False)
-    return sol.T.reshape(rhs.shape)
+    return solve_shifted_neg_laplacian(grid, 0.0, rhs)
 
 
 def solve_shifted_neg_laplacian(grid: Grid1D, shift: float, rhs) -> np.ndarray:
     """Solve (shift*I - laplacian) w = rhs; shift >= 0 keeps it SPD."""
     rhs = _check(grid, rhs)
-    ab = _laplacian_banded(grid.n_interior).copy()
-    ab[1, :] += shift
-    flat = rhs.reshape(-1, grid.n_interior).T
-    sol = solve_banded((1, 1), ab, flat, check_finite=False)
-    return sol.T.reshape(rhs.shape)
+    return rhs @ _shifted_inverse(grid.n_interior, float(shift)).T
 
 
 def hminus1_norm_sq(grid: Grid1D, u) -> np.ndarray | float:

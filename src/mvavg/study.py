@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -35,10 +36,24 @@ from .models import REGISTRY, ModelSpec, build_model, slow_norm_sq
 SLOPE_TOLERANCE_FRACTION = 0.1
 ERROR_SQ_SLOPE_THRESHOLD = (2.0 / 3.0) * (1.0 - SLOPE_TOLERANCE_FRACTION)
 DEFAULT_EPS_GRID = (0.1, 0.05, 0.02, 0.01, 0.005)
+# Normals per stream in one noise draw of the coupled study loop: the draw
+# covers whole sup strides, so small strides do not pay the per-call cost
+# each time.
+NOISE_WINDOW_NORMALS = 16384
 
 
 class ConfigError(ValueError):
     """Invalid study configuration; the message names the offending key."""
+
+
+def _check_int(key: str, val):
+    if not isinstance(val, numbers.Integral) or isinstance(val, bool):
+        raise ConfigError(f"{key}: must be an integer, got {val!r}")
+
+
+def _check_real(key: str, val):
+    if not isinstance(val, numbers.Real) or isinstance(val, bool) or not math.isfinite(val):
+        raise ConfigError(f"{key}: must be a finite number, got {val!r}")
 
 
 _CONFIG_KEYS = {
@@ -74,6 +89,16 @@ class StudyConfig:
     def validate(self):
         if self.model not in REGISTRY:
             raise ConfigError(f"model: unknown id {self.model!r}; known: {sorted(REGISTRY)}")
+        for key in ("replications", "record_points", "workers"):
+            _check_int(key, getattr(self, key))
+        if self.n_particles is not None:
+            _check_int("n_particles", self.n_particles)
+        for key in ("t_end", "h_factor", "delta_exponent"):
+            _check_real(key, getattr(self, key))
+        if not isinstance(self.epsilon_grid, (list, tuple)):
+            raise ConfigError(f"epsilon_grid: must be a list, got {self.epsilon_grid!r}")
+        for e in self.epsilon_grid:
+            _check_real("epsilon_grid", e)
         grid = tuple(float(e) for e in self.epsilon_grid)
         if any(not 0.0 < e <= 1.0 for e in grid):
             raise ConfigError("epsilon_grid: every entry must lie in (0, 1]")
@@ -201,16 +226,24 @@ def _coupled_error_once(cfg: StudyConfig, eps_index: int, rep: int) -> tuple:
                          **cfg.averaged_mode_kwargs(model))
     n_steps = params.n_steps
     stride = max(1, n_steps // cfg.record_points)
+    per_step = N * max(model.n_slow_modes, model.n_fast_modes)
+    window = stride * math.ceil(NOISE_WINDOW_NORMALS / (stride * per_step))
     sup_sq = np.zeros(N)
     k = 0
     while k < n_steps:
-        n_sub = min(stride, n_steps - k)
-        xs = plan.gaussians(noise_mod.SLOW, k, n_sub, N, model.n_slow_modes)
-        full.advance(n_sub, xs=xs)
-        avg.advance(n_sub, xs=xs if cfg.crn else None)
-        k += n_sub
-        diff_sq = slow_norm_sq(model, full.X - avg.X)
-        np.maximum(sup_sq, diff_sq, out=sup_sq)
+        # counter-based streams: slicing one window draw per stride gives the
+        # same increments as drawing each stride on its own
+        n_win = min(window, n_steps - k)
+        xs = plan.gaussians(noise_mod.SLOW, k, n_win, N, model.n_slow_modes)
+        xf = plan.gaussians(noise_mod.FAST, k, n_win, N, model.n_fast_modes)
+        xa = xs if cfg.crn else plan.gaussians(avg_kind, k, n_win, N, model.n_slow_modes)
+        for j in range(0, n_win, stride):
+            n_sub = min(stride, n_win - j)
+            full.advance(n_sub, xs=xs[j:j + n_sub], xf=xf[j:j + n_sub])
+            avg.advance(n_sub, xs=xa[j:j + n_sub])
+            diff_sq = slow_norm_sq(model, full.X - avg.X)
+            np.maximum(sup_sq, diff_sq, out=sup_sq)
+        k += n_win
     return float(np.mean(sup_sq)), full.aux_gap, full.increment_stat
 
 

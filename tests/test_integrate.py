@@ -3,11 +3,11 @@ import pickle
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_banded
 
-from mvavg.integrate import (BlowUpError, FullRunner, MultiscaleParams,
-                             TrajectoryRecorder, _FastSolver, resolve_params,
-                             simulate_full)
+from mvavg.integrate import (BLOWUP_LIMIT, BlowUpError, FullRunner, MultiscaleParams,
+                             TrajectoryRecorder, _check_finite, _FastSolver,
+                             resolve_params, simulate_full)
 from mvavg.measure import MeasureMoments
 from mvavg.models import build_model, empirical_view
 from mvavg.noise import NoisePlan
@@ -109,6 +109,38 @@ def test_blowup_raises_with_context():
                    context="unit test").run()
     assert "unit test" in str(err.value)
     assert err.value.time <= 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 2 * BLOWUP_LIMIT, -2 * BLOWUP_LIMIT])
+@pytest.mark.parametrize("in_fast", [False, True])
+def test_blowup_check_names_the_particle(bad, in_fast):
+    X, Y = np.zeros((6, 2)), np.zeros((6, 3))
+    _check_finite(X + BLOWUP_LIMIT, Y - BLOWUP_LIMIT, 0.5, "unit test")  # at the limit
+    (Y if in_fast else X)[3, 1] = bad
+    with pytest.raises(BlowUpError) as err:
+        _check_finite(X, Y, 0.5, "unit test")
+    assert (err.value.time, err.value.particle, err.value.context) == (0.5, 3, "unit test")
+
+
+@pytest.mark.parametrize("h_eff", [1e-4, 0.05, 1.0])
+def test_laplacian_fast_step_matches_banded_solve(h_eff):
+    # the dense implicit inverse reproduces the semi-implicit banded solve
+    m = build_model("porous-media-1d", {"n_interior": 31})
+    n, dx2 = 31, m.grid.dx ** 2
+    rng = np.random.default_rng(8)
+    U, V = rng.normal(size=(2, 5, n))
+    xi = rng.normal(size=(5, m.n_fast_modes))
+    mu = empirical_view(m, U)
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -h_eff / dx2
+    ab[1, :] = 1.0 + 2.0 * h_eff / dx2
+    ab[2, :-1] = -h_eff / dx2
+    rhs = (V + h_eff * m.a2_remainder(U, mu, V)
+           + math.sqrt(h_eff) * m.b2_apply(U, mu, V, xi))
+    ref = solve_banded((1, 1), ab, rhs.T).T
+    got = _FastSolver(m, h_eff).step(U, mu, V, xi)
+    err = np.linalg.norm(got - ref, axis=-1)
+    assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=-1))
 
 
 def test_first_moment_matches_mean_ode():

@@ -82,3 +82,53 @@ def test_seed_range_checked():
         NoisePlan(-1)
     with pytest.raises(ValueError):
         NoisePlan(2 ** 64)
+
+
+def test_in_range_streams_unchanged():
+    # values recorded before the counter limits were enforced, at the field edges too
+    plan = NoisePlan(123)
+    assert plan.gaussians(SLOW, 0, 2, 2, 2).ravel().tolist() == [
+        -0.017698533350502015, -1.5193069845933358, -0.3368953914026729,
+        -0.3427268458992588, 0.25577075394051535, 0.5599408362135005,
+        -0.9420515630614631, 0.39547279507852884]
+    edge = NoisePlan(2 ** 64 - 1).gaussians(FAST, 2 ** 48 - 3, 3, 1, 1, extra=2 ** 16 - 1)
+    assert edge.ravel().tolist() == [-0.6068971590091786, 0.8827989541179396,
+                                     0.5677123223999213]
+    wide = NoisePlan(7).gaussians(FROZEN, 2 ** 40, 1, 3, 2 ** 16).ravel()
+    assert wide[[0, 1, -1]].tolist() == [-1.0109954170738515, -2.901039301189698,
+                                         -0.572785017012922]
+    base = NoisePlan(42)
+    assert base.derive(4242, 0).seed == 1552263589983501128
+    assert base.derive(9001).seed == 2304168245982568478
+    assert base.derive().seed == 1553859894536179048
+    assert base.derive(2 ** 48 - 1, 2 ** 32 - 1, 2 ** 32 - 1).seed == 15146122226473025961
+
+
+@pytest.mark.parametrize("kind, start, n_steps, n_particles, n_modes, extra", [
+    (SLOW, -1, 1, 1, 1, 0),             # negative step
+    (SLOW, 2 ** 48 - 1, 2, 1, 1, 0),    # step 2^48 would be FAST step 0
+    (SLOW, 0, 1, 2 ** 32 + 1, 1, 0),    # particle index past 32 bits
+    (SLOW, 0, 1, 1, 2 ** 16 + 1, 0),    # mode 2^16 would be extra=1 mode 0
+    (SLOW, 0, 1, 1, 1, 2 ** 16),        # extra past 16 bits
+    (SLOW, 0, 1, 1, 1, -1),
+    (2 ** 16, 0, 1, 1, 1, 0),           # kind past 16 bits
+    (-1, 0, 1, 1, 1, 0),
+])
+def test_counter_fields_out_of_range_rejected(kind, start, n_steps, n_particles,
+                                              n_modes, extra):
+    with pytest.raises(ValueError):
+        NoisePlan(1).gaussians(kind, start, n_steps, n_particles, n_modes, extra=extra)
+
+
+@pytest.mark.parametrize("tags", [
+    (1, 2, 3, 4),          # a fourth tag was ignored: (1,2,3,4) == (1,2,3,5)
+    (1, 2 ** 32),          # truncated to 32 bits: (1, 2^32) == (1, 0)
+    (2 ** 48,),
+    (1, 2, 2 ** 32),
+    (-1,),
+    (1.5,),
+    ("a",),
+])
+def test_derive_tags_out_of_range_rejected(tags):
+    with pytest.raises(ValueError):
+        NoisePlan(1).derive(*tags)

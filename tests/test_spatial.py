@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.linalg import solve_banded
+
 from mvavg.spatial import (Grid1D, GridDimensionError, h01_norm_sq, hminus1_inner,
                            hminus1_norm_sq, l2_norm_sq, lambda1, laplacian_apply,
-                           lr_norm, mode_project, sine_mode, solve_neg_laplacian)
+                           lr_norm, mode_project, sine_mode, solve_neg_laplacian,
+                           solve_shifted_neg_laplacian)
 
 
 def dense_laplacian(grid):
@@ -141,6 +144,30 @@ def test_solve_neg_laplacian_roundtrip():
     u = rng.normal(size=(3, 20))
     w = solve_neg_laplacian(g, u)
     assert np.allclose(-laplacian_apply(g, w), u, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 7, 31, 63])
+@pytest.mark.parametrize("shift", [0.0, 0.5, 1e3])
+def test_dense_solves_match_banded_solve(n, shift):
+    # the cached dense inverse agrees with a banded solve of the same system
+    g = Grid1D(n)
+    dx2 = g.dx ** 2
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -1.0 / dx2
+    ab[1, :] = 2.0 / dx2 + shift
+    ab[2, :-1] = -1.0 / dx2
+    rhs = np.random.default_rng(n).normal(size=(2, 3, n))
+    ref = solve_banded((1, 1), ab, rhs.reshape(-1, n).T).T.reshape(rhs.shape)
+    solves = [solve_shifted_neg_laplacian(g, shift, rhs)]
+    if shift == 0.0:
+        solves.append(solve_neg_laplacian(g, rhs))
+    for got in solves:
+        assert got.shape == rhs.shape
+        err = np.linalg.norm(got - ref, axis=-1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=-1))
+    single = solve_shifted_neg_laplacian(g, shift, rhs[0, 0])
+    assert single.shape == (n,)
+    assert np.linalg.norm(single - ref[0, 0]) <= 1e-12 * np.linalg.norm(ref[0, 0])
 
 
 # ---------------------------------------------------------------------------

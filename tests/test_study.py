@@ -224,6 +224,27 @@ def test_study_rows_come_from_the_job_and_aggregator():
         assert row == one_point_row(one)
 
 
+@pytest.mark.parametrize("base", [
+    dict(model="linear-benchmark", n_particles=8, record_points=7),
+    dict(model="porous-media-1d", model_params={"n_interior": 7}, n_particles=8),
+    dict(model="linear-benchmark", n_particles=8, record_points=7, crn=False),
+])
+def test_windowed_noise_draws_are_bitwise_per_stride_draws(base, monkeypatch):
+    # one draw per stride (the window constant at 1), windows of three strides
+    # with a partial last window, and the default window give the same job
+    cfg = StudyConfig(**base, epsilon_grid=[0.05], replications=1, t_end=0.1, seed=11)
+    model = cfg.build_model()
+    n_steps = cfg.params_for(0.05).n_steps
+    stride = max(1, n_steps // cfg.record_points)
+    per_stride = stride * cfg.n_particles * max(model.n_slow_modes, model.n_fast_modes)
+    results = []
+    for normals in (1, 3 * per_stride, study.NOISE_WINDOW_NORMALS):
+        monkeypatch.setattr(study, "NOISE_WINDOW_NORMALS", normals)
+        results.append(_coupled_error_once(cfg, 0, 0))
+    assert n_steps % (3 * stride) != 0
+    assert results[0] == results[1] == results[2]
+
+
 def test_programming_error_in_a_job_propagates(monkeypatch):
     def broken_job(cfg, eps_index, rep):
         raise TypeError("not a blow-up")
@@ -294,6 +315,26 @@ def test_cli_config_error_is_exit_2(tmp_path):
     bad = write_cfg(tmp_path, model="linear-benchmark", epsilon_grid=[0.1, 0.5])
     assert main(["rate-study", "--config", bad]) == 2
     assert main(["simulate", "--model", "nope"]) == 2
+
+
+def test_config_types_checked_and_key_named(tmp_path, capsys):
+    for key, val in (("replications", 2.5), ("n_particles", "abc"), ("workers", True),
+                     ("t_end", "1"), ("epsilon_grid", [0.1, "x"])):
+        path = write_cfg(tmp_path, model="linear-benchmark", **{key: val})
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+        assert main(["rate-study", "--config", path]) == 2
+        assert key in capsys.readouterr().err
+
+
+def test_cli_flag_range_errors_name_the_flag(tmp_path, capsys):
+    model = ["--model", "linear-benchmark", "--out", str(tmp_path)]
+    for argv, flag in ((["simulate", "--epsilon", "2"], "--epsilon"),
+                       (["aux", "--epsilon", "0"], "--epsilon"),
+                       (["freeze", "--x", "1", "--h", "-1"], "--h"),
+                       (["freeze", "--x", "1", "--horizon", "0.05"], "--horizon")):
+        assert main(argv + model) == 2
+        assert f"config error: {flag}:" in capsys.readouterr().err
 
 
 def test_cli_blowup_is_exit_3(tmp_path):
