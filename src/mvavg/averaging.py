@@ -30,8 +30,8 @@ from typing import Optional
 import numpy as np
 
 from . import noise as noise_mod
-from .integrate import (MultiscaleParams, TrajectoryRecorder, _check_finite,
-                        _FastSolver, _tame)
+from .integrate import (MultiscaleParams, TrajectoryRecorder, _batch_shape, _check_finite,
+                        _FastSolver, _initial_state, _tame)
 from .measure import MeasureMoments
 from .models import ModelSpec, empirical_view, fast_norm_sq
 
@@ -87,17 +87,18 @@ def _frozen_batch(model, x_frozen, mu, h, noise, paths_y0, n_steps, on_sample=No
     Row i of ``x_frozen`` (or the one shared row) is the slow state that path
     i sees; path i consumes stream (FROZEN, particle=i) from ``start_step``
     on, so two marches from the same plan and start step share increments.
+    Paths (P, fast_dim) take one plan; a batch (R, P, fast_dim) takes R plans.
     """
-    P = paths_y0.shape[0]
-    Xa = np.broadcast_to(x_frozen, (P, model.slow_dim))
+    P = paths_y0.shape[-2]
+    Xa = np.broadcast_to(x_frozen, paths_y0.shape[:-1] + (model.slow_dim,))
     solver = _FastSolver(model, h)
     frc = model.a2_split[1](Xa, mu) if model.a2_split is not None else None
     Z = paths_y0
     k = 0
     while k < n_steps:
         n_sub = min(chunk, n_steps - k)
-        xi = noise.gaussians(noise_mod.FROZEN, start_step + k, n_sub, P,
-                             model.n_fast_modes)
+        xi = noise_mod.draw(noise, noise_mod.FROZEN, start_step + k, n_sub, P,
+                            model.n_fast_modes)
         for j in range(n_sub):
             Z = solver.step(Xa, mu, Z, xi[j], forcing=frc)
             k += 1
@@ -266,11 +267,13 @@ class AveragedRunner:
     with the same stream ids the full system uses (common random numbers);
     in "hmm" mode fbar is re-estimated on the refresh stride from embedded
     frozen runs, in "exact" mode it is evaluated from the model's closed
-    form at every step.
+    form at every step.  Like ``FullRunner``, a sequence of noise plans runs
+    a batch of replications with state (R, N, d); each draws its embedded
+    frozen noise from its own ``derive(9001)`` plan.
     """
 
     def __init__(self, model: ModelSpec, x0, n_particles: int,
-                 params: MultiscaleParams, noise: noise_mod.NoisePlan,
+                 params: MultiscaleParams, noise,
                  mode: str = "exact", hmm: Optional[HmmConfig] = None,
                  slow_kind: int = noise_mod.SLOW,
                  recorder: Optional[TrajectoryRecorder] = None,
@@ -281,17 +284,18 @@ class AveragedRunner:
         if mode == "exact" and model.exact_fbar is None:
             raise ValueError(
                 f"model {model.model_id!r} has no closed-form fbar; use hmm mode")
+        batch = _batch_shape(noise)
+        if batch and collect_fbar_cache:
+            raise ValueError("collect_fbar_cache needs a single noise plan")
         self.model = model
         self.params = params
-        self.noise = noise
+        self.noise = noise if not batch else tuple(noise)
         self.mode = mode
         self.slow_kind = slow_kind
         self.recorder = recorder
         self.context = context
         N = n_particles
-        self.X = np.broadcast_to(np.asarray(x0, dtype=float).reshape(-1),
-                                 (N, model.slow_dim)).copy() \
-            if np.asarray(x0).ndim <= 1 else np.array(x0, dtype=float)
+        self.X = _initial_state(x0, batch + (N, model.slow_dim))
         self.h = params.h_micro
         self.sqrt_h = math.sqrt(self.h)
         self.k = 0
@@ -301,26 +305,27 @@ class AveragedRunner:
 
         if mode == "hmm":
             self.hmm = (hmm or HmmConfig()).resolved(model, params)
-            self.frozen_noise = noise.derive(9001)
+            self.frozen_noise = (noise.derive(9001) if not batch
+                                 else [plan.derive(9001) for plan in self.noise])
             self._Z = np.broadcast_to(model.default_y0,
-                                      (self.hmm.replicas * N, model.fast_dim)).copy()
+                                      batch + (self.hmm.replicas * N, model.fast_dim)).copy()
             self.frozen_step = 0
             self._fbar = None
         if recorder is not None:
-            recorder.maybe_record(0, 0.0, self.X, self.X[:, :0])
+            recorder.maybe_record(0, 0.0, self.X, self.X[..., :0])
 
     def _refresh_fbar(self):
         m = self.model
-        N = self.X.shape[0]
+        batch, N = self.X.shape[:-2], self.X.shape[-2]
         M = self.hmm.replicas
         mu = empirical_view(m, self.X)
-        Xa = np.tile(self.X, (M, 1))
+        Xa = np.tile(self.X, (M, 1))     # M frozen replicas along the particle axis
         hf = self.hmm.h_frozen
         first = self.frozen_step == 0
         n_burn = int(round((self.hmm.burn_in_initial if first else self.hmm.burn_in) / hf))
         n_samp = max(MIN_SAMPLE_STEPS, int(round(self.hmm.horizon / hf)))
         n_tot = n_burn + n_samp
-        acc = np.zeros((M * N, m.slow_dim))
+        acc = np.zeros(Xa.shape)
 
         def visit(k, Z):
             if k > n_burn:
@@ -329,19 +334,22 @@ class AveragedRunner:
         self._Z = _frozen_batch(m, Xa, mu, hf, self.frozen_noise, self._Z, n_tot,
                                 on_sample=visit, start_step=self.frozen_step)
         self.frozen_step += n_tot
-        per_rep = (acc / n_samp).reshape(M, N, m.slow_dim)
-        self._fbar = per_rep.mean(axis=0)
+        per_rep = (acc / n_samp).reshape(batch + (M, N, m.slow_dim))
+        self._fbar = per_rep.mean(axis=-3)
+        se = 0.0
         if M >= 2:
-            se = per_rep.std(axis=0, ddof=1).mean() / math.sqrt(M)
-            scale = float(np.mean(np.abs(self._fbar))) + 1e-30
-            if se > self.hmm.warn_fraction * scale and not self.fbar_warned:
-                warnings.warn(
-                    f"fbar standard error {se:.3g} exceeds {self.hmm.warn_fraction:.0%} "
-                    f"of the drift magnitude {scale:.3g}; increase the hmm horizon "
-                    "or replicas", RuntimeWarning)
-                self.fbar_warned = True
+            # standard error and drift scale, one each per replication of a batch
+            se = per_rep.std(axis=-3, ddof=1).reshape(batch + (-1,)).mean(axis=-1) / math.sqrt(M)
+            scale = np.abs(self._fbar).reshape(batch + (-1,)).mean(axis=-1) + 1e-30
+            for se_r, scale_r in zip(np.ravel(se), np.ravel(scale)):
+                if se_r > self.hmm.warn_fraction * scale_r and not self.fbar_warned:
+                    warnings.warn(
+                        f"fbar standard error {se_r:.3g} exceeds {self.hmm.warn_fraction:.0%} "
+                        f"of the drift magnitude {scale_r:.3g}; increase the hmm horizon "
+                        "or replicas", RuntimeWarning)
+                    self.fbar_warned = True
         if self.fbar_cache is not None:
-            se_val = float(per_rep.std(axis=0, ddof=1).mean() / math.sqrt(M)) if M >= 2 else 0.0
+            se_val = float(se)
             for p in range(N):
                 self.fbar_cache.append((float(self.X[p, 0]), float(mu.mean[0]),
                                         mu.second_moment, float(self._fbar[p, 0]), se_val))
@@ -350,9 +358,9 @@ class AveragedRunner:
         """Advance n_sub micro steps; a coupled driver may hand in the slow
         noise block (common random numbers with the full system)."""
         m = self.model
-        N = self.X.shape[0]
+        N = self.X.shape[-2]
         if xs is None:
-            xs = self.noise.gaussians(self.slow_kind, self.k, n_sub, N, m.n_slow_modes)
+            xs = noise_mod.draw(self.noise, self.slow_kind, self.k, n_sub, N, m.n_slow_modes)
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(n_sub):
                 mu = empirical_view(m, self.X)
@@ -373,7 +381,7 @@ class AveragedRunner:
                 self.k += 1
                 t = self.k * self.h
                 if self.recorder is not None:
-                    self.recorder.maybe_record(self.k, t, self.X, self.X[:, :0],
+                    self.recorder.maybe_record(self.k, t, self.X, self.X[..., :0],
                                                last=self.k == self.n_steps)
         _check_finite(self.X, self.X, self.k * self.h, self.context or "averaged run")
 

@@ -52,6 +52,18 @@ def _epsilon_params(cfg: StudyConfig, flag):
         raise ConfigError(f"--epsilon: {exc}") from exc
 
 
+def _parse_vector(flag: str, text: str, dim: int) -> np.ndarray:
+    """A comma-separated vector flag of ``dim`` finite numbers."""
+    try:
+        v = np.array([float(t) for t in text.split(",")])
+    except ValueError:
+        v = None
+    if v is None or v.shape != (dim,) or not np.isfinite(v).all():
+        raise ConfigError(f"{flag}: expected {dim} comma-separated finite number(s), "
+                          f"got {text!r}")
+    return v
+
+
 # FrozenParams fields set by freeze flags; their range errors name the field first
 _FREEZE_FLAGS = {"burn_in": "--burn-in", "sample_horizon": "--horizon",
                  "h_micro": "--h", "replicas": "--replicas"}
@@ -79,8 +91,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_freeze(args) -> int:
     cfg = _load_cfg(args)
     model = cfg.build_model()
-    x = np.array([float(v) for v in args.x.split(",")])
-    mu_mean = (np.array([float(v) for v in args.mu_mean.split(",")])
+    x = _parse_vector("--x", args.x, model.slow_dim)
+    mu_mean = (_parse_vector("--mu-mean", args.mu_mean, model.slow_dim)
                if args.mu_mean else np.zeros(model.slow_dim))
     mu = MeasureMoments(mean=mu_mean, second_moment=args.mu_m2)
     try:

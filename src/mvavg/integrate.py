@@ -2,7 +2,11 @@
 
 One micro step advances all N particles: the empirical-measure view is
 computed once from the slow rows (the only synchronisation point), then every
-particle is updated independently with Euler-Maruyama increments.  The fast
+particle is updated independently with Euler-Maruyama increments.  States
+follow an (..., N, d) convention: particles on axis -2, components on axis
+-1.  A runner given one noise plan holds one (N, d) system; given a sequence
+of R plans it holds R independent replications as (R, N, d), each with its
+own empirical measure and its own diagnostics, stepped together.  The fast
 drift's declared stiff linear part is integrated either by its exact
 exponential factor (scalar dissipative rate) or semi-implicitly (Laplacian,
 by a precomputed dense inverse of I + h_eff * (-laplacian)); everything else
@@ -31,6 +35,11 @@ from .models import ModelSpec, empirical_view, fast_norm_sq, slow_norm_sq
 from .spatial import _laplacian_banded, l2_norm_sq
 
 BLOWUP_LIMIT = 1e8
+# FullRunner folds its per-step diagnostic norms into the running sums once
+# this many steps are pending (and whenever a diagnostic is read): the fold's
+# fixed cost is then shared by many steps even when a driver advances one
+# step at a time, and the pending norms stay a few steps of state in size.
+FOLD_STEPS = 16
 
 
 class BlowUpError(RuntimeError):
@@ -208,22 +217,39 @@ def _tame(model: ModelSpec, drift, h):
     else:
         nrm = np.sqrt(np.sum(drift * drift, axis=-1))
     factor = np.where(h * nrm > 1.0, 1.0 / (1.0 + h * nrm), 1.0)
-    return drift * factor[:, None]
+    return drift * factor[..., None]
 
 
 def _check_finite(X, Y, time, context):
     # one reduction per array; a NaN fails the comparison too
     if np.abs(X).max() <= BLOWUP_LIMIT and np.abs(Y).max() <= BLOWUP_LIMIT:
         return
-    bad = ~np.isfinite(X).all(axis=1) | ~np.isfinite(Y).all(axis=1)
-    bad |= (np.abs(X) > BLOWUP_LIMIT).any(axis=1) | (np.abs(Y) > BLOWUP_LIMIT).any(axis=1)
-    raise BlowUpError(time, int(np.argmax(bad)), context)
+    bad = ~np.isfinite(X).all(axis=-1) | ~np.isfinite(Y).all(axis=-1)
+    bad |= (np.abs(X) > BLOWUP_LIMIT).any(axis=-1) | (np.abs(Y) > BLOWUP_LIMIT).any(axis=-1)
+    *row, particle = np.unravel_index(np.argmax(bad), bad.shape)
+    if row:
+        context = f"{context}, batch row {int(row[0])}" if context else f"batch row {int(row[0])}"
+    raise BlowUpError(time, int(particle), context)
+
+
+def _initial_state(v, shape):
+    """A state of ``shape`` from one row shared by every particle, or one row each."""
+    v = np.asarray(v, dtype=float)
+    return np.broadcast_to(v.reshape(-1) if v.ndim <= 1 else v, shape).copy()
+
+
+def _batch_shape(noise) -> tuple:
+    """() for one noise plan, (R,) for a sequence of R plans."""
+    return () if isinstance(noise, noise_mod.NoisePlan) else (len(noise),)
 
 
 class FullRunner:
     """Chunked integrator for the full two-time-scale particle system.
 
-    Optionally tracks, in the same pass and with shared noise:
+    ``noise`` is one NoisePlan, or a sequence of plans for a batch of
+    replications (see the module docstring); the diagnostics below are then
+    arrays with one entry per replication.  Optionally tracks, in the same
+    pass and with shared noise:
       * the block-frozen auxiliary fast process (``aux_delta``),
       * the time-integrated squared slow increment over blocks
         (``increment_delta``),
@@ -231,7 +257,7 @@ class FullRunner:
     """
 
     def __init__(self, model: ModelSpec, x0, y0, n_particles: int,
-                 params: MultiscaleParams, noise: noise_mod.NoisePlan,
+                 params: MultiscaleParams, noise,
                  slow_kind: int = noise_mod.SLOW,
                  aux_delta: Optional[float] = None,
                  increment_delta: Optional[float] = None,
@@ -240,16 +266,16 @@ class FullRunner:
                  context: str = ""):
         self.model = model
         self.params = params
-        self.noise = noise
+        batch = _batch_shape(noise)
+        self.noise = noise if not batch else tuple(noise)
         self.slow_kind = slow_kind
         self.context = context
         N = n_particles
-        self.X = np.broadcast_to(np.asarray(x0, dtype=float).reshape(-1), (N, model.slow_dim)).copy() \
-            if np.asarray(x0).ndim <= 1 else np.array(x0, dtype=float)
-        self.Y = np.broadcast_to(np.asarray(y0, dtype=float).reshape(-1), (N, model.fast_dim)).copy() \
-            if np.asarray(y0).ndim <= 1 else np.array(y0, dtype=float)
+        self.X = _initial_state(x0, batch + (N, model.slow_dim))
+        self.Y = _initial_state(y0, batch + (N, model.fast_dim))
         if init_spread > 0.0:
-            self.X += init_spread * noise.gaussians(noise_mod.INIT, 0, 1, N, model.slow_dim)[0]
+            self.X += init_spread * noise_mod.draw(self.noise, noise_mod.INIT, 0, 1, N,
+                                                   model.slow_dim)[0]
         self.h = params.h_micro
         self.sqrt_h = math.sqrt(self.h)
         self.h_eff = self.h / params.epsilon
@@ -263,20 +289,23 @@ class FullRunner:
         if self.aux_steps is not None:
             self.Y_aux = self.Y.copy()
             self._aux_snap = None
-            self.gap_sum = 0.0
+            self.gap_sum = np.zeros(batch)
             self.gap_count = 0
         self.inc_steps = (params.block_steps(increment_delta, "increment_delta")
                           if increment_delta is not None else None)
         if self.inc_steps is not None:
             self._X_block = self.X.copy()
-            self.inc_sum = 0.0
+            self.inc_sum = np.zeros(batch)
             self.inc_count = 0
 
         c = model.constants
         self._mom_rate = c.get("c_coer_fast", 1.0) / max(c.get("lam", 1.0), 1e-12)
-        self._mom_y0 = float(np.mean(fast_norm_sq(model, self.Y)))
-        self._mom_sup_x = 0.0
-        self.moment_flag = False
+        self._mom_y0 = np.mean(fast_norm_sq(model, self.Y), axis=-1)
+        self._mom_sup_x = np.zeros(batch)
+        self._moment_flag = np.zeros(batch, dtype=bool)
+        # per-step squared norms (aux gap, block increment, fast state) and
+        # measure second moments, not yet folded into the diagnostics
+        self._pending = ([], [], [], [])
 
         if recorder is not None:
             recorder.maybe_record(0, 0.0, self.X, self.Y)
@@ -285,11 +314,12 @@ class FullRunner:
         """Advance n_sub micro steps; noise blocks may be passed in by a
         coupled driver (they must be the streams this runner would draw)."""
         m = self.model
-        N = self.X.shape[0]
+        N = self.X.shape[-2]
         if xs is None:
-            xs = self.noise.gaussians(self.slow_kind, self.k, n_sub, N, m.n_slow_modes)
+            xs = noise_mod.draw(self.noise, self.slow_kind, self.k, n_sub, N, m.n_slow_modes)
         if xf is None:
-            xf = self.noise.gaussians(noise_mod.FAST, self.k, n_sub, N, m.n_fast_modes)
+            xf = noise_mod.draw(self.noise, noise_mod.FAST, self.k, n_sub, N, m.n_fast_modes)
+        gap_sq, inc_sq, y_sq, x_m2 = self._pending
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(n_sub):
                 mu = empirical_view(m, self.X)
@@ -314,37 +344,69 @@ class FullRunner:
                 t = self.k * self.h
 
                 if self.aux_steps is not None:
-                    self.gap_sum += float(np.mean(fast_norm_sq(m, self.Y - self.Y_aux)))
-                    self.gap_count += 1
+                    gap_sq.append(fast_norm_sq(m, self.Y - self.Y_aux))
                 if self.inc_steps is not None:
-                    self.inc_sum += float(np.mean(slow_norm_sq(m, self.X - self._X_block)))
-                    self.inc_count += 1
-
-                m2y = float(np.mean(fast_norm_sq(m, self.Y)))
-                self._mom_sup_x = max(self._mom_sup_x, 2.0 * mu.second_moment)
-                if m2y > 10.0 * (self._mom_y0 + self._mom_rate * (1.0 + self._mom_sup_x)):
-                    self.moment_flag = True
+                    inc_sq.append(slow_norm_sq(m, self.X - self._X_block))
+                y_sq.append(fast_norm_sq(m, self.Y))
+                x_m2.append(mu.second_moment)
 
                 if self.recorder is not None:
                     self.recorder.maybe_record(self.k, t, self.X, self.Y,
                                                last=self.k == self.n_steps)
+        if len(y_sq) >= FOLD_STEPS:
+            self._fold_diagnostics()
         _check_finite(self.X, self.Y, self.k * self.h, self.context)
+
+    def _fold_diagnostics(self):
+        """Fold the pending per-step norms into the running diagnostics.
+
+        Means over the particle axis, one per step and replication, are
+        added (or maximised) in step order, so the result does not depend on
+        when the fold happens.
+        """
+        gap_sq, inc_sq, y_sq, x_m2 = self._pending
+        if not y_sq:
+            return
+        N = self.X.shape[-2]
+        if gap_sq:
+            for g in np.sum(gap_sq, axis=-1) / N:
+                self.gap_sum += g
+            self.gap_count += len(gap_sq)
+        if inc_sq:
+            for g in np.sum(inc_sq, axis=-1) / N:
+                self.inc_sum += g
+            self.inc_count += len(inc_sq)
+        m2y = np.sum(y_sq, axis=-1) / N
+        sup = np.maximum.accumulate(2.0 * np.reshape(x_m2, m2y.shape), axis=0)
+        sup = np.maximum(sup, self._mom_sup_x)
+        self._mom_sup_x = sup[-1]
+        self._moment_flag |= (m2y > 10.0 * (self._mom_y0 + self._mom_rate * (1.0 + sup))).any(axis=0)
+        for pending in self._pending:
+            pending.clear()
 
     def run(self, chunk: int = 64):
         while self.k < self.n_steps:
             self.advance(min(chunk, self.n_steps - self.k))
         if self.recorder is not None:
-            self.recorder.moment_flag = self.moment_flag
+            self.recorder.moment_flag = bool(self.moment_flag.any())
         return self
 
     @property
-    def aux_gap(self) -> float:
+    def moment_flag(self):
+        """Whether the fast second moment left its bound (per replication)."""
+        self._fold_diagnostics()
+        return self._moment_flag
+
+    @property
+    def aux_gap(self):
         """Time-integrated mean-square gap (1/T) int E||Y - Y_aux||^2 dt."""
+        self._fold_diagnostics()
         return self.gap_sum / max(self.gap_count, 1)
 
     @property
-    def increment_stat(self) -> float:
+    def increment_stat(self):
         """Estimate of (1/T) int E||X_t - X_{t(delta)}||^2 dt."""
+        self._fold_diagnostics()
         return self.inc_sum / max(self.inc_count, 1)
 
 

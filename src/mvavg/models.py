@@ -94,7 +94,7 @@ class ModelSpec:
 def _norm_sq(tag, grid, states):
     states = np.asarray(states, dtype=float)
     if tag == "euclidean":
-        return np.sum(states * states, axis=-1)
+        return (states * states).sum(axis=-1)
     if tag == "l2":
         return spatial.l2_norm_sq(grid, states)
     if tag == "hminus1":
@@ -129,10 +129,20 @@ def fast_inner(model: ModelSpec, a, b):
 
 
 def empirical_view(model: ModelSpec, U) -> MeasureMoments:
-    """Moments of the slow-particle cloud under the model's state norm."""
+    """Moments of the slow-particle cloud under the model's state norm.
+
+    A cloud (N, d) gives a (d,) mean and a float second moment; a batch of
+    clouds (R, N, d) gives one measure per cloud, a (R, 1, d) mean and a
+    (R, 1, 1) second moment, which broadcast against the batch's states.
+    """
     U = np.asarray(U, dtype=float)
-    return MeasureMoments(mean=U.mean(axis=0),
-                          second_moment=float(np.mean(slow_norm_sq(model, U))))
+    N = U.shape[-2]
+    # sums over particles divided by N: the bits of numpy's mean, without its overhead
+    if U.ndim == 2:
+        return MeasureMoments(mean=U.sum(axis=0) / N,
+                              second_moment=float(slow_norm_sq(model, U).sum() / N))
+    return MeasureMoments(mean=U.sum(axis=-2, keepdims=True) / N,
+                          second_moment=(slow_norm_sq(model, U).sum(axis=-1) / N)[:, None, None])
 
 
 def _hs_sq(tag, grid, coeff):

@@ -166,3 +166,19 @@ class NoisePlan:
         k0, k1 = self._keys()
         w0, w1, _, _ = _philox(c0, c1, c2, c3, k0, k1)
         return NoisePlan(int((int(w0) << 32) | int(w1)))
+
+
+def draw(noise, kind, step_start, n_steps, n_particles, n_modes):
+    """Normals from one plan, or from a batch of plans stacked on axis 1.
+
+    ``noise`` is a :class:`NoisePlan` (shape (n_steps, n_particles, n_modes))
+    or a sequence of R plans (shape (n_steps, R, n_particles, n_modes), slice
+    r drawn by ``noise[r].gaussians``): a batch consumes exactly the numbers
+    its plans would draw one at a time.
+    """
+    if isinstance(noise, NoisePlan):
+        return noise.gaussians(kind, step_start, n_steps, n_particles, n_modes)
+    out = np.empty((n_steps, len(noise), n_particles, n_modes))
+    for r, plan in enumerate(noise):
+        out[:, r] = plan.gaussians(kind, step_start, n_steps, n_particles, n_modes)
+    return out

@@ -56,6 +56,16 @@ def _check_real(key: str, val):
         raise ConfigError(f"{key}: must be a finite number, got {val!r}")
 
 
+def _check_state(key: str, val, dim: int, n_particles: int):
+    """An initial state: finite numbers shaped (dim,) or (n_particles, dim)."""
+    arr = np.asarray(val, dtype=object)
+    if arr.shape not in ((dim,), (n_particles, dim)):
+        raise ConfigError(f"{key}: must be a list of {dim} numbers or {n_particles} such "
+                          f"lists (one per particle), got {val!r}")
+    for v in arr.flat:
+        _check_real(key, v)
+
+
 _CONFIG_KEYS = {
     "model", "model_params", "n_particles", "epsilon_grid", "t_end",
     "h_factor", "delta_exponent", "replications", "seed", "out_dir",
@@ -124,9 +134,14 @@ class StudyConfig:
             self.n_particles = 200 if self.model in ("porous-media-1d", "plaplace-1d") else 1000
         if self.n_particles < 1:
             raise ConfigError("n_particles: must be >= 1")
+        if not isinstance(self.crn, bool):
+            raise ConfigError(f"crn: must be true or false, got {self.crn!r}")
         model = self.build_model()
         if model.measure_dependent and self.n_particles < 2:
             raise ConfigError("n_particles: need N >= 2 for measure-dependent models")
+        for key, dim in (("x0", model.slow_dim), ("y0", model.fast_dim)):
+            if getattr(self, key) is not None:
+                _check_state(key, getattr(self, key), dim, self.n_particles)
 
     def build_model(self) -> ModelSpec:
         try:
@@ -204,39 +219,44 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
 # strong error at one epsilon
 # ---------------------------------------------------------------------------
 
-def _coupled_error_once(cfg: StudyConfig, eps_index: int, rep: int) -> tuple:
-    """One replication job: lockstep full/averaged runs under shared slow noise.
+def _coupled_error_once(cfg: StudyConfig, eps_index: int, reps) -> list:
+    """One job: lockstep full/averaged runs under shared slow noise.
 
-    Returns (error_sq, aux_gap, increment_stat) of replication ``rep`` at
-    grid point ``eps_index``; the serial and the pooled study both run it.
+    Runs the replications ``reps`` (a tuple of replication indices) of grid
+    point ``eps_index`` as one batch, each on its own plan and with its own
+    empirical measure, and returns one (error_sq, aux_gap, increment_stat)
+    per replication, the same numbers as running each alone.
     """
     model = cfg.build_model()
     epsilon = cfg.epsilon_grid[eps_index]
-    plan = noise_mod.NoisePlan(cfg.seed).derive(4242, rep)
+    plans = [noise_mod.NoisePlan(cfg.seed).derive(4242, rep) for rep in reps]
+    # one replication keeps the plain (N, d) state; several carry (R, N, d)
+    plan = plans[0] if len(plans) == 1 else plans
+    seeds = ",".join(str(p.seed) for p in plans)
     params = cfg.params_for(epsilon)
     x0, y0 = cfg.initial_states(model)
     N = cfg.n_particles
     delta = params.delta_block
     full = FullRunner(model, x0, y0, N, params, plan,
                       aux_delta=delta, increment_delta=delta,
-                      context=f"full eps={epsilon:g} seed={plan.seed}")
+                      context=f"full eps={epsilon:g} seed={seeds}")
     avg_kind = noise_mod.SLOW if cfg.crn else noise_mod.SLOW_ALT
     avg = AveragedRunner(model, x0, N, params, plan, slow_kind=avg_kind,
-                         context=f"averaged eps={epsilon:g} seed={plan.seed}",
+                         context=f"averaged eps={epsilon:g} seed={seeds}",
                          **cfg.averaged_mode_kwargs(model))
     n_steps = params.n_steps
     stride = max(1, n_steps // cfg.record_points)
     per_step = N * max(model.n_slow_modes, model.n_fast_modes)
     window = stride * math.ceil(NOISE_WINDOW_NORMALS / (stride * per_step))
-    sup_sq = np.zeros(N)
+    sup_sq = np.zeros(full.X.shape[:-1])
     k = 0
     while k < n_steps:
         # counter-based streams: slicing one window draw per stride gives the
         # same increments as drawing each stride on its own
         n_win = min(window, n_steps - k)
-        xs = plan.gaussians(noise_mod.SLOW, k, n_win, N, model.n_slow_modes)
-        xf = plan.gaussians(noise_mod.FAST, k, n_win, N, model.n_fast_modes)
-        xa = xs if cfg.crn else plan.gaussians(avg_kind, k, n_win, N, model.n_slow_modes)
+        xs = noise_mod.draw(plan, noise_mod.SLOW, k, n_win, N, model.n_slow_modes)
+        xf = noise_mod.draw(plan, noise_mod.FAST, k, n_win, N, model.n_fast_modes)
+        xa = xs if cfg.crn else noise_mod.draw(plan, avg_kind, k, n_win, N, model.n_slow_modes)
         for j in range(0, n_win, stride):
             n_sub = min(stride, n_win - j)
             full.advance(n_sub, xs=xs[j:j + n_sub], xf=xf[j:j + n_sub])
@@ -244,7 +264,32 @@ def _coupled_error_once(cfg: StudyConfig, eps_index: int, rep: int) -> tuple:
             diff_sq = slow_norm_sq(model, full.X - avg.X)
             np.maximum(sup_sq, diff_sq, out=sup_sq)
         k += n_win
-    return float(np.mean(sup_sq)), full.aux_gap, full.increment_stat
+    R = len(plans)
+    return [(float(np.mean(s)), float(g), float(i))
+            for s, g, i in zip(sup_sq.reshape(R, N), np.reshape(full.aux_gap, R),
+                               np.reshape(full.increment_stat, R))]
+
+
+def _grid_point(cfg: StudyConfig, eps_index: int) -> list:
+    """The replication results of one grid point, a BlowUpError for each that blew up.
+
+    The replications run as one batch.  A batch that blows up is run again
+    one replication at a time, so that each failure names its own time,
+    particle and seed; any other error propagates.
+    """
+    reps = tuple(range(cfg.replications))
+    if len(reps) > 1:
+        try:
+            return _coupled_error_once(cfg, eps_index, reps)
+        except BlowUpError:
+            pass
+    outcomes = []
+    for rep in reps:
+        try:
+            outcomes += _coupled_error_once(cfg, eps_index, (rep,))
+        except BlowUpError as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def aggregate(epsilon: float, results) -> RateRow:
@@ -321,37 +366,27 @@ def assemble_report(rows, incomplete=False, failures=()) -> RateReport:
                       incomplete=incomplete, failures=list(failures))
 
 
-def _outcome(job, *args):
-    """A job's result, or the BlowUpError it raised; other errors propagate."""
-    try:
-        return job(*args)
-    except BlowUpError as exc:
-        return exc
-
-
 def run_rate_study(cfg: StudyConfig) -> RateReport:
     """Full epsilon sweep with the configured worker count.
 
-    Every replication runs the same job, in-process or on a process pool.  A
-    grid point with a blown-up replication is recorded as a failure and left
-    out, and the report is then marked incomplete; any other error is raised.
+    Each grid point is one job, in-process or on a process pool.  A grid
+    point with a blown-up replication is recorded as a failure and left out,
+    and the report is then marked incomplete; any other error is raised.
     """
     if len(cfg.epsilon_grid) < 3:
         raise ConfigError("epsilon_grid: a rate study needs at least 3 grid points")
     cfg.averaged_mode_kwargs(cfg.build_model())   # a config error before any job runs
-    jobs = [(i, rep) for i in range(len(cfg.epsilon_grid))
-            for rep in range(cfg.replications)]
+    grid = range(len(cfg.epsilon_grid))
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futs = [pool.submit(_coupled_error_once, cfg, i, rep) for i, rep in jobs]
-            outcomes = [_outcome(fut.result) for fut in futs]
+            # longest job first: the smallest epsilon has the most steps
+            futs = {i: pool.submit(_grid_point, cfg, i) for i in reversed(grid)}
+            outcomes = [futs[i].result() for i in grid]
     else:
-        outcomes = [_outcome(_coupled_error_once, cfg, i, rep) for i, rep in jobs]
+        outcomes = [_grid_point(cfg, i) for i in grid]
 
     rows, failures = [], []
-    R = cfg.replications
-    for i, epsilon in enumerate(cfg.epsilon_grid):
-        per = outcomes[i * R:(i + 1) * R]
+    for epsilon, per in zip(cfg.epsilon_grid, outcomes):
         failed = [exc for exc in per if isinstance(exc, BlowUpError)]
         failures += [(epsilon, repr(exc)) for exc in failed]
         if not failed:
@@ -375,14 +410,11 @@ def run_aux_diagnostic(cfg: StudyConfig, epsilon: float, deltas=None) -> list:
     for d in deltas:
         steps = max(1, round(d / params.h_micro))
         d_eff = steps * params.h_micro
-        gaps = []
-        for rep in range(cfg.replications):
-            plan = noise_mod.NoisePlan(cfg.seed).derive(777, rep)
-            runner = FullRunner(model, x0, y0, cfg.n_particles, params, plan,
-                                aux_delta=d_eff, context=f"aux delta={d_eff:g}")
-            runner.run()
-            gaps.append(runner.aux_gap)
-        gap = float(np.mean(gaps))
+        plans = [noise_mod.NoisePlan(cfg.seed).derive(777, rep)
+                 for rep in range(cfg.replications)]
+        runner = FullRunner(model, x0, y0, cfg.n_particles, params, plans,
+                            aux_delta=d_eff, context=f"aux delta={d_eff:g}")
+        gap = float(np.mean(runner.run().aux_gap))
         out.append({"delta": d_eff, "gap": gap, "gap_over_delta": gap / d_eff})
     return out
 

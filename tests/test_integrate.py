@@ -253,6 +253,27 @@ def test_increment_stat_stride_mismatch():
             FullRunner(m, [1.0], [1.0], 2, params, NoisePlan(1), **{key: 0.0})
 
 
+@pytest.mark.parametrize("model_id", ["linear-benchmark", "broken-antidissipative"])
+def test_diagnostics_independent_of_chunks_and_folds(model_id, monkeypatch):
+    # per-step norms are folded every FOLD_STEPS steps and on read; neither
+    # the chunking nor where the folds fall may move a bit of the diagnostics
+    from mvavg import integrate
+    m = build_model(model_id)
+    params = MultiscaleParams(epsilon=0.1, t_end=0.3, h_micro=0.002)
+    results = []
+    for fold, chunk in ((1, 64), (16, 1), (16, 7), (1000, 64)):
+        monkeypatch.setattr(integrate, "FOLD_STEPS", fold)
+        r = FullRunner(m, [1.0], [0.5], 16, params, NoisePlan(3), aux_delta=0.01,
+                       increment_delta=0.02).run(chunk=chunk)
+        results.append((r.aux_gap, r.increment_stat, bool(r.moment_flag)))
+    # the linear model exercises the gap and increment sums, the expanding one the flag
+    if model_id == "linear-benchmark":
+        assert results[0][0] > 0 and results[0][1] > 0 and not results[0][2]
+    else:
+        assert results[0][2]
+    assert all(res == results[0] for res in results)
+
+
 def test_zero_horizon_returns_initial_state_only():
     m = build_model("linear-benchmark")
     params = MultiscaleParams(epsilon=0.1, t_end=0.0, h_micro=0.002)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvavg.noise import FAST, FROZEN, SLOW, SLOW_ALT, NoisePlan
+from mvavg.noise import FAST, FROZEN, SLOW, SLOW_ALT, NoisePlan, draw
 
 
 def test_reproducible():
@@ -132,3 +132,11 @@ def test_counter_fields_out_of_range_rejected(kind, start, n_steps, n_particles,
 def test_derive_tags_out_of_range_rejected(tags):
     with pytest.raises(ValueError):
         NoisePlan(1).derive(*tags)
+
+
+def test_batched_draw_stacks_per_plan_draws():
+    plans = [NoisePlan(5).derive(4242, rep) for rep in range(3)]
+    batch = draw(plans, FAST, 7, 4, 6, 2)
+    assert batch.shape == (4, 3, 6, 2)
+    assert np.array_equal(batch, np.stack([p.gaussians(FAST, 7, 4, 6, 2) for p in plans], axis=1))
+    assert np.array_equal(draw(plans[1], FAST, 7, 4, 6, 2), plans[1].gaussians(FAST, 7, 4, 6, 2))

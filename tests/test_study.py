@@ -11,7 +11,8 @@ from mvavg.models import build_model
 from mvavg.noise import NoisePlan
 from mvavg.study import (ConfigError, RateRow, StudyConfig, _coupled_error_once,
                          aggregate, assemble_report, fit_loglog, load_config,
-                         read_rate_report, run_rate_study, write_report)
+                         read_rate_report, run_aux_diagnostic, run_rate_study,
+                         write_report)
 
 
 def write_cfg(tmp_path, **kw):
@@ -162,9 +163,9 @@ def test_fit_loglog_r_squared_perfect_line():
 # ---------------------------------------------------------------------------
 
 def one_point_row(cfg):
-    """The rate-study row of a one-point grid: every replication job, aggregated."""
+    """The rate-study row of a one-point grid: every replication run alone, aggregated."""
     return aggregate(cfg.epsilon_grid[0],
-                     [_coupled_error_once(cfg, 0, rep) for rep in range(cfg.replications)])
+                     [_coupled_error_once(cfg, 0, (rep,))[0] for rep in range(cfg.replications)])
 
 
 def test_decoupled_system_has_zero_error():
@@ -183,7 +184,7 @@ def test_replication_aggregate_reports_spread():
     assert row.std_error > 0.0
     assert row.aux_gap > 0.0
     assert row.increment_stat > 0.0
-    errs = [_coupled_error_once(cfg, 0, rep)[0] for rep in range(3)]
+    errs = [_coupled_error_once(cfg, 0, (rep,))[0][0] for rep in range(3)]
     assert row.error_sq == float(np.mean(errs))
     assert row.std_error == pytest.approx(np.std(errs, ddof=1) / math.sqrt(3), rel=1e-12)
 
@@ -207,7 +208,7 @@ def test_sup_dominates_terminal_error():
     from mvavg.integrate import FullRunner
     from mvavg.models import slow_norm_sq
     plan = NoisePlan(9).derive(4242, 0)
-    error_sq, _, _ = _coupled_error_once(cfg, 0, 0)
+    [(error_sq, _, _)] = _coupled_error_once(cfg, 0, (0,))
     full = FullRunner(m, *cfg.initial_states(m), cfg.n_particles, params, plan).run()
     avg = AveragedRunner(m, cfg.initial_states(m)[0], cfg.n_particles, params,
                          plan, mode="exact").run()
@@ -240,13 +241,61 @@ def test_windowed_noise_draws_are_bitwise_per_stride_draws(base, monkeypatch):
     results = []
     for normals in (1, 3 * per_stride, study.NOISE_WINDOW_NORMALS):
         monkeypatch.setattr(study, "NOISE_WINDOW_NORMALS", normals)
-        results.append(_coupled_error_once(cfg, 0, 0))
+        results.append(_coupled_error_once(cfg, 0, (0,)))
     assert n_steps % (3 * stride) != 0
     assert results[0] == results[1] == results[2]
 
 
+BATCH_CASES = (
+    dict(model="linear-benchmark", n_particles=8, record_points=7),
+    dict(model="linear-benchmark", n_particles=8, record_points=7, crn=False),
+    dict(model="porous-media-1d", model_params={"n_interior": 7}, n_particles=8),
+    dict(model="mvsde-cubic", n_particles=8, averaged_mode="hmm",
+         hmm={"replicas": 2, "horizon": 0.5, "burn_in": 0.2, "h_frozen": 0.02}),
+)
+
+
+@pytest.mark.parametrize("base", BATCH_CASES, ids=["linear", "linear-no-crn", "porous",
+                                                   "cubic-hmm"])
+@pytest.mark.filterwarnings("ignore:fbar standard error")
+def test_replication_batches_are_bitwise_single_runs(base):
+    # one batch, a batch plus a single, and three singles give the same tuples
+    cfg = StudyConfig(**base, epsilon_grid=[0.05], replications=3, t_end=0.1, seed=11)
+    whole = _coupled_error_once(cfg, 0, (0, 1, 2))
+    split = _coupled_error_once(cfg, 0, (0, 1)) + _coupled_error_once(cfg, 0, (2,))
+    singles = [_coupled_error_once(cfg, 0, (rep,))[0] for rep in range(3)]
+    assert len(whole) == 3 and len(set(whole)) == 3
+    assert whole == split == singles
+
+
+def test_pool_submits_the_longest_grid_point_first(monkeypatch):
+    submitted = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, cfg, i):
+            submitted.append(i)
+            result = fn(cfg, i)
+            return type("Done", (), {"result": lambda self: result})()
+
+    monkeypatch.setattr(study, "ProcessPoolExecutor", InlinePool)
+    cfg = StudyConfig(model="linear-benchmark", n_particles=8, epsilon_grid=[0.1, 0.05, 0.02],
+                      replications=2, t_end=0.1, seed=4)
+    pooled = run_rate_study(StudyConfig(**{**cfg.to_dict(), "workers": 2}))
+    assert submitted == [2, 1, 0]
+    assert pooled.rows == run_rate_study(cfg).rows
+
+
 def test_programming_error_in_a_job_propagates(monkeypatch):
-    def broken_job(cfg, eps_index, rep):
+    def broken_job(cfg, eps_index, reps):
         raise TypeError("not a blow-up")
     monkeypatch.setattr(study, "_coupled_error_once", broken_job)
     cfg = StudyConfig(model="linear-benchmark", n_particles=4,
@@ -301,8 +350,19 @@ def test_blowup_failures_identical_across_workers():
                 epsilon_grid=[0.1, 0.05, 0.02], replications=2, t_end=1.0, seed=2024)
     r1 = run_rate_study(StudyConfig(**base, workers=1))
     r2 = run_rate_study(StudyConfig(**base, workers=2))
-    assert len(r1.failures) == 6
-    assert all("BlowUpError" in msg for _, msg in r1.failures)
+    # a blown-up batch is re-run replication by replication: each failure
+    # names its own time, particle and seed, as when every replication ran alone
+    seeds = {0: "14836143257433513782", 1: "12359854349162442115"}
+    expected = [(eps, f"BlowUpError('state blew up at t={t} (particle {p}) [{run} eps={eps:g} "
+                      f"seed={seeds[rep]}]; consider a smaller h_micro or the semi-implicit "
+                      "fast mode')")
+                for eps, t, p, run, rep in ((0.1, 0.472, 0, "averaged", 0),
+                                            (0.1, 0.468, 5, "averaged", 1),
+                                            (0.05, 0.46, 0, "averaged", 0),
+                                            (0.05, 0.46, 1, "averaged", 1),
+                                            (0.02, 0.456, 0, "averaged", 0),
+                                            (0.02, 0.456, 5, "full", 1))]
+    assert r1.failures == expected
     assert r1.failures == r2.failures
     assert r1.incomplete and not r1.rows
 
@@ -325,6 +385,31 @@ def test_config_types_checked_and_key_named(tmp_path, capsys):
             load_config(path)
         assert main(["rate-study", "--config", path]) == 2
         assert key in capsys.readouterr().err
+
+
+def test_initial_states_and_crn_checked_and_key_named(tmp_path, capsys):
+    for key, val in (("x0", [1, 2, 3]), ("y0", [[1.0]] * 3), ("x0", 1.0), ("x0", ["1"]),
+                     ("y0", [float("inf")]), ("x0", [True]), ("crn", "no"), ("crn", 0)):
+        path = write_cfg(tmp_path, model="linear-benchmark", n_particles=4, **{key: val})
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+        assert main(["rate-study", "--config", path]) == 2
+        assert f"config error: {key}:" in capsys.readouterr().err
+    # one row shared by every particle, or one row per particle
+    load_config(write_cfg(tmp_path, model="linear-benchmark", n_particles=4,
+                          x0=[0.5], y0=[[0.0], [1.0], [2.0], [3.0]], crn=False))
+    pde = load_config(write_cfg(tmp_path, model="porous-media-1d",
+                                model_params={"n_interior": 5}, x0=[0.1, 0.2, 0.3, 0.2, 0.1]))
+    assert pde.initial_states(pde.build_model())[0].shape == (5,)
+
+
+def test_freeze_vector_flags_name_the_flag(tmp_path, capsys):
+    model = ["--model", "linear-benchmark", "--out", str(tmp_path)]
+    for argv, flag in ((["--x", "abc"], "--x"), (["--x", "1,2"], "--x"),
+                       (["--x", "nan"], "--x"), (["--x", "1", "--mu-mean", "0,1"], "--mu-mean"),
+                       (["--x", "1", "--mu-mean", "one"], "--mu-mean")):
+        assert main(["freeze"] + argv + model) == 2
+        assert f"config error: {flag}:" in capsys.readouterr().err
 
 
 def test_cli_flag_range_errors_name_the_flag(tmp_path, capsys):
@@ -382,6 +467,20 @@ def test_cli_aux_writes_table(tmp_path, capsys):
     assert lines[0] == "delta,gap,gap_over_delta"
     assert len(lines) == 4
     capsys.readouterr()
+
+
+def test_aux_diagnostic_gaps_unchanged_by_batching():
+    # gaps recorded when every derive(777, rep) replication ran on its own runner
+    cfg = StudyConfig(model="linear-benchmark", n_particles=16, replications=3, t_end=0.2,
+                      seed=21)
+    gaps = [row["gap"] for row in run_aux_diagnostic(cfg, 0.05)]
+    assert gaps == [float.fromhex(h) for h in ("0x1.dd8d984ca5125p-13",
+                                               "0x1.710bf6c083550p-11",
+                                               "0x1.750f265d94f2fp-10")]
+    cfg = StudyConfig(model="porous-media-1d", model_params={"n_interior": 7}, n_particles=8,
+                      replications=2, t_end=0.05, seed=22)
+    gaps = [row["gap"] for row in run_aux_diagnostic(cfg, 0.1)]
+    assert gaps == [float.fromhex("0x1.ef23dd09bf22cp-22")] * 3
 
 
 def test_cli_average_dumps_cache(tmp_path, capsys):
