@@ -13,7 +13,9 @@ estimated here by time averages over one or more frozen paths after a
 burn-in, with batch-means error bars.  The averaged slow equation replaces
 f(X, mu, Y) by fbar(X, mu) and is driven by the SAME slow-noise streams as
 the full system, so full/averaged pairs built on one seed are coupled by
-common random numbers at every micro step.
+common random numbers at every micro step.  Like the full system it runs a
+sequence of R noise plans with state (R, N, d), one replication per plan;
+frozen paths are marched the same way, as (R, P, fast_dim).
 
 fbar is supplied either in closed form (models that declare ``exact_fbar``)
 or by embedded frozen runs refreshed on a macro stride (heterogeneous
@@ -30,8 +32,8 @@ from typing import Optional
 import numpy as np
 
 from . import noise as noise_mod
-from .integrate import (MultiscaleParams, TrajectoryRecorder, _batch_shape, _check_finite,
-                        _FastSolver, _initial_state, _tame)
+from .integrate import (MultiscaleParams, TrajectoryRecorder, _check_finite, _FastSolver,
+                        _SlowRunner)
 from .measure import MeasureMoments
 from .models import ModelSpec, empirical_view, fast_norm_sq
 
@@ -80,14 +82,14 @@ def default_frozen_params(model: ModelSpec, x_frozen, mu_frozen, y_init=None,
         h_micro=h_micro, replicas=replicas)
 
 
-def _frozen_batch(model, x_frozen, mu, h, noise, paths_y0, n_steps, on_sample=None,
+def _frozen_batch(model, x_frozen, mu, h, plans, paths_y0, n_steps, on_sample=None,
                   start_step=0, chunk=512):
-    """March a block of frozen paths at step h; optionally visit each post-step state.
+    """March R blocks of frozen paths at step h; optionally visit each post-step state.
 
-    Row i of ``x_frozen`` (or the one shared row) is the slow state that path
-    i sees; path i consumes stream (FROZEN, particle=i) from ``start_step``
-    on, so two marches from the same plan and start step share increments.
-    Paths (P, fast_dim) take one plan; a batch (R, P, fast_dim) takes R plans.
+    ``paths_y0`` is (R, P, fast_dim), block r driven by ``plans[r]``.  Row i
+    of ``x_frozen`` (or the one shared row) is the slow state that path i
+    sees; path i consumes stream (FROZEN, particle=i) from ``start_step`` on,
+    so two marches from the same plan and start step share increments.
     """
     P = paths_y0.shape[-2]
     Xa = np.broadcast_to(x_frozen, paths_y0.shape[:-1] + (model.slow_dim,))
@@ -97,7 +99,7 @@ def _frozen_batch(model, x_frozen, mu, h, noise, paths_y0, n_steps, on_sample=No
     k = 0
     while k < n_steps:
         n_sub = min(chunk, n_steps - k)
-        xi = noise_mod.draw(noise, noise_mod.FROZEN, start_step + k, n_sub, P,
+        xi = noise_mod.draw(plans, noise_mod.FROZEN, start_step + k, n_sub, P,
                             model.n_fast_modes)
         for j in range(n_sub):
             Z = solver.step(Xa, mu, Z, xi[j], forcing=frc)
@@ -119,19 +121,19 @@ def frozen_simulate(model: ModelSpec, fp: FrozenParams, noise: noise_mod.NoisePl
     """
     h = fp.h_micro
     n_steps = int(round((fp.burn_in + fp.sample_horizon) / h))
-    Z = np.broadcast_to(fp.y_init, (n_paths, model.fast_dim)).copy()
+    Z = np.broadcast_to(fp.y_init, (1, n_paths, model.fast_dim)).copy()
     times, snaps = [], []
     if fp.burn_in == 0:
         times.append(0.0)
-        snaps.append(Z.copy())
+        snaps.append(Z[0].copy())
 
     def visit(k, Zk):
         t = k * h
         if k % record_stride == 0 and t >= fp.burn_in - 1e-12:
             times.append(t)
-            snaps.append(Zk.copy())
+            snaps.append(Zk[0].copy())
 
-    _frozen_batch(model, fp.x_frozen, fp.mu_frozen, h, noise, Z, n_steps, on_sample=visit)
+    _frozen_batch(model, fp.x_frozen, fp.mu_frozen, h, (noise,), Z, n_steps, on_sample=visit)
     return np.asarray(times), np.stack(snaps)
 
 
@@ -142,7 +144,6 @@ class FrozenEstimate:
     fbar: np.ndarray
     std_error: np.ndarray
     n_effective: int
-    mixing_rate_estimate: Optional[float] = None
 
 
 def estimate_fbar(model: ModelSpec, fp: FrozenParams,
@@ -163,7 +164,7 @@ def estimate_fbar(model: ModelSpec, fp: FrozenParams,
     batch_len = n_samp // BATCHES_PER_PATH
     n_samp = batch_len * BATCHES_PER_PATH
     R = fp.replicas
-    Z = np.broadcast_to(fp.y_init, (R, model.fast_dim)).copy()
+    Z = np.broadcast_to(fp.y_init, (1, R, model.fast_dim)).copy()
     Xa = np.broadcast_to(fp.x_frozen, (R, model.slow_dim))
     mu = fp.mu_frozen
     batch_sums = np.zeros((R, BATCHES_PER_PATH, model.slow_dim))
@@ -171,9 +172,9 @@ def estimate_fbar(model: ModelSpec, fp: FrozenParams,
     def visit(k, Zk):
         j = k - n_burn - 1
         if 0 <= j < n_samp:
-            batch_sums[:, j // batch_len, :] += model.f(Xa, mu, Zk)
+            batch_sums[:, j // batch_len, :] += model.f(Xa, mu, Zk[0])
 
-    _frozen_batch(model, fp.x_frozen, mu, h, noise, Z, n_burn + n_samp, on_sample=visit)
+    _frozen_batch(model, fp.x_frozen, mu, h, (noise,), Z, n_burn + n_samp, on_sample=visit)
     batch_means = batch_sums / batch_len
     flat = batch_means.reshape(R * BATCHES_PER_PATH, model.slow_dim)
     fbar = flat.mean(axis=0)
@@ -203,17 +204,17 @@ def estimate_mixing_rate(model: ModelSpec, fp: FrozenParams, y_alt,
     n_steps = int(round(fp.sample_horizon / h))
     # the first copy's path is held (n_steps x n_pairs x fast_dim floats); the
     # second copy, marched on the same increments, is compared against it
-    path = [np.broadcast_to(fp.y_init, (n_pairs, model.fast_dim)).copy()]
-    _frozen_batch(model, fp.x_frozen, fp.mu_frozen, h, noise, path[0], n_steps,
+    path = [np.broadcast_to(fp.y_init, (1, n_pairs, model.fast_dim)).copy()]
+    _frozen_batch(model, fp.x_frozen, fp.mu_frozen, h, (noise,), path[0], n_steps,
                   on_sample=lambda k, Z: path.append(Z))
     gaps = np.empty(n_steps + 1)
 
     def gap(k, Z):
         gaps[k] = float(np.mean(fast_norm_sq(model, path[k] - Z)))
 
-    Z = np.broadcast_to(y_alt, (n_pairs, model.fast_dim)).copy()
+    Z = np.broadcast_to(y_alt, (1, n_pairs, model.fast_dim)).copy()
     gap(0, Z)
-    _frozen_batch(model, fp.x_frozen, fp.mu_frozen, h, noise, Z, n_steps, on_sample=gap)
+    _frozen_batch(model, fp.x_frozen, fp.mu_frozen, h, (noise,), Z, n_steps, on_sample=gap)
     t = h * np.arange(n_steps + 1)
     valid = gaps > gaps[0] * rel_floor
     # stop at the first collapsed point: later samples are noise-floor chatter
@@ -260,20 +261,20 @@ class HmmConfig:
         return out
 
 
-class AveragedRunner:
+class AveragedRunner(_SlowRunner):
     """Integrates the averaged slow ensemble on the micro grid.
 
     The drift a1 + fbar and the slow noise are applied at every micro step
     with the same stream ids the full system uses (common random numbers);
     in "hmm" mode fbar is re-estimated on the refresh stride from embedded
-    frozen runs, in "exact" mode it is evaluated from the model's closed
-    form at every step.  Like ``FullRunner``, a sequence of noise plans runs
-    a batch of replications with state (R, N, d); each draws its embedded
-    frozen noise from its own ``derive(9001)`` plan.
+    frozen runs, each replication drawing its frozen noise from its own
+    ``derive(9001)`` plan; in "exact" mode it is evaluated from the model's
+    closed form at every step.  An fbar cache, like a recorder, needs
+    exactly one plan.
     """
 
     def __init__(self, model: ModelSpec, x0, n_particles: int,
-                 params: MultiscaleParams, noise,
+                 params: MultiscaleParams, plans,
                  mode: str = "exact", hmm: Optional[HmmConfig] = None,
                  slow_kind: int = noise_mod.SLOW,
                  recorder: Optional[TrajectoryRecorder] = None,
@@ -284,41 +285,26 @@ class AveragedRunner:
         if mode == "exact" and model.exact_fbar is None:
             raise ValueError(
                 f"model {model.model_id!r} has no closed-form fbar; use hmm mode")
-        batch = _batch_shape(noise)
-        if batch and collect_fbar_cache:
-            raise ValueError("collect_fbar_cache needs a single noise plan")
-        self.model = model
-        self.params = params
-        self.noise = noise if not batch else tuple(noise)
+        super().__init__(model, x0, n_particles, params, plans, slow_kind, recorder, context)
+        if collect_fbar_cache and len(self.noise) != 1:
+            raise ValueError("collect_fbar_cache needs exactly one noise plan")
         self.mode = mode
-        self.slow_kind = slow_kind
-        self.recorder = recorder
-        self.context = context
-        N = n_particles
-        self.X = _initial_state(x0, batch + (N, model.slow_dim))
-        self.h = params.h_micro
-        self.sqrt_h = math.sqrt(self.h)
-        self.k = 0
-        self.n_steps = params.n_steps
         self.fbar_warned = False
         self.fbar_cache: list[tuple] = [] if collect_fbar_cache else None
 
         if mode == "hmm":
             self.hmm = (hmm or HmmConfig()).resolved(model, params)
-            self.frozen_noise = (noise.derive(9001) if not batch
-                                 else [plan.derive(9001) for plan in self.noise])
-            self._Z = np.broadcast_to(model.default_y0,
-                                      batch + (self.hmm.replicas * N, model.fast_dim)).copy()
+            self.frozen_noise = [plan.derive(9001) for plan in self.noise]
+            self._Z = np.broadcast_to(model.default_y0, (len(self.noise), self.hmm.replicas
+                                                         * n_particles, model.fast_dim)).copy()
             self.frozen_step = 0
             self._fbar = None
-        if recorder is not None:
-            recorder.maybe_record(0, 0.0, self.X, self.X[..., :0])
+        self._record(self.X[..., :0])
 
-    def _refresh_fbar(self):
+    def _refresh_fbar(self, mu):
         m = self.model
-        batch, N = self.X.shape[:-2], self.X.shape[-2]
+        R, N = self.X.shape[:2]
         M = self.hmm.replicas
-        mu = empirical_view(m, self.X)
         Xa = np.tile(self.X, (M, 1))     # M frozen replicas along the particle axis
         hf = self.hmm.h_frozen
         first = self.frozen_step == 0
@@ -334,14 +320,14 @@ class AveragedRunner:
         self._Z = _frozen_batch(m, Xa, mu, hf, self.frozen_noise, self._Z, n_tot,
                                 on_sample=visit, start_step=self.frozen_step)
         self.frozen_step += n_tot
-        per_rep = (acc / n_samp).reshape(batch + (M, N, m.slow_dim))
-        self._fbar = per_rep.mean(axis=-3)
-        se = 0.0
+        per_rep = (acc / n_samp).reshape(R, M, N, m.slow_dim)
+        self._fbar = per_rep.mean(axis=1)
+        se = np.zeros(R)
         if M >= 2:
-            # standard error and drift scale, one each per replication of a batch
-            se = per_rep.std(axis=-3, ddof=1).reshape(batch + (-1,)).mean(axis=-1) / math.sqrt(M)
-            scale = np.abs(self._fbar).reshape(batch + (-1,)).mean(axis=-1) + 1e-30
-            for se_r, scale_r in zip(np.ravel(se), np.ravel(scale)):
+            # standard error and drift scale, one each per replication
+            se = per_rep.std(axis=1, ddof=1).reshape(R, -1).mean(axis=-1) / math.sqrt(M)
+            scale = np.abs(self._fbar).reshape(R, -1).mean(axis=-1) + 1e-30
+            for se_r, scale_r in zip(se, scale):
                 if se_r > self.hmm.warn_fraction * scale_r and not self.fbar_warned:
                     warnings.warn(
                         f"fbar standard error {se_r:.3g} exceeds {self.hmm.warn_fraction:.0%} "
@@ -349,46 +335,35 @@ class AveragedRunner:
                         "or replicas", RuntimeWarning)
                     self.fbar_warned = True
         if self.fbar_cache is not None:
-            se_val = float(se)
-            for p in range(N):
-                self.fbar_cache.append((float(self.X[p, 0]), float(mu.mean[0]),
-                                        mu.second_moment, float(self._fbar[p, 0]), se_val))
+            self._cache_fbar(mu, self._fbar, float(se[0]))
+
+    def _cache_fbar(self, mu, fbar, se):
+        """One (x, mu_mean, mu_m2, fbar, std_error) row per particle (component 0)."""
+        mean, m2 = float(mu.mean[0, 0, 0]), float(mu.second_moment[0, 0, 0])
+        for x, f in zip(self.X[0, :, 0], fbar[0, :, 0]):
+            self.fbar_cache.append((float(x), mean, m2, float(f), se))
 
     def advance(self, n_sub: int, xs=None):
         """Advance n_sub micro steps; a coupled driver may hand in the slow
         noise block (common random numbers with the full system)."""
         m = self.model
-        N = self.X.shape[-2]
         if xs is None:
-            xs = noise_mod.draw(self.noise, self.slow_kind, self.k, n_sub, N, m.n_slow_modes)
+            xs = self._draw(self.slow_kind, n_sub, m.n_slow_modes)
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(n_sub):
                 mu = empirical_view(m, self.X)
                 if self.mode == "exact":
                     fbar = m.exact_fbar(self.X, mu)
                     if self.fbar_cache is not None and self.k % max(1, self.n_steps // 200) == 0:
-                        for p in range(N):
-                            self.fbar_cache.append((float(self.X[p, 0]), float(mu.mean[0]),
-                                                    mu.second_moment, float(fbar[p, 0]), 0.0))
+                        self._cache_fbar(mu, fbar, 0.0)
                 else:
                     if self.k % self.hmm.refresh_stride_steps == 0 or self._fbar is None:
-                        self._refresh_fbar()
+                        self._refresh_fbar(mu)
                     fbar = self._fbar
-                drift = m.a1(self.X, mu) + fbar
-                if m.tame_slow:
-                    drift = _tame(m, drift, self.h)
-                self.X = self.X + self.h * drift + self.sqrt_h * m.b1_apply(self.X, mu, xs[j])
+                self.X = self._slow_step(mu, fbar, xs[j])
                 self.k += 1
-                t = self.k * self.h
-                if self.recorder is not None:
-                    self.recorder.maybe_record(self.k, t, self.X, self.X[..., :0],
-                                               last=self.k == self.n_steps)
+                self._record(self.X[..., :0])
         _check_finite(self.X, self.X, self.k * self.h, self.context or "averaged run")
-
-    def run(self, chunk: int = 64):
-        while self.k < self.n_steps:
-            self.advance(min(chunk, self.n_steps - self.k))
-        return self
 
 
 def simulate_averaged(model: ModelSpec, x0, n_particles: int,
@@ -399,10 +374,9 @@ def simulate_averaged(model: ModelSpec, x0, n_particles: int,
     """Integrate the averaged equation to t_end; returns the recorder."""
     if recorder is None:
         recorder = TrajectoryRecorder(stride_steps=max(1, params.n_steps // 200))
-    runner = AveragedRunner(model, x0, n_particles, params, noise, mode=mode,
+    runner = AveragedRunner(model, x0, n_particles, params, (noise,), mode=mode,
                             hmm=hmm, recorder=recorder,
-                            collect_fbar_cache=collect_fbar_cache)
-    runner.run()
+                            collect_fbar_cache=collect_fbar_cache).run()
     recorder.fbar_cache = runner.fbar_cache
     return recorder
 

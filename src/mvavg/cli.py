@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -94,6 +95,8 @@ def _cmd_freeze(args) -> int:
     x = _parse_vector("--x", args.x, model.slow_dim)
     mu_mean = (_parse_vector("--mu-mean", args.mu_mean, model.slow_dim)
                if args.mu_mean else np.zeros(model.slow_dim))
+    if not 0.0 <= args.mu_m2 < math.inf:
+        raise ConfigError(f"--mu-m2: expected a finite number >= 0, got {args.mu_m2!r}")
     mu = MeasureMoments(mean=mu_mean, second_moment=args.mu_m2)
     try:
         fp = default_frozen_params(model, x, mu, sample_horizon=args.horizon,

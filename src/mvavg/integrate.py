@@ -2,17 +2,17 @@
 
 One micro step advances all N particles: the empirical-measure view is
 computed once from the slow rows (the only synchronisation point), then every
-particle is updated independently with Euler-Maruyama increments.  States
-follow an (..., N, d) convention: particles on axis -2, components on axis
--1.  A runner given one noise plan holds one (N, d) system; given a sequence
-of R plans it holds R independent replications as (R, N, d), each with its
-own empirical measure and its own diagnostics, stepped together.  The fast
-drift's declared stiff linear part is integrated either by its exact
-exponential factor (scalar dissipative rate) or semi-implicitly (Laplacian,
-by a precomputed dense inverse of I + h_eff * (-laplacian)); everything else
-is explicit.  Slow drifts flagged as monotone-but-not-Lipschitz are tamed:
-the drift is rescaled by 1/(1 + h * ||drift||) on the particles where
-||drift|| * h exceeds 1.
+particle is updated independently with Euler-Maruyama increments.  Runners
+take a sequence of R noise plans and hold their state as (R, N, d): R
+independent replications (a single run is R = 1), particles on axis -2,
+components on axis -1, each replication with its own empirical measure and
+its own diagnostics, all stepped together.  The fast drift's declared stiff
+linear part is integrated by its exact exponential factor (scalar
+dissipative rate) or semi-implicitly (Laplacian, by a precomputed dense
+inverse of I + h_eff * (-laplacian)); everything else is explicit.  Slow
+drifts flagged as monotone-but-not-Lipschitz are tamed: the drift is
+rescaled by 1/(1 + h * ||drift||) on the particles where ||drift|| * h
+exceeds 1.
 
 An optional auxiliary fast process can be carried along: it consumes the SAME
 fast noise increments but sees the slow state and measure frozen at the last
@@ -144,9 +144,6 @@ class TrajectoryRecorder:
     def slow_array(self):
         return np.stack(self.slow) if self.slow else np.empty((0, 0, 0))
 
-    def fast_array(self):
-        return np.stack(self.fast) if self.fast else np.empty((0, 0, 0))
-
     def dump_csv(self, path):
         """Plain CSV dump with header time,particle,component,index,value."""
         with open(path, "w") as fh:
@@ -183,14 +180,11 @@ class _FastSolver:
         self.h_eff = h_eff
         self.sqrt_h_eff = math.sqrt(h_eff)
         lin = model.fast_linear
-        self.kind = "explicit" if lin is None else f"{lin.kind}:{lin.treatment}"
-        if lin is not None and lin.kind == "scalar":
-            if lin.treatment == "exact":
-                self.phi = math.exp(-lin.rate * h_eff)
-                self.coef = (1.0 - self.phi) / lin.rate
-            else:
-                self.denom = 1.0 + h_eff * lin.rate
-        elif lin is not None and lin.kind == "laplacian":
+        self.kind = "explicit" if lin is None else lin.kind
+        if self.kind == "scalar":
+            self.phi = math.exp(-lin.rate * h_eff)
+            self.coef = (1.0 - self.phi) / lin.rate
+        elif self.kind == "laplacian":
             self.inv_t = _implicit_inverse(model.grid.n_interior, h_eff).T
 
     def step(self, u_args, mu_args, v, xi, forcing=None):
@@ -202,10 +196,8 @@ class _FastSolver:
             g = m.a2_remainder(u_args, mu_args, v)
         if self.kind == "explicit":
             return v + self.h_eff * g + noise_incr
-        if self.kind == "scalar:exact":
+        if self.kind == "scalar":
             return self.phi * v + self.coef * g + noise_incr
-        if self.kind == "scalar:semi_implicit":
-            return (v + self.h_eff * g + noise_incr) / self.denom
         # laplacian, semi-implicit
         return (v + self.h_eff * g + noise_incr) @ self.inv_t
 
@@ -226,9 +218,9 @@ def _check_finite(X, Y, time, context):
         return
     bad = ~np.isfinite(X).all(axis=-1) | ~np.isfinite(Y).all(axis=-1)
     bad |= (np.abs(X) > BLOWUP_LIMIT).any(axis=-1) | (np.abs(Y) > BLOWUP_LIMIT).any(axis=-1)
-    *row, particle = np.unravel_index(np.argmax(bad), bad.shape)
-    if row:
-        context = f"{context}, batch row {int(row[0])}" if context else f"batch row {int(row[0])}"
+    row, particle = np.unravel_index(np.argmax(bad), bad.shape)
+    if bad.shape[0] > 1:    # a single run (R = 1) keeps its message free of a row
+        context = f"{context}, batch row {row}" if context else f"batch row {row}"
     raise BlowUpError(time, int(particle), context)
 
 
@@ -238,18 +230,57 @@ def _initial_state(v, shape):
     return np.broadcast_to(v.reshape(-1) if v.ndim <= 1 else v, shape).copy()
 
 
-def _batch_shape(noise) -> tuple:
-    """() for one noise plan, (R,) for a sequence of R plans."""
-    return () if isinstance(noise, noise_mod.NoisePlan) else (len(noise),)
+class _SlowRunner:
+    """Set-up, run loop and tamed Euler-Maruyama slow update of the runners.
+
+    ``plans`` is a sequence of R noise plans, one per replication, and the
+    slow state ``X`` is (R, N, slow_dim).  A recorder records replication 0,
+    so it is refused with more than one plan.
+    """
+
+    def __init__(self, model: ModelSpec, x0, n_particles: int, params: MultiscaleParams,
+                 plans, slow_kind: int, recorder: Optional[TrajectoryRecorder], context: str):
+        self.noise = tuple(plans)
+        if recorder is not None and len(self.noise) != 1:
+            raise ValueError("a recorder needs exactly one noise plan")
+        self.model = model
+        self.slow_kind = slow_kind
+        self.recorder = recorder
+        self.context = context
+        self.X = _initial_state(x0, (len(self.noise), n_particles, model.slow_dim))
+        self.h = params.h_micro
+        self.sqrt_h = math.sqrt(self.h)
+        self.k = 0
+        self.n_steps = params.n_steps
+
+    def _draw(self, kind: int, n_sub: int, n_modes: int):
+        """The next n_sub steps of stream ``kind``, (n_sub, R, N, n_modes)."""
+        return noise_mod.draw(self.noise, kind, self.k, n_sub, self.X.shape[-2], n_modes)
+
+    def _slow_step(self, mu, coupling, xs):
+        """X + h * (a1 + coupling) + sqrt(h) * b1 xs, the drift tamed if flagged."""
+        m = self.model
+        drift = m.a1(self.X, mu) + coupling
+        if m.tame_slow:
+            drift = _tame(m, drift, self.h)
+        return self.X + self.h * drift + self.sqrt_h * m.b1_apply(self.X, mu, xs)
+
+    def _record(self, fast):
+        if self.recorder is not None:
+            self.recorder.maybe_record(self.k, self.k * self.h, self.X[0], fast[0],
+                                       last=self.k == self.n_steps)
+
+    def run(self, chunk: int = 64):
+        while self.k < self.n_steps:
+            self.advance(min(chunk, self.n_steps - self.k))
+        return self
 
 
-class FullRunner:
+class FullRunner(_SlowRunner):
     """Chunked integrator for the full two-time-scale particle system.
 
-    ``noise`` is one NoisePlan, or a sequence of plans for a batch of
-    replications (see the module docstring); the diagnostics below are then
-    arrays with one entry per replication.  Optionally tracks, in the same
-    pass and with shared noise:
+    Optionally tracks, in the same pass and with shared noise, one value per
+    replication of:
       * the block-frozen auxiliary fast process (``aux_delta``),
       * the time-integrated squared slow increment over blocks
         (``increment_delta``),
@@ -257,68 +288,49 @@ class FullRunner:
     """
 
     def __init__(self, model: ModelSpec, x0, y0, n_particles: int,
-                 params: MultiscaleParams, noise,
+                 params: MultiscaleParams, plans,
                  slow_kind: int = noise_mod.SLOW,
                  aux_delta: Optional[float] = None,
                  increment_delta: Optional[float] = None,
                  recorder: Optional[TrajectoryRecorder] = None,
-                 init_spread: float = 0.0,
                  context: str = ""):
-        self.model = model
-        self.params = params
-        batch = _batch_shape(noise)
-        self.noise = noise if not batch else tuple(noise)
-        self.slow_kind = slow_kind
-        self.context = context
-        N = n_particles
-        self.X = _initial_state(x0, batch + (N, model.slow_dim))
-        self.Y = _initial_state(y0, batch + (N, model.fast_dim))
-        if init_spread > 0.0:
-            self.X += init_spread * noise_mod.draw(self.noise, noise_mod.INIT, 0, 1, N,
-                                                   model.slow_dim)[0]
-        self.h = params.h_micro
-        self.sqrt_h = math.sqrt(self.h)
-        self.h_eff = self.h / params.epsilon
-        self.solver = _FastSolver(model, self.h_eff)
-        self.k = 0
-        self.n_steps = params.n_steps
-        self.recorder = recorder
+        super().__init__(model, x0, n_particles, params, plans, slow_kind, recorder, context)
+        R = len(self.noise)
+        self.Y = _initial_state(y0, (R, n_particles, model.fast_dim))
+        self.solver = _FastSolver(model, self.h / params.epsilon)
 
         self.aux_steps = (params.block_steps(aux_delta, "aux_delta")
                           if aux_delta is not None else None)
         if self.aux_steps is not None:
             self.Y_aux = self.Y.copy()
             self._aux_snap = None
-            self.gap_sum = np.zeros(batch)
+            self.gap_sum = np.zeros(R)
             self.gap_count = 0
         self.inc_steps = (params.block_steps(increment_delta, "increment_delta")
                           if increment_delta is not None else None)
         if self.inc_steps is not None:
             self._X_block = self.X.copy()
-            self.inc_sum = np.zeros(batch)
+            self.inc_sum = np.zeros(R)
             self.inc_count = 0
 
         c = model.constants
         self._mom_rate = c.get("c_coer_fast", 1.0) / max(c.get("lam", 1.0), 1e-12)
         self._mom_y0 = np.mean(fast_norm_sq(model, self.Y), axis=-1)
-        self._mom_sup_x = np.zeros(batch)
-        self._moment_flag = np.zeros(batch, dtype=bool)
+        self._mom_sup_x = np.zeros(R)
+        self._moment_flag = np.zeros(R, dtype=bool)
         # per-step squared norms (aux gap, block increment, fast state) and
         # measure second moments, not yet folded into the diagnostics
         self._pending = ([], [], [], [])
-
-        if recorder is not None:
-            recorder.maybe_record(0, 0.0, self.X, self.Y)
+        self._record(self.Y)
 
     def advance(self, n_sub: int, xs=None, xf=None):
         """Advance n_sub micro steps; noise blocks may be passed in by a
         coupled driver (they must be the streams this runner would draw)."""
         m = self.model
-        N = self.X.shape[-2]
         if xs is None:
-            xs = noise_mod.draw(self.noise, self.slow_kind, self.k, n_sub, N, m.n_slow_modes)
+            xs = self._draw(self.slow_kind, n_sub, m.n_slow_modes)
         if xf is None:
-            xf = noise_mod.draw(self.noise, noise_mod.FAST, self.k, n_sub, N, m.n_fast_modes)
+            xf = self._draw(noise_mod.FAST, n_sub, m.n_fast_modes)
         gap_sq, inc_sq, y_sq, x_m2 = self._pending
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(n_sub):
@@ -330,10 +342,7 @@ class FullRunner:
                 if self.inc_steps is not None and self.k % self.inc_steps == 0:
                     self._X_block = self.X.copy()
 
-                drift = m.a1(self.X, mu) + m.f(self.X, mu, self.Y)
-                if m.tame_slow:
-                    drift = _tame(m, drift, self.h)
-                Xn = self.X + self.h * drift + self.sqrt_h * m.b1_apply(self.X, mu, xs[j])
+                Xn = self._slow_step(mu, m.f(self.X, mu, self.Y), xs[j])
                 Yn = self.solver.step(self.X, mu, self.Y, xf[j])
                 if self.aux_steps is not None:
                     Xs, mus, frc = self._aux_snap
@@ -341,7 +350,6 @@ class FullRunner:
                                                   forcing=frc)
                 self.X, self.Y = Xn, Yn
                 self.k += 1
-                t = self.k * self.h
 
                 if self.aux_steps is not None:
                     gap_sq.append(fast_norm_sq(m, self.Y - self.Y_aux))
@@ -349,10 +357,7 @@ class FullRunner:
                     inc_sq.append(slow_norm_sq(m, self.X - self._X_block))
                 y_sq.append(fast_norm_sq(m, self.Y))
                 x_m2.append(mu.second_moment)
-
-                if self.recorder is not None:
-                    self.recorder.maybe_record(self.k, t, self.X, self.Y,
-                                               last=self.k == self.n_steps)
+                self._record(self.Y)
         if len(y_sq) >= FOLD_STEPS:
             self._fold_diagnostics()
         _check_finite(self.X, self.Y, self.k * self.h, self.context)
@@ -384,13 +389,6 @@ class FullRunner:
         for pending in self._pending:
             pending.clear()
 
-    def run(self, chunk: int = 64):
-        while self.k < self.n_steps:
-            self.advance(min(chunk, self.n_steps - self.k))
-        if self.recorder is not None:
-            self.recorder.moment_flag = bool(self.moment_flag.any())
-        return self
-
     @property
     def moment_flag(self):
         """Whether the fast second moment left its bound (per replication)."""
@@ -412,11 +410,10 @@ class FullRunner:
 
 def simulate_full(model: ModelSpec, x0, y0, n_particles: int,
                   params: MultiscaleParams, noise: noise_mod.NoisePlan,
-                  recorder: Optional[TrajectoryRecorder] = None,
-                  init_spread: float = 0.0, chunk: int = 64) -> TrajectoryRecorder:
+                  recorder: Optional[TrajectoryRecorder] = None) -> TrajectoryRecorder:
     """Integrate the full system to t_end, recording on the recorder's stride."""
     if recorder is None:
         recorder = TrajectoryRecorder(stride_steps=max(1, params.n_steps // 200))
-    FullRunner(model, x0, y0, n_particles, params, noise, recorder=recorder,
-               init_spread=init_spread).run(chunk=chunk)
+    runner = FullRunner(model, x0, y0, n_particles, params, (noise,), recorder=recorder).run()
+    recorder.moment_flag = bool(runner.moment_flag[0])
     return recorder

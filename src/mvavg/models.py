@@ -42,7 +42,6 @@ class FastLinearPart:
 
     kind: str
     rate: float = 0.0
-    treatment: str = "exact"
 
 
 @dataclass
@@ -326,7 +325,7 @@ def make_linear_benchmark(a11: float = -1.0, a12: float = 0.25, f0: float = 1.0,
         b2_coeff=lambda U, mu, V: b2c,
         constants=constants, norm_slow="euclidean", norm_fast="euclidean",
         default_x0=np.array([1.0]), default_y0=np.array([1.0]),
-        fast_linear=FastLinearPart("scalar", rate=gamma, treatment="exact"),
+        fast_linear=FastLinearPart("scalar", rate=gamma),
         a2_split=(0.0, a2_forcing),
         exact_fbar=exact_fbar,
         v1_norm_alpha=lambda U: np.sum(U * U, axis=-1),
@@ -394,7 +393,7 @@ def make_mvsde_cubic(kappa: float = 1.0, k1: float = 0.5, c_sin: float = 0.5,
         b2_coeff=lambda U, mu, V: sig2(V)[..., None],
         constants=constants, norm_slow="euclidean", norm_fast="euclidean",
         default_x0=np.array([1.0]), default_y0=np.array([0.5]),
-        fast_linear=FastLinearPart("scalar", rate=kappa, treatment="exact"),
+        fast_linear=FastLinearPart("scalar", rate=kappa),
         exact_fbar=None,
         v1_norm_alpha=lambda U: np.sum(U * U, axis=-1),
         measure_dependent=c_mu != 0.0,
@@ -495,7 +494,7 @@ def make_porous_media_1d(r: float = 4.0, n_interior: int = 63, c_psi: float = 1.
         b2_coeff=lambda U, mu, V: b2c,
         constants=constants, norm_slow="hminus1", norm_fast="l2",
         default_x0=x0, default_y0=np.zeros(n_interior),
-        fast_linear=FastLinearPart("laplacian", treatment="semi_implicit"),
+        fast_linear=FastLinearPart("laplacian"),
         a2_split=(-c_g, forcing),
         grid=grid, exact_fbar=exact_fbar,
         v1_norm_alpha=lambda U: grid.dx * np.sum(np.abs(U) ** r, axis=-1),
@@ -579,7 +578,7 @@ def make_plaplace_1d(p: float = 4.0, n_interior: int = 63, c_p: float = 0.3,
         b2_coeff=lambda U, mu, V: b2c,
         constants=constants, norm_slow="l2", norm_fast="l2",
         default_x0=x0, default_y0=np.zeros(n_interior),
-        fast_linear=FastLinearPart("laplacian", treatment="semi_implicit"),
+        fast_linear=FastLinearPart("laplacian"),
         a2_split=(-c_g, forcing),
         grid=grid, exact_fbar=exact_fbar,
         v1_norm_alpha=lambda U: dx * np.sum(np.abs(grad(U)) ** p, axis=-1),

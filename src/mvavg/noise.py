@@ -24,7 +24,7 @@ SLOW = 0        # slow-component Wiener increments (shared by full/averaged runs
 FAST = 1        # fast-component increments (shared by the block-frozen auxiliary)
 FROZEN = 2      # frozen-equation runs
 SLOW_ALT = 3    # decoupled slow noise for variance-reduction control runs
-INIT = 4        # optional i.i.d. initial spread
+INIT = 4        # no longer drawn; kept so that no kind is ever reused
 _DERIVE = 7     # internal: sub-seed derivation
 
 _M0 = np.uint64(0xD2511F53)
@@ -168,17 +168,17 @@ class NoisePlan:
         return NoisePlan(int((int(w0) << 32) | int(w1)))
 
 
-def draw(noise, kind, step_start, n_steps, n_particles, n_modes):
-    """Normals from one plan, or from a batch of plans stacked on axis 1.
+def draw(plans, kind, step_start, n_steps, n_particles, n_modes):
+    """Normals of shape (n_steps, R, n_particles, n_modes) from a sequence of R plans.
 
-    ``noise`` is a :class:`NoisePlan` (shape (n_steps, n_particles, n_modes))
-    or a sequence of R plans (shape (n_steps, R, n_particles, n_modes), slice
-    r drawn by ``noise[r].gaussians``): a batch consumes exactly the numbers
-    its plans would draw one at a time.
+    Slice r is drawn by ``plans[r].gaussians``, so a batch consumes exactly
+    the numbers its plans would draw one at a time.
     """
-    if isinstance(noise, NoisePlan):
-        return noise.gaussians(kind, step_start, n_steps, n_particles, n_modes)
-    out = np.empty((n_steps, len(noise), n_particles, n_modes))
-    for r, plan in enumerate(noise):
+    if len(plans) == 1:
+        # a view of the one draw: filling a second array of the same size
+        # made the one-replication benchmark workloads 2-6% slower
+        return plans[0].gaussians(kind, step_start, n_steps, n_particles, n_modes)[:, None]
+    out = np.empty((n_steps, len(plans), n_particles, n_modes))
+    for r, plan in enumerate(plans):
         out[:, r] = plan.gaussians(kind, step_start, n_steps, n_particles, n_modes)
     return out

@@ -56,6 +56,29 @@ def _check_real(key: str, val):
         raise ConfigError(f"{key}: must be a finite number, got {val!r}")
 
 
+def _check_hmm(hmm):
+    """The ``hmm`` object: known keys, each of its type and range, or null where allowed."""
+    if not isinstance(hmm, dict):
+        raise ConfigError(f"hmm: must be a JSON object, got {hmm!r}")
+    unknown = set(hmm) - {f.name for f in dataclasses.fields(HmmConfig)}
+    if unknown:
+        raise ConfigError(f"hmm: unknown key(s): {', '.join(sorted(unknown))}")
+    for key, val in hmm.items():
+        name = f"hmm.{key}"
+        if val is None and key not in ("replicas", "warn_fraction"):
+            continue
+        if key in ("replicas", "refresh_stride_steps"):
+            _check_int(name, val)
+            if val < 1:
+                raise ConfigError(f"{name}: must be >= 1, got {val!r}")
+        else:
+            _check_real(name, val)
+            if key.startswith("burn_in") and val < 0:
+                raise ConfigError(f"{name}: must be >= 0, got {val!r}")
+            if not key.startswith("burn_in") and val <= 0:
+                raise ConfigError(f"{name}: must be positive, got {val!r}")
+
+
 def _check_state(key: str, val, dim: int, n_particles: int):
     """An initial state: finite numbers shaped (dim,) or (n_particles, dim)."""
     arr = np.asarray(val, dtype=object)
@@ -136,6 +159,7 @@ class StudyConfig:
             raise ConfigError("n_particles: must be >= 1")
         if not isinstance(self.crn, bool):
             raise ConfigError(f"crn: must be true or false, got {self.crn!r}")
+        _check_hmm(self.hmm)
         model = self.build_model()
         if model.measure_dependent and self.n_particles < 2:
             raise ConfigError("n_particles: need N >= 2 for measure-dependent models")
@@ -168,10 +192,7 @@ class StudyConfig:
                 raise ConfigError(f"averaged_mode: model {self.model!r} has no closed-form "
                                   "fbar; use 'hmm'")
             return {"mode": "exact"}
-        try:
-            return {"mode": "hmm", "hmm": HmmConfig(**self.hmm)}
-        except TypeError as exc:
-            raise ConfigError(f"hmm: {exc}") from exc
+        return {"mode": "hmm", "hmm": HmmConfig(**self.hmm)}
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -230,18 +251,16 @@ def _coupled_error_once(cfg: StudyConfig, eps_index: int, reps) -> list:
     model = cfg.build_model()
     epsilon = cfg.epsilon_grid[eps_index]
     plans = [noise_mod.NoisePlan(cfg.seed).derive(4242, rep) for rep in reps]
-    # one replication keeps the plain (N, d) state; several carry (R, N, d)
-    plan = plans[0] if len(plans) == 1 else plans
     seeds = ",".join(str(p.seed) for p in plans)
     params = cfg.params_for(epsilon)
     x0, y0 = cfg.initial_states(model)
     N = cfg.n_particles
     delta = params.delta_block
-    full = FullRunner(model, x0, y0, N, params, plan,
+    full = FullRunner(model, x0, y0, N, params, plans,
                       aux_delta=delta, increment_delta=delta,
                       context=f"full eps={epsilon:g} seed={seeds}")
     avg_kind = noise_mod.SLOW if cfg.crn else noise_mod.SLOW_ALT
-    avg = AveragedRunner(model, x0, N, params, plan, slow_kind=avg_kind,
+    avg = AveragedRunner(model, x0, N, params, plans, slow_kind=avg_kind,
                          context=f"averaged eps={epsilon:g} seed={seeds}",
                          **cfg.averaged_mode_kwargs(model))
     n_steps = params.n_steps
@@ -254,9 +273,9 @@ def _coupled_error_once(cfg: StudyConfig, eps_index: int, reps) -> list:
         # counter-based streams: slicing one window draw per stride gives the
         # same increments as drawing each stride on its own
         n_win = min(window, n_steps - k)
-        xs = noise_mod.draw(plan, noise_mod.SLOW, k, n_win, N, model.n_slow_modes)
-        xf = noise_mod.draw(plan, noise_mod.FAST, k, n_win, N, model.n_fast_modes)
-        xa = xs if cfg.crn else noise_mod.draw(plan, avg_kind, k, n_win, N, model.n_slow_modes)
+        xs = noise_mod.draw(plans, noise_mod.SLOW, k, n_win, N, model.n_slow_modes)
+        xf = noise_mod.draw(plans, noise_mod.FAST, k, n_win, N, model.n_fast_modes)
+        xa = xs if cfg.crn else noise_mod.draw(plans, avg_kind, k, n_win, N, model.n_slow_modes)
         for j in range(0, n_win, stride):
             n_sub = min(stride, n_win - j)
             full.advance(n_sub, xs=xs[j:j + n_sub], xf=xf[j:j + n_sub])
@@ -264,10 +283,8 @@ def _coupled_error_once(cfg: StudyConfig, eps_index: int, reps) -> list:
             diff_sq = slow_norm_sq(model, full.X - avg.X)
             np.maximum(sup_sq, diff_sq, out=sup_sq)
         k += n_win
-    R = len(plans)
     return [(float(np.mean(s)), float(g), float(i))
-            for s, g, i in zip(sup_sq.reshape(R, N), np.reshape(full.aux_gap, R),
-                               np.reshape(full.increment_stat, R))]
+            for s, g, i in zip(sup_sq, full.aux_gap, full.increment_stat)]
 
 
 def _grid_point(cfg: StudyConfig, eps_index: int) -> list:

@@ -213,8 +213,8 @@ def test_averaged_equals_decoupled_slow_system_when_f_vanishes():
     m = build_model("linear-benchmark", {"f0": 0.0})
     params = resolve_params(0.05, 1.0)
     plan = NoisePlan(9)
-    full = FullRunner(m, [1.0], [1.0], 64, params, plan).run()
-    avg = AveragedRunner(m, [1.0], 64, params, plan, mode="exact").run()
+    full = FullRunner(m, [1.0], [1.0], 64, params, [plan]).run()
+    avg = AveragedRunner(m, [1.0], 64, params, [plan], mode="exact").run()
     assert np.array_equal(full.X, avg.X)
 
 
@@ -222,15 +222,15 @@ def test_averaged_requires_closed_form_for_exact_mode():
     m = build_model("mvsde-cubic")
     params = resolve_params(0.05, 0.5)
     with pytest.raises(ValueError, match="closed-form"):
-        AveragedRunner(m, [1.0], 4, params, NoisePlan(1), mode="exact")
+        AveragedRunner(m, [1.0], 4, params, [NoisePlan(1)], mode="exact")
 
 
 def test_hmm_consistent_with_exact_fbar():
     # same slow noise, fbar estimated instead of closed-form: small gap
     m = build_model("linear-benchmark")
     params = resolve_params(0.05, 0.5)
-    ex = AveragedRunner(m, [1.0], 128, params, NoisePlan(21), mode="exact").run()
-    hm = AveragedRunner(m, [1.0], 128, params, NoisePlan(21), mode="hmm",
+    ex = AveragedRunner(m, [1.0], 128, params, [NoisePlan(21)], mode="exact").run()
+    hm = AveragedRunner(m, [1.0], 128, params, [NoisePlan(21)], mode="hmm",
                         hmm=HmmConfig(replicas=2, horizon=20.0)).run()
     gap = abs(float(ex.X.mean()) - float(hm.X.mean()))
     # fbar noise ~ se/step accumulated over T=0.5; generous 3x envelope
@@ -241,7 +241,7 @@ def test_hmm_warns_on_noisy_fbar():
     m = build_model("linear-benchmark")
     params = resolve_params(0.05, 0.05)
     with pytest.warns(RuntimeWarning, match="fbar standard error"):
-        AveragedRunner(m, [1.0], 4, params, NoisePlan(23), mode="hmm",
+        AveragedRunner(m, [1.0], 4, params, [NoisePlan(23)], mode="hmm",
                        hmm=HmmConfig(replicas=2, horizon=0.4, burn_in_initial=0.2,
                                      warn_fraction=0.001)).run()
 
@@ -256,3 +256,16 @@ def test_simulate_averaged_collects_fbar_cache():
     c = m.constants
     assert fbar == pytest.approx((c["f0"] / c["gamma"]) * (c["k1"] * x + c["k2"] * mu_mean))
     assert se == 0.0
+
+
+def test_recorder_and_fbar_cache_need_one_plan():
+    # both record replication 0 only, so a batch of plans is refused
+    m = build_model("linear-benchmark")
+    params = resolve_params(0.1, 0.2)
+    plans = [NoisePlan(24), NoisePlan(25)]
+    with pytest.raises(ValueError, match="recorder"):
+        FullRunner(m, [1.0], [1.0], 4, params, plans, recorder=TrajectoryRecorder())
+    with pytest.raises(ValueError, match="recorder"):
+        AveragedRunner(m, [1.0], 4, params, plans, recorder=TrajectoryRecorder())
+    with pytest.raises(ValueError, match="collect_fbar_cache"):
+        AveragedRunner(m, [1.0], 4, params, plans, collect_fbar_cache=True)

@@ -37,10 +37,10 @@ def test_zero_coefficients_leave_ensemble_fixed():
                     {"a11": 0.0, "a12": 0.0, "f0": 0.0, "sigma1": 0.0,
                      "k1": 0.0, "k2": 0.0, "sigma2": 0.0})
     params = resolve_params(0.1, 1.0)
-    r = FullRunner(m, [0.0], [0.0], 4, params, NoisePlan(1))
+    r = FullRunner(m, [0.0], [0.0], 4, params, [NoisePlan(1)])
     r.advance(1)
     assert np.all(r.X == 0.0) and np.all(r.Y == 0.0)
-    assert r.k == 1 and r.X.shape == (4, 1)
+    assert r.k == 1 and r.X[0].shape == (4, 1)
 
 
 def test_deterministic_linear_matches_matrix_exponential():
@@ -49,19 +49,19 @@ def test_deterministic_linear_matches_matrix_exponential():
     m = build_model("linear-benchmark", {"sigma1": 0.0, "sigma2": 0.0})
     c = m.constants
     params = resolve_params(eps, 1.0, h_factor=0.002)
-    r = FullRunner(m, [1.0], [1.0], 1, params, NoisePlan(0)).run()
+    r = FullRunner(m, [1.0], [1.0], 1, params, [NoisePlan(0)]).run()
     A = np.array([[c["a11"] + c["a12"], c["f0"]],
                   [(c["k1"] + c["k2"]) / eps, -c["gamma"] / eps]])
     ref = expm(A) @ np.array([1.0, 1.0])
-    assert abs(r.X[0, 0] - ref[0]) < 50 * params.h_micro
-    assert abs(r.Y[0, 0] - ref[1]) < 50 * params.h_micro
+    assert abs(r.X[0, 0, 0] - ref[0]) < 50 * params.h_micro
+    assert abs(r.Y[0, 0, 0] - ref[1]) < 50 * params.h_micro
 
 
 def test_replay_is_bitwise_identical():
     m = build_model("mvsde-cubic")
     params = resolve_params(0.05, 0.5)
-    r1 = FullRunner(m, [1.0], [0.5], 32, params, NoisePlan(99)).run()
-    r2 = FullRunner(m, [1.0], [0.5], 32, params, NoisePlan(99)).run(chunk=13)
+    r1 = FullRunner(m, [1.0], [0.5], 32, params, [NoisePlan(99)]).run()
+    r2 = FullRunner(m, [1.0], [0.5], 32, params, [NoisePlan(99)]).run(chunk=13)
     assert np.array_equal(r1.X, r2.X)
     assert np.array_equal(r1.Y, r2.Y)
 
@@ -85,9 +85,9 @@ def test_aux_process_collapses_when_coefficients_ignore_slow():
     # fast coefficients independent of (x, mu): the auxiliary equals the truth
     m = build_model("linear-benchmark", {"k1": 0.0, "k2": 0.0})
     params = resolve_params(0.05, 0.5)
-    r = FullRunner(m, [1.0], [1.0], 16, params, NoisePlan(5),
+    r = FullRunner(m, [1.0], [1.0], 16, params, [NoisePlan(5)],
                    aux_delta=params.delta_block).run()
-    assert r.aux_gap == 0.0
+    assert r.aux_gap[0] == 0.0
     assert np.array_equal(r.Y, r.Y_aux)
 
 
@@ -96,16 +96,16 @@ def test_aux_process_block_of_one_step_matches_truth():
     # which is exactly what the true discrete fast update consumes
     m = build_model("linear-benchmark")
     params = resolve_params(0.05, 0.2)
-    r = FullRunner(m, [1.0], [1.0], 8, params, NoisePlan(6),
+    r = FullRunner(m, [1.0], [1.0], 8, params, [NoisePlan(6)],
                    aux_delta=params.h_micro).run()
-    assert r.aux_gap == 0.0
+    assert r.aux_gap[0] == 0.0
 
 
 def test_blowup_raises_with_context():
     m = build_model("broken-antidissipative")
     params = resolve_params(0.01, 1.0)
     with pytest.raises(BlowUpError) as err:
-        FullRunner(m, [0.0], [1.0], 2, params, NoisePlan(3),
+        FullRunner(m, [0.0], [1.0], 2, params, [NoisePlan(3)],
                    context="unit test").run()
     assert "unit test" in str(err.value)
     assert err.value.time <= 1.0
@@ -114,12 +114,17 @@ def test_blowup_raises_with_context():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 2 * BLOWUP_LIMIT, -2 * BLOWUP_LIMIT])
 @pytest.mark.parametrize("in_fast", [False, True])
 def test_blowup_check_names_the_particle(bad, in_fast):
-    X, Y = np.zeros((6, 2)), np.zeros((6, 3))
+    X, Y = np.zeros((1, 6, 2)), np.zeros((1, 6, 3))
     _check_finite(X + BLOWUP_LIMIT, Y - BLOWUP_LIMIT, 0.5, "unit test")  # at the limit
-    (Y if in_fast else X)[3, 1] = bad
+    (Y if in_fast else X)[0, 3, 1] = bad
     with pytest.raises(BlowUpError) as err:
         _check_finite(X, Y, 0.5, "unit test")
     assert (err.value.time, err.value.particle, err.value.context) == (0.5, 3, "unit test")
+    # in a batch of replications the row is named too
+    with pytest.raises(BlowUpError) as err:
+        _check_finite(np.concatenate([np.zeros_like(X), X]),
+                      np.concatenate([np.zeros_like(Y), Y]), 0.5, "unit test")
+    assert (err.value.particle, err.value.context) == (3, "unit test, batch row 1")
 
 
 @pytest.mark.parametrize("h_eff", [1e-4, 0.05, 1.0])
@@ -150,12 +155,12 @@ def test_first_moment_matches_mean_ode():
     c = m.constants
     N = 10_000
     params = resolve_params(eps, 1.0)
-    r = FullRunner(m, [1.0], [1.0], N, params, NoisePlan(12)).run()
+    r = FullRunner(m, [1.0], [1.0], N, params, [NoisePlan(12)]).run()
     A = np.array([[c["a11"] + c["a12"], c["f0"]],
                   [(c["k1"] + c["k2"]) / eps, -c["gamma"] / eps]])
     ref = expm(A) @ np.array([1.0, 1.0])
-    se = r.X[:, 0].std(ddof=1) / math.sqrt(N)
-    assert abs(r.X[:, 0].mean() - ref[0]) < 3.0 * se + 60 * params.h_micro
+    se = r.X[0, :, 0].std(ddof=1) / math.sqrt(N)
+    assert abs(r.X[0, :, 0].mean() - ref[0]) < 3.0 * se + 60 * params.h_micro
 
 
 def test_fast_fluctuation_variance_near_stationary():
@@ -164,10 +169,10 @@ def test_fast_fluctuation_variance_near_stationary():
     c = m.constants
     N = 4000
     params = resolve_params(0.02, 1.0)
-    r = FullRunner(m, [1.0], [1.0], N, params, NoisePlan(13)).run()
-    mu = empirical_view(m, r.X)
-    cond_mean = (c["k1"] * r.X + c["k2"] * mu.mean) / c["gamma"]
-    fluct = (r.Y - cond_mean)[:, 0]
+    r = FullRunner(m, [1.0], [1.0], N, params, [NoisePlan(13)]).run()
+    mu = empirical_view(m, r.X[0])
+    cond_mean = (c["k1"] * r.X[0] + c["k2"] * mu.mean) / c["gamma"]
+    fluct = (r.Y[0] - cond_mean)[:, 0]
     target = c["sigma2"] ** 2 / (2 * c["gamma"])
     se = np.var(fluct) * math.sqrt(2.0 / N)  # rough chi^2 standard error
     assert abs(np.var(fluct) - target) < 3 * se + 0.05 * target
@@ -215,8 +220,8 @@ def decaying_slow(**kw):
 def test_increment_stat_constant_path():
     m = decaying_slow(a11=0.0)
     params = MultiscaleParams(epsilon=0.1, t_end=1.0, h_micro=0.002)
-    r = FullRunner(m, [1.0], [1.0], 2, params, NoisePlan(1), increment_delta=0.1).run()
-    assert r.increment_stat == 0.0
+    r = FullRunner(m, [1.0], [1.0], 2, params, [NoisePlan(1)], increment_delta=0.1).run()
+    assert r.increment_stat[0] == 0.0
 
 
 def test_increment_stat_vs_euler_sum_and_quadrature():
@@ -225,21 +230,21 @@ def test_increment_stat_vs_euler_sum_and_quadrature():
     m = decaying_slow()
     T, delta, h = 1.0, 0.1, 0.0005
     params = MultiscaleParams(epsilon=0.1, t_end=T, h_micro=h)
-    r = FullRunner(m, [1.0], [1.0], 1, params, NoisePlan(1), increment_delta=delta).run()
+    r = FullRunner(m, [1.0], [1.0], 1, params, [NoisePlan(1)], increment_delta=delta).run()
     s = round(delta / h)
     k = np.arange(1, params.n_steps + 1)
     euler = np.mean(((1 - h) ** k - (1 - h) ** ((k - 1) // s * s)) ** 2)
-    assert r.increment_stat == pytest.approx(euler, rel=1e-9)
+    assert r.increment_stat[0] == pytest.approx(euler, rel=1e-9)
     tt = np.linspace(0.0, T, 200_001)
     ref = np.mean((np.exp(-tt) - np.exp(-np.floor(tt / delta + 1e-12) * delta)) ** 2)
-    assert r.increment_stat == pytest.approx(ref, rel=0.02)
+    assert r.increment_stat[0] == pytest.approx(ref, rel=0.02)
 
 
 def test_increment_stat_scales_linearly_in_delta():
     m = build_model("linear-benchmark")
     params = MultiscaleParams(epsilon=0.05, t_end=1.0, h_micro=0.001)
-    s1, s2 = (FullRunner(m, [1.0], [1.0], 512, params, NoisePlan(16),
-                         increment_delta=d).run().increment_stat for d in (0.10, 0.05))
+    s1, s2 = (FullRunner(m, [1.0], [1.0], 512, params, [NoisePlan(16)],
+                         increment_delta=d).run().increment_stat[0] for d in (0.10, 0.05))
     assert 1.5 < s1 / s2 < 2.7  # halving delta roughly halves the statistic
 
 
@@ -248,9 +253,9 @@ def test_increment_stat_stride_mismatch():
     params = MultiscaleParams(epsilon=0.1, t_end=1.0, h_micro=0.01)
     for key in ("aux_delta", "increment_delta"):
         with pytest.raises(ValueError, match=key):
-            FullRunner(m, [1.0], [1.0], 2, params, NoisePlan(1), **{key: 0.015})
+            FullRunner(m, [1.0], [1.0], 2, params, [NoisePlan(1)], **{key: 0.015})
         with pytest.raises(ValueError, match=key):
-            FullRunner(m, [1.0], [1.0], 2, params, NoisePlan(1), **{key: 0.0})
+            FullRunner(m, [1.0], [1.0], 2, params, [NoisePlan(1)], **{key: 0.0})
 
 
 @pytest.mark.parametrize("model_id", ["linear-benchmark", "broken-antidissipative"])
@@ -263,9 +268,9 @@ def test_diagnostics_independent_of_chunks_and_folds(model_id, monkeypatch):
     results = []
     for fold, chunk in ((1, 64), (16, 1), (16, 7), (1000, 64)):
         monkeypatch.setattr(integrate, "FOLD_STEPS", fold)
-        r = FullRunner(m, [1.0], [0.5], 16, params, NoisePlan(3), aux_delta=0.01,
+        r = FullRunner(m, [1.0], [0.5], 16, params, [NoisePlan(3)], aux_delta=0.01,
                        increment_delta=0.02).run(chunk=chunk)
-        results.append((r.aux_gap, r.increment_stat, bool(r.moment_flag)))
+        results.append((r.aux_gap[0], r.increment_stat[0], bool(r.moment_flag[0])))
     # the linear model exercises the gap and increment sums, the expanding one the flag
     if model_id == "linear-benchmark":
         assert results[0][0] > 0 and results[0][1] > 0 and not results[0][2]
@@ -280,13 +285,3 @@ def test_zero_horizon_returns_initial_state_only():
     rec = simulate_full(m, [1.5], [0.5], 4, params, NoisePlan(17))
     assert rec.time_array().tolist() == [0.0]
     assert np.all(rec.slow_array()[0] == 1.5)
-
-
-def test_initial_spread_knob():
-    m = build_model("linear-benchmark")
-    params = MultiscaleParams(epsilon=0.1, t_end=0.0, h_micro=0.002)
-    rec = simulate_full(m, [1.0], [0.0], 16, params, NoisePlan(18), init_spread=0.5)
-    x0 = rec.slow_array()[0][:, 0]
-    assert x0.std() > 0.1
-    rec2 = simulate_full(m, [1.0], [0.0], 16, params, NoisePlan(18), init_spread=0.5)
-    assert np.array_equal(x0, rec2.slow_array()[0][:, 0])

@@ -139,4 +139,5 @@ def test_batched_draw_stacks_per_plan_draws():
     batch = draw(plans, FAST, 7, 4, 6, 2)
     assert batch.shape == (4, 3, 6, 2)
     assert np.array_equal(batch, np.stack([p.gaussians(FAST, 7, 4, 6, 2) for p in plans], axis=1))
-    assert np.array_equal(draw(plans[1], FAST, 7, 4, 6, 2), plans[1].gaussians(FAST, 7, 4, 6, 2))
+    assert np.array_equal(draw(plans[1:2], FAST, 7, 4, 6, 2)[:, 0],
+                          plans[1].gaussians(FAST, 7, 4, 6, 2))

@@ -1,12 +1,17 @@
+import hashlib
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from mvavg import study
+from mvavg.averaging import (default_frozen_params, estimate_fbar, estimate_mixing_rate,
+                             frozen_simulate)
 from mvavg.cli import main
+from mvavg.measure import MeasureMoments
 from mvavg.models import build_model
 from mvavg.noise import NoisePlan
 from mvavg.study import (ConfigError, RateRow, StudyConfig, _coupled_error_once,
@@ -209,9 +214,9 @@ def test_sup_dominates_terminal_error():
     from mvavg.models import slow_norm_sq
     plan = NoisePlan(9).derive(4242, 0)
     [(error_sq, _, _)] = _coupled_error_once(cfg, 0, (0,))
-    full = FullRunner(m, *cfg.initial_states(m), cfg.n_particles, params, plan).run()
+    full = FullRunner(m, *cfg.initial_states(m), cfg.n_particles, params, [plan]).run()
     avg = AveragedRunner(m, cfg.initial_states(m)[0], cfg.n_particles, params,
-                         plan, mode="exact").run()
+                         [plan], mode="exact").run()
     terminal = float(np.mean(slow_norm_sq(m, full.X - avg.X)))
     assert error_sq >= terminal - 1e-15
 
@@ -385,6 +390,16 @@ def test_config_types_checked_and_key_named(tmp_path, capsys):
             load_config(path)
         assert main(["rate-study", "--config", path]) == 2
         assert key in capsys.readouterr().err
+    for key, val in (("replicas", 2.5), ("replicas", 0), ("replicas", None),
+                     ("refresh_stride_steps", 0), ("refresh_stride_steps", 1.5),
+                     ("h_frozen", 0), ("horizon", -1.0), ("horizon", "1"),
+                     ("burn_in", -0.5), ("burn_in_initial", float("nan")),
+                     ("warn_fraction", 0), ("warn_fraction", None)):
+        path = write_cfg(tmp_path, model="mvsde-cubic", averaged_mode="hmm", hmm={key: val})
+        with pytest.raises(ConfigError, match=f"hmm.{key}:"):
+            load_config(path)
+        assert main(["rate-study", "--config", path]) == 2
+        assert f"config error: hmm.{key}:" in capsys.readouterr().err
 
 
 def test_initial_states_and_crn_checked_and_key_named(tmp_path, capsys):
@@ -407,7 +422,9 @@ def test_freeze_vector_flags_name_the_flag(tmp_path, capsys):
     model = ["--model", "linear-benchmark", "--out", str(tmp_path)]
     for argv, flag in ((["--x", "abc"], "--x"), (["--x", "1,2"], "--x"),
                        (["--x", "nan"], "--x"), (["--x", "1", "--mu-mean", "0,1"], "--mu-mean"),
-                       (["--x", "1", "--mu-mean", "one"], "--mu-mean")):
+                       (["--x", "1", "--mu-mean", "one"], "--mu-mean"),
+                       (["--x", "1", "--mu-m2", "nan"], "--mu-m2"),
+                       (["--x", "1", "--mu-m2", "-5"], "--mu-m2")):
         assert main(["freeze"] + argv + model) == 2
         assert f"config error: {flag}:" in capsys.readouterr().err
 
@@ -491,6 +508,66 @@ def test_cli_average_dumps_cache(tmp_path, capsys):
     assert (tmp_path / "avg" / "averaged_trajectories.csv").exists()
     assert (tmp_path / "avg" / "fbar_cache.csv").exists()
     capsys.readouterr()
+
+
+# SHA-256 of single-run outputs, recorded when single runs still held (N, d)
+# states; they must not move now that a single run is a batch of one
+SINGLE_RUN_DIGESTS = {
+    "simulate-linear/trajectories.csv":
+        "cdb4745625ea9feb82a6f42d6c72c0a27921688b16a4fc90b2bb720ce7e98eb2",
+    "simulate-porous/trajectories.csv":
+        "6dd8c07bd05af170bfb77ddefe2cd9cf99488ad123578e47e3538ecbc6b9f86d",
+    "average-linear-exact/averaged_trajectories.csv":
+        "07057eabb14d42f36402e0dafa8a69cec8e561cfa7f9ac4d2536b65c8ba98d1b",
+    "average-linear-exact/fbar_cache.csv":
+        "224c4585af545250bab361241780c73a0c67a3f17362505ff84fae5b2491c947",
+    "average-cubic-hmm/averaged_trajectories.csv":
+        "03fdc9e8dba988e36483dbce7a7e3dfac8056afe407cb2d308ff55e03bfb9871",
+    "average-cubic-hmm/fbar_cache.csv":
+        "d4d2e3b8aa59b6af1d1c2f38f2d4d5d8e8877c48b6816258162a1792583bb932",
+    "freeze-porous": "ba0c2e75adf432eec790e155edd2718cc69d24eb092eb4700f9f76d5cd2ef82a",
+    "frozen-simulate-cubic": "1aeec2ed9d070115a7eb72a1b741766670f617b5e82d9c818fef989b288a5c86",
+}
+
+
+def test_single_run_outputs_unchanged(tmp_path, capsys):
+    got = {}
+    runs = {
+        "simulate-linear": ("simulate", dict(model="linear-benchmark", t_end=0.1, seed=3),
+                            ["trajectories.csv"]),
+        "simulate-porous": ("simulate", dict(model="porous-media-1d", t_end=0.02, seed=3,
+                                             model_params={"n_interior": 7}),
+                            ["trajectories.csv"]),
+        "average-linear-exact": ("average", dict(model="linear-benchmark", t_end=0.1, seed=5),
+                                 ["averaged_trajectories.csv", "fbar_cache.csv"]),
+        "average-cubic-hmm": ("average", dict(model="mvsde-cubic", t_end=0.05, seed=5,
+                                              averaged_mode="hmm",
+                                              hmm={"replicas": 2, "horizon": 0.5,
+                                                   "burn_in": 0.2, "h_frozen": 0.02}),
+                              ["averaged_trajectories.csv", "fbar_cache.csv"]),
+    }
+    for name, (command, cfg, files) in runs.items():
+        out = tmp_path / name
+        out.mkdir()
+        path = write_cfg(out, **cfg, n_particles=4, record_points=10, out_dir=str(out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # the 2-replica HMM warns of a noisy fbar
+            assert main([command, "--config", path, "--epsilon", "0.05"]) == 0
+        for f in files:
+            got[f"{name}/{f}"] = hashlib.sha256((out / f).read_bytes()).hexdigest()
+    capsys.readouterr()
+    porous = build_model("porous-media-1d", {"n_interior": 5})
+    mu = MeasureMoments(mean=np.zeros(5), second_moment=0.5)
+    fp = default_frozen_params(porous, np.full(5, 0.1), mu, sample_horizon=2.0, replicas=2)
+    est = estimate_fbar(porous, fp, NoisePlan(8))
+    got["freeze-porous"] = hashlib.sha256(est.fbar.tobytes() + est.std_error.tobytes()).hexdigest()
+    cubic = build_model("mvsde-cubic")
+    mu = MeasureMoments(mean=np.array([0.0]), second_moment=0.0)
+    fp = default_frozen_params(cubic, [1.0], mu, sample_horizon=3.0, replicas=1)
+    _, paths = frozen_simulate(cubic, fp, NoisePlan(9), n_paths=3, record_stride=7)
+    got["frozen-simulate-cubic"] = hashlib.sha256(paths.tobytes()).hexdigest()
+    assert got == SINGLE_RUN_DIGESTS
+    assert estimate_mixing_rate(cubic, fp, [-1.0], NoisePlan(10), n_pairs=4) == 2.785366592035616
 
 
 def test_plaplace_reduced_rate_study_decreases():
