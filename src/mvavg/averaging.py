@@ -60,12 +60,14 @@ class FrozenParams:
     def __post_init__(self):
         self.x_frozen = np.asarray(self.x_frozen, dtype=float).reshape(-1)
         self.y_init = np.asarray(self.y_init, dtype=float).reshape(-1)
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
-        if self.sample_horizon <= 0:
-            raise ValueError("sample_horizon must be positive")
-        if self.h_micro <= 0:
-            raise ValueError("h_micro must be positive")
+        # a NaN fails every comparison, so each range is stated as what passes
+        if not 0 <= self.burn_in < math.inf:
+            raise ValueError(f"burn_in must be finite and >= 0, got {self.burn_in!r}")
+        if not 0 < self.sample_horizon < math.inf:
+            raise ValueError(f"sample_horizon must be finite and positive, "
+                             f"got {self.sample_horizon!r}")
+        if not 0 < self.h_micro < math.inf:
+            raise ValueError(f"h_micro must be finite and positive, got {self.h_micro!r}")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
 

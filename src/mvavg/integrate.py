@@ -9,10 +9,18 @@ components on axis -1, each replication with its own empirical measure and
 its own diagnostics, all stepped together.  The fast drift's declared stiff
 linear part is integrated by its exact exponential factor (scalar
 dissipative rate) or semi-implicitly (Laplacian, by a precomputed dense
-inverse of I + h_eff * (-laplacian)); everything else is explicit.  Slow
-drifts flagged as monotone-but-not-Lipschitz are tamed: the drift is
-rescaled by 1/(1 + h * ||drift||) on the particles where ||drift|| * h
-exceeds 1.
+inverse of I + h_eff * (-laplacian)); everything else is explicit.  The
+slow step is Euler-Maruyama, except for models that declare a stabilisation
+constant K (``slow_stab``: the field models, whose slow drifts are monotone
+but not Lipschitz).  Those take the stabilised semi-implicit step
+
+    (I - h K laplacian) X1 = X0 + h (a1(X0) + coupling - K laplacian X0)
+                             + sqrt(h) b1 xs,
+
+by the same cached dense inverse, so h need not resolve dx^2 and follows
+eps alone.  K bounds the drift's linearisation on the amplitudes the model
+expects; a state far past them can still blow up, which the finiteness check
+reports.
 
 An optional auxiliary fast process can be carried along: it consumes the SAME
 fast noise increments but sees the slow state and measure frozen at the last
@@ -32,7 +40,7 @@ from scipy.linalg import solve_banded
 
 from . import noise as noise_mod
 from .models import ModelSpec, empirical_view, fast_norm_sq, slow_norm_sq
-from .spatial import _laplacian_banded, l2_norm_sq
+from .spatial import _laplacian_banded, laplacian_apply
 
 BLOWUP_LIMIT = 1e8
 # FullRunner folds its per-step diagnostic norms into the running sums once
@@ -52,7 +60,8 @@ class BlowUpError(RuntimeError):
         msg = f"state blew up at t={time:.6g} (particle {particle})"
         if context:
             msg += f" [{context}]"
-        msg += "; consider a smaller h_micro or the semi-implicit fast mode"
+        msg += ("; consider a smaller h_factor (the config key that sets h = h_factor * eps; "
+                "frozen runs step by --h or hmm.h_frozen)")
         super().__init__(msg)
 
     def __reduce__(self):
@@ -104,13 +113,10 @@ class MultiscaleParams:
 
 
 def resolve_params(epsilon: float, t_end: float, h_factor: float = 0.02,
-                   h_max: Optional[float] = None,
                    delta_exponent: float = 2.0 / 3.0) -> MultiscaleParams:
-    """Default rules: h = h_factor * epsilon capped at h_max, delta = eps^exponent."""
+    """Default rules: h = h_factor * epsilon, delta = eps^exponent."""
     _check_epsilon(epsilon)
     h = epsilon * h_factor
-    if h_max is not None:
-        h = min(h, h_max)
     steps = max(1, round(epsilon ** delta_exponent / h))
     return MultiscaleParams(epsilon=epsilon, t_end=t_end, h_micro=h,
                             delta_block=steps * h)
@@ -202,16 +208,6 @@ class _FastSolver:
         return (v + self.h_eff * g + noise_incr) @ self.inv_t
 
 
-def _tame(model: ModelSpec, drift, h):
-    """Cap drift increments per particle once ||drift|| * h exceeds 1."""
-    if model.grid is not None:
-        nrm = np.sqrt(l2_norm_sq(model.grid, drift))
-    else:
-        nrm = np.sqrt(np.sum(drift * drift, axis=-1))
-    factor = np.where(h * nrm > 1.0, 1.0 / (1.0 + h * nrm), 1.0)
-    return drift * factor[..., None]
-
-
 def _check_finite(X, Y, time, context):
     # one reduction per array; a NaN fails the comparison too
     if np.abs(X).max() <= BLOWUP_LIMIT and np.abs(Y).max() <= BLOWUP_LIMIT:
@@ -231,7 +227,7 @@ def _initial_state(v, shape):
 
 
 class _SlowRunner:
-    """Set-up, run loop and tamed Euler-Maruyama slow update of the runners.
+    """Set-up, run loop and slow update of the runners (see the module docstring).
 
     ``plans`` is a sequence of R noise plans, one per replication, and the
     slow state ``X`` is (R, N, slow_dim).  A recorder records replication 0,
@@ -250,6 +246,9 @@ class _SlowRunner:
         self.X = _initial_state(x0, (len(self.noise), n_particles, model.slow_dim))
         self.h = params.h_micro
         self.sqrt_h = math.sqrt(self.h)
+        if model.slow_stab is not None:
+            self.stab_inv_t = _implicit_inverse(model.grid.n_interior,
+                                                self.h * model.slow_stab).T
         self.k = 0
         self.n_steps = params.n_steps
 
@@ -258,12 +257,13 @@ class _SlowRunner:
         return noise_mod.draw(self.noise, kind, self.k, n_sub, self.X.shape[-2], n_modes)
 
     def _slow_step(self, mu, coupling, xs):
-        """X + h * (a1 + coupling) + sqrt(h) * b1 xs, the drift tamed if flagged."""
+        """X + h * (a1 + coupling) + sqrt(h) * b1 xs, stabilised by K if declared."""
         m = self.model
         drift = m.a1(self.X, mu) + coupling
-        if m.tame_slow:
-            drift = _tame(m, drift, self.h)
-        return self.X + self.h * drift + self.sqrt_h * m.b1_apply(self.X, mu, xs)
+        if m.slow_stab is not None:
+            drift -= m.slow_stab * laplacian_apply(m.grid, self.X)
+        X1 = self.X + self.h * drift + self.sqrt_h * m.b1_apply(self.X, mu, xs)
+        return X1 if m.slow_stab is None else X1 @ self.stab_inv_t
 
     def _record(self, fast):
         if self.recorder is not None:

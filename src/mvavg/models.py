@@ -70,8 +70,7 @@ class ModelSpec:
     grid: Optional[Grid1D] = None
     exact_fbar: Optional[Callable] = None
     v1_norm_alpha: Optional[Callable] = None
-    tame_slow: bool = False
-    h_max: Optional[float] = None
+    slow_stab: Optional[float] = None  # K of the stabilised slow step (field models)
     measure_dependent: bool = True
 
     def fast_linear_apply(self, V):
@@ -436,7 +435,8 @@ def make_porous_media_1d(r: float = 4.0, n_interior: int = 63, c_psi: float = 1.
     """Degenerate-diffusion slow field coupled to a stiff linear fast field.
 
     Slow drift: c_psi * laplacian(psi(u)) with psi(u) = |u|^(r-2) u applied
-    pointwise (monotone, not Lipschitz; integrated explicitly with taming).
+    pointwise (monotone, not Lipschitz; integrated by the stabilised
+    semi-implicit step with ``slow_stab`` K).
     Fast drift: laplacian(v) - c_g v + c_u tanh(u) + c_mu_g m(mu), handled
     semi-implicitly on the Laplacian.  Slow-state errors are measured in the
     discrete H^-1 norm, fast-state errors in L^2.
@@ -498,11 +498,9 @@ def make_porous_media_1d(r: float = 4.0, n_interior: int = 63, c_psi: float = 1.
         a2_split=(-c_g, forcing),
         grid=grid, exact_fbar=exact_fbar,
         v1_norm_alpha=lambda U: grid.dx * np.sum(np.abs(U) ** r, axis=-1),
-        tame_slow=True,
-        # explicit stability margin for the tamed degenerate diffusion,
-        # sized to roughly twice the initial amplitude
-        h_max=grid.dx ** 2 / (2.0 * c_psi * (r - 1.0)
-                              * max(2.0 * x0_amplitude, 0.25) ** (r - 2.0)),
+        # bound on the linearisation c_psi psi'(u) = c_psi (r-1) |u|^(r-2),
+        # on amplitudes up to about twice the initial one
+        slow_stab=c_psi * (r - 1.0) * max(2.0 * x0_amplitude, 0.25) ** (r - 2.0),
     )
 
     def lip_f_bound(du_l2, dv, w2, mu1, mu2):
@@ -582,8 +580,8 @@ def make_plaplace_1d(p: float = 4.0, n_interior: int = 63, c_p: float = 0.3,
         a2_split=(-c_g, forcing),
         grid=grid, exact_fbar=exact_fbar,
         v1_norm_alpha=lambda U: dx * np.sum(np.abs(grad(U)) ** p, axis=-1),
-        tame_slow=True,
-        h_max=grid.dx ** 2 / (4.0 * c_p * (p - 1.0) * 2.0 ** (p - 2.0)),
+        # bound on the linearisation c_p (p-1) |du/dx|^(p-2), on gradients up to 2
+        slow_stab=c_p * (p - 1.0) * 2.0 ** (p - 2.0),
     )
 
     def lip_f_bound(du, dv, w2, mu1, mu2):

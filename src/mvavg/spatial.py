@@ -1,8 +1,8 @@
 """Uniform 1-d grids on (0,1) with homogeneous Dirichlet boundary.
 
 Provides the tridiagonal Laplacian, the discrete norms that realise the
-function-space norms used by the PDE models (L^2, H^1_0, H^-1, L^r), and
-truncation onto the lowest discrete sine modes.  All operations accept
+function-space norms used by the PDE models (L^2, H^1_0, H^-1), and the
+discrete sine modes that carry the models' noise.  All operations accept
 stacked fields of shape (..., n_interior) and are pure.  The solves apply a
 dense inverse built once per (n_interior, shift) and cached: the operators
 are fixed, and a small dense product is cheaper than a banded solve per call.
@@ -13,7 +13,6 @@ Discrete conventions, with dx = 1/(n+1) and ghost values u_0 = u_{n+1} = 0:
     ||u||_{L2}^2      = dx * sum u_i^2
     ||u||_{H01}^2     = dx * sum_{i=0..n} ((u_{i+1}-u_i)/dx)^2
     ||u||_{H-1}^2     = dx * u^T (-laplacian)^{-1} u
-    ||u||_{Lr}        = (dx * sum |u_i|^r)^{1/r}
 
 The sine modes e_k(x_i) = sqrt(2) sin(k pi x_i) are exactly orthonormal in
 the dx-weighted inner product and diagonalise the Laplacian with eigenvalues
@@ -134,14 +133,6 @@ def h01_norm_sq(grid: Grid1D, u) -> np.ndarray | float:
     return (inner + ends) / grid.dx
 
 
-def lr_norm(grid: Grid1D, u, r: float) -> np.ndarray | float:
-    """Discrete L^r norm, (dx * sum |u_i|^r)^(1/r)."""
-    if r < 1:
-        raise ValueError("lr_norm requires r >= 1")
-    u = _check(grid, u)
-    return (grid.dx * np.sum(np.abs(u) ** r, axis=-1)) ** (1.0 / r)
-
-
 @lru_cache(maxsize=16)
 def _sine_basis(n: int) -> np.ndarray:
     # rows e_k(x_i), k = 1..n; orthonormal under the dx-weighted inner product
@@ -155,13 +146,3 @@ def sine_mode(grid: Grid1D, k: int) -> np.ndarray:
     if not 1 <= k <= grid.n_interior:
         raise ValueError("mode number out of range")
     return _sine_basis(grid.n_interior)[k - 1].copy()
-
-
-def mode_project(grid: Grid1D, u, n_modes: int) -> np.ndarray:
-    """Truncate a field onto its lowest sine modes; idempotent contraction."""
-    if not 1 <= n_modes <= grid.n_interior:
-        raise ValueError("n_modes out of range")
-    u = _check(grid, u)
-    basis = _sine_basis(grid.n_interior)[:n_modes]
-    coeffs = grid.dx * (u @ basis.T)
-    return coeffs @ basis

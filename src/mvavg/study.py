@@ -176,9 +176,8 @@ class StudyConfig:
             raise ConfigError(f"model_params: {exc}") from exc
 
     def params_for(self, epsilon: float) -> MultiscaleParams:
-        model = self.build_model()
         return resolve_params(epsilon, self.t_end, h_factor=self.h_factor,
-                              h_max=model.h_max, delta_exponent=self.delta_exponent)
+                              delta_exponent=self.delta_exponent)
 
     def initial_states(self, model: ModelSpec):
         x0 = np.asarray(self.x0, dtype=float) if self.x0 is not None else model.default_x0

@@ -27,11 +27,6 @@ def test_params_validation():
     assert p.delta_block / p.h_micro == pytest.approx(round(p.delta_block / p.h_micro))
 
 
-def test_resolve_params_respects_h_max():
-    p = resolve_params(0.1, 1.0, h_max=1e-4)
-    assert p.h_micro == 1e-4
-
-
 def test_zero_coefficients_leave_ensemble_fixed():
     m = build_model("linear-benchmark",
                     {"a11": 0.0, "a12": 0.0, "f0": 0.0, "sigma1": 0.0,
@@ -144,6 +139,33 @@ def test_laplacian_fast_step_matches_banded_solve(h_eff):
            + math.sqrt(h_eff) * m.b2_apply(U, mu, V, xi))
     ref = solve_banded((1, 1), ab, rhs.T).T
     got = _FastSolver(m, h_eff).step(U, mu, V, xi)
+    err = np.linalg.norm(got - ref, axis=-1)
+    assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=-1))
+
+
+@pytest.mark.parametrize("h", [1e-4, 2e-3, 1e-2])
+@pytest.mark.parametrize("model_id, params", [("porous-media-1d", {"r": 2.0, "c_psi": 0.7}),
+                                              ("plaplace-1d", {"p": 2.0, "c_p": 0.7})])
+def test_stabilised_slow_step_is_backward_euler_when_linear(model_id, params, h):
+    # at r = 2 / p = 2 the slow drift is K * laplacian exactly, and the
+    # stabilised step reduces to backward Euler on it
+    n = 31
+    m = build_model(model_id, {**params, "n_interior": n})
+    assert m.slow_stab == 0.7
+    r = FullRunner(m, m.default_x0, m.default_y0, 5,
+                   MultiscaleParams(epsilon=0.1, t_end=1.0, h_micro=h), [NoisePlan(1)])
+    rng = np.random.default_rng(9)
+    r.X, coupling = rng.normal(size=(2, 1, 5, n))
+    xs = rng.normal(size=(1, 5, m.n_slow_modes))
+    mu = empirical_view(m, r.X)
+    hk, dx2 = h * m.slow_stab, m.grid.dx ** 2
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -hk / dx2
+    ab[1, :] = 1.0 + 2.0 * hk / dx2
+    ab[2, :-1] = -hk / dx2
+    rhs = r.X + h * coupling + math.sqrt(h) * m.b1_apply(r.X, mu, xs)
+    ref = solve_banded((1, 1), ab, rhs.reshape(-1, n).T).T.reshape(rhs.shape)
+    got = r._slow_step(mu, coupling, xs)
     err = np.linalg.norm(got - ref, axis=-1)
     assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=-1))
 

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from scipy.linalg import solve_banded
 
 from mvavg.spatial import (Grid1D, GridDimensionError, h01_norm_sq, hminus1_inner,
                            hminus1_norm_sq, l2_norm_sq, lambda1, laplacian_apply,
-                           lr_norm, mode_project, sine_mode, solve_neg_laplacian,
-                           solve_shifted_neg_laplacian)
+                           sine_mode, solve_neg_laplacian, solve_shifted_neg_laplacian)
 
 
 def dense_laplacian(grid):
@@ -90,14 +87,6 @@ def test_l2_of_ones_near_one():
     assert l2_norm_sq(g, np.ones(199)) == pytest.approx(1.0, abs=2 * g.dx)
 
 
-def test_lr_norm_reduces_to_l2():
-    g = Grid1D(13)
-    u = np.random.default_rng(1).normal(size=13)
-    assert lr_norm(g, u, 2.0) == pytest.approx(np.sqrt(l2_norm_sq(g, u)), abs=1e-14)
-    with pytest.raises(ValueError):
-        lr_norm(g, u, 0.5)
-
-
 def test_h01_zero():
     assert h01_norm_sq(Grid1D(8), np.zeros(8)) == 0.0
 
@@ -171,22 +160,10 @@ def test_dense_solves_match_banded_solve(n, shift):
 
 
 # ---------------------------------------------------------------------------
-# mode truncation
+# sine modes
 # ---------------------------------------------------------------------------
 
-def test_mode_project_full_basis_identity():
-    g = Grid1D(21)
-    u = np.random.default_rng(7).normal(size=21)
-    assert np.allclose(mode_project(g, u, 21), u, atol=1e-10)
-
-
-def test_mode_project_retains_eigenmode():
-    g = Grid1D(21)
-    e1 = sine_mode(g, 1)
-    assert np.allclose(mode_project(g, e1, 1), e1, atol=1e-12)
-
-
-def test_mode_project_drops_high_mode():
+def test_sine_modes_orthonormal_and_complete():
     # coefficients checked against direct dx-weighted inner products
     g = Grid1D(21)
     u = sine_mode(g, 1) + sine_mode(g, 3)
@@ -194,25 +171,14 @@ def test_mode_project_drops_high_mode():
     assert coeffs[0] == pytest.approx(1.0, abs=1e-12)
     assert coeffs[1] == pytest.approx(0.0, abs=1e-12)
     assert coeffs[2] == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(mode_project(g, u, 2), sine_mode(g, 1), atol=1e-10)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 12), st.integers(0, 2 ** 32))
-def test_mode_project_idempotent_contraction(n_modes, seed):
-    g = Grid1D(12)
-    u = np.random.default_rng(seed).normal(size=12)
-    p = mode_project(g, u, n_modes)
-    assert np.allclose(mode_project(g, p, n_modes), p, atol=1e-10)
-    assert l2_norm_sq(g, p) <= l2_norm_sq(g, u) * (1 + 1e-12)
-
-
-def test_mode_project_range_check():
-    g = Grid1D(5)
+    # the full set of modes is a basis: a field is the sum of its projections
+    basis = np.stack([sine_mode(g, k) for k in range(1, 22)])
+    u = np.random.default_rng(7).normal(size=21)
+    assert np.allclose(g.dx * (u @ basis.T) @ basis, u, atol=1e-10)
     with pytest.raises(ValueError):
-        mode_project(g, np.zeros(5), 0)
+        sine_mode(g, 0)
     with pytest.raises(ValueError):
-        mode_project(g, np.zeros(5), 6)
+        sine_mode(g, 22)
 
 
 def test_field_length_checked():

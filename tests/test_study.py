@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -38,6 +39,15 @@ def test_minimal_config_fills_defaults(tmp_path):
     assert cfg.averaged_mode == "exact"
     pde = load_config(write_cfg(tmp_path, model="porous-media-1d"))
     assert pde.n_particles == 200
+
+
+def test_field_model_step_follows_eps():
+    # the stabilised slow step sets no dx^2 cap: h = h_factor * eps on every model
+    for model, params in (("porous-media-1d", {"n_interior": 31}),
+                          ("plaplace-1d", {"n_interior": 63})):
+        cfg = StudyConfig(model=model, model_params=params, t_end=0.1)
+        p = cfg.params_for(0.1)
+        assert (p.h_micro, p.n_steps) == (0.1 * 0.02, 50)
 
 
 def test_ascending_grid_rejected(tmp_path):
@@ -359,8 +369,8 @@ def test_blowup_failures_identical_across_workers():
     # names its own time, particle and seed, as when every replication ran alone
     seeds = {0: "14836143257433513782", 1: "12359854349162442115"}
     expected = [(eps, f"BlowUpError('state blew up at t={t} (particle {p}) [{run} eps={eps:g} "
-                      f"seed={seeds[rep]}]; consider a smaller h_micro or the semi-implicit "
-                      "fast mode')")
+                      f"seed={seeds[rep]}]; consider a smaller h_factor (the config key that "
+                      "sets h = h_factor * eps; frozen runs step by --h or hmm.h_frozen)')")
                 for eps, t, p, run, rep in ((0.1, 0.472, 0, "averaged", 0),
                                             (0.1, 0.468, 5, "averaged", 1),
                                             (0.05, 0.46, 0, "averaged", 0),
@@ -370,6 +380,24 @@ def test_blowup_failures_identical_across_workers():
     assert r1.failures == expected
     assert r1.failures == r2.failures
     assert r1.incomplete and not r1.rows
+
+
+def test_field_model_far_past_its_amplitude_fails_cleanly():
+    # the stabilisation constant K bounds the slow drift's linearisation only
+    # up to about twice the model's x0_amplitude; far past it the step may
+    # blow up, which must end in a named BlowUpError, never in NaN rows
+    nodes = np.arange(1, 16) / 16
+    for amp in (2.0, 5.0):
+        cfg = StudyConfig(model="porous-media-1d", model_params={"n_interior": 15},
+                          n_particles=8, epsilon_grid=[0.1, 0.05, 0.02], replications=1,
+                          t_end=0.1, seed=5, x0=list(amp * np.sin(np.pi * nodes)))
+        report = run_rate_study(cfg)
+        for row in report.rows:
+            assert all(map(math.isfinite, dataclasses.astuple(row))), row
+        for eps, msg in report.failures:
+            assert msg.startswith("BlowUpError('state blew up at t="), msg
+            assert "(particle " in msg and f"eps={eps:g}" in msg
+        assert len(report.rows) + len({eps for eps, _ in report.failures}) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +467,15 @@ def test_cli_flag_range_errors_name_the_flag(tmp_path, capsys):
         assert f"config error: {flag}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--burn-in", "nan"), ("--h", "nan"),
+                                         ("--horizon", "inf"), ("--burn-in", "inf")])
+def test_freeze_non_finite_flags_name_the_flag(tmp_path, capsys, flag, value):
+    argv = ["freeze", "--x", "1", flag, value, "--model", "linear-benchmark",
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert f"config error: {flag}:" in capsys.readouterr().err
+
+
 def test_cli_blowup_is_exit_3(tmp_path):
     assert main(["simulate", "--model", "broken-antidissipative",
                  "--epsilon", "0.01", "--seed", "1",
@@ -494,10 +531,11 @@ def test_aux_diagnostic_gaps_unchanged_by_batching():
     assert gaps == [float.fromhex(h) for h in ("0x1.dd8d984ca5125p-13",
                                                "0x1.710bf6c083550p-11",
                                                "0x1.750f265d94f2fp-10")]
+    # the porous gap re-recorded with the stabilised semi-implicit slow step
     cfg = StudyConfig(model="porous-media-1d", model_params={"n_interior": 7}, n_particles=8,
                       replications=2, t_end=0.05, seed=22)
     gaps = [row["gap"] for row in run_aux_diagnostic(cfg, 0.1)]
-    assert gaps == [float.fromhex("0x1.ef23dd09bf22cp-22")] * 3
+    assert gaps == [float.fromhex("0x1.c98a42f134b10p-22")] * 3
 
 
 def test_cli_average_dumps_cache(tmp_path, capsys):
@@ -511,12 +549,13 @@ def test_cli_average_dumps_cache(tmp_path, capsys):
 
 
 # SHA-256 of single-run outputs, recorded when single runs still held (N, d)
-# states; they must not move now that a single run is a batch of one
+# states; they must not move now that a single run is a batch of one.  The
+# porous simulate digest was re-recorded with the stabilised slow step.
 SINGLE_RUN_DIGESTS = {
     "simulate-linear/trajectories.csv":
         "cdb4745625ea9feb82a6f42d6c72c0a27921688b16a4fc90b2bb720ce7e98eb2",
     "simulate-porous/trajectories.csv":
-        "6dd8c07bd05af170bfb77ddefe2cd9cf99488ad123578e47e3538ecbc6b9f86d",
+        "c1604aea8cee3347995943b163a91060fb77bf2c8baf3075bb735eac8c731679",
     "average-linear-exact/averaged_trajectories.csv":
         "07057eabb14d42f36402e0dafa8a69cec8e561cfa7f9ac4d2536b65c8ba98d1b",
     "average-linear-exact/fbar_cache.csv":
