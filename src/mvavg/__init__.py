@@ -1,7 +1,7 @@
 """Slow-fast mean-field particle simulation and averaging-rate studies."""
 
 from .measure import (DimensionMismatchError, MeasureMoments, SampleSet,
-                      UnsupportedCaseError, moments, w2_1d, w2_bruteforce,
+                      UnsupportedCaseError, w2_1d, w2_bruteforce,
                       w2_coupling_bound)
 from .models import (ModelSpec, ProbeSampler, REGISTRY, build_model,
                      empirical_view, make_linear_benchmark, make_mvsde_cubic,

@@ -20,7 +20,13 @@ frozen paths are marched the same way, as (R, P, fast_dim).
 fbar is supplied either in closed form (models that declare ``exact_fbar``)
 or by embedded frozen runs refreshed on a macro stride (heterogeneous
 multiscale mode); embedded runs are warm-started between refreshes since the
-slow state only moves O(stride) per refresh.
+slow state only moves O(stride) per refresh.  At a refresh every particle of
+a replication sees the same mu, so for a scalar slow state the frozen law
+varies with x alone: fbar is estimated on a table of ``HMM_NODES`` equally
+spaced nodes over the replication's particle range and interpolated
+linearly, and the frozen work no longer grows with N.  Field models
+(slow_dim > 1) estimate one row per particle.  Either way each estimate
+averages ``hmm.replicas`` independent frozen paths.
 """
 from __future__ import annotations
 
@@ -39,6 +45,8 @@ from .models import ModelSpec, empirical_view, fast_norm_sq
 
 MIN_SAMPLE_STEPS = 20
 BATCHES_PER_PATH = 20
+# nodes of a replication's fbar table in HMM mode (scalar slow state)
+HMM_NODES = 16
 
 
 class MixingFailure(RuntimeError):
@@ -238,7 +246,12 @@ def estimate_mixing_rate(model: ModelSpec, fp: FrozenParams, y_alt,
 
 @dataclass
 class HmmConfig:
-    """Knobs for embedded frozen-run estimation of fbar along the macro path."""
+    """Knobs for embedded frozen-run estimation of fbar along the macro path.
+
+    ``replicas`` independent frozen paths make each estimate: one estimate
+    per table node for a scalar slow state (``HMM_NODES`` per replication),
+    one per particle for a field model.
+    """
 
     replicas: int = 1
     burn_in_initial: Optional[float] = None
@@ -269,10 +282,11 @@ class AveragedRunner(_SlowRunner):
     The drift a1 + fbar and the slow noise are applied at every micro step
     with the same stream ids the full system uses (common random numbers);
     in "hmm" mode fbar is re-estimated on the refresh stride from embedded
-    frozen runs, each replication drawing its frozen noise from its own
-    ``derive(9001)`` plan; in "exact" mode it is evaluated from the model's
-    closed form at every step.  An fbar cache, like a recorder, needs
-    exactly one plan.
+    frozen runs (on a node table for a scalar slow state, per particle for a
+    field model; see the module docstring), each replication drawing its
+    frozen noise from its own ``derive(9001)`` plan, path i on stream
+    particle i; in "exact" mode it is evaluated from the model's closed form
+    at every step.  An fbar cache, like a recorder, needs exactly one plan.
     """
 
     def __init__(self, model: ModelSpec, x0, n_particles: int,
@@ -297,17 +311,28 @@ class AveragedRunner(_SlowRunner):
         if mode == "hmm":
             self.hmm = (hmm or HmmConfig()).resolved(model, params)
             self.frozen_noise = [plan.derive(9001) for plan in self.noise]
+            points = HMM_NODES if model.slow_dim == 1 else n_particles
             self._Z = np.broadcast_to(model.default_y0, (len(self.noise), self.hmm.replicas
-                                                         * n_particles, model.fast_dim)).copy()
+                                                         * points, model.fast_dim)).copy()
             self.frozen_step = 0
             self._fbar = None
         self._record(self.X[..., :0])
 
     def _refresh_fbar(self, mu):
         m = self.model
-        R, N = self.X.shape[:2]
+        R = self.X.shape[0]
         M = self.hmm.replicas
-        Xa = np.tile(self.X, (M, 1))     # M frozen replicas along the particle axis
+        field = m.slow_dim > 1
+        # a scalar state's (R, HMM_NODES, 1) nodes span each replication's
+        # particle range; a cloud of one point gives coincident nodes
+        points = self.X if field else np.linspace(self.X.min(axis=1), self.X.max(axis=1),
+                                                  HMM_NODES, axis=1)
+
+        def at_particles(table):
+            return table if field else _interpolate(points, table, self.X)
+
+        P = points.shape[1]
+        Xa = np.tile(points, (M, 1))     # M frozen replicas along the path axis
         hf = self.hmm.h_frozen
         first = self.frozen_step == 0
         n_burn = int(round((self.hmm.burn_in_initial if first else self.hmm.burn_in) / hf))
@@ -322,12 +347,15 @@ class AveragedRunner(_SlowRunner):
         self._Z = _frozen_batch(m, Xa, mu, hf, self.frozen_noise, self._Z, n_tot,
                                 on_sample=visit, start_step=self.frozen_step)
         self.frozen_step += n_tot
-        per_rep = (acc / n_samp).reshape(R, M, N, m.slow_dim)
-        self._fbar = per_rep.mean(axis=1)
+        per_rep = (acc / n_samp).reshape(R, M, P, m.slow_dim)
+        est = per_rep.mean(axis=1)
+        self._fbar = at_particles(est)
         se = np.zeros(R)
         if M >= 2:
-            # standard error and drift scale, one each per replication
-            se = per_rep.std(axis=1, ddof=1).reshape(R, -1).mean(axis=-1) / math.sqrt(M)
+            # standard error of the estimate a particle reads and the drift
+            # scale, each a mean over the particles, one per replication
+            sd = at_particles(per_rep.std(axis=1, ddof=1))
+            se = sd.reshape(R, -1).mean(axis=-1) / math.sqrt(M)
             scale = np.abs(self._fbar).reshape(R, -1).mean(axis=-1) + 1e-30
             for se_r, scale_r in zip(se, scale):
                 if se_r > self.hmm.warn_fraction * scale_r and not self.fbar_warned:
@@ -337,12 +365,13 @@ class AveragedRunner(_SlowRunner):
                         "or replicas", RuntimeWarning)
                     self.fbar_warned = True
         if self.fbar_cache is not None:
-            self._cache_fbar(mu, self._fbar, float(se[0]))
+            self._cache_fbar(mu, points, est, float(se[0]))
 
-    def _cache_fbar(self, mu, fbar, se):
-        """One (x, mu_mean, mu_m2, fbar, std_error) row per particle (component 0)."""
+    def _cache_fbar(self, mu, points, fbar, se):
+        """Rows (x, mu_mean, mu_m2, fbar, std_error) of component 0, one per point
+        of replication 0."""
         mean, m2 = float(mu.mean[0, 0, 0]), float(mu.second_moment[0, 0, 0])
-        for x, f in zip(self.X[0, :, 0], fbar[0, :, 0]):
+        for x, f in zip(points[0, :, 0], fbar[0, :, 0]):
             self.fbar_cache.append((float(x), mean, m2, float(f), se))
 
     def advance(self, n_sub: int, xs=None):
@@ -357,7 +386,7 @@ class AveragedRunner(_SlowRunner):
                 if self.mode == "exact":
                     fbar = m.exact_fbar(self.X, mu)
                     if self.fbar_cache is not None and self.k % max(1, self.n_steps // 200) == 0:
-                        self._cache_fbar(mu, fbar, 0.0)
+                        self._cache_fbar(mu, self.X, fbar, 0.0)
                 else:
                     if self.k % self.hmm.refresh_stride_steps == 0 or self._fbar is None:
                         self._refresh_fbar(mu)
@@ -366,6 +395,22 @@ class AveragedRunner(_SlowRunner):
                 self.k += 1
                 self._record(self.X[..., :0])
         _check_finite(self.X, self.X, self.k * self.h, self.context or "averaged run")
+
+
+def _interpolate(nodes, table, X):
+    """A table's value at each particle of X (R, N, 1), linear in x per replication.
+
+    A replication whose nodes coincide (every particle at one point) gets the
+    mean of its table: every estimate is then an estimate at that point.
+    """
+    out = np.empty(X.shape)
+    for r in range(X.shape[0]):
+        xs, fs = nodes[r, :, 0], table[r, :, 0]
+        if xs[-1] > xs[0]:
+            out[r, :, 0] = np.interp(X[r, :, 0], xs, fs)
+        else:
+            out[r] = fs.mean()
+    return out
 
 
 def simulate_averaged(model: ModelSpec, x0, n_particles: int,
@@ -384,7 +429,11 @@ def simulate_averaged(model: ModelSpec, x0, n_particles: int,
 
 
 def write_fbar_cache(rows, path):
-    """CSV dump of fbar evaluations: x,mu_mean,mu_m2,fbar,std_error."""
+    """CSV dump of fbar evaluations: x,mu_mean,mu_m2,fbar,std_error.
+
+    An HMM run's rows are its estimates, one per table node (or per particle
+    of a field model) at each refresh; an exact run's are per particle.
+    """
     with open(path, "w") as fh:
         fh.write("x,mu_mean,mu_m2,fbar,std_error\n")
         for row in rows or []:

@@ -19,8 +19,9 @@ but not Lipschitz).  Those take the stabilised semi-implicit step
 
 by the same cached dense inverse, so h need not resolve dx^2 and follows
 eps alone.  K bounds the drift's linearisation on the amplitudes the model
-expects; a state far past them can still blow up, which the finiteness check
-reports.
+expects; where it depends on the amplitude (``slow_stab_for``) it is sized
+on the larger of the model's and the runner's initial one.  A state far
+past them can still blow up, which the finiteness check reports.
 
 An optional auxiliary fast process can be carried along: it consumes the SAME
 fast noise increments but sees the slow state and measure frozen at the last
@@ -246,9 +247,13 @@ class _SlowRunner:
         self.X = _initial_state(x0, (len(self.noise), n_particles, model.slow_dim))
         self.h = params.h_micro
         self.sqrt_h = math.sqrt(self.h)
-        if model.slow_stab is not None:
+        self.slow_stab = model.slow_stab
+        if model.slow_stab_for is not None:
+            # K follows the initial state, so a large config x0 raises it
+            self.slow_stab = max(self.slow_stab, model.slow_stab_for(float(np.abs(self.X).max())))
+        if self.slow_stab is not None:
             self.stab_inv_t = _implicit_inverse(model.grid.n_interior,
-                                                self.h * model.slow_stab).T
+                                                self.h * self.slow_stab).T
         self.k = 0
         self.n_steps = params.n_steps
 
@@ -260,10 +265,10 @@ class _SlowRunner:
         """X + h * (a1 + coupling) + sqrt(h) * b1 xs, stabilised by K if declared."""
         m = self.model
         drift = m.a1(self.X, mu) + coupling
-        if m.slow_stab is not None:
-            drift -= m.slow_stab * laplacian_apply(m.grid, self.X)
+        if self.slow_stab is not None:
+            drift -= self.slow_stab * laplacian_apply(m.grid, self.X)
         X1 = self.X + self.h * drift + self.sqrt_h * m.b1_apply(self.X, mu, xs)
-        return X1 if m.slow_stab is None else X1 @ self.stab_inv_t
+        return X1 if self.slow_stab is None else X1 @ self.stab_inv_t
 
     def _record(self, fast):
         if self.recorder is not None:

@@ -10,8 +10,9 @@ actually occur:
   * ``w2_bruteforce``     exact for tiny clouds via all permutation couplings;
                           the test oracle for ``w2_1d``
 
-Moments may be taken under a caller-supplied squared norm so that discrete
-Sobolev norms from :mod:`mvavg.spatial` can stand in for the state-space norm.
+``MeasureMoments`` holds the mean and second moment through which the
+coefficients see a measure; ``models.empirical_view`` takes them from a
+particle cloud under the model's state norm.
 """
 from __future__ import annotations
 
@@ -63,11 +64,6 @@ class SampleSet:
     def uniform(self):
         return self.weights is None
 
-    def effective_weights(self):
-        if self.weights is None:
-            return np.full(self.n, 1.0 / self.n)
-        return self.weights
-
 
 @dataclass(frozen=True)
 class MeasureMoments:
@@ -75,23 +71,6 @@ class MeasureMoments:
 
     mean: np.ndarray
     second_moment: float
-
-
-def moments(m: SampleSet, norm_sq=None) -> MeasureMoments:
-    """Weighted mean and weighted average squared norm of a sample cloud.
-
-    ``norm_sq`` maps a (..., d) block of states to their squared norms;
-    default is the squared Euclidean norm.  The mean is norm-independent.
-    """
-    w = m.effective_weights()
-    mean = w @ m.points
-    if norm_sq is None:
-        sq = np.sum(m.points * m.points, axis=-1)
-    else:
-        sq = np.asarray(norm_sq(m.points), dtype=float)
-        if sq.shape != (m.n,):
-            raise DimensionMismatchError("norm_sq must return one value per point")
-    return MeasureMoments(mean=mean, second_moment=float(w @ sq))
 
 
 def _check_pair(a: SampleSet, b: SampleSet):

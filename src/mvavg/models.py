@@ -71,6 +71,8 @@ class ModelSpec:
     exact_fbar: Optional[Callable] = None
     v1_norm_alpha: Optional[Callable] = None
     slow_stab: Optional[float] = None  # K of the stabilised slow step (field models)
+    slow_stab_for: Optional[Callable] = None   # K for an initial amplitude, when K
+                                               # depends on it (see _SlowRunner)
     measure_dependent: bool = True
 
     def fast_linear_apply(self, V):
@@ -436,7 +438,8 @@ def make_porous_media_1d(r: float = 4.0, n_interior: int = 63, c_psi: float = 1.
 
     Slow drift: c_psi * laplacian(psi(u)) with psi(u) = |u|^(r-2) u applied
     pointwise (monotone, not Lipschitz; integrated by the stabilised
-    semi-implicit step with ``slow_stab`` K).
+    semi-implicit step with ``slow_stab`` K, sized on the larger of
+    ``x0_amplitude`` and the largest |x0| a runner starts from).
     Fast drift: laplacian(v) - c_g v + c_u tanh(u) + c_mu_g m(mu), handled
     semi-implicitly on the Laplacian.  Slow-state errors are measured in the
     discrete H^-1 norm, fast-state errors in L^2.
@@ -484,6 +487,12 @@ def make_porous_media_1d(r: float = 4.0, n_interior: int = 63, c_psi: float = 1.
         "c_g": c_g, "c_u": c_u, "c_mu_g": c_mu_g, "sigma2": sigma2,
     }
     x0 = x0_amplitude * np.sin(np.pi * grid.nodes)
+
+    def stab_for(amplitude):
+        # bound on the linearisation c_psi psi'(u) = c_psi (r-1) |u|^(r-2),
+        # on amplitudes up to about twice the initial one
+        return c_psi * (r - 1.0) * max(2.0 * amplitude, 0.25) ** (r - 2.0)
+
     m = ModelSpec(
         model_id="porous-media-1d", slow_dim=n_interior, fast_dim=n_interior,
         n_slow_modes=n_slow_modes, n_fast_modes=n_fast_modes,
@@ -498,9 +507,7 @@ def make_porous_media_1d(r: float = 4.0, n_interior: int = 63, c_psi: float = 1.
         a2_split=(-c_g, forcing),
         grid=grid, exact_fbar=exact_fbar,
         v1_norm_alpha=lambda U: grid.dx * np.sum(np.abs(U) ** r, axis=-1),
-        # bound on the linearisation c_psi psi'(u) = c_psi (r-1) |u|^(r-2),
-        # on amplitudes up to about twice the initial one
-        slow_stab=c_psi * (r - 1.0) * max(2.0 * x0_amplitude, 0.25) ** (r - 2.0),
+        slow_stab=stab_for(x0_amplitude), slow_stab_for=stab_for,
     )
 
     def lip_f_bound(du_l2, dv, w2, mu1, mu2):

@@ -1,7 +1,7 @@
 """Uniform 1-d grids on (0,1) with homogeneous Dirichlet boundary.
 
 Provides the tridiagonal Laplacian, the discrete norms that realise the
-function-space norms used by the PDE models (L^2, H^1_0, H^-1), and the
+function-space norms used by the PDE models (L^2, H^-1), and the
 discrete sine modes that carry the models' noise.  All operations accept
 stacked fields of shape (..., n_interior) and are pure.  The solves apply a
 dense inverse built once per (n_interior, shift) and cached: the operators
@@ -11,7 +11,6 @@ Discrete conventions, with dx = 1/(n+1) and ghost values u_0 = u_{n+1} = 0:
 
     (laplacian u)_i   = (u_{i-1} - 2 u_i + u_{i+1}) / dx^2
     ||u||_{L2}^2      = dx * sum u_i^2
-    ||u||_{H01}^2     = dx * sum_{i=0..n} ((u_{i+1}-u_i)/dx)^2
     ||u||_{H-1}^2     = dx * u^T (-laplacian)^{-1} u
 
 The sine modes e_k(x_i) = sqrt(2) sin(k pi x_i) are exactly orthonormal in
@@ -123,14 +122,6 @@ def hminus1_inner(grid: Grid1D, a, b) -> np.ndarray | float:
 def l2_norm_sq(grid: Grid1D, u) -> np.ndarray | float:
     u = _check(grid, u)
     return grid.dx * np.sum(u * u, axis=-1)
-
-
-def h01_norm_sq(grid: Grid1D, u) -> np.ndarray | float:
-    """Squared discrete H^1_0 seminorm including both boundary gaps."""
-    u = _check(grid, u)
-    inner = np.sum((u[..., 1:] - u[..., :-1]) ** 2, axis=-1)
-    ends = u[..., 0] ** 2 + u[..., -1] ** 2
-    return (inner + ends) / grid.dx
 
 
 @lru_cache(maxsize=16)

@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from mvavg.averaging import (AveragedRunner, FrozenParams, HmmConfig, MixingFailure,
-                             default_frozen_params, estimate_fbar,
+from mvavg import averaging
+from mvavg.averaging import (HMM_NODES, AveragedRunner, FrozenParams, HmmConfig,
+                             MixingFailure, default_frozen_params, estimate_fbar,
                              estimate_mixing_rate, frozen_simulate,
                              simulate_averaged)
 from mvavg.integrate import FullRunner, TrajectoryRecorder, resolve_params
@@ -244,6 +245,59 @@ def test_hmm_warns_on_noisy_fbar():
         AveragedRunner(m, [1.0], 4, params, [NoisePlan(23)], mode="hmm",
                        hmm=HmmConfig(replicas=2, horizon=0.4, burn_in_initial=0.2,
                                      warn_fraction=0.001)).run()
+
+
+def test_hmm_node_table_matches_cubic_oracles():
+    # a cloud over [0.5, 1.5]: x = 1 falls between two nodes, and the
+    # interpolated drift there agrees with the independent oracles
+    m = build_model("mvsde-cubic")
+    params = resolve_params(0.05, 0.5)
+    runner = AveragedRunner(m, [[0.5], [1.0], [1.5]], 3, params, [NoisePlan(31)], mode="hmm",
+                            hmm=HmmConfig(replicas=8, burn_in_initial=8.0, horizon=300.0,
+                                          h_frozen=0.005),
+                            collect_fbar_cache=True)
+    runner.advance(1)
+    nodes = [row[0] for row in runner.fbar_cache]
+    assert nodes == pytest.approx(np.linspace(0.5, 1.5, HMM_NODES)) and 1.0 not in nodes
+    se = runner.fbar_cache[0][4]
+    comb = 3.0 * math.sqrt(se ** 2 + FBAR_CUBIC_LONGRUN_SE ** 2)
+    fbar = runner._fbar[0, 1, 0]
+    assert abs(fbar - FBAR_CUBIC_LONGRUN) < comb
+    assert abs(fbar - FBAR_CUBIC_QUAD) < comb
+
+
+def test_hmm_degenerate_cloud_uses_every_node_estimate():
+    # at t = 0 every particle sits at x0, so all nodes coincide; each
+    # particle then gets the mean of the table, not one node's estimate
+    m = build_model("mvsde-cubic")
+    params = resolve_params(0.05, 0.5)
+    runner = AveragedRunner(m, [1.0], 5, params, [NoisePlan(3)], mode="hmm",
+                            hmm=HmmConfig(replicas=1, horizon=1.0), collect_fbar_cache=True)
+    runner.advance(1)
+    table = np.array([row[3] for row in runner.fbar_cache])
+    assert len(table) == HMM_NODES and {row[0] for row in runner.fbar_cache} == {1.0}
+    assert table.std() > 0.0
+    assert np.all(runner._fbar == table.mean())
+
+
+@pytest.mark.parametrize("n_particles", [3, 50])
+def test_hmm_frozen_width_is_nodes_times_replicas(monkeypatch, n_particles):
+    widths = []
+    batch = averaging._frozen_batch
+
+    def spy(model, x_frozen, mu, h, plans, paths_y0, *args, **kwargs):
+        widths.append(paths_y0.shape)
+        assert x_frozen.shape[:-1] == paths_y0.shape[:-1]
+        return batch(model, x_frozen, mu, h, plans, paths_y0, *args, **kwargs)
+
+    monkeypatch.setattr(averaging, "_frozen_batch", spy)
+    m = build_model("mvsde-cubic")
+    params = resolve_params(0.1, 0.05)     # 25 steps: refreshes at steps 0, 10 and 20
+    x0 = np.linspace(0.0, 2.0, n_particles)[:, None]
+    AveragedRunner(m, x0, n_particles, params, [NoisePlan(4), NoisePlan(5)], mode="hmm",
+                   hmm=HmmConfig(replicas=3, horizon=0.5, refresh_stride_steps=10)).run()
+    assert len(widths) == 3
+    assert set(widths) == {(2, HMM_NODES * 3, 1)}
 
 
 def test_simulate_averaged_collects_fbar_cache():

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvavg.measure import (DimensionMismatchError, SampleSet, UnsupportedCaseError,
-                           moments, w2_1d, w2_bruteforce, w2_coupling_bound)
+                           w2_1d, w2_bruteforce, w2_coupling_bound)
+from mvavg.models import build_model, empirical_view
+from mvavg.spatial import hminus1_inner, hminus1_norm_sq
 
 
 def pts(*vals):
@@ -14,44 +16,40 @@ def pts(*vals):
 
 
 # ---------------------------------------------------------------------------
-# moments
+# moments of a particle cloud (models.empirical_view)
 # ---------------------------------------------------------------------------
 
 def test_moments_uniform_two_points():
-    mm = moments(pts(1.0, 3.0))
+    mm = empirical_view(build_model("linear-benchmark"), np.array([[1.0], [3.0]]))
     assert mm.mean == pytest.approx(2.0)
     assert mm.second_moment == pytest.approx(5.0)  # (1+9)/2
 
 
 def test_moments_point_mass_at_origin():
-    mm = moments(SampleSet(np.zeros((1, 2))))
+    mm = empirical_view(build_model("porous-media-1d", {"n_interior": 5}), np.zeros((1, 5)))
     assert np.allclose(mm.mean, 0.0)
     assert mm.second_moment == 0.0
 
 
-def test_moments_weighted():
-    # direct weighted sums: mean 0.25*1 + 0.25*(-1) + 0.5*2 = 1
-    # second moment 0.25*1 + 0.25*1 + 0.5*4 = 2.5
-    m = SampleSet(np.array([[1.0], [-1.0], [2.0]]), weights=np.array([0.25, 0.25, 0.5]))
-    mm = moments(m)
-    assert mm.mean[0] == pytest.approx(1.0)
-    assert mm.second_moment == pytest.approx(2.5)
-
-
 def test_moments_custom_norm():
-    m = pts(1.0, 3.0)
-    mm = moments(m, norm_sq=lambda x: 4.0 * np.sum(x * x, axis=-1))
-    assert mm.second_moment == pytest.approx(20.0)
+    # the second moment is taken under the model's state norm (H^-1 here)
+    m = build_model("porous-media-1d", {"n_interior": 5})
+    U = np.random.default_rng(1).normal(size=(4, 5))
+    mm = empirical_view(m, U)
+    assert mm.second_moment == pytest.approx(float(np.mean(hminus1_norm_sq(m.grid, U))))
 
 
 def test_moments_translation_rule():
+    # mu(||. + c||^2) = mu(||.||^2) + 2 <mean, c> + ||c||^2 in the H^-1 inner product
+    m = build_model("porous-media-1d", {"n_interior": 5})
     rng = np.random.default_rng(0)
-    points = rng.normal(size=(7, 3))
-    c = rng.normal(size=3)
-    base = moments(SampleSet(points))
-    shifted = moments(SampleSet(points + c))
+    points = rng.normal(size=(7, 5))
+    c = rng.normal(size=5)
+    base = empirical_view(m, points)
+    shifted = empirical_view(m, points + c)
     assert np.allclose(shifted.mean, base.mean + c)
-    expected = base.second_moment + 2.0 * float(base.mean @ c) + float(c @ c)
+    expected = (base.second_moment + 2.0 * float(hminus1_inner(m.grid, base.mean, c))
+                + float(hminus1_norm_sq(m.grid, c)))
     assert shifted.second_moment == pytest.approx(expected)
 
 

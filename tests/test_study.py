@@ -12,6 +12,7 @@ from mvavg import study
 from mvavg.averaging import (default_frozen_params, estimate_fbar, estimate_mixing_rate,
                              frozen_simulate)
 from mvavg.cli import main
+from mvavg.integrate import FullRunner
 from mvavg.measure import MeasureMoments
 from mvavg.models import build_model
 from mvavg.noise import NoisePlan
@@ -550,7 +551,8 @@ def test_cli_average_dumps_cache(tmp_path, capsys):
 
 # SHA-256 of single-run outputs, recorded when single runs still held (N, d)
 # states; they must not move now that a single run is a batch of one.  The
-# porous simulate digest was re-recorded with the stabilised slow step.
+# porous simulate digest was re-recorded with the stabilised slow step, the
+# cubic HMM ones with the fbar node table (one cache row per node).
 SINGLE_RUN_DIGESTS = {
     "simulate-linear/trajectories.csv":
         "cdb4745625ea9feb82a6f42d6c72c0a27921688b16a4fc90b2bb720ce7e98eb2",
@@ -561,9 +563,9 @@ SINGLE_RUN_DIGESTS = {
     "average-linear-exact/fbar_cache.csv":
         "224c4585af545250bab361241780c73a0c67a3f17362505ff84fae5b2491c947",
     "average-cubic-hmm/averaged_trajectories.csv":
-        "03fdc9e8dba988e36483dbce7a7e3dfac8056afe407cb2d308ff55e03bfb9871",
+        "1113afef2c49fbdb458aa951e5da4eeacbed8b42ece2252cd429f35e6a2c0061",
     "average-cubic-hmm/fbar_cache.csv":
-        "d4d2e3b8aa59b6af1d1c2f38f2d4d5d8e8877c48b6816258162a1792583bb932",
+        "721d186778b13307dca1ba8f3746138f6ede1ba8e4de4aae53d57389f59f4d27",
     "freeze-porous": "ba0c2e75adf432eec790e155edd2718cc69d24eb092eb4700f9f76d5cd2ef82a",
     "frozen-simulate-cubic": "1aeec2ed9d070115a7eb72a1b741766670f617b5e82d9c818fef989b288a5c86",
 }
@@ -607,6 +609,49 @@ def test_single_run_outputs_unchanged(tmp_path, capsys):
     got["frozen-simulate-cubic"] = hashlib.sha256(paths.tobytes()).hexdigest()
     assert got == SINGLE_RUN_DIGESTS
     assert estimate_mixing_rate(cubic, fp, [-1.0], NoisePlan(10), n_pairs=4) == 2.785366592035616
+
+
+# SHA-256 of a porous HMM `average` run, recorded when every scalar and field
+# model estimated fbar per particle: field models still do, bit for bit.
+POROUS_HMM_DIGESTS = {
+    "averaged_trajectories.csv":
+        "f5d474c7e970764b1db3247e6e606bdaa20e856514eff5a4850b4b355a5201df",
+    "fbar_cache.csv": "04ca09e5874020fcc8213c0604f35b3db93a0b914bf9877a4ecd72e210b198c4",
+}
+
+
+def test_field_model_hmm_outputs_unchanged(tmp_path, capsys):
+    path = write_cfg(tmp_path, model="porous-media-1d", model_params={"n_interior": 5},
+                     t_end=0.02, seed=5, averaged_mode="hmm",
+                     hmm={"replicas": 2, "horizon": 0.5, "burn_in": 0.2, "h_frozen": 0.02},
+                     n_particles=4, record_points=10, out_dir=str(tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # the 2-replica HMM warns of a noisy fbar
+        assert main(["average", "--config", path, "--epsilon", "0.05"]) == 0
+    capsys.readouterr()
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in POROUS_HMM_DIGESTS}
+    assert got == POROUS_HMM_DIGESTS
+
+
+def test_porous_stab_follows_config_x0():
+    # a config x0 of amplitude 3 is far past the default x0_amplitude 0.4;
+    # with K sized on x0_amplitude alone every grid point blew up
+    nodes = np.arange(1, 16) / 16
+    cfg = StudyConfig(model="porous-media-1d", model_params={"n_interior": 15},
+                      n_particles=8, epsilon_grid=[0.1, 0.05, 0.02], replications=1,
+                      t_end=0.1, seed=5, x0=list(3.0 * np.sin(np.pi * nodes)))
+    report = run_rate_study(cfg)
+    assert not report.incomplete, report.failures
+    assert len(report.rows) == 3
+    for row in report.rows:
+        assert all(map(math.isfinite, dataclasses.astuple(row))), row
+    model = cfg.build_model()
+    runner = FullRunner(model, cfg.x0, model.default_y0, 2, cfg.params_for(0.1),
+                        [NoisePlan(1)])
+    assert runner.slow_stab == model.slow_stab_for(3.0) > model.slow_stab
+    default = FullRunner(model, model.default_x0, model.default_y0, 2, cfg.params_for(0.1),
+                         [NoisePlan(1)])
+    assert default.slow_stab == model.slow_stab
 
 
 def test_plaplace_reduced_rate_study_decreases():
