@@ -265,7 +265,10 @@ def _coupled_error_once(cfg: StudyConfig, eps_index: int, reps) -> list:
     n_steps = params.n_steps
     stride = max(1, n_steps // cfg.record_points)
     per_step = N * max(model.n_slow_modes, model.n_fast_modes)
-    window = stride * math.ceil(NOISE_WINDOW_NORMALS / (stride * per_step))
+    # whole sup strides and an even step count, so every window starts on a
+    # noise step pair and computes no partner step only to drop it
+    unit = math.lcm(stride, 2)
+    window = unit * math.ceil(NOISE_WINDOW_NORMALS / (unit * per_step))
     sup_sq = np.zeros(full.X.shape[:-1])
     k = 0
     while k < n_steps:

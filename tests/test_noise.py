@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from mvavg.noise import FAST, FROZEN, SLOW, SLOW_ALT, NoisePlan, draw
 
@@ -41,6 +42,44 @@ def test_marginals_are_standard_normal():
     assert abs(z.var() - 1.0) < 6.0 / np.sqrt(n)
     assert abs((z ** 3).mean()) < 10.0 / np.sqrt(n)
     assert abs((z ** 4).mean() - 3.0) < 25.0 / np.sqrt(n)
+
+
+def test_cos_and_sin_steps_are_each_standard_normal():
+    # even steps take the cos output of their pair's counter, odd steps the sin output
+    z = NoisePlan(2026).gaussians(SLOW, 0, 400, 500, 1)
+    for half in (z[0::2].ravel(), z[1::2].ravel()):
+        n = half.size
+        assert abs(half.mean()) < 4.0 / np.sqrt(n)
+        assert abs(half.var() - 1.0) < 6.0 / np.sqrt(n)
+        assert stats.kstest(half, "norm").pvalue > 1e-3
+
+
+def test_pair_partners_uncorrelated():
+    z = NoisePlan(77).gaussians(FAST, 0, 400, 250, 2)
+    cos, sin = z[0::2].ravel(), z[1::2].ravel()
+    bound = 4.0 / np.sqrt(cos.size)
+    assert abs(np.corrcoef(cos, sin)[0, 1]) < bound
+    assert abs(np.corrcoef(cos ** 2, sin ** 2)[0, 1]) < bound
+
+
+@pytest.mark.parametrize("start, n_steps", [(0, 1), (1, 1), (3, 5), (7, 0), (5, 8), (10, 3),
+                                            (1, 39)])
+def test_mid_pair_windows_are_slices(start, n_steps):
+    # a window that starts or ends mid-pair drops the partner it computes
+    plan = NoisePlan(3)
+    big = plan.gaussians(FROZEN, 0, 40, 5, 2, extra=9)
+    window = plan.gaussians(FROZEN, start, n_steps, 5, 2, extra=9)
+    assert window.shape == (n_steps, 5, 2)
+    assert np.array_equal(window, big[start:start + n_steps])
+
+
+def test_last_legal_step_is_a_slice():
+    last = 2 ** 48 - 1            # an odd step: the sin output of the last pair
+    plan = NoisePlan(2 ** 64 - 1)
+    one = plan.gaussians(SLOW_ALT, last, 1, 3, 2)
+    tail = plan.gaussians(SLOW_ALT, last - 5, 6, 3, 2)   # starts on a pair
+    assert one.shape == (1, 3, 2) and np.all(np.isfinite(one))
+    assert np.array_equal(one, tail[-1:])
 
 
 def test_cross_stream_independence():
@@ -85,18 +124,19 @@ def test_seed_range_checked():
 
 
 def test_in_range_streams_unchanged():
-    # values recorded before the counter limits were enforced, at the field edges too
+    # values recorded before the counter limits were enforced, at the field edges
+    # too; re-recorded with stream version 2 (one counter per pair of steps)
     plan = NoisePlan(123)
     assert plan.gaussians(SLOW, 0, 2, 2, 2).ravel().tolist() == [
-        -0.017698533350502015, -1.5193069845933358, -0.3368953914026729,
-        -0.3427268458992588, 0.25577075394051535, 0.5599408362135005,
-        -0.9420515630614631, 0.39547279507852884]
+        0.017698533350502765, 1.5193069845933358, 0.3368953914026729,
+        0.3427268458992593, 2.325375753244536, 0.7113622802274305,
+        0.006572862448713432, 0.9051941129170468]
     edge = NoisePlan(2 ** 64 - 1).gaussians(FAST, 2 ** 48 - 3, 3, 1, 1, extra=2 ** 16 - 1)
-    assert edge.ravel().tolist() == [-0.6068971590091786, 0.8827989541179396,
-                                     0.5677123223999213]
+    assert edge.ravel().tolist() == [-1.3766847613220252, -1.0883197352095566,
+                                     -1.6880446778298681]
     wide = NoisePlan(7).gaussians(FROZEN, 2 ** 40, 1, 3, 2 ** 16).ravel()
-    assert wide[[0, 1, -1]].tolist() == [-1.0109954170738515, -2.901039301189698,
-                                         -0.572785017012922]
+    assert wide[[0, 1, -1]].tolist() == [0.002055575764910691, 1.673153189812147,
+                                         -2.7365705028834895]
     base = NoisePlan(42)
     assert base.derive(4242, 0).seed == 1552263589983501128
     assert base.derive(9001).seed == 2304168245982568478

@@ -262,6 +262,24 @@ def test_windowed_noise_draws_are_bitwise_per_stride_draws(base, monkeypatch):
     assert results[0] == results[1] == results[2]
 
 
+def test_coupled_noise_windows_start_on_step_pairs(monkeypatch):
+    # an odd stride (5 steps) and one-stride windows: a window of 5 steps would
+    # start every second draw mid-pair, so the window is rounded up to 10
+    cfg = StudyConfig(model="linear-benchmark", n_particles=8, record_points=20,
+                      epsilon_grid=[0.05], replications=1, t_end=0.1, seed=11)
+    starts = []
+    draw = study.noise_mod.draw
+
+    def spy(plans, kind, step_start, *shape):
+        starts.append(step_start)
+        return draw(plans, kind, step_start, *shape)
+
+    monkeypatch.setattr(study, "NOISE_WINDOW_NORMALS", 1)
+    monkeypatch.setattr(study.noise_mod, "draw", spy)
+    _coupled_error_once(cfg, 0, (0,))
+    assert starts == [k for k in range(0, 100, 10) for _ in range(2)]
+
+
 BATCH_CASES = (
     dict(model="linear-benchmark", n_particles=8, record_points=7),
     dict(model="linear-benchmark", n_particles=8, record_points=7, crn=False),
@@ -372,12 +390,12 @@ def test_blowup_failures_identical_across_workers():
     expected = [(eps, f"BlowUpError('state blew up at t={t} (particle {p}) [{run} eps={eps:g} "
                       f"seed={seeds[rep]}]; consider a smaller h_factor (the config key that "
                       "sets h = h_factor * eps; frozen runs step by --h or hmm.h_frozen)')")
-                for eps, t, p, run, rep in ((0.1, 0.472, 0, "averaged", 0),
-                                            (0.1, 0.468, 5, "averaged", 1),
+                for eps, t, p, run, rep in ((0.1, 0.468, 3, "averaged", 0),
+                                            (0.1, 0.472, 0, "averaged", 1),
                                             (0.05, 0.46, 0, "averaged", 0),
-                                            (0.05, 0.46, 1, "averaged", 1),
-                                            (0.02, 0.456, 0, "averaged", 0),
-                                            (0.02, 0.456, 5, "full", 1))]
+                                            (0.05, 0.46, 0, "averaged", 1),
+                                            (0.02, 0.456, 0, "full", 0),
+                                            (0.02, 0.456, 0, "full", 1))]
     assert r1.failures == expected
     assert r1.failures == r2.failures
     assert r1.incomplete and not r1.rows
@@ -525,18 +543,19 @@ def test_cli_aux_writes_table(tmp_path, capsys):
 
 
 def test_aux_diagnostic_gaps_unchanged_by_batching():
-    # gaps recorded when every derive(777, rep) replication ran on its own runner
+    # gaps recorded when every derive(777, rep) replication ran on its own runner,
+    # re-recorded with noise stream version 2
     cfg = StudyConfig(model="linear-benchmark", n_particles=16, replications=3, t_end=0.2,
                       seed=21)
     gaps = [row["gap"] for row in run_aux_diagnostic(cfg, 0.05)]
-    assert gaps == [float.fromhex(h) for h in ("0x1.dd8d984ca5125p-13",
-                                               "0x1.710bf6c083550p-11",
-                                               "0x1.750f265d94f2fp-10")]
+    assert gaps == [float.fromhex(h) for h in ("0x1.c92a7258a75a1p-13",
+                                               "0x1.8a0d570d54f2bp-11",
+                                               "0x1.79514255042afp-10")]
     # the porous gap re-recorded with the stabilised semi-implicit slow step
     cfg = StudyConfig(model="porous-media-1d", model_params={"n_interior": 7}, n_particles=8,
                       replications=2, t_end=0.05, seed=22)
     gaps = [row["gap"] for row in run_aux_diagnostic(cfg, 0.1)]
-    assert gaps == [float.fromhex("0x1.c98a42f134b10p-22")] * 3
+    assert gaps == [float.fromhex("0x1.7d5f3edb2badap-23")] * 3
 
 
 def test_cli_average_dumps_cache(tmp_path, capsys):
@@ -552,22 +571,23 @@ def test_cli_average_dumps_cache(tmp_path, capsys):
 # SHA-256 of single-run outputs, recorded when single runs still held (N, d)
 # states; they must not move now that a single run is a batch of one.  The
 # porous simulate digest was re-recorded with the stabilised slow step, the
-# cubic HMM ones with the fbar node table (one cache row per node).
+# cubic HMM ones with the fbar node table (one cache row per node), and all
+# of them with noise stream version 2.
 SINGLE_RUN_DIGESTS = {
     "simulate-linear/trajectories.csv":
-        "cdb4745625ea9feb82a6f42d6c72c0a27921688b16a4fc90b2bb720ce7e98eb2",
+        "66bff5327bf8775dba96b80801813394773e121b8f4fcd5da1248dbb70123779",
     "simulate-porous/trajectories.csv":
-        "c1604aea8cee3347995943b163a91060fb77bf2c8baf3075bb735eac8c731679",
+        "6e55732d0e8323266b58ae8b351dba1bf956dacad6cf180c336ab07a26c87dfc",
     "average-linear-exact/averaged_trajectories.csv":
-        "07057eabb14d42f36402e0dafa8a69cec8e561cfa7f9ac4d2536b65c8ba98d1b",
+        "bf3540bdeeab6ae562a70430cf8ed6595f9f4d9ea18164fd662df9a569661638",
     "average-linear-exact/fbar_cache.csv":
-        "224c4585af545250bab361241780c73a0c67a3f17362505ff84fae5b2491c947",
+        "7564c6d383c44f1ede856dd47ffb06be12b1f442fd67d52ff2eac64747d74118",
     "average-cubic-hmm/averaged_trajectories.csv":
-        "1113afef2c49fbdb458aa951e5da4eeacbed8b42ece2252cd429f35e6a2c0061",
+        "4adc07f9e0fd783fe42cc912ba1c95015ca5218774f5fb365b47a3bd3c98ef3e",
     "average-cubic-hmm/fbar_cache.csv":
-        "721d186778b13307dca1ba8f3746138f6ede1ba8e4de4aae53d57389f59f4d27",
-    "freeze-porous": "ba0c2e75adf432eec790e155edd2718cc69d24eb092eb4700f9f76d5cd2ef82a",
-    "frozen-simulate-cubic": "1aeec2ed9d070115a7eb72a1b741766670f617b5e82d9c818fef989b288a5c86",
+        "666b44e005feae2994e63894f62343782e3bb38818abe90d267921453bca88e2",
+    "freeze-porous": "4e391ff8847325c6d82d6e39a75384c88e4e022b2d34581c25d97a605f6e4da5",
+    "frozen-simulate-cubic": "6cf3972ac962714295c97f935d7267621d8a6d3e81019449fad648fddf09cfa8",
 }
 
 
@@ -608,15 +628,16 @@ def test_single_run_outputs_unchanged(tmp_path, capsys):
     _, paths = frozen_simulate(cubic, fp, NoisePlan(9), n_paths=3, record_stride=7)
     got["frozen-simulate-cubic"] = hashlib.sha256(paths.tobytes()).hexdigest()
     assert got == SINGLE_RUN_DIGESTS
-    assert estimate_mixing_rate(cubic, fp, [-1.0], NoisePlan(10), n_pairs=4) == 2.785366592035616
+    assert estimate_mixing_rate(cubic, fp, [-1.0], NoisePlan(10), n_pairs=4) == 3.205209298268997
 
 
 # SHA-256 of a porous HMM `average` run, recorded when every scalar and field
 # model estimated fbar per particle: field models still do, bit for bit.
+# Re-recorded with noise stream version 2.
 POROUS_HMM_DIGESTS = {
     "averaged_trajectories.csv":
-        "f5d474c7e970764b1db3247e6e606bdaa20e856514eff5a4850b4b355a5201df",
-    "fbar_cache.csv": "04ca09e5874020fcc8213c0604f35b3db93a0b914bf9877a4ecd72e210b198c4",
+        "9b192f045bc0967d8bed59b78d40097ba54815597caf0abf5047d4693d937881",
+    "fbar_cache.csv": "63212cfbfdc308b3d887d98b7e42d5c4074b0cbb1c61b6a7a9d32946c8bb912e",
 }
 
 
