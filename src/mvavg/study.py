@@ -36,10 +36,12 @@ from .models import REGISTRY, ModelSpec, build_model, slow_norm_sq
 SLOPE_TOLERANCE_FRACTION = 0.1
 ERROR_SQ_SLOPE_THRESHOLD = (2.0 / 3.0) * (1.0 - SLOPE_TOLERANCE_FRACTION)
 DEFAULT_EPS_GRID = (0.1, 0.05, 0.02, 0.01, 0.005)
-# Normals per stream in one noise draw of the coupled study loop: the draw
-# covers whole sup strides, so small strides do not pay the per-call cost
-# each time.
-NOISE_WINDOW_NORMALS = 16384
+# Normals per stream and plan in one window of the noise window loop (rounded
+# up to an even step count).  A draw has a fixed cost of about a hundred numpy
+# calls, which a window shares among many advances.  On a 2-vCPU x86_64 host
+# the linear benchmark's eps = 0.01 job (N = 500, two plans) ran 4% faster at
+# 32768 than at 16384, and 11% slower at 65536, whose windows outgrow L2.
+NOISE_WINDOW_NORMALS = 32768
 
 
 class ConfigError(ValueError):
@@ -236,78 +238,117 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
 
 
 # ---------------------------------------------------------------------------
-# strong error at one epsilon
+# strong error on a group of grid points
 # ---------------------------------------------------------------------------
 
-def _coupled_error_once(cfg: StudyConfig, eps_index: int, reps) -> list:
-    """One job: lockstep full/averaged runs under shared slow noise.
+def _noise_windows(plans, streams, n_steps: int, n_particles: int):
+    """Consecutive noise windows covering steps [0, n_steps), as (first step, draws).
 
-    Runs the replications ``reps`` (a tuple of replication indices) of grid
-    point ``eps_index`` as one batch, each on its own plan and with its own
-    empirical measure, and returns one (error_sq, aux_gap, increment_stat)
-    per replication, the same numbers as running each alone.
+    ``streams`` lists (kind, n_modes) pairs and ``draws`` holds one
+    (n_win, R, N, n_modes) draw of each.  A window has an even step count, so
+    every window starts on a noise step pair and computes no partner step
+    only to drop it.
+    """
+    per_step = n_particles * max(modes for _, modes in streams)
+    window = 2 * math.ceil(NOISE_WINDOW_NORMALS / (2 * per_step))
+    for k in range(0, n_steps, window):
+        n_win = min(window, n_steps - k)
+        yield k, [noise_mod.draw(plans, kind, k, n_win, n_particles, modes)
+                  for kind, modes in streams]
+
+
+def _steps_of(held, start: int, stop: int) -> list:
+    """Steps [start, stop) of each stream in the held windows; a view when one window holds them."""
+    parts = [[d[max(start - k, 0):stop - k] for d in draws]
+             for k, draws in held if k < stop and k + len(draws[0]) > start]
+    return parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)]
+
+
+def _coupled_error_once(cfg: StudyConfig, eps_indices, reps) -> list:
+    """One job: lockstep full/averaged runs of a group of grid points under shared slow noise.
+
+    Runs the replications ``reps`` (a tuple of replication indices) of each
+    grid point in ``eps_indices`` as one batch, each replication on its own
+    plan and with its own empirical measure.  Every grid point reads the same
+    streams from step 0, so one window loop up to the group's largest
+    ``n_steps`` draws each window of each stream once, and each grid point
+    still running advances through it from one of its sup times to the next
+    (every multiple of its stride, and its last step).  Returns, per grid
+    point, either one (error_sq, aux_gap, increment_stat) per replication, the
+    same numbers as running each replication and grid point alone, or the
+    BlowUpError that stopped it; a blow-up drops that grid point only.
     """
     model = cfg.build_model()
-    epsilon = cfg.epsilon_grid[eps_index]
     plans = [noise_mod.NoisePlan(cfg.seed).derive(4242, rep) for rep in reps]
     seeds = ",".join(str(p.seed) for p in plans)
-    params = cfg.params_for(epsilon)
     x0, y0 = cfg.initial_states(model)
     N = cfg.n_particles
-    delta = params.delta_block
-    full = FullRunner(model, x0, y0, N, params, plans,
-                      aux_delta=delta, increment_delta=delta,
-                      context=f"full eps={epsilon:g} seed={seeds}")
     avg_kind = noise_mod.SLOW if cfg.crn else noise_mod.SLOW_ALT
-    avg = AveragedRunner(model, x0, N, params, plans, slow_kind=avg_kind,
-                         context=f"averaged eps={epsilon:g} seed={seeds}",
-                         **cfg.averaged_mode_kwargs(model))
-    n_steps = params.n_steps
-    stride = max(1, n_steps // cfg.record_points)
-    per_step = N * max(model.n_slow_modes, model.n_fast_modes)
-    # whole sup strides and an even step count, so every window starts on a
-    # noise step pair and computes no partner step only to drop it
-    unit = math.lcm(stride, 2)
-    window = unit * math.ceil(NOISE_WINDOW_NORMALS / (unit * per_step))
-    sup_sq = np.zeros(full.X.shape[:-1])
-    k = 0
-    while k < n_steps:
-        # counter-based streams: slicing one window draw per stride gives the
-        # same increments as drawing each stride on its own
-        n_win = min(window, n_steps - k)
-        xs = noise_mod.draw(plans, noise_mod.SLOW, k, n_win, N, model.n_slow_modes)
-        xf = noise_mod.draw(plans, noise_mod.FAST, k, n_win, N, model.n_fast_modes)
-        xa = xs if cfg.crn else noise_mod.draw(plans, avg_kind, k, n_win, N, model.n_slow_modes)
-        for j in range(0, n_win, stride):
-            n_sub = min(stride, n_win - j)
-            full.advance(n_sub, xs=xs[j:j + n_sub], xf=xf[j:j + n_sub])
-            avg.advance(n_sub, xs=xa[j:j + n_sub])
-            diff_sq = slow_norm_sq(model, full.X - avg.X)
-            np.maximum(sup_sq, diff_sq, out=sup_sq)
-        k += n_win
-    return [(float(np.mean(s)), float(g), float(i))
-            for s, g, i in zip(sup_sq, full.aux_gap, full.increment_stat)]
+    points = []
+    for i in eps_indices:
+        epsilon = cfg.epsilon_grid[i]
+        params = cfg.params_for(epsilon)
+        delta = params.delta_block
+        full = FullRunner(model, x0, y0, N, params, plans,
+                          aux_delta=delta, increment_delta=delta,
+                          context=f"full eps={epsilon:g} seed={seeds}")
+        avg = AveragedRunner(model, x0, N, params, plans, slow_kind=avg_kind,
+                             context=f"averaged eps={epsilon:g} seed={seeds}",
+                             **cfg.averaged_mode_kwargs(model))
+        stride = max(1, params.n_steps // cfg.record_points)
+        points.append((full, avg, stride, np.zeros(full.X.shape[:-1])))
+    streams = [(noise_mod.SLOW, model.n_slow_modes), (noise_mod.FAST, model.n_fast_modes)]
+    if not cfg.crn:
+        streams.append((avg_kind, model.n_slow_modes))
+
+    outcomes = [None] * len(points)
+    running = list(range(len(points)))
+    # the windows from the first step a running grid point still needs: a
+    # stride across window edges is joined from them, so that every advance,
+    # and the blow-up check at its end, still ends on a sup time
+    held = []
+    for k, draws in _noise_windows(plans, streams, max(p[0].n_steps for p in points), N):
+        held.append((k, draws))
+        end = k + len(draws[0])
+        for j in list(running):
+            full, avg, stride, sup_sq = points[j]
+            try:
+                # counter-based streams: a grid point's slice of the shared
+                # windows holds the increments it would draw on its own
+                while full.k < full.n_steps and \
+                        (stop := min(full.k - full.k % stride + stride, full.n_steps)) <= end:
+                    xs, xf, *xa = _steps_of(held, full.k, stop)
+                    full.advance(len(xs), xs=xs, xf=xf)
+                    avg.advance(len(xs), xs=xa[0] if xa else xs)
+                    np.maximum(sup_sq, slow_norm_sq(model, full.X - avg.X), out=sup_sq)
+                if full.k == full.n_steps:
+                    outcomes[j] = [(float(np.mean(s)), float(g), float(c)) for s, g, c
+                                   in zip(sup_sq, full.aux_gap, full.increment_stat)]
+            except BlowUpError as exc:
+                outcomes[j] = exc
+            if outcomes[j] is not None:
+                running.remove(j)
+        if not running:
+            break
+        first = min(points[j][0].k for j in running)
+        held = [(k, d) for k, d in held if k + len(d[0]) > first]
+    return outcomes
 
 
-def _grid_point(cfg: StudyConfig, eps_index: int) -> list:
-    """The replication results of one grid point, a BlowUpError for each that blew up.
+def _grid_points(cfg: StudyConfig, eps_indices) -> list:
+    """Per grid point of ``eps_indices``: its replication results, a BlowUpError for each blow-up.
 
-    The replications run as one batch.  A batch that blows up is run again
-    one replication at a time, so that each failure names its own time,
-    particle and seed; any other error propagates.
+    The group runs as one job, its replications as one batch.  A grid point
+    whose batch blows up is run again one replication at a time, so that each
+    failure names its own time, particle and seed; any other error propagates.
     """
     reps = tuple(range(cfg.replications))
-    if len(reps) > 1:
-        try:
-            return _coupled_error_once(cfg, eps_index, reps)
-        except BlowUpError:
-            pass
-    outcomes = []
-    for rep in reps:
-        try:
-            outcomes += _coupled_error_once(cfg, eps_index, (rep,))
-        except BlowUpError as exc:
-            outcomes.append(exc)
+    outcomes = _coupled_error_once(cfg, eps_indices, reps)
+    for j, (i, out) in enumerate(zip(eps_indices, outcomes)):
+        if isinstance(out, BlowUpError):
+            alone = ([_coupled_error_once(cfg, (i,), (rep,))[0] for rep in reps]
+                     if len(reps) > 1 else [out])
+            outcomes[j] = [a if isinstance(a, BlowUpError) else a[0] for a in alone]
     return outcomes
 
 
@@ -385,31 +426,49 @@ def assemble_report(rows, incomplete=False, failures=()) -> RateReport:
                       incomplete=incomplete, failures=list(failures))
 
 
+def _groups(cfg: StudyConfig, n_groups: int) -> list:
+    """The grid point indices in ``n_groups`` jobs of about equal steps, heaviest job first.
+
+    Grid points are assigned longest first, each to the group with the fewest
+    steps so far.
+    """
+    steps = [cfg.params_for(e).n_steps for e in cfg.epsilon_grid]
+    groups = [[] for _ in range(n_groups)]
+    loads = [0] * n_groups
+    for i in sorted(range(len(steps)), key=lambda i: -steps[i]):
+        g = loads.index(min(loads))
+        groups[g].append(i)
+        loads[g] += steps[i]
+    return [tuple(sorted(groups[g])) for g in sorted(range(n_groups), key=lambda g: -loads[g])]
+
+
 def run_rate_study(cfg: StudyConfig) -> RateReport:
     """Full epsilon sweep with the configured worker count.
 
-    Each grid point is one job, in-process or on a process pool.  A grid
-    point with a blown-up replication is recorded as a failure and left out,
-    and the report is then marked incomplete; any other error is raised.
+    One job runs every grid point with ``workers = 1``; with ``workers = W > 1``
+    the grid points are split into min(W, grid size) jobs of about equal steps
+    on a process pool, the heaviest submitted first.  A grid point with a
+    blown-up replication is recorded as a failure and left out, and the
+    report is then marked incomplete; any other error is raised.
     """
     if len(cfg.epsilon_grid) < 3:
         raise ConfigError("epsilon_grid: a rate study needs at least 3 grid points")
     cfg.averaged_mode_kwargs(cfg.build_model())   # a config error before any job runs
-    grid = range(len(cfg.epsilon_grid))
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            # longest job first: the smallest epsilon has the most steps
-            futs = {i: pool.submit(_grid_point, cfg, i) for i in reversed(grid)}
-            outcomes = [futs[i].result() for i in grid]
+    groups = _groups(cfg, min(cfg.workers, len(cfg.epsilon_grid)))
+    if len(groups) > 1:
+        with ProcessPoolExecutor(max_workers=len(groups)) as pool:
+            futs = [pool.submit(_grid_points, cfg, g) for g in groups]
+            results = [f.result() for f in futs]
     else:
-        outcomes = [_grid_point(cfg, i) for i in grid]
+        results = [_grid_points(cfg, g) for g in groups]
+    outcomes = {i: per for g, res in zip(groups, results) for i, per in zip(g, res)}
 
     rows, failures = [], []
-    for epsilon, per in zip(cfg.epsilon_grid, outcomes):
-        failed = [exc for exc in per if isinstance(exc, BlowUpError)]
+    for i, epsilon in enumerate(cfg.epsilon_grid):
+        failed = [exc for exc in outcomes[i] if isinstance(exc, BlowUpError)]
         failures += [(epsilon, repr(exc)) for exc in failed]
         if not failed:
-            rows.append(aggregate(epsilon, per))
+            rows.append(aggregate(epsilon, outcomes[i]))
     return assemble_report(rows, incomplete=bool(failures), failures=failures)
 
 
@@ -418,23 +477,26 @@ def run_aux_diagnostic(cfg: StudyConfig, epsilon: float, deltas=None) -> list:
 
     Default ladder: delta in {eps, eps^(2/3), eps^(1/2)}.  Returns one dict
     per delta with the gap and the gap/delta ratio (the bound shape is linear
-    in delta).
+    in delta).  The runners of the ladder share the plans, so each noise
+    window is drawn once for all of them.
     """
     model = cfg.build_model()
     params = cfg.params_for(epsilon)
     x0, y0 = cfg.initial_states(model)
     if deltas is None:
         deltas = [epsilon, epsilon ** (2.0 / 3.0), epsilon ** 0.5]
+    d_effs = [max(1, round(d / params.h_micro)) * params.h_micro for d in deltas]
+    plans = [noise_mod.NoisePlan(cfg.seed).derive(777, rep) for rep in range(cfg.replications)]
+    runners = [FullRunner(model, x0, y0, cfg.n_particles, params, plans,
+                          aux_delta=d, context=f"aux delta={d:g}") for d in d_effs]
+    streams = [(noise_mod.SLOW, model.n_slow_modes), (noise_mod.FAST, model.n_fast_modes)]
+    for _, (xs, xf) in _noise_windows(plans, streams, params.n_steps, cfg.n_particles):
+        for runner in runners:
+            runner.advance(len(xs), xs=xs, xf=xf)
     out = []
-    for d in deltas:
-        steps = max(1, round(d / params.h_micro))
-        d_eff = steps * params.h_micro
-        plans = [noise_mod.NoisePlan(cfg.seed).derive(777, rep)
-                 for rep in range(cfg.replications)]
-        runner = FullRunner(model, x0, y0, cfg.n_particles, params, plans,
-                            aux_delta=d_eff, context=f"aux delta={d_eff:g}")
-        gap = float(np.mean(runner.run().aux_gap))
-        out.append({"delta": d_eff, "gap": gap, "gap_over_delta": gap / d_eff})
+    for d, runner in zip(d_effs, runners):
+        gap = float(np.mean(runner.aux_gap))
+        out.append({"delta": d, "gap": gap, "gap_over_delta": gap / d})
     return out
 
 

@@ -30,8 +30,8 @@ def test_tracer_counts_one_span_per_job(tmp_path, monkeypatch):
         tracer.uninstall()
     tracer.write(str(tmp_path / "spans.npz"))
     metrics = spans.layer_metrics(spans.load(str(tmp_path / "spans.npz")))
-    # one job per grid point: its replications run as one batch
-    assert metrics["study.jobs"] == len(cfg.epsilon_grid)
+    # one job with one worker: every grid point, its replications as one batch
+    assert metrics["study.jobs"] == 1
     assert metrics["study.failed_jobs"] == 0
     assert metrics["integrate.micro_steps"] > 0 and metrics["averaging.micro_steps"] > 0
     assert metrics["cli.config_s"] > 0 and metrics["study.report_write_s"] > 0

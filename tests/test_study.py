@@ -12,7 +12,7 @@ from mvavg import study
 from mvavg.averaging import (default_frozen_params, estimate_fbar, estimate_mixing_rate,
                              frozen_simulate)
 from mvavg.cli import main
-from mvavg.integrate import FullRunner
+from mvavg.integrate import BlowUpError, FullRunner
 from mvavg.measure import MeasureMoments
 from mvavg.models import build_model
 from mvavg.noise import NoisePlan
@@ -180,8 +180,8 @@ def test_fit_loglog_r_squared_perfect_line():
 
 def one_point_row(cfg):
     """The rate-study row of a one-point grid: every replication run alone, aggregated."""
-    return aggregate(cfg.epsilon_grid[0],
-                     [_coupled_error_once(cfg, 0, (rep,))[0] for rep in range(cfg.replications)])
+    return aggregate(cfg.epsilon_grid[0], [_coupled_error_once(cfg, (0,), (rep,))[0][0]
+                                           for rep in range(cfg.replications)])
 
 
 def test_decoupled_system_has_zero_error():
@@ -200,7 +200,7 @@ def test_replication_aggregate_reports_spread():
     assert row.std_error > 0.0
     assert row.aux_gap > 0.0
     assert row.increment_stat > 0.0
-    errs = [_coupled_error_once(cfg, 0, (rep,))[0][0] for rep in range(3)]
+    errs = [_coupled_error_once(cfg, (0,), (rep,))[0][0][0] for rep in range(3)]
     assert row.error_sq == float(np.mean(errs))
     assert row.std_error == pytest.approx(np.std(errs, ddof=1) / math.sqrt(3), rel=1e-12)
 
@@ -224,7 +224,7 @@ def test_sup_dominates_terminal_error():
     from mvavg.integrate import FullRunner
     from mvavg.models import slow_norm_sq
     plan = NoisePlan(9).derive(4242, 0)
-    [(error_sq, _, _)] = _coupled_error_once(cfg, 0, (0,))
+    [[(error_sq, _, _)]] = _coupled_error_once(cfg, (0,), (0,))
     full = FullRunner(m, *cfg.initial_states(m), cfg.n_particles, params, [plan]).run()
     avg = AveragedRunner(m, cfg.initial_states(m)[0], cfg.n_particles, params,
                          [plan], mode="exact").run()
@@ -247,8 +247,9 @@ def test_study_rows_come_from_the_job_and_aggregator():
     dict(model="linear-benchmark", n_particles=8, record_points=7, crn=False),
 ])
 def test_windowed_noise_draws_are_bitwise_per_stride_draws(base, monkeypatch):
-    # one draw per stride (the window constant at 1), windows of three strides
-    # with a partial last window, and the default window give the same job
+    # two-step windows (the window constant at 1), so that every stride spans
+    # several windows; windows of three strides with a partial last window;
+    # and the default window: all give the same job
     cfg = StudyConfig(**base, epsilon_grid=[0.05], replications=1, t_end=0.1, seed=11)
     model = cfg.build_model()
     n_steps = cfg.params_for(0.05).n_steps
@@ -257,14 +258,15 @@ def test_windowed_noise_draws_are_bitwise_per_stride_draws(base, monkeypatch):
     results = []
     for normals in (1, 3 * per_stride, study.NOISE_WINDOW_NORMALS):
         monkeypatch.setattr(study, "NOISE_WINDOW_NORMALS", normals)
-        results.append(_coupled_error_once(cfg, 0, (0,)))
+        results.append(_coupled_error_once(cfg, (0,), (0,)))
     assert n_steps % (3 * stride) != 0
     assert results[0] == results[1] == results[2]
 
 
 def test_coupled_noise_windows_start_on_step_pairs(monkeypatch):
-    # an odd stride (5 steps) and one-stride windows: a window of 5 steps would
-    # start every second draw mid-pair, so the window is rounded up to 10
+    # an odd stride (5 steps) and windows of 5 steps' normals: the window is
+    # rounded up to 6 steps, so strides cross windows and every window starts
+    # on a noise step pair
     cfg = StudyConfig(model="linear-benchmark", n_particles=8, record_points=20,
                       epsilon_grid=[0.05], replications=1, t_end=0.1, seed=11)
     starts = []
@@ -274,10 +276,10 @@ def test_coupled_noise_windows_start_on_step_pairs(monkeypatch):
         starts.append(step_start)
         return draw(plans, kind, step_start, *shape)
 
-    monkeypatch.setattr(study, "NOISE_WINDOW_NORMALS", 1)
+    monkeypatch.setattr(study, "NOISE_WINDOW_NORMALS", 5 * cfg.n_particles)
     monkeypatch.setattr(study.noise_mod, "draw", spy)
-    _coupled_error_once(cfg, 0, (0,))
-    assert starts == [k for k in range(0, 100, 10) for _ in range(2)]
+    _coupled_error_once(cfg, (0,), (0,))
+    assert starts == [k for k in range(0, 100, 6) for _ in range(2)]
 
 
 BATCH_CASES = (
@@ -295,11 +297,69 @@ BATCH_CASES = (
 def test_replication_batches_are_bitwise_single_runs(base):
     # one batch, a batch plus a single, and three singles give the same tuples
     cfg = StudyConfig(**base, epsilon_grid=[0.05], replications=3, t_end=0.1, seed=11)
-    whole = _coupled_error_once(cfg, 0, (0, 1, 2))
-    split = _coupled_error_once(cfg, 0, (0, 1)) + _coupled_error_once(cfg, 0, (2,))
-    singles = [_coupled_error_once(cfg, 0, (rep,))[0] for rep in range(3)]
+    [whole] = _coupled_error_once(cfg, (0,), (0, 1, 2))
+    split = _coupled_error_once(cfg, (0,), (0, 1))[0] + _coupled_error_once(cfg, (0,), (2,))[0]
+    singles = [_coupled_error_once(cfg, (0,), (rep,))[0][0] for rep in range(3)]
     assert len(whole) == 3 and len(set(whole)) == 3
     assert whole == split == singles
+
+
+@pytest.mark.parametrize("base", BATCH_CASES, ids=["linear", "linear-no-crn", "porous",
+                                                   "cubic-hmm"])
+@pytest.mark.filterwarnings("ignore:fbar standard error")
+def test_grid_point_group_is_bitwise_lone_grid_points(base, monkeypatch):
+    # small windows, so that strides of every grid point cross window edges
+    monkeypatch.setattr(study, "NOISE_WINDOW_NORMALS", 24 * base["n_particles"])
+    cfg = StudyConfig(**base, epsilon_grid=[0.1, 0.05, 0.02], replications=2, t_end=0.1,
+                      seed=11)
+    group = _coupled_error_once(cfg, (0, 1, 2), (0, 1))
+    alone = [_coupled_error_once(cfg, (i,), (0, 1))[0] for i in range(3)]
+    assert len({row for rows in group for row in rows}) == 6
+    assert group == alone
+    assert _coupled_error_once(cfg, (2, 0), (0, 1)) == [alone[2], alone[0]]
+
+
+@pytest.mark.parametrize("crn", [True, False])
+def test_group_draws_each_stream_once_per_step(crn, monkeypatch):
+    # 50, 100 and 250 steps: each kind covers steps 0..249 once in windows of
+    # 24 steps that start on even steps, not 400 steps over the grid points
+    cfg = StudyConfig(model="linear-benchmark", n_particles=8, record_points=7, crn=crn,
+                      epsilon_grid=[0.1, 0.05, 0.02], replications=2, t_end=0.1, seed=11)
+    drawn = {}
+    draw = study.noise_mod.draw
+
+    def spy(plans, kind, step_start, n_steps, *shape):
+        drawn.setdefault(kind, []).append((step_start, n_steps))
+        return draw(plans, kind, step_start, n_steps, *shape)
+
+    monkeypatch.setattr(study, "NOISE_WINDOW_NORMALS", 23 * cfg.n_particles)
+    monkeypatch.setattr(study.noise_mod, "draw", spy)
+    _coupled_error_once(cfg, (0, 1, 2), (0, 1))
+    kinds = {study.noise_mod.SLOW, study.noise_mod.FAST}
+    assert set(drawn) == (kinds if crn else kinds | {study.noise_mod.SLOW_ALT})
+    for windows in drawn.values():
+        assert [k for s, n in windows for k in range(s, s + n)] == list(range(250))
+        assert [s for s, _ in windows] == list(range(0, 250, 24))
+
+
+def test_group_blowups_drop_only_their_grid_points():
+    # eps = 0.02 and 0.01 blow up before t_end = 0.458, eps = 0.1 and 0.05 do
+    # not; eps = 0.01 (2290 steps) blows up in its second noise window
+    cfg = StudyConfig(model="linear-benchmark", model_params={"a11": 40.0}, n_particles=8,
+                      epsilon_grid=[0.1, 0.05, 0.02, 0.01], replications=2, t_end=0.458,
+                      seed=2024)
+    group = _coupled_error_once(cfg, (0, 1, 2, 3), (0, 1))
+    alone = [_coupled_error_once(cfg, (i,), (0, 1))[0] for i in range(4)]
+    failed = [i for i, out in enumerate(group) if isinstance(out, BlowUpError)]
+    assert failed == [2, 3]
+    assert [repr(out) for out in group] == [repr(out) for out in alone]
+    report = run_rate_study(cfg)
+    assert report.incomplete
+    assert report.rows == [aggregate(cfg.epsilon_grid[i], alone[i])
+                           for i in range(4) if i not in failed]
+    assert report.failures == [(cfg.epsilon_grid[i],
+                                repr(_coupled_error_once(cfg, (i,), (rep,))[0]))
+                               for i in failed for rep in range(2)]
 
 
 def test_pool_submits_the_longest_grid_point_first(monkeypatch):
@@ -315,21 +375,26 @@ def test_pool_submits_the_longest_grid_point_first(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, cfg, i):
-            submitted.append(i)
-            result = fn(cfg, i)
+        def submit(self, fn, cfg, group):
+            submitted.append(group)
+            result = fn(cfg, group)
             return type("Done", (), {"result": lambda self: result})()
 
     monkeypatch.setattr(study, "ProcessPoolExecutor", InlinePool)
-    cfg = StudyConfig(model="linear-benchmark", n_particles=8, epsilon_grid=[0.1, 0.05, 0.02],
-                      replications=2, t_end=0.1, seed=4)
+    cfg = StudyConfig(model="linear-benchmark", n_particles=8,
+                      epsilon_grid=[0.1, 0.05, 0.02, 0.01], replications=2, t_end=0.1, seed=4)
+    # 50, 100, 250 and 500 steps: the longest grid point first, each to the
+    # group with the fewest steps, and the heavier group submitted first
     pooled = run_rate_study(StudyConfig(**{**cfg.to_dict(), "workers": 2}))
-    assert submitted == [2, 1, 0]
+    assert submitted == [(3,), (0, 1, 2)]
     assert pooled.rows == run_rate_study(cfg).rows
+    submitted.clear()
+    run_rate_study(StudyConfig(**{**cfg.to_dict(), "workers": 8}))
+    assert submitted == [(3,), (2,), (1,), (0,)]
 
 
 def test_programming_error_in_a_job_propagates(monkeypatch):
-    def broken_job(cfg, eps_index, reps):
+    def broken_job(cfg, eps_indices, reps):
         raise TypeError("not a blow-up")
     monkeypatch.setattr(study, "_coupled_error_once", broken_job)
     cfg = StudyConfig(model="linear-benchmark", n_particles=4,
