@@ -93,26 +93,25 @@ def default_frozen_params(model: ModelSpec, x_frozen, mu_frozen, y_init=None,
 
 
 def _frozen_batch(model, x_frozen, mu, h, plans, paths_y0, n_steps, on_sample=None,
-                  start_step=0, chunk=512):
+                  start_step=0):
     """March R blocks of frozen paths at step h; optionally visit each post-step state.
 
     ``paths_y0`` is (R, P, fast_dim), block r driven by ``plans[r]``.  Row i
     of ``x_frozen`` (or the one shared row) is the slow state that path i
     sees; path i consumes stream (FROZEN, particle=i) from ``start_step`` on,
-    so two marches from the same plan and start step share increments.
+    so two marches from the same plan and start step share increments.  The
+    march takes its noise from ``noise.windows`` and checks for blow-up at
+    each window end.
     """
-    P = paths_y0.shape[-2]
     Xa = np.broadcast_to(x_frozen, paths_y0.shape[:-1] + (model.slow_dim,))
     solver = _FastSolver(model, h)
     frc = model.a2_split[1](Xa, mu) if model.a2_split is not None else None
     Z = paths_y0
     k = 0
-    while k < n_steps:
-        n_sub = min(chunk, n_steps - k)
-        xi = noise_mod.draw(plans, noise_mod.FROZEN, start_step + k, n_sub, P,
-                            model.n_fast_modes)
-        for j in range(n_sub):
-            Z = solver.step(Xa, mu, Z, xi[j], forcing=frc)
+    for _, (xi,) in noise_mod.windows(plans, [(noise_mod.FROZEN, model.n_fast_modes)],
+                                      start_step, start_step + n_steps, paths_y0.shape[-2]):
+        for xi_k in xi:
+            Z = solver.step(Xa, mu, Z, xi_k, forcing=frc)
             k += 1
             if on_sample is not None:
                 on_sample(k, Z)
@@ -301,7 +300,8 @@ class AveragedRunner(_SlowRunner):
         if mode == "exact" and model.exact_fbar is None:
             raise ValueError(
                 f"model {model.model_id!r} has no closed-form fbar; use hmm mode")
-        super().__init__(model, x0, n_particles, params, plans, slow_kind, recorder, context)
+        super().__init__(model, x0, n_particles, params, plans,
+                         ((slow_kind, model.n_slow_modes),), recorder, context)
         if collect_fbar_cache and len(self.noise) != 1:
             raise ValueError("collect_fbar_cache needs exactly one noise plan")
         self.mode = mode
@@ -374,12 +374,11 @@ class AveragedRunner(_SlowRunner):
         for x, f in zip(points[0, :, 0], fbar[0, :, 0]):
             self.fbar_cache.append((float(x), mean, m2, float(f), se))
 
-    def advance(self, n_sub: int, xs=None):
-        """Advance n_sub micro steps; a coupled driver may hand in the slow
-        noise block (common random numbers with the full system)."""
+    def advance(self, n_sub: int, xs):
+        """Advance n_sub micro steps on the slow noise ``xs``, (n_sub, R, N,
+        n_modes): steps k.. of its stream, the full system's under common
+        random numbers."""
         m = self.model
-        if xs is None:
-            xs = self._draw(self.slow_kind, n_sub, m.n_slow_modes)
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(n_sub):
                 mu = empirical_view(m, self.X)

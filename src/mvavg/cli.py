@@ -17,8 +17,8 @@ import numpy as np
 
 from . import noise as noise_mod
 from . import study
-from .averaging import (FrozenParams, MixingFailure, default_frozen_params,
-                        estimate_fbar, simulate_averaged, write_fbar_cache)
+from .averaging import (FrozenParams, default_frozen_params, estimate_fbar,
+                        simulate_averaged, write_fbar_cache)
 from .integrate import BlowUpError, TrajectoryRecorder, simulate_full
 from .measure import MeasureMoments
 from .models import run_probe_suite
@@ -246,9 +246,6 @@ def main(argv=None) -> int:
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         return 3
-    except MixingFailure as exc:
-        print(f"mixing failure: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -23,11 +23,16 @@ expects; where it depends on the amplitude (``slow_stab_for``) it is sized
 on the larger of the model's and the runner's initial one.  A state far
 past them can still blow up, which the finiteness check reports.
 
-An optional auxiliary fast process can be carried along: it consumes the SAME
-fast noise increments but sees the slow state and measure frozen at the last
-block boundary of size delta.  The time-integrated mean-square gap between it
-and the true fast process is the block-discretisation diagnostic of the rate
-study.
+Runners step only on noise handed to them: ``advance`` takes the draws of
+the streams a runner lists in ``streams``, and ``run`` takes them window by
+window from ``noise.windows``, checking for blow-up at each window end.
+
+Auxiliary fast processes can be carried along, one per block size delta:
+each consumes the SAME fast noise increments as the true fast process but
+sees the slow state and measure frozen at the last boundary of its blocks.
+The time-integrated mean-square gap between it and the true fast process is
+the block-discretisation diagnostic of the rate study; a ladder of deltas
+shares one true path.
 """
 from __future__ import annotations
 
@@ -47,7 +52,8 @@ BLOWUP_LIMIT = 1e8
 # FullRunner folds its per-step diagnostic norms into the running sums once
 # this many steps are pending (and whenever a diagnostic is read): the fold's
 # fixed cost is then shared by many steps even when a driver advances one
-# step at a time, and the pending norms stay a few steps of state in size.
+# step at a time, and the pending norms stay a few steps of state in size
+# however long an advance (a whole noise window in ``run``) is.
 FOLD_STEPS = 16
 
 
@@ -231,17 +237,18 @@ class _SlowRunner:
     """Set-up, run loop and slow update of the runners (see the module docstring).
 
     ``plans`` is a sequence of R noise plans, one per replication, and the
-    slow state ``X`` is (R, N, slow_dim).  A recorder records replication 0,
-    so it is refused with more than one plan.
+    slow state ``X`` is (R, N, slow_dim).  ``streams`` lists the (kind,
+    n_modes) noise streams that ``advance`` takes, in its argument order.  A
+    recorder records replication 0, so it is refused with more than one plan.
     """
 
     def __init__(self, model: ModelSpec, x0, n_particles: int, params: MultiscaleParams,
-                 plans, slow_kind: int, recorder: Optional[TrajectoryRecorder], context: str):
+                 plans, streams, recorder: Optional[TrajectoryRecorder], context: str):
         self.noise = tuple(plans)
         if recorder is not None and len(self.noise) != 1:
             raise ValueError("a recorder needs exactly one noise plan")
         self.model = model
-        self.slow_kind = slow_kind
+        self.streams = streams
         self.recorder = recorder
         self.context = context
         self.X = _initial_state(x0, (len(self.noise), n_particles, model.slow_dim))
@@ -257,10 +264,6 @@ class _SlowRunner:
         self.k = 0
         self.n_steps = params.n_steps
 
-    def _draw(self, kind: int, n_sub: int, n_modes: int):
-        """The next n_sub steps of stream ``kind``, (n_sub, R, N, n_modes)."""
-        return noise_mod.draw(self.noise, kind, self.k, n_sub, self.X.shape[-2], n_modes)
-
     def _slow_step(self, mu, coupling, xs):
         """X + h * (a1 + coupling) + sqrt(h) * b1 xs, stabilised by K if declared."""
         m = self.model
@@ -275,18 +278,21 @@ class _SlowRunner:
             self.recorder.maybe_record(self.k, self.k * self.h, self.X[0], fast[0],
                                        last=self.k == self.n_steps)
 
-    def run(self, chunk: int = 64):
-        while self.k < self.n_steps:
-            self.advance(min(chunk, self.n_steps - self.k))
+    def run(self):
+        """Advance to n_steps through the noise windows of ``streams``."""
+        for _, draws in noise_mod.windows(self.noise, self.streams, self.k, self.n_steps,
+                                          self.X.shape[-2]):
+            self.advance(len(draws[0]), *draws)
         return self
 
 
 class FullRunner(_SlowRunner):
-    """Chunked integrator for the full two-time-scale particle system.
+    """Integrator for the full two-time-scale particle system.
 
     Optionally tracks, in the same pass and with shared noise, one value per
     replication of:
-      * the block-frozen auxiliary fast process (``aux_delta``),
+      * one block-frozen auxiliary fast process per block size in
+        ``aux_deltas`` (its gap is the row of ``aux_gap``),
       * the time-integrated squared slow increment over blocks
         (``increment_delta``),
       * the fast second-moment diagnostic flag.
@@ -295,22 +301,22 @@ class FullRunner(_SlowRunner):
     def __init__(self, model: ModelSpec, x0, y0, n_particles: int,
                  params: MultiscaleParams, plans,
                  slow_kind: int = noise_mod.SLOW,
-                 aux_delta: Optional[float] = None,
+                 aux_deltas=(),
                  increment_delta: Optional[float] = None,
                  recorder: Optional[TrajectoryRecorder] = None,
                  context: str = ""):
-        super().__init__(model, x0, n_particles, params, plans, slow_kind, recorder, context)
+        super().__init__(model, x0, n_particles, params, plans,
+                         ((slow_kind, model.n_slow_modes), (noise_mod.FAST, model.n_fast_modes)),
+                         recorder, context)
         R = len(self.noise)
         self.Y = _initial_state(y0, (R, n_particles, model.fast_dim))
         self.solver = _FastSolver(model, self.h / params.epsilon)
 
-        self.aux_steps = (params.block_steps(aux_delta, "aux_delta")
-                          if aux_delta is not None else None)
-        if self.aux_steps is not None:
-            self.Y_aux = self.Y.copy()
-            self._aux_snap = None
-            self.gap_sum = np.zeros(R)
-            self.gap_count = 0
+        self.aux_steps = [params.block_steps(d, "aux_deltas") for d in aux_deltas]
+        self.Y_aux = [self.Y.copy() for _ in self.aux_steps]
+        self._aux_snaps = [None] * len(self.aux_steps)
+        self.gap_sum = np.zeros((len(self.aux_steps), R))
+        self.gap_count = 0
         self.inc_steps = (params.block_steps(increment_delta, "increment_delta")
                           if increment_delta is not None else None)
         if self.inc_steps is not None:
@@ -328,43 +334,37 @@ class FullRunner(_SlowRunner):
         self._pending = ([], [], [], [])
         self._record(self.Y)
 
-    def advance(self, n_sub: int, xs=None, xf=None):
-        """Advance n_sub micro steps; noise blocks may be passed in by a
-        coupled driver (they must be the streams this runner would draw)."""
+    def advance(self, n_sub: int, xs, xf):
+        """Advance n_sub micro steps on the slow and fast noise ``xs`` and
+        ``xf``, each (n_sub, R, N, n_modes): steps k.. of the two streams."""
         m = self.model
-        if xs is None:
-            xs = self._draw(self.slow_kind, n_sub, m.n_slow_modes)
-        if xf is None:
-            xf = self._draw(noise_mod.FAST, n_sub, m.n_fast_modes)
         gap_sq, inc_sq, y_sq, x_m2 = self._pending
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(n_sub):
                 mu = empirical_view(m, self.X)
-                if self.aux_steps is not None and self.k % self.aux_steps == 0:
-                    forcing = (m.a2_split[1](self.X, mu)
-                               if m.a2_split is not None else None)
-                    self._aux_snap = (self.X.copy(), mu, forcing)
+                for i, steps in enumerate(self.aux_steps):
+                    if self.k % steps == 0:
+                        forcing = (m.a2_split[1](self.X, mu)
+                                   if m.a2_split is not None else None)
+                        self._aux_snaps[i] = (self.X.copy(), mu, forcing)
                 if self.inc_steps is not None and self.k % self.inc_steps == 0:
                     self._X_block = self.X.copy()
 
                 Xn = self._slow_step(mu, m.f(self.X, mu, self.Y), xs[j])
                 Yn = self.solver.step(self.X, mu, self.Y, xf[j])
-                if self.aux_steps is not None:
-                    Xs, mus, frc = self._aux_snap
-                    self.Y_aux = self.solver.step(Xs, mus, self.Y_aux, xf[j],
-                                                  forcing=frc)
+                for i, (Xs, mus, frc) in enumerate(self._aux_snaps):
+                    self.Y_aux[i] = self.solver.step(Xs, mus, self.Y_aux[i], xf[j], forcing=frc)
+                    gap_sq.append(fast_norm_sq(m, Yn - self.Y_aux[i]))
                 self.X, self.Y = Xn, Yn
                 self.k += 1
 
-                if self.aux_steps is not None:
-                    gap_sq.append(fast_norm_sq(m, self.Y - self.Y_aux))
                 if self.inc_steps is not None:
                     inc_sq.append(slow_norm_sq(m, self.X - self._X_block))
                 y_sq.append(fast_norm_sq(m, self.Y))
                 x_m2.append(mu.second_moment)
                 self._record(self.Y)
-        if len(y_sq) >= FOLD_STEPS:
-            self._fold_diagnostics()
+                if len(y_sq) >= FOLD_STEPS:
+                    self._fold_diagnostics()
         _check_finite(self.X, self.Y, self.k * self.h, self.context)
 
     def _fold_diagnostics(self):
@@ -379,9 +379,10 @@ class FullRunner(_SlowRunner):
             return
         N = self.X.shape[-2]
         if gap_sq:
-            for g in np.sum(gap_sq, axis=-1) / N:
+            # one (R, N) norm per step and aux process, in step order
+            for g in np.reshape(np.sum(gap_sq, axis=-1) / N, (-1,) + self.gap_sum.shape):
                 self.gap_sum += g
-            self.gap_count += len(gap_sq)
+            self.gap_count += len(gap_sq) // len(self.aux_steps)
         if inc_sq:
             for g in np.sum(inc_sq, axis=-1) / N:
                 self.inc_sum += g
@@ -402,7 +403,8 @@ class FullRunner(_SlowRunner):
 
     @property
     def aux_gap(self):
-        """Time-integrated mean-square gap (1/T) int E||Y - Y_aux||^2 dt."""
+        """Time-integrated mean-square gap (1/T) int E||Y - Y_aux||^2 dt, (D, R):
+        one row per block size of ``aux_deltas``."""
         self._fold_diagnostics()
         return self.gap_sum / max(self.gap_count, 1)
 

@@ -1,9 +1,9 @@
 """Empirical probability measures: moments and the 2-Wasserstein distance.
 
-Measures are weighted sample clouds.  The particle systems in this package
-always produce uniform weights and (for the rate study) one-dimensional
-marginals, so the exact distance is only implemented for the cases that
-actually occur:
+Measures are uniform sample clouds: every point carries mass 1/n.  The
+particle systems in this package produce (for the rate study)
+one-dimensional marginals, so the exact distance is only implemented for the
+cases that actually occur:
 
   * ``w2_1d``             exact, 1-d, equal-size uniform clouds (sorted coupling)
   * ``w2_coupling_bound`` upper bound for index-aligned clouds of any dimension
@@ -21,9 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-WEIGHT_TOL = 1e-12
-
-
 class DimensionMismatchError(ValueError):
     """Sample clouds with incompatible shapes."""
 
@@ -34,23 +31,15 @@ class UnsupportedCaseError(ValueError):
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Weighted empirical measure: ``points`` is (n, d), weights sum to 1."""
+    """Uniform empirical measure: ``points`` is (n, d), each of mass 1/n."""
 
     points: np.ndarray
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise DimensionMismatchError("points must be a nonempty (n, d) array")
         object.__setattr__(self, "points", pts)
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != (pts.shape[0],):
-                raise DimensionMismatchError("weights must have one entry per point")
-            if np.any(w < 0.0) or abs(w.sum() - 1.0) > WEIGHT_TOL:
-                raise ValueError("weights must be nonnegative and sum to 1")
-            object.__setattr__(self, "weights", w)
 
     @property
     def n(self):
@@ -59,10 +48,6 @@ class SampleSet:
     @property
     def dim(self):
         return self.points.shape[1]
-
-    @property
-    def uniform(self):
-        return self.weights is None
 
 
 @dataclass(frozen=True)
@@ -82,7 +67,7 @@ def _check_pair(a: SampleSet, b: SampleSet):
 
 
 def w2_1d(a: SampleSet, b: SampleSet) -> float:
-    """Exact 2-Wasserstein distance between equal-size uniform 1-d clouds.
+    """Exact 2-Wasserstein distance between equal-size 1-d clouds.
 
     The sorted (monotone) coupling is optimal in one dimension, so this is
     sqrt of the mean squared gap between order statistics.
@@ -91,9 +76,6 @@ def w2_1d(a: SampleSet, b: SampleSet) -> float:
     if a.dim != 1:
         raise UnsupportedCaseError(
             "w2_1d handles dimension 1 only; use w2_coupling_bound for an upper bound")
-    if not (a.uniform and b.uniform):
-        raise UnsupportedCaseError(
-            "w2_1d handles uniform weights only; use w2_coupling_bound for an upper bound")
     xa = np.sort(a.points[:, 0])
     xb = np.sort(b.points[:, 0])
     return float(np.sqrt(np.mean((xa - xb) ** 2)))
@@ -114,12 +96,10 @@ def w2_coupling_bound(a: SampleSet, b: SampleSet) -> float:
 def w2_bruteforce(a: SampleSet, b: SampleSet, max_n: int = 8) -> float:
     """Exact 2-Wasserstein distance by exhausting all permutation couplings.
 
-    Only for uniform equal-size clouds with at most ``max_n`` points; serves
-    as the independent oracle for the fast paths.
+    Only for equal-size clouds with at most ``max_n`` points; serves as the
+    independent oracle for the fast paths.
     """
     _check_pair(a, b)
-    if not (a.uniform and b.uniform):
-        raise UnsupportedCaseError("w2_bruteforce handles uniform weights only")
     if a.n > max_n:
         raise UnsupportedCaseError(f"refusing n={a.n} > {max_n}: factorial blowup")
     pa, pb = a.points, b.points

@@ -14,9 +14,14 @@ rounds) feeding a Box-Muller transform.  One cipher call yields two 53-bit
 uniforms and two standard normals per counter, and a counter serves a pair
 of steps: the cos output is the even step's normal and the sin output the
 odd step's.
+
+``windows`` is the one feed of noise to the steppers: every runner and the
+frozen marcher advance window by window through it, and it is the only
+caller of ``draw``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +44,13 @@ _W0 = np.uint64(0x9E3779B9)
 _W1 = np.uint64(0xBB67AE85)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _INV53 = float(2.0 ** -53)
+
+# Normals per stream and plan in one window of ``windows`` (rounded up to an
+# even step count).  A draw has a fixed cost of about a hundred numpy calls,
+# which a window shares among many advances.  On a 2-vCPU x86_64 host the
+# linear benchmark's eps = 0.01 job (N = 500, two plans) ran 4% faster at
+# 32768 than at 16384, and 11% slower at 65536, whose windows outgrow L2.
+NOISE_WINDOW_NORMALS = 32768
 
 # counter field limits (see NoisePlan); a value past its field would alias
 # another stream, so gaussians and derive refuse it
@@ -201,3 +213,18 @@ def draw(plans, kind, step_start, n_steps, n_particles, n_modes):
     for r, plan in enumerate(plans):
         out[:, r] = plan.gaussians(kind, step_start, n_steps, n_particles, n_modes)
     return out
+
+
+def windows(plans, streams, start: int, stop: int, n_particles: int):
+    """Consecutive noise windows covering steps [start, stop), as (first step, draws).
+
+    ``streams`` lists (kind, n_modes) pairs and ``draws`` holds one
+    (n_win, R, N, n_modes) draw of each.  Windows count from ``start`` and
+    have an even step count, so a march from an even step computes no partner
+    step only to drop it.
+    """
+    per_step = n_particles * max(modes for _, modes in streams)
+    window = 2 * math.ceil(NOISE_WINDOW_NORMALS / (2 * per_step))
+    for k in range(start, stop, window):
+        n_win = min(window, stop - k)
+        yield k, [draw(plans, kind, k, n_win, n_particles, modes) for kind, modes in streams]

@@ -36,12 +36,6 @@ from .models import REGISTRY, ModelSpec, build_model, slow_norm_sq
 SLOPE_TOLERANCE_FRACTION = 0.1
 ERROR_SQ_SLOPE_THRESHOLD = (2.0 / 3.0) * (1.0 - SLOPE_TOLERANCE_FRACTION)
 DEFAULT_EPS_GRID = (0.1, 0.05, 0.02, 0.01, 0.005)
-# Normals per stream and plan in one window of the noise window loop (rounded
-# up to an even step count).  A draw has a fixed cost of about a hundred numpy
-# calls, which a window shares among many advances.  On a 2-vCPU x86_64 host
-# the linear benchmark's eps = 0.01 job (N = 500, two plans) ran 4% faster at
-# 32768 than at 16384, and 11% slower at 65536, whose windows outgrow L2.
-NOISE_WINDOW_NORMALS = 32768
 
 
 class ConfigError(ValueError):
@@ -241,22 +235,6 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
 # strong error on a group of grid points
 # ---------------------------------------------------------------------------
 
-def _noise_windows(plans, streams, n_steps: int, n_particles: int):
-    """Consecutive noise windows covering steps [0, n_steps), as (first step, draws).
-
-    ``streams`` lists (kind, n_modes) pairs and ``draws`` holds one
-    (n_win, R, N, n_modes) draw of each.  A window has an even step count, so
-    every window starts on a noise step pair and computes no partner step
-    only to drop it.
-    """
-    per_step = n_particles * max(modes for _, modes in streams)
-    window = 2 * math.ceil(NOISE_WINDOW_NORMALS / (2 * per_step))
-    for k in range(0, n_steps, window):
-        n_win = min(window, n_steps - k)
-        yield k, [noise_mod.draw(plans, kind, k, n_win, n_particles, modes)
-                  for kind, modes in streams]
-
-
 def _steps_of(held, start: int, stop: int) -> list:
     """Steps [start, stop) of each stream in the held windows; a view when one window holds them."""
     parts = [[d[max(start - k, 0):stop - k] for d in draws]
@@ -290,16 +268,15 @@ def _coupled_error_once(cfg: StudyConfig, eps_indices, reps) -> list:
         params = cfg.params_for(epsilon)
         delta = params.delta_block
         full = FullRunner(model, x0, y0, N, params, plans,
-                          aux_delta=delta, increment_delta=delta,
+                          aux_deltas=(delta,), increment_delta=delta,
                           context=f"full eps={epsilon:g} seed={seeds}")
         avg = AveragedRunner(model, x0, N, params, plans, slow_kind=avg_kind,
                              context=f"averaged eps={epsilon:g} seed={seeds}",
                              **cfg.averaged_mode_kwargs(model))
         stride = max(1, params.n_steps // cfg.record_points)
         points.append((full, avg, stride, np.zeros(full.X.shape[:-1])))
-    streams = [(noise_mod.SLOW, model.n_slow_modes), (noise_mod.FAST, model.n_fast_modes)]
-    if not cfg.crn:
-        streams.append((avg_kind, model.n_slow_modes))
+    # the streams of every runner, each once: SLOW and FAST, and SLOW_ALT without CRN
+    streams = list(dict.fromkeys(full.streams + avg.streams))
 
     outcomes = [None] * len(points)
     running = list(range(len(points)))
@@ -307,7 +284,7 @@ def _coupled_error_once(cfg: StudyConfig, eps_indices, reps) -> list:
     # stride across window edges is joined from them, so that every advance,
     # and the blow-up check at its end, still ends on a sup time
     held = []
-    for k, draws in _noise_windows(plans, streams, max(p[0].n_steps for p in points), N):
+    for k, draws in noise_mod.windows(plans, streams, 0, max(p[0].n_steps for p in points), N):
         held.append((k, draws))
         end = k + len(draws[0])
         for j in list(running):
@@ -317,13 +294,14 @@ def _coupled_error_once(cfg: StudyConfig, eps_indices, reps) -> list:
                 # windows holds the increments it would draw on its own
                 while full.k < full.n_steps and \
                         (stop := min(full.k - full.k % stride + stride, full.n_steps)) <= end:
-                    xs, xf, *xa = _steps_of(held, full.k, stop)
-                    full.advance(len(xs), xs=xs, xf=xf)
-                    avg.advance(len(xs), xs=xa[0] if xa else xs)
+                    n_sub = stop - full.k
+                    window = dict(zip(streams, _steps_of(held, full.k, stop)))
+                    for runner in (full, avg):
+                        runner.advance(n_sub, *map(window.__getitem__, runner.streams))
                     np.maximum(sup_sq, slow_norm_sq(model, full.X - avg.X), out=sup_sq)
                 if full.k == full.n_steps:
                     outcomes[j] = [(float(np.mean(s)), float(g), float(c)) for s, g, c
-                                   in zip(sup_sq, full.aux_gap, full.increment_stat)]
+                                   in zip(sup_sq, full.aux_gap[0], full.increment_stat)]
             except BlowUpError as exc:
                 outcomes[j] = exc
             if outcomes[j] is not None:
@@ -477,8 +455,9 @@ def run_aux_diagnostic(cfg: StudyConfig, epsilon: float, deltas=None) -> list:
 
     Default ladder: delta in {eps, eps^(2/3), eps^(1/2)}.  Returns one dict
     per delta with the gap and the gap/delta ratio (the bound shape is linear
-    in delta).  The runners of the ladder share the plans, so each noise
-    window is drawn once for all of them.
+    in delta).  One runner steps the true path once, with one auxiliary
+    process per delta, and runs the ``derive(777, rep)`` replications as one
+    batch.
     """
     model = cfg.build_model()
     params = cfg.params_for(epsilon)
@@ -487,17 +466,11 @@ def run_aux_diagnostic(cfg: StudyConfig, epsilon: float, deltas=None) -> list:
         deltas = [epsilon, epsilon ** (2.0 / 3.0), epsilon ** 0.5]
     d_effs = [max(1, round(d / params.h_micro)) * params.h_micro for d in deltas]
     plans = [noise_mod.NoisePlan(cfg.seed).derive(777, rep) for rep in range(cfg.replications)]
-    runners = [FullRunner(model, x0, y0, cfg.n_particles, params, plans,
-                          aux_delta=d, context=f"aux delta={d:g}") for d in d_effs]
-    streams = [(noise_mod.SLOW, model.n_slow_modes), (noise_mod.FAST, model.n_fast_modes)]
-    for _, (xs, xf) in _noise_windows(plans, streams, params.n_steps, cfg.n_particles):
-        for runner in runners:
-            runner.advance(len(xs), xs=xs, xf=xf)
-    out = []
-    for d, runner in zip(d_effs, runners):
-        gap = float(np.mean(runner.aux_gap))
-        out.append({"delta": d, "gap": gap, "gap_over_delta": gap / d})
-    return out
+    seeds = ",".join(str(p.seed) for p in plans)
+    runner = FullRunner(model, x0, y0, cfg.n_particles, params, plans, aux_deltas=d_effs,
+                        context=f"aux eps={epsilon:g} seed={seeds}").run()
+    gaps = [float(np.mean(g)) for g in runner.aux_gap]
+    return [{"delta": d, "gap": g, "gap_over_delta": g / d} for d, g in zip(d_effs, gaps)]
 
 
 # ---------------------------------------------------------------------------

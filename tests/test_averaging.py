@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mvavg import averaging
+from mvavg import averaging, noise
 from mvavg.averaging import (HMM_NODES, AveragedRunner, FrozenParams, HmmConfig,
                              MixingFailure, default_frozen_params, estimate_fbar,
                              estimate_mixing_rate, frozen_simulate,
@@ -12,7 +12,7 @@ from mvavg.averaging import (HMM_NODES, AveragedRunner, FrozenParams, HmmConfig,
 from mvavg.integrate import FullRunner, TrajectoryRecorder, resolve_params
 from mvavg.measure import MeasureMoments
 from mvavg.models import build_model, empirical_view
-from mvavg.noise import NoisePlan
+from mvavg.noise import SLOW, NoisePlan, draw
 
 # Independent oracles for the cubic model's averaged drift at (x=1, mu=delta_0),
 # tabulated before the build by scripts/fbar_oracle_cubic.py:
@@ -256,7 +256,7 @@ def test_hmm_node_table_matches_cubic_oracles():
                             hmm=HmmConfig(replicas=8, burn_in_initial=8.0, horizon=300.0,
                                           h_frozen=0.005),
                             collect_fbar_cache=True)
-    runner.advance(1)
+    runner.advance(1, draw(runner.noise, SLOW, 0, 1, runner.X.shape[-2], 1))
     nodes = [row[0] for row in runner.fbar_cache]
     assert nodes == pytest.approx(np.linspace(0.5, 1.5, HMM_NODES)) and 1.0 not in nodes
     se = runner.fbar_cache[0][4]
@@ -273,7 +273,7 @@ def test_hmm_degenerate_cloud_uses_every_node_estimate():
     params = resolve_params(0.05, 0.5)
     runner = AveragedRunner(m, [1.0], 5, params, [NoisePlan(3)], mode="hmm",
                             hmm=HmmConfig(replicas=1, horizon=1.0), collect_fbar_cache=True)
-    runner.advance(1)
+    runner.advance(1, draw(runner.noise, SLOW, 0, 1, runner.X.shape[-2], 1))
     table = np.array([row[3] for row in runner.fbar_cache])
     assert len(table) == HMM_NODES and {row[0] for row in runner.fbar_cache} == {1.0}
     assert table.std() > 0.0
@@ -298,6 +298,30 @@ def test_hmm_frozen_width_is_nodes_times_replicas(monkeypatch, n_particles):
                    hmm=HmmConfig(replicas=3, horizon=0.5, refresh_stride_steps=10)).run()
     assert len(widths) == 3
     assert set(widths) == {(2, HMM_NODES * 3, 1)}
+
+
+def test_estimate_fbar_across_windows_is_bitwise_one_window(monkeypatch):
+    # 4 replicas on windows of 10 steps: the 1300-step march crosses 129
+    # window edges, and still reads the normals of one window holding it all
+    m = build_model("mvsde-cubic")
+    fp = default_frozen_params(m, [1.0], DELTA0, sample_horizon=5.0, h_micro=0.01)
+    n_steps = round((fp.burn_in + fp.sample_horizon) / fp.h_micro)
+    starts = []
+    windows = noise.windows
+
+    def spy(plans, streams, start, stop, n_particles):
+        for k, draws in windows(plans, streams, start, stop, n_particles):
+            starts.append(k)
+            yield k, draws
+
+    monkeypatch.setattr(noise, "windows", spy)
+    one = estimate_fbar(m, fp, NoisePlan(8))
+    assert starts == [0] and n_steps == 1300
+    monkeypatch.setattr(noise, "NOISE_WINDOW_NORMALS", 40)
+    starts.clear()
+    many = estimate_fbar(m, fp, NoisePlan(8))
+    assert starts == list(range(0, n_steps, 10))
+    assert np.array_equal(one.fbar, many.fbar) and np.array_equal(one.std_error, many.std_error)
 
 
 def test_simulate_averaged_collects_fbar_cache():

@@ -10,7 +10,7 @@ from mvavg.integrate import (BLOWUP_LIMIT, BlowUpError, FullRunner, MultiscalePa
                              resolve_params, simulate_full)
 from mvavg.measure import MeasureMoments
 from mvavg.models import build_model, empirical_view
-from mvavg.noise import NoisePlan
+from mvavg.noise import NoisePlan, draw
 from mvavg.spatial import l2_norm_sq
 
 
@@ -33,7 +33,7 @@ def test_zero_coefficients_leave_ensemble_fixed():
                      "k1": 0.0, "k2": 0.0, "sigma2": 0.0})
     params = resolve_params(0.1, 1.0)
     r = FullRunner(m, [0.0], [0.0], 4, params, [NoisePlan(1)])
-    r.advance(1)
+    r.advance(1, *(draw(r.noise, kind, 0, 1, 4, modes) for kind, modes in r.streams))
     assert np.all(r.X == 0.0) and np.all(r.Y == 0.0)
     assert r.k == 1 and r.X[0].shape == (4, 1)
 
@@ -52,11 +52,20 @@ def test_deterministic_linear_matches_matrix_exponential():
     assert abs(r.Y[0, 0, 0] - ref[1]) < 50 * params.h_micro
 
 
+def advance_in_slices(r, chunk):
+    """Advance a runner to its end by slices of ``chunk`` steps of one draw."""
+    n = r.n_steps - r.k
+    draws = [draw(r.noise, kind, r.k, n, r.X.shape[-2], modes) for kind, modes in r.streams]
+    for j in range(0, n, chunk):
+        r.advance(min(chunk, n - j), *(d[j:j + chunk] for d in draws))
+    return r
+
+
 def test_replay_is_bitwise_identical():
     m = build_model("mvsde-cubic")
     params = resolve_params(0.05, 0.5)
     r1 = FullRunner(m, [1.0], [0.5], 32, params, [NoisePlan(99)]).run()
-    r2 = FullRunner(m, [1.0], [0.5], 32, params, [NoisePlan(99)]).run(chunk=13)
+    r2 = advance_in_slices(FullRunner(m, [1.0], [0.5], 32, params, [NoisePlan(99)]), 13)
     assert np.array_equal(r1.X, r2.X)
     assert np.array_equal(r1.Y, r2.Y)
 
@@ -81,9 +90,9 @@ def test_aux_process_collapses_when_coefficients_ignore_slow():
     m = build_model("linear-benchmark", {"k1": 0.0, "k2": 0.0})
     params = resolve_params(0.05, 0.5)
     r = FullRunner(m, [1.0], [1.0], 16, params, [NoisePlan(5)],
-                   aux_delta=params.delta_block).run()
-    assert r.aux_gap[0] == 0.0
-    assert np.array_equal(r.Y, r.Y_aux)
+                   aux_deltas=(params.delta_block,)).run()
+    assert r.aux_gap[0, 0] == 0.0
+    assert np.array_equal(r.Y, r.Y_aux[0])
 
 
 def test_aux_process_block_of_one_step_matches_truth():
@@ -92,8 +101,8 @@ def test_aux_process_block_of_one_step_matches_truth():
     m = build_model("linear-benchmark")
     params = resolve_params(0.05, 0.2)
     r = FullRunner(m, [1.0], [1.0], 8, params, [NoisePlan(6)],
-                   aux_delta=params.h_micro).run()
-    assert r.aux_gap[0] == 0.0
+                   aux_deltas=(params.h_micro,)).run()
+    assert r.aux_gap[0, 0] == 0.0
 
 
 def test_blowup_raises_with_context():
@@ -273,11 +282,11 @@ def test_increment_stat_scales_linearly_in_delta():
 def test_increment_stat_stride_mismatch():
     m = build_model("linear-benchmark")
     params = MultiscaleParams(epsilon=0.1, t_end=1.0, h_micro=0.01)
-    for key in ("aux_delta", "increment_delta"):
+    for key, wrap in (("aux_deltas", lambda d: (d,)), ("increment_delta", lambda d: d)):
         with pytest.raises(ValueError, match=key):
-            FullRunner(m, [1.0], [1.0], 2, params, [NoisePlan(1)], **{key: 0.015})
+            FullRunner(m, [1.0], [1.0], 2, params, [NoisePlan(1)], **{key: wrap(0.015)})
         with pytest.raises(ValueError, match=key):
-            FullRunner(m, [1.0], [1.0], 2, params, [NoisePlan(1)], **{key: 0.0})
+            FullRunner(m, [1.0], [1.0], 2, params, [NoisePlan(1)], **{key: wrap(0.0)})
 
 
 @pytest.mark.parametrize("model_id", ["linear-benchmark", "broken-antidissipative"])
@@ -290,9 +299,10 @@ def test_diagnostics_independent_of_chunks_and_folds(model_id, monkeypatch):
     results = []
     for fold, chunk in ((1, 64), (16, 1), (16, 7), (1000, 64)):
         monkeypatch.setattr(integrate, "FOLD_STEPS", fold)
-        r = FullRunner(m, [1.0], [0.5], 16, params, [NoisePlan(3)], aux_delta=0.01,
-                       increment_delta=0.02).run(chunk=chunk)
-        results.append((r.aux_gap[0], r.increment_stat[0], bool(r.moment_flag[0])))
+        r = FullRunner(m, [1.0], [0.5], 16, params, [NoisePlan(3)], aux_deltas=(0.01,),
+                       increment_delta=0.02)
+        advance_in_slices(r, chunk)
+        results.append((r.aux_gap[0, 0], r.increment_stat[0], bool(r.moment_flag[0])))
     # the linear model exercises the gap and increment sums, the expanding one the flag
     if model_id == "linear-benchmark":
         assert results[0][0] > 0 and results[0][1] > 0 and not results[0][2]

@@ -56,8 +56,6 @@ def test_moments_translation_rule():
 def test_moments_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         SampleSet(np.empty((0, 1)))
-    with pytest.raises(ValueError):
-        SampleSet(np.ones((2, 1)), weights=np.array([0.5, 0.6]))
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +84,6 @@ def test_w2_two_point_sorted_coupling():
 def test_w2_rejects_unsupported():
     with pytest.raises(UnsupportedCaseError, match="w2_coupling_bound"):
         w2_1d(SampleSet(np.zeros((2, 2))), SampleSet(np.ones((2, 2))))
-    with pytest.raises(UnsupportedCaseError, match="w2_coupling_bound"):
-        w2_1d(SampleSet(np.zeros((2, 1)), weights=np.array([0.3, 0.7])),
-              pts(0.0, 1.0))
     with pytest.raises(UnsupportedCaseError):
         w2_1d(pts(0.0), pts(0.0, 1.0))
 

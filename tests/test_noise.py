@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from mvavg import noise
 from mvavg.noise import FAST, FROZEN, SLOW, SLOW_ALT, NoisePlan, draw
 
 
@@ -181,3 +182,17 @@ def test_batched_draw_stacks_per_plan_draws():
     assert np.array_equal(batch, np.stack([p.gaussians(FAST, 7, 4, 6, 2) for p in plans], axis=1))
     assert np.array_equal(draw(plans[1:2], FAST, 7, 4, 6, 2)[:, 0],
                           plans[1].gaussians(FAST, 7, 4, 6, 2))
+
+
+def test_windows_cover_an_odd_start_to_a_mid_window_stop_once(monkeypatch):
+    # windows of 6 steps from step 7 to step 30: [7, 13), [13, 19), [19, 25),
+    # [25, 30), each stream bitwise one draw of the whole range
+    plans = [NoisePlan(5).derive(4242, rep) for rep in range(2)]
+    streams = [(SLOW, 1), (FAST, 3)]
+    monkeypatch.setattr(noise, "NOISE_WINDOW_NORMALS", 5 * 4 * 3)
+    got = list(noise.windows(plans, streams, 7, 30, 4))
+    assert [(k, len(d[0])) for k, d in got] == [(7, 6), (13, 6), (19, 6), (25, 5)]
+    for i, (kind, modes) in enumerate(streams):
+        joined = np.concatenate([d[i] for _, d in got])
+        assert np.array_equal(joined, draw(plans, kind, 7, 23, 4, modes))
+    assert list(noise.windows(plans, streams, 30, 30, 4)) == []

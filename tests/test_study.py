@@ -12,7 +12,7 @@ from mvavg import study
 from mvavg.averaging import (default_frozen_params, estimate_fbar, estimate_mixing_rate,
                              frozen_simulate)
 from mvavg.cli import main
-from mvavg.integrate import BlowUpError, FullRunner
+from mvavg.integrate import BlowUpError, FullRunner, resolve_params
 from mvavg.measure import MeasureMoments
 from mvavg.models import build_model
 from mvavg.noise import NoisePlan
@@ -256,8 +256,8 @@ def test_windowed_noise_draws_are_bitwise_per_stride_draws(base, monkeypatch):
     stride = max(1, n_steps // cfg.record_points)
     per_stride = stride * cfg.n_particles * max(model.n_slow_modes, model.n_fast_modes)
     results = []
-    for normals in (1, 3 * per_stride, study.NOISE_WINDOW_NORMALS):
-        monkeypatch.setattr(study, "NOISE_WINDOW_NORMALS", normals)
+    for normals in (1, 3 * per_stride, study.noise_mod.NOISE_WINDOW_NORMALS):
+        monkeypatch.setattr(study.noise_mod, "NOISE_WINDOW_NORMALS", normals)
         results.append(_coupled_error_once(cfg, (0,), (0,)))
     assert n_steps % (3 * stride) != 0
     assert results[0] == results[1] == results[2]
@@ -276,7 +276,7 @@ def test_coupled_noise_windows_start_on_step_pairs(monkeypatch):
         starts.append(step_start)
         return draw(plans, kind, step_start, *shape)
 
-    monkeypatch.setattr(study, "NOISE_WINDOW_NORMALS", 5 * cfg.n_particles)
+    monkeypatch.setattr(study.noise_mod, "NOISE_WINDOW_NORMALS", 5 * cfg.n_particles)
     monkeypatch.setattr(study.noise_mod, "draw", spy)
     _coupled_error_once(cfg, (0,), (0,))
     assert starts == [k for k in range(0, 100, 6) for _ in range(2)]
@@ -309,7 +309,7 @@ def test_replication_batches_are_bitwise_single_runs(base):
 @pytest.mark.filterwarnings("ignore:fbar standard error")
 def test_grid_point_group_is_bitwise_lone_grid_points(base, monkeypatch):
     # small windows, so that strides of every grid point cross window edges
-    monkeypatch.setattr(study, "NOISE_WINDOW_NORMALS", 24 * base["n_particles"])
+    monkeypatch.setattr(study.noise_mod, "NOISE_WINDOW_NORMALS", 24 * base["n_particles"])
     cfg = StudyConfig(**base, epsilon_grid=[0.1, 0.05, 0.02], replications=2, t_end=0.1,
                       seed=11)
     group = _coupled_error_once(cfg, (0, 1, 2), (0, 1))
@@ -332,7 +332,7 @@ def test_group_draws_each_stream_once_per_step(crn, monkeypatch):
         drawn.setdefault(kind, []).append((step_start, n_steps))
         return draw(plans, kind, step_start, n_steps, *shape)
 
-    monkeypatch.setattr(study, "NOISE_WINDOW_NORMALS", 23 * cfg.n_particles)
+    monkeypatch.setattr(study.noise_mod, "NOISE_WINDOW_NORMALS", 23 * cfg.n_particles)
     monkeypatch.setattr(study.noise_mod, "draw", spy)
     _coupled_error_once(cfg, (0, 1, 2), (0, 1))
     kinds = {study.noise_mod.SLOW, study.noise_mod.FAST}
@@ -621,6 +621,37 @@ def test_aux_diagnostic_gaps_unchanged_by_batching():
                       replications=2, t_end=0.05, seed=22)
     gaps = [row["gap"] for row in run_aux_diagnostic(cfg, 0.1)]
     assert gaps == [float.fromhex("0x1.7d5f3edb2badap-23")] * 3
+
+
+def test_aux_ladder_is_bitwise_single_delta_runners():
+    # one runner with two aux processes gives, per delta, the gap of a
+    # runner that carries that delta alone
+    m = build_model("linear-benchmark")
+    params = resolve_params(0.05, 0.2)
+    plans = [NoisePlan(21).derive(777, rep) for rep in range(2)]
+    deltas = (params.h_micro * 4, params.delta_block)
+    both = FullRunner(m, [1.0], [1.0], 16, params, plans, aux_deltas=deltas).run()
+    for i, d in enumerate(deltas):
+        alone = FullRunner(m, [1.0], [1.0], 16, params, plans, aux_deltas=(d,)).run()
+        assert np.array_equal(both.aux_gap[i], alone.aux_gap[0])
+        assert np.array_equal(both.Y_aux[i], alone.Y_aux[0])
+    assert both.aux_gap.shape == (2, 2) and both.aux_gap[0, 0] < both.aux_gap[1, 0]
+
+
+def test_aux_diagnostic_steps_the_true_path_once(monkeypatch):
+    # three deltas, one true path: n_steps micro steps in all, not 3 x n_steps
+    cfg = StudyConfig(model="linear-benchmark", n_particles=16, replications=2, t_end=0.2,
+                      seed=21)
+    steps = []
+    advance = FullRunner.advance
+
+    def spy(runner, n_sub, *draws):
+        steps.append(n_sub)
+        return advance(runner, n_sub, *draws)
+
+    monkeypatch.setattr(FullRunner, "advance", spy)
+    assert len(run_aux_diagnostic(cfg, 0.05)) == 3
+    assert sum(steps) == cfg.params_for(0.05).n_steps
 
 
 def test_cli_average_dumps_cache(tmp_path, capsys):
