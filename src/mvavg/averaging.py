@@ -14,8 +14,9 @@ burn-in, with batch-means error bars.  The averaged slow equation replaces
 f(X, mu, Y) by fbar(X, mu) and is driven by the SAME slow-noise streams as
 the full system, so full/averaged pairs built on one seed are coupled by
 common random numbers at every micro step.  Like the full system it runs a
-sequence of R noise plans with state (R, N, d), one replication per plan;
-frozen paths are marched the same way, as (R, P, fast_dim).
+stack of G grid points and a sequence of R noise plans with state
+(G, R, N, d), one replication per plan; frozen paths are marched per grid
+point, as (R, P, fast_dim).
 
 fbar is supplied either in closed form (models that declare ``exact_fbar``)
 or by embedded frozen runs refreshed on a macro stride (heterogeneous
@@ -38,8 +39,8 @@ from typing import Optional
 import numpy as np
 
 from . import noise as noise_mod
-from .integrate import (MultiscaleParams, TrajectoryRecorder, _check_finite, _FastSolver,
-                        _SlowRunner)
+from .integrate import (BlowUpError, MultiscaleParams, TrajectoryRecorder, _check_finite,
+                        _FastSolver, _measure_at, _SlowRunner)
 from .measure import MeasureMoments
 from .models import ModelSpec, empirical_view, fast_norm_sq
 
@@ -280,16 +281,18 @@ class AveragedRunner(_SlowRunner):
 
     The drift a1 + fbar and the slow noise are applied at every micro step
     with the same stream ids the full system uses (common random numbers);
-    in "hmm" mode fbar is re-estimated on the refresh stride from embedded
-    frozen runs (on a node table for a scalar slow state, per particle for a
-    field model; see the module docstring), each replication drawing its
-    frozen noise from its own ``derive(9001)`` plan, path i on stream
-    particle i; in "exact" mode it is evaluated from the model's closed form
-    at every step.  An fbar cache, like a recorder, needs exactly one plan.
+    in "hmm" mode each grid point re-estimates its fbar on its own refresh
+    stride from embedded frozen runs (on a node table for a scalar slow
+    state, per particle for a field model; see the module docstring), each
+    replication drawing its frozen noise from its own ``derive(9001)`` plan,
+    path i on stream particle i, from the grid point's own frozen step on;
+    in "exact" mode it is evaluated from the model's closed form at every
+    step.  A frozen run that blows up fails its grid point at its next
+    ``check_finite``.  An fbar cache, like a recorder, needs exactly one grid
+    point and one plan.
     """
 
-    def __init__(self, model: ModelSpec, x0, n_particles: int,
-                 params: MultiscaleParams, plans,
+    def __init__(self, model: ModelSpec, x0, n_particles: int, params, plans,
                  mode: str = "exact", hmm: Optional[HmmConfig] = None,
                  slow_kind: int = noise_mod.SLOW,
                  recorder: Optional[TrajectoryRecorder] = None,
@@ -301,42 +304,45 @@ class AveragedRunner(_SlowRunner):
             raise ValueError(
                 f"model {model.model_id!r} has no closed-form fbar; use hmm mode")
         super().__init__(model, x0, n_particles, params, plans,
-                         ((slow_kind, model.n_slow_modes),), recorder, context)
-        if collect_fbar_cache and len(self.noise) != 1:
-            raise ValueError("collect_fbar_cache needs exactly one noise plan")
+                         ((slow_kind, model.n_slow_modes),), recorder, context or "averaged run")
+        if collect_fbar_cache and (len(self.params), len(self.noise)) != (1, 1):
+            raise ValueError("collect_fbar_cache needs exactly one grid point and one noise plan")
         self.mode = mode
         self.fbar_warned = False
         self.fbar_cache: list[tuple] = [] if collect_fbar_cache else None
 
         if mode == "hmm":
-            self.hmm = (hmm or HmmConfig()).resolved(model, params)
+            self.hmm = [(hmm or HmmConfig()).resolved(model, p) for p in self.params]
             self.frozen_noise = [plan.derive(9001) for plan in self.noise]
             points = HMM_NODES if model.slow_dim == 1 else n_particles
-            self._Z = np.broadcast_to(model.default_y0, (len(self.noise), self.hmm.replicas
-                                                         * points, model.fast_dim)).copy()
-            self.frozen_step = 0
-            self._fbar = None
+            self._Z = np.broadcast_to(model.default_y0, self.X.shape[:2] + (
+                self.hmm[0].replicas * points, model.fast_dim)).copy()
+            self.frozen_step = [0] * len(self.params)
+            self._fbar = np.zeros(self.X.shape)
+            self._stacked += ("hmm", "frozen_step", "_Z", "_fbar")
         self._record(self.X[..., :0])
 
-    def _refresh_fbar(self, mu):
+    def _refresh_fbar(self, g, mu):
+        """Re-estimate grid point g's fbar from its state and its measures ``mu``."""
         m = self.model
-        R = self.X.shape[0]
-        M = self.hmm.replicas
+        X = self.X[g]
+        hmm = self.hmm[g]
+        R = X.shape[0]
+        M = hmm.replicas
         field = m.slow_dim > 1
         # a scalar state's (R, HMM_NODES, 1) nodes span each replication's
         # particle range; a cloud of one point gives coincident nodes
-        points = self.X if field else np.linspace(self.X.min(axis=1), self.X.max(axis=1),
-                                                  HMM_NODES, axis=1)
+        points = X if field else np.linspace(X.min(axis=1), X.max(axis=1), HMM_NODES, axis=1)
 
         def at_particles(table):
-            return table if field else _interpolate(points, table, self.X)
+            return table if field else _interpolate(points, table, X)
 
         P = points.shape[1]
         Xa = np.tile(points, (M, 1))     # M frozen replicas along the path axis
-        hf = self.hmm.h_frozen
-        first = self.frozen_step == 0
-        n_burn = int(round((self.hmm.burn_in_initial if first else self.hmm.burn_in) / hf))
-        n_samp = max(MIN_SAMPLE_STEPS, int(round(self.hmm.horizon / hf)))
+        hf = hmm.h_frozen
+        first = self.frozen_step[g] == 0
+        n_burn = int(round((hmm.burn_in_initial if first else hmm.burn_in) / hf))
+        n_samp = max(MIN_SAMPLE_STEPS, int(round(hmm.horizon / hf)))
         n_tot = n_burn + n_samp
         acc = np.zeros(Xa.shape)
 
@@ -344,23 +350,23 @@ class AveragedRunner(_SlowRunner):
             if k > n_burn:
                 np.add(acc, m.f(Xa, mu, Z), out=acc)
 
-        self._Z = _frozen_batch(m, Xa, mu, hf, self.frozen_noise, self._Z, n_tot,
-                                on_sample=visit, start_step=self.frozen_step)
-        self.frozen_step += n_tot
+        self._Z[g] = _frozen_batch(m, Xa, mu, hf, self.frozen_noise, self._Z[g], n_tot,
+                                   on_sample=visit, start_step=self.frozen_step[g])
+        self.frozen_step[g] += n_tot
         per_rep = (acc / n_samp).reshape(R, M, P, m.slow_dim)
         est = per_rep.mean(axis=1)
-        self._fbar = at_particles(est)
+        fbar = self._fbar[g] = at_particles(est)
         se = np.zeros(R)
         if M >= 2:
             # standard error of the estimate a particle reads and the drift
             # scale, each a mean over the particles, one per replication
             sd = at_particles(per_rep.std(axis=1, ddof=1))
             se = sd.reshape(R, -1).mean(axis=-1) / math.sqrt(M)
-            scale = np.abs(self._fbar).reshape(R, -1).mean(axis=-1) + 1e-30
+            scale = np.abs(fbar).reshape(R, -1).mean(axis=-1) + 1e-30
             for se_r, scale_r in zip(se, scale):
-                if se_r > self.hmm.warn_fraction * scale_r and not self.fbar_warned:
+                if se_r > hmm.warn_fraction * scale_r and not self.fbar_warned:
                     warnings.warn(
-                        f"fbar standard error {se_r:.3g} exceeds {self.hmm.warn_fraction:.0%} "
+                        f"fbar standard error {se_r:.3g} exceeds {hmm.warn_fraction:.0%} "
                         f"of the drift magnitude {scale_r:.3g}; increase the hmm horizon "
                         "or replicas", RuntimeWarning)
                     self.fbar_warned = True
@@ -369,15 +375,16 @@ class AveragedRunner(_SlowRunner):
 
     def _cache_fbar(self, mu, points, fbar, se):
         """Rows (x, mu_mean, mu_m2, fbar, std_error) of component 0, one per point
-        of replication 0."""
+        of replication 0, from one grid point's (R, ...) arrays."""
         mean, m2 = float(mu.mean[0, 0, 0]), float(mu.second_moment[0, 0, 0])
         for x, f in zip(points[0, :, 0], fbar[0, :, 0]):
             self.fbar_cache.append((float(x), mean, m2, float(f), se))
 
     def advance(self, n_sub: int, xs):
-        """Advance n_sub micro steps on the slow noise ``xs``, (n_sub, R, N,
-        n_modes): steps k.. of its stream, the full system's under common
-        random numbers."""
+        """Advance every grid point n_sub micro steps on the slow noise
+        ``xs``, (n_sub, R, N, n_modes): steps k.. of its stream, the full
+        system's under common random numbers.  Checks nothing (see
+        ``check_finite``)."""
         m = self.model
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(n_sub):
@@ -385,15 +392,18 @@ class AveragedRunner(_SlowRunner):
                 if self.mode == "exact":
                     fbar = m.exact_fbar(self.X, mu)
                     if self.fbar_cache is not None and self.k % max(1, self.n_steps // 200) == 0:
-                        self._cache_fbar(mu, self.X, fbar, 0.0)
+                        self._cache_fbar(_measure_at(mu, 0), self.X[0], fbar[0], 0.0)
                 else:
-                    if self.k % self.hmm.refresh_stride_steps == 0 or self._fbar is None:
-                        self._refresh_fbar(mu)
+                    for g, hmm in enumerate(self.hmm):
+                        if self.k % hmm.refresh_stride_steps == 0 and self.failures[g] is None:
+                            try:
+                                self._refresh_fbar(g, _measure_at(mu, g))
+                            except BlowUpError as exc:
+                                self.failures[g] = exc
                     fbar = self._fbar
                 self.X = self._slow_step(mu, fbar, xs[j])
                 self.k += 1
                 self._record(self.X[..., :0])
-        _check_finite(self.X, self.X, self.k * self.h, self.context or "averaged run")
 
 
 def _interpolate(nodes, table, X):

@@ -154,6 +154,8 @@ def _cmd_rate_study(args) -> int:
 def _cmd_probe(args) -> int:
     cfg = _load_cfg(args)
     model = cfg.build_model()
+    if args.samples < 0:
+        raise ConfigError(f"--samples: expected an integer >= 0, got {args.samples}")
     reports = run_probe_suite(model, n_samples=args.samples, seed=cfg.seed)
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"

@@ -3,36 +3,47 @@
 One micro step advances all N particles: the empirical-measure view is
 computed once from the slow rows (the only synchronisation point), then every
 particle is updated independently with Euler-Maruyama increments.  Runners
-take a sequence of R noise plans and hold their state as (R, N, d): R
-independent replications (a single run is R = 1), particles on axis -2,
-components on axis -1, each replication with its own empirical measure and
-its own diagnostics, all stepped together.  The fast drift's declared stiff
-linear part is integrated by its exact exponential factor (scalar
-dissipative rate) or semi-implicitly (Laplacian, by a precomputed dense
-inverse of I + h_eff * (-laplacian)); everything else is explicit.  The
-slow step is Euler-Maruyama, except for models that declare a stabilisation
-constant K (``slow_stab``: the field models, whose slow drifts are monotone
-but not Lipschitz).  Those take the stabilised semi-implicit step
+take a sequence of G grid points (one ``MultiscaleParams`` each) and of R
+noise plans, and hold their state as (G, R, N, d): grid points on the
+leading axis, each with its own micro step h (``h`` and ``sqrt_h`` are
+(G, 1, 1, 1) arrays, or floats on a single grid point), then R independent
+replications, particles on axis -2 and components on axis -1.  Each (grid point, replication) cloud has its
+own empirical measure and its own diagnostics, and all of them step
+together, one step index at a time: grid points of one replication read the
+same noise at step k, so each step's (R, N, m) draw broadcasts over G.  A
+single run is one grid point and one plan, (1, 1, N, d).  The fast drift's
+declared stiff linear part is integrated by its exact exponential factor
+(scalar dissipative rate) or semi-implicitly (Laplacian, by a precomputed
+dense inverse of I + h_eff * (-laplacian)); everything else is explicit.
+h_eff = h / eps is the same number on grid points of one ``h_factor``, and
+they then share one fast solver.  The slow step is Euler-Maruyama, except
+for models that declare a stabilisation constant K (``slow_stab``: the field
+models, whose slow drifts are monotone but not Lipschitz).  Those take the
+stabilised semi-implicit step
 
     (I - h K laplacian) X1 = X0 + h (a1(X0) + coupling - K laplacian X0)
                              + sqrt(h) b1 xs,
 
-by the same cached dense inverse, so h need not resolve dx^2 and follows
-eps alone.  K bounds the drift's linearisation on the amplitudes the model
-expects; where it depends on the amplitude (``slow_stab_for``) it is sized
-on the larger of the model's and the runner's initial one.  A state far
-past them can still blow up, which the finiteness check reports.
+by a cached dense inverse per grid point (h K differs between them), so h
+need not resolve dx^2 and follows eps alone.  K bounds the drift's
+linearisation on the amplitudes the model expects; where it depends on the
+amplitude (``slow_stab_for``) it is sized on the larger of the model's and
+the runner's initial one.  A state far past them can still blow up, which
+the finiteness check reports.
 
 Runners step only on noise handed to them: ``advance`` takes the draws of
-the streams a runner lists in ``streams``, and ``run`` takes them window by
-window from ``noise.windows``, checking for blow-up at each window end.
+the streams a runner lists in ``streams`` and checks nothing; its caller
+checks each grid point for blow-up (``check_finite``) where it wants a
+named failure.  ``run`` takes the draws window by window from
+``noise.windows`` and checks at each window end.  A grid point leaves the
+stack (``leave``) when its caller is done with it.
 
 Auxiliary fast processes can be carried along, one per block size delta:
 each consumes the SAME fast noise increments as the true fast process but
-sees the slow state and measure frozen at the last boundary of its blocks.
-The time-integrated mean-square gap between it and the true fast process is
-the block-discretisation diagnostic of the rate study; a ladder of deltas
-shares one true path.
+sees the slow state and measure frozen at the last boundary of its blocks,
+on its grid point's own block steps.  The time-integrated mean-square gap
+between it and the true fast process is the block-discretisation diagnostic
+of the rate study; a ladder of deltas shares one true path.
 """
 from __future__ import annotations
 
@@ -45,6 +56,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import noise as noise_mod
+from .measure import MeasureMoments
 from .models import ModelSpec, empirical_view, fast_norm_sq, slow_norm_sq
 from .spatial import _laplacian_banded, laplacian_apply
 
@@ -185,20 +197,44 @@ def _implicit_inverse(n: int, h_eff: float) -> np.ndarray:
     return inv
 
 
-class _FastSolver:
-    """Prepared one-step kernel for the fast update at effective step h_eff."""
+def _per_point(values):
+    """One scalar per grid point: the one float when they share it, else a
+    (G, 1, 1, 1) array over a (G, R, N, d) state (a float is the cheaper
+    operand, and it serves a state of any shape)."""
+    if len(set(values)) == 1:
+        return values[0]
+    return np.array(values, dtype=float).reshape(-1, 1, 1, 1)
 
-    def __init__(self, model: ModelSpec, h_eff: float):
+
+def _inverses(n: int, h_effs):
+    """The transposed implicit inverses of ``h_effs``, one per grid point: the
+    one (n, n) when they share it, else a (G, 1, n, n) stack.
+
+    Slice g of a stack is ``_implicit_inverse(n, h_effs[g]).T``, memory
+    layout included, so a grid point's product runs a lone runner's kernel.
+    """
+    if len(set(h_effs)) == 1:
+        return _implicit_inverse(n, h_effs[0]).T
+    return np.stack([_implicit_inverse(n, h) for h in h_effs]).transpose(0, 2, 1)[:, None]
+
+
+class _FastSolver:
+    """Prepared one-step kernel for the fast update at effective step h_eff:
+    one float for any state, or one per grid point of a (G, R, N, d) state."""
+
+    def __init__(self, model: ModelSpec, h_eff):
         self.model = model
-        self.h_eff = h_eff
-        self.sqrt_h_eff = math.sqrt(h_eff)
+        h_effs = list(h_eff) if np.ndim(h_eff) else [h_eff]
+        self.h_eff = _per_point(h_effs)
+        self.sqrt_h_eff = _per_point([math.sqrt(h) for h in h_effs])
         lin = model.fast_linear
         self.kind = "explicit" if lin is None else lin.kind
         if self.kind == "scalar":
-            self.phi = math.exp(-lin.rate * h_eff)
-            self.coef = (1.0 - self.phi) / lin.rate
+            phis = [math.exp(-lin.rate * h) for h in h_effs]
+            self.phi = _per_point(phis)
+            self.coef = _per_point([(1.0 - phi) / lin.rate for phi in phis])
         elif self.kind == "laplacian":
-            self.inv_t = _implicit_inverse(model.grid.n_interior, h_eff).T
+            self.inv_t = _inverses(model.grid.n_interior, h_effs)
 
     def step(self, u_args, mu_args, v, xi, forcing=None):
         m = self.model
@@ -233,36 +269,74 @@ def _initial_state(v, shape):
     return np.broadcast_to(v.reshape(-1) if v.ndim <= 1 else v, shape).copy()
 
 
-class _SlowRunner:
-    """Set-up, run loop and slow update of the runners (see the module docstring).
+def _measure_at(mu: MeasureMoments, g) -> MeasureMoments:
+    """The measures of grid point g, (R, 1, ...), from a stack's (G, R, 1, ...);
+    of a list of grid points, the stack of theirs."""
+    return MeasureMoments(mean=mu.mean[g], second_moment=mu.second_moment[g])
 
-    ``plans`` is a sequence of R noise plans, one per replication, and the
-    slow state ``X`` is (R, N, slow_dim).  ``streams`` lists the (kind,
-    n_modes) noise streams that ``advance`` takes, in its argument order.  A
-    recorder records replication 0, so it is refused with more than one plan.
+
+def _due(k: int, steps) -> list:
+    """The grid points whose blocks of ``steps`` (one count each) start at step k."""
+    return [g for g, s in enumerate(steps) if k % s == 0]
+
+
+def _take(value, keep):
+    """Grid points ``keep`` of an array (grid point on its leading axis) or a list."""
+    return value[keep] if isinstance(value, np.ndarray) else [value[g] for g in keep]
+
+
+class _SlowRunner:
+    """Set-up, run loop, grid-point stack and slow update of the runners (see
+    the module docstring).
+
+    ``params`` is one ``MultiscaleParams`` per grid point (a single run may
+    pass just one), ``plans`` a sequence of R noise plans, one per
+    replication, and the slow state ``X`` is (G, R, N, slow_dim).
+    ``streams`` lists the (kind, n_modes) noise streams that ``advance``
+    takes, in its argument order.  ``n_steps`` is the last step of the
+    longest grid point.  A recorder records grid point 0, replication 0, so
+    it is refused with more than one of either.
     """
 
-    def __init__(self, model: ModelSpec, x0, n_particles: int, params: MultiscaleParams,
-                 plans, streams, recorder: Optional[TrajectoryRecorder], context: str):
+    # the attributes that hold one entry per grid point, on their leading axis
+    _stacked = ("params", "failures", "X")
+
+    def __init__(self, model: ModelSpec, x0, n_particles: int, params, plans, streams,
+                 recorder: Optional[TrajectoryRecorder], context: str):
+        self.params = (params,) if isinstance(params, MultiscaleParams) else tuple(params)
         self.noise = tuple(plans)
-        if recorder is not None and len(self.noise) != 1:
-            raise ValueError("a recorder needs exactly one noise plan")
+        if recorder is not None and (len(self.params), len(self.noise)) != (1, 1):
+            raise ValueError("a recorder needs exactly one grid point and one noise plan")
         self.model = model
         self.streams = streams
         self.recorder = recorder
         self.context = context
-        self.X = _initial_state(x0, (len(self.noise), n_particles, model.slow_dim))
-        self.h = params.h_micro
-        self.sqrt_h = math.sqrt(self.h)
+        self.X = _initial_state(x0, (len(self.params), len(self.noise), n_particles,
+                                     model.slow_dim))
         self.slow_stab = model.slow_stab
         if model.slow_stab_for is not None:
             # K follows the initial state, so a large config x0 raises it
             self.slow_stab = max(self.slow_stab, model.slow_stab_for(float(np.abs(self.X).max())))
-        if self.slow_stab is not None:
-            self.stab_inv_t = _implicit_inverse(model.grid.n_interior,
-                                                self.h * self.slow_stab).T
+        # a failure found inside a step, per grid point, raised by check_finite
+        self.failures = [None] * len(self.params)
         self.k = 0
-        self.n_steps = params.n_steps
+        self._set_steps()
+
+    def _set_steps(self):
+        """The step constants of the grid points in ``params``."""
+        hs = [p.h_micro for p in self.params]
+        self.h = _per_point(hs)
+        self.sqrt_h = _per_point([math.sqrt(h) for h in hs])
+        self.n_steps = max(p.n_steps for p in self.params)
+        if self.slow_stab is not None:
+            self.stab_inv_t = _inverses(self.model.grid.n_interior,
+                                        [h * self.slow_stab for h in hs])
+
+    def leave(self, keep):
+        """Keep only the grid points at stack positions ``keep`` (a list, in stack order)."""
+        for name in self._stacked:
+            setattr(self, name, _take(getattr(self, name), keep))
+        self._set_steps()
 
     def _slow_step(self, mu, coupling, xs):
         """X + h * (a1 + coupling) + sqrt(h) * b1 xs, stabilised by K if declared."""
@@ -275,14 +349,31 @@ class _SlowRunner:
 
     def _record(self, fast):
         if self.recorder is not None:
-            self.recorder.maybe_record(self.k, self.k * self.h, self.X[0], fast[0],
-                                       last=self.k == self.n_steps)
+            self.recorder.maybe_record(self.k, self.k * self.params[0].h_micro, self.X[0, 0],
+                                       fast[0, 0], last=self.k == self.n_steps)
+
+    def _state(self, g):
+        """The arrays of grid point g that the blow-up check reads, (R, N, d) each."""
+        return self.X[g], self.X[g]
+
+    def check_finite(self, g, context=None):
+        """Raise a BlowUpError for grid point g (stack position) if a step
+        failed or its state is not finite or past ``BLOWUP_LIMIT``: its time,
+        particle and, in a batch, replication, with ``context`` (default the
+        runner's)."""
+        if self.failures[g] is not None:
+            raise self.failures[g]
+        _check_finite(*self._state(g), self.k * self.params[g].h_micro,
+                      self.context if context is None else context)
 
     def run(self):
-        """Advance to n_steps through the noise windows of ``streams``."""
+        """Advance to n_steps through the noise windows of ``streams``,
+        checking every grid point at each window end."""
         for _, draws in noise_mod.windows(self.noise, self.streams, self.k, self.n_steps,
                                           self.X.shape[-2]):
             self.advance(len(draws[0]), *draws)
+            for g in range(len(self.params)):
+                self.check_finite(g)
         return self
 
 
@@ -290,65 +381,96 @@ class FullRunner(_SlowRunner):
     """Integrator for the full two-time-scale particle system.
 
     Optionally tracks, in the same pass and with shared noise, one value per
-    replication of:
-      * one block-frozen auxiliary fast process per block size in
-        ``aux_deltas`` (its gap is the row of ``aux_gap``),
+    grid point and replication of:
+      * one block-frozen auxiliary fast process per entry of ``aux_deltas``
+        (its gap is the row of ``aux_gap``),
       * the time-integrated squared slow increment over blocks
         (``increment_delta``),
       * the fast second-moment diagnostic flag.
+    A block size is one delta for every grid point, or a sequence of one per
+    grid point.
     """
 
-    def __init__(self, model: ModelSpec, x0, y0, n_particles: int,
-                 params: MultiscaleParams, plans,
-                 slow_kind: int = noise_mod.SLOW,
+    _stacked = _SlowRunner._stacked + ("Y", "_mom_y0", "_mom_sup_x", "_moment_flag")
+
+    def __init__(self, model: ModelSpec, x0, y0, n_particles: int, params, plans,
                  aux_deltas=(),
-                 increment_delta: Optional[float] = None,
+                 increment_delta=None,
                  recorder: Optional[TrajectoryRecorder] = None,
                  context: str = ""):
         super().__init__(model, x0, n_particles, params, plans,
-                         ((slow_kind, model.n_slow_modes), (noise_mod.FAST, model.n_fast_modes)),
+                         ((noise_mod.SLOW, model.n_slow_modes),
+                          (noise_mod.FAST, model.n_fast_modes)),
                          recorder, context)
-        R = len(self.noise)
-        self.Y = _initial_state(y0, (R, n_particles, model.fast_dim))
-        self.solver = _FastSolver(model, self.h / params.epsilon)
+        G, R = self.X.shape[:2]
+        self.Y = _initial_state(y0, (G, R, n_particles, model.fast_dim))
 
-        self.aux_steps = [params.block_steps(d, "aux_deltas") for d in aux_deltas]
+        self.aux_steps = [self._block_steps(d, "aux_deltas") for d in aux_deltas]
         self.Y_aux = [self.Y.copy() for _ in self.aux_steps]
+        # per aux process: the frozen (X, mu, forcing) it sees
         self._aux_snaps = [None] * len(self.aux_steps)
-        self.gap_sum = np.zeros((len(self.aux_steps), R))
+        self.gap_sum = np.zeros((len(self.aux_steps), G, R))
         self.gap_count = 0
-        self.inc_steps = (params.block_steps(increment_delta, "increment_delta")
-                          if increment_delta is not None else None)
-        if self.inc_steps is not None:
+        self.inc_steps = (self._block_steps(increment_delta, "increment_delta")
+                          if increment_delta is not None else [])
+        if self.inc_steps:
             self._X_block = self.X.copy()
-            self.inc_sum = np.zeros(R)
+            self.inc_sum = np.zeros((G, R))
             self.inc_count = 0
+            self._stacked += ("inc_steps", "_X_block", "inc_sum")
 
         c = model.constants
         self._mom_rate = c.get("c_coer_fast", 1.0) / max(c.get("lam", 1.0), 1e-12)
         self._mom_y0 = np.mean(fast_norm_sq(model, self.Y), axis=-1)
-        self._mom_sup_x = np.zeros(R)
-        self._moment_flag = np.zeros(R, dtype=bool)
+        self._mom_sup_x = np.zeros((G, R))
+        self._moment_flag = np.zeros((G, R), dtype=bool)
         # per-step squared norms (aux gap, block increment, fast state) and
         # measure second moments, not yet folded into the diagnostics
         self._pending = ([], [], [], [])
         self._record(self.Y)
 
+    def _block_steps(self, delta, name):
+        """Micro steps per block on each grid point, from one delta or one per grid point."""
+        deltas = delta if isinstance(delta, (list, tuple)) else [delta] * len(self.params)
+        return [p.block_steps(d, name) for p, d in zip(self.params, deltas, strict=True)]
+
+    def _set_steps(self):
+        super()._set_steps()
+        # h / eps is h_factor on every grid point of a study, and mostly the
+        # same float: the grid points then share the solver's constants
+        self.solver = _FastSolver(self.model, [p.h_micro / p.epsilon for p in self.params])
+
+    def leave(self, keep):
+        self._fold_diagnostics()
+        super().leave(keep)
+        # one entry per aux process, each per grid point
+        self.Y_aux = [_take(Ya, keep) for Ya in self.Y_aux]
+        self.aux_steps = [_take(steps, keep) for steps in self.aux_steps]
+        self._aux_snaps = [snap and (snap[0][keep], _measure_at(snap[1], keep),
+                                     None if snap[2] is None else snap[2][keep])
+                           for snap in self._aux_snaps]
+        self.gap_sum = self.gap_sum[:, keep]
+
+    def _state(self, g):
+        return self.X[g], self.Y[g]
+
     def advance(self, n_sub: int, xs, xf):
-        """Advance n_sub micro steps on the slow and fast noise ``xs`` and
-        ``xf``, each (n_sub, R, N, n_modes): steps k.. of the two streams."""
+        """Advance every grid point n_sub micro steps on the slow and fast
+        noise ``xs`` and ``xf``, each (n_sub, R, N, n_modes): steps k.. of the
+        two streams, which every grid point reads.  Checks nothing (see
+        ``check_finite``)."""
         m = self.model
         gap_sq, inc_sq, y_sq, x_m2 = self._pending
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(n_sub):
                 mu = empirical_view(m, self.X)
                 for i, steps in enumerate(self.aux_steps):
-                    if self.k % steps == 0:
-                        forcing = (m.a2_split[1](self.X, mu)
-                                   if m.a2_split is not None else None)
-                        self._aux_snaps[i] = (self.X.copy(), mu, forcing)
-                if self.inc_steps is not None and self.k % self.inc_steps == 0:
-                    self._X_block = self.X.copy()
+                    due = _due(self.k, steps)
+                    if due:
+                        self._aux_snaps[i] = self._snapshot(self._aux_snaps[i], due, mu)
+                due = _due(self.k, self.inc_steps)
+                if due:
+                    self._X_block[due] = self.X[due]
 
                 Xn = self._slow_step(mu, m.f(self.X, mu, self.Y), xs[j])
                 Yn = self.solver.step(self.X, mu, self.Y, xf[j])
@@ -358,28 +480,42 @@ class FullRunner(_SlowRunner):
                 self.X, self.Y = Xn, Yn
                 self.k += 1
 
-                if self.inc_steps is not None:
+                if self.inc_steps:
                     inc_sq.append(slow_norm_sq(m, self.X - self._X_block))
                 y_sq.append(fast_norm_sq(m, self.Y))
                 x_m2.append(mu.second_moment)
                 self._record(self.Y)
                 if len(y_sq) >= FOLD_STEPS:
                     self._fold_diagnostics()
-        _check_finite(self.X, self.Y, self.k * self.h, self.context)
+
+    def _snapshot(self, snap, due, mu):
+        """An aux process's frozen (X, mu, forcing), with the grid points ``due``
+        taken from the current step (at step 0 all of them, into copies)."""
+        m = self.model
+        forcing = m.a2_split[1](self.X, mu) if m.a2_split is not None else None
+        if snap is None:
+            return (self.X.copy(), MeasureMoments(mu.mean.copy(), mu.second_moment.copy()),
+                    None if forcing is None else forcing.copy())
+        Xs, mus, frc = snap
+        for old, new in ((Xs, self.X), (mus.mean, mu.mean),
+                         (mus.second_moment, mu.second_moment), (frc, forcing)):
+            if old is not None:
+                old[due] = new[due]
+        return snap
 
     def _fold_diagnostics(self):
         """Fold the pending per-step norms into the running diagnostics.
 
-        Means over the particle axis, one per step and replication, are
-        added (or maximised) in step order, so the result does not depend on
-        when the fold happens.
+        Means over the particle axis, one per step, grid point and
+        replication, are added (or maximised) in step order, so the result
+        does not depend on when the fold happens.
         """
         gap_sq, inc_sq, y_sq, x_m2 = self._pending
         if not y_sq:
             return
         N = self.X.shape[-2]
         if gap_sq:
-            # one (R, N) norm per step and aux process, in step order
+            # one (G, R, N) norm per step and aux process, in step order
             for g in np.reshape(np.sum(gap_sq, axis=-1) / N, (-1,) + self.gap_sum.shape):
                 self.gap_sum += g
             self.gap_count += len(gap_sq) // len(self.aux_steps)
@@ -397,20 +533,20 @@ class FullRunner(_SlowRunner):
 
     @property
     def moment_flag(self):
-        """Whether the fast second moment left its bound (per replication)."""
+        """Whether the fast second moment left its bound, (G, R)."""
         self._fold_diagnostics()
         return self._moment_flag
 
     @property
     def aux_gap(self):
-        """Time-integrated mean-square gap (1/T) int E||Y - Y_aux||^2 dt, (D, R):
+        """Time-integrated mean-square gap (1/T) int E||Y - Y_aux||^2 dt, (D, G, R):
         one row per block size of ``aux_deltas``."""
         self._fold_diagnostics()
         return self.gap_sum / max(self.gap_count, 1)
 
     @property
     def increment_stat(self):
-        """Estimate of (1/T) int E||X_t - X_{t(delta)}||^2 dt."""
+        """Estimate of (1/T) int E||X_t - X_{t(delta)}||^2 dt, (G, R)."""
         self._fold_diagnostics()
         return self.inc_sum / max(self.inc_count, 1)
 
@@ -422,5 +558,5 @@ def simulate_full(model: ModelSpec, x0, y0, n_particles: int,
     if recorder is None:
         recorder = TrajectoryRecorder(stride_steps=max(1, params.n_steps // 200))
     runner = FullRunner(model, x0, y0, n_particles, params, (noise,), recorder=recorder).run()
-    recorder.moment_flag = bool(runner.moment_flag[0])
+    recorder.moment_flag = bool(runner.moment_flag[0, 0])
     return recorder

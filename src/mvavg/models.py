@@ -94,7 +94,9 @@ class ModelSpec:
 def _norm_sq(tag, grid, states):
     states = np.asarray(states, dtype=float)
     if tag == "euclidean":
-        return (states * states).sum(axis=-1)
+        sq = states * states
+        # one component: its square is the norm, bit for bit, without a reduction
+        return sq[..., 0] if sq.shape[-1] == 1 else sq.sum(axis=-1)
     if tag == "l2":
         return spatial.l2_norm_sq(grid, states)
     if tag == "hminus1":
@@ -131,9 +133,10 @@ def fast_inner(model: ModelSpec, a, b):
 def empirical_view(model: ModelSpec, U) -> MeasureMoments:
     """Moments of the slow-particle cloud under the model's state norm.
 
-    A cloud (N, d) gives a (d,) mean and a float second moment; a batch of
-    clouds (R, N, d) gives one measure per cloud, a (R, 1, d) mean and a
-    (R, 1, 1) second moment, which broadcast against the batch's states.
+    A cloud (N, d) gives a (d,) mean and a float second moment; a stack of
+    clouds (..., N, d), such as a runner's (G, R, N, d), gives one measure
+    per cloud, a (..., 1, d) mean and a (..., 1, 1) second moment, which
+    broadcast against the stack's states.
     """
     U = np.asarray(U, dtype=float)
     N = U.shape[-2]
@@ -142,7 +145,7 @@ def empirical_view(model: ModelSpec, U) -> MeasureMoments:
         return MeasureMoments(mean=U.sum(axis=0) / N,
                               second_moment=float(slow_norm_sq(model, U).sum() / N))
     return MeasureMoments(mean=U.sum(axis=-2, keepdims=True) / N,
-                          second_moment=(slow_norm_sq(model, U).sum(axis=-1) / N)[:, None, None])
+                          second_moment=(slow_norm_sq(model, U).sum(axis=-1) / N)[..., None, None])
 
 
 def _hs_sq(tag, grid, coeff):
@@ -191,6 +194,7 @@ class HypothesisReport:
 
     @property
     def passed(self) -> bool:
+        # a NaN margin (a non-finite slack, or no samples) fails
         return self.worst_margin >= -self.tolerance
 
 
@@ -217,8 +221,12 @@ def probe_hypothesis(model: ModelSpec, property_name: str, n_samples: int = 1000
     Draws tuples (u1, u2, mu1, mu2, v1, v2), evaluates the model's slack for
     the requested property (slack >= 0 means the inequality holds with the
     declared constants) and reports the worst margin with a witness if it
-    dips below -tolerance.  Deterministic given the seed.
+    dips below -tolerance.  A non-finite slack certifies nothing: it makes
+    the margin NaN, which fails, with that sample as the witness; so does a
+    probe of zero samples.  Deterministic given the seed.
     """
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be >= 0, got {n_samples!r}")
     if property_name not in model.probe_fns:
         raise ValueError(
             f"model {model.model_id!r} declares no probe for {property_name!r}; "
@@ -242,9 +250,11 @@ def probe_hypothesis(model: ModelSpec, property_name: str, n_samples: int = 1000
         v1 = sampler.fast_scale * rng.standard_normal((size, model.fast_dim))
         v2 = sampler.fast_scale * rng.standard_normal((size, model.fast_dim))
         slack = np.asarray(fn(u1, u2, v1, v2, mu1, mu2, w2), dtype=float)
-        i = int(np.argmin(slack))
-        if slack[i] < worst:
-            worst = float(slack[i])
+        bad = ~np.isfinite(slack)
+        i = int(np.argmax(bad)) if bad.any() else int(np.argmin(slack))
+        margin = math.nan if bad[i] else float(slack[i])
+        if margin < worst or math.isnan(margin) and not math.isnan(worst):
+            worst = margin
             witness = {
                 "u1": u1[i].copy(), "u2": u2[i].copy(),
                 "v1": v1[i].copy(), "v2": v2[i].copy(),
@@ -253,10 +263,12 @@ def probe_hypothesis(model: ModelSpec, property_name: str, n_samples: int = 1000
                 "w2": w2, "slack": worst,
             }
         total += size
+    if total == 0:
+        worst = math.nan
     return HypothesisReport(
         property=property_name, samples=total, worst_margin=worst,
         tolerance=tolerance,
-        violating_witness=witness if worst < -tolerance else None)
+        violating_witness=witness if not worst >= -tolerance else None)
 
 
 def run_probe_suite(model: ModelSpec, n_samples: int = 1000, seed: int = 0,

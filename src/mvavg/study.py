@@ -36,6 +36,14 @@ from .models import REGISTRY, ModelSpec, build_model, slow_norm_sq
 SLOPE_TOLERANCE_FRACTION = 0.1
 ERROR_SQ_SLOPE_THRESHOLD = (2.0 / 3.0) * (1.0 - SLOPE_TOLERANCE_FRACTION)
 DEFAULT_EPS_GRID = (0.1, 0.05, 0.02, 0.01, 0.005)
+# A job stacks at most this many state elements (grid points x replications
+# x particles x components) in one runner: stacking saves per-step overhead,
+# but a stack's arrays past the core's cache make element work dearer.  On a
+# 2-vCPU x86_64 host (2 MB L2 per core) a 63-node porous step of 3 grid
+# points x 2 replications x 200 particles (75,600 elements) cost 1.10x the
+# three lone grid points, 2 of them (50,400) 0.97x, and the 40,000 elements
+# of the bundled linear config 0.75x.
+STACK_ELEMENTS = 65536
 
 
 class ConfigError(ValueError):
@@ -84,6 +92,9 @@ def _check_state(key: str, val, dim: int, n_particles: int):
     for v in arr.flat:
         _check_real(key, v)
 
+
+# model parameters that count something (grid nodes, noise modes)
+_INT_MODEL_PARAMS = {"n_interior", "n_slow_modes", "n_fast_modes"}
 
 _CONFIG_KEYS = {
     "model", "model_params", "n_particles", "epsilon_grid", "t_end",
@@ -164,12 +175,19 @@ class StudyConfig:
                 _check_state(key, getattr(self, key), dim, self.n_particles)
 
     def build_model(self) -> ModelSpec:
+        """The model of ``model`` and ``model_params``, each value checked first."""
+        if not isinstance(self.model_params, dict):
+            raise ConfigError(f"model_params: must be a JSON object, got {self.model_params!r}")
+        for key, val in self.model_params.items():
+            (_check_int if key in _INT_MODEL_PARAMS else _check_real)(f"model_params.{key}", val)
         try:
             return build_model(self.model, self.model_params)
-        except TypeError as exc:
+        except (TypeError, KeyError, ValueError) as exc:
             raise ConfigError(f"model_params: {exc}") from exc
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"model_params: {exc}") from exc
+        except ArithmeticError as exc:
+            given = ", ".join(f"model_params.{k}={v!r}" for k, v in self.model_params.items())
+            raise ConfigError(f"model_params: {type(exc).__name__} ({exc}) building "
+                              f"{self.model!r} from {given}") from exc
 
     def params_for(self, epsilon: float) -> MultiscaleParams:
         return resolve_params(epsilon, self.t_end, h_factor=self.h_factor,
@@ -235,25 +253,23 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
 # strong error on a group of grid points
 # ---------------------------------------------------------------------------
 
-def _steps_of(held, start: int, stop: int) -> list:
-    """Steps [start, stop) of each stream in the held windows; a view when one window holds them."""
-    parts = [[d[max(start - k, 0):stop - k] for d in draws]
-             for k, draws in held if k < stop and k + len(draws[0]) > start]
-    return parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)]
-
-
 def _coupled_error_once(cfg: StudyConfig, eps_indices, reps) -> list:
     """One job: lockstep full/averaged runs of a group of grid points under shared slow noise.
 
-    Runs the replications ``reps`` (a tuple of replication indices) of each
-    grid point in ``eps_indices`` as one batch, each replication on its own
-    plan and with its own empirical measure.  Every grid point reads the same
-    streams from step 0, so one window loop up to the group's largest
-    ``n_steps`` draws each window of each stream once, and each grid point
-    still running advances through it from one of its sup times to the next
-    (every multiple of its stride, and its last step).  Returns, per grid
-    point, either one (error_sq, aux_gap, increment_stat) per replication, the
-    same numbers as running each replication and grid point alone, or the
+    Stacks the grid points ``eps_indices`` on the runners' leading axis, in
+    stacks of at most ``STACK_ELEMENTS`` state elements, and behind it the
+    replications ``reps`` (a tuple of replication indices), each on its own
+    plan; every (grid point, replication) keeps its own empirical measure.
+    Every grid point reads the same streams from step 0, so one loop of noise
+    windows up to the group's largest ``n_steps`` draws each window of each
+    stream once, and one Python step advances every grid point still on a
+    stack at one step index.  An advance runs to the next sup time of any
+    grid point on the stack (every multiple of its stride, and its last
+    step) or to the window end.  At its own sup times a grid point is
+    checked for blow-up, full rows first, and its sup-norm maximum taken; it
+    leaves its stack when it finishes or blows up.  Returns, per grid point,
+    either one (error_sq, aux_gap, increment_stat) per replication, the same
+    numbers as running each replication and grid point alone, or the
     BlowUpError that stopped it; a blow-up drops that grid point only.
     """
     model = cfg.build_model()
@@ -261,64 +277,69 @@ def _coupled_error_once(cfg: StudyConfig, eps_indices, reps) -> list:
     seeds = ",".join(str(p.seed) for p in plans)
     x0, y0 = cfg.initial_states(model)
     N = cfg.n_particles
-    avg_kind = noise_mod.SLOW if cfg.crn else noise_mod.SLOW_ALT
-    points = []
-    for i in eps_indices:
-        epsilon = cfg.epsilon_grid[i]
-        params = cfg.params_for(epsilon)
-        delta = params.delta_block
-        full = FullRunner(model, x0, y0, N, params, plans,
-                          aux_deltas=(delta,), increment_delta=delta,
-                          context=f"full eps={epsilon:g} seed={seeds}")
-        avg = AveragedRunner(model, x0, N, params, plans, slow_kind=avg_kind,
-                             context=f"averaged eps={epsilon:g} seed={seeds}",
+    params = [cfg.params_for(cfg.epsilon_grid[i]) for i in eps_indices]
+    size = max(1, STACK_ELEMENTS // (len(reps) * N * max(model.slow_dim, model.fast_dim)))
+    stacks = []     # (full runner, averaged runner, its grid points in stack order)
+    for first in range(0, len(params), size):
+        live = list(range(first, min(first + size, len(params))))
+        deltas = [params[j].delta_block for j in live]
+        full = FullRunner(model, x0, y0, N, [params[j] for j in live], plans,
+                          aux_deltas=(deltas,), increment_delta=deltas)
+        avg = AveragedRunner(model, x0, N, [params[j] for j in live], plans,
+                             slow_kind=noise_mod.SLOW if cfg.crn else noise_mod.SLOW_ALT,
                              **cfg.averaged_mode_kwargs(model))
-        stride = max(1, params.n_steps // cfg.record_points)
-        points.append((full, avg, stride, np.zeros(full.X.shape[:-1])))
-    # the streams of every runner, each once: SLOW and FAST, and SLOW_ALT without CRN
+        stacks.append((full, avg, live))
+    # the streams of both runners, each once: SLOW and FAST, and SLOW_ALT without CRN
     streams = list(dict.fromkeys(full.streams + avg.streams))
-
-    outcomes = [None] * len(points)
-    running = list(range(len(points)))
-    # the windows from the first step a running grid point still needs: a
-    # stride across window edges is joined from them, so that every advance,
-    # and the blow-up check at its end, still ends on a sup time
-    held = []
-    for k, draws in noise_mod.windows(plans, streams, 0, max(p[0].n_steps for p in points), N):
-        held.append((k, draws))
-        end = k + len(draws[0])
-        for j in list(running):
-            full, avg, stride, sup_sq = points[j]
-            try:
-                # counter-based streams: a grid point's slice of the shared
-                # windows holds the increments it would draw on its own
-                while full.k < full.n_steps and \
-                        (stop := min(full.k - full.k % stride + stride, full.n_steps)) <= end:
-                    n_sub = stop - full.k
-                    window = dict(zip(streams, _steps_of(held, full.k, stop)))
-                    for runner in (full, avg):
-                        runner.advance(n_sub, *map(window.__getitem__, runner.streams))
-                    np.maximum(sup_sq, slow_norm_sq(model, full.X - avg.X), out=sup_sq)
-                if full.k == full.n_steps:
-                    outcomes[j] = [(float(np.mean(s)), float(g), float(c)) for s, g, c
-                                   in zip(sup_sq, full.aux_gap[0], full.increment_stat)]
-            except BlowUpError as exc:
-                outcomes[j] = exc
-            if outcomes[j] is not None:
-                running.remove(j)
-        if not running:
+    strides = [max(1, p.n_steps // cfg.record_points) for p in params]
+    sup_sq = [np.zeros((len(reps), N)) for _ in params]
+    outcomes = [None] * len(params)
+    for start, draws in noise_mod.windows(plans, streams, 0, max(p.n_steps for p in params), N):
+        window = dict(zip(streams, draws))
+        end = start + len(draws[0])
+        for full, avg, live in stacks:
+            while live and full.k < end:
+                k = full.k
+                stop = min([end] + [min(k - k % strides[j] + strides[j], params[j].n_steps)
+                                    for j in live])
+                # counter-based streams: the stack's slice of the shared
+                # windows holds the increments each grid point would draw alone
+                for runner in (full, avg):
+                    runner.advance(stop - k, *(window[s][k - start:stop - start]
+                                               for s in runner.streams))
+                for g, j in enumerate(live):
+                    if stop % strides[j] and stop < params[j].n_steps:
+                        continue
+                    eps = cfg.epsilon_grid[eps_indices[j]]
+                    try:
+                        full.check_finite(g, f"full eps={eps:g} seed={seeds}")
+                        avg.check_finite(g, f"averaged eps={eps:g} seed={seeds}")
+                    except BlowUpError as exc:
+                        outcomes[j] = exc
+                        continue
+                    np.maximum(sup_sq[j], slow_norm_sq(model, full.X[g] - avg.X[g]),
+                               out=sup_sq[j])
+                    if stop == params[j].n_steps:
+                        outcomes[j] = [(float(np.mean(s)), float(a), float(c)) for s, a, c in
+                                       zip(sup_sq[j], full.aux_gap[0, g], full.increment_stat[g])]
+                keep = [g for g, j in enumerate(live) if outcomes[j] is None]
+                if len(keep) < len(live):
+                    live[:] = [live[g] for g in keep]
+                    if live:
+                        full.leave(keep)
+                        avg.leave(keep)
+        if not any(live for _, _, live in stacks):
             break
-        first = min(points[j][0].k for j in running)
-        held = [(k, d) for k, d in held if k + len(d[0]) > first]
     return outcomes
 
 
 def _grid_points(cfg: StudyConfig, eps_indices) -> list:
     """Per grid point of ``eps_indices``: its replication results, a BlowUpError for each blow-up.
 
-    The group runs as one job, its replications as one batch.  A grid point
-    whose batch blows up is run again one replication at a time, so that each
-    failure names its own time, particle and seed; any other error propagates.
+    The group runs as one job, its grid points and replications stacked
+    (see ``_coupled_error_once``).  A grid point whose replications blow up
+    is run again one replication at a time, so that each failure names its
+    own time, particle and seed; any other error propagates.
     """
     reps = tuple(range(cfg.replications))
     outcomes = _coupled_error_once(cfg, eps_indices, reps)
@@ -469,7 +490,7 @@ def run_aux_diagnostic(cfg: StudyConfig, epsilon: float, deltas=None) -> list:
     seeds = ",".join(str(p.seed) for p in plans)
     runner = FullRunner(model, x0, y0, cfg.n_particles, params, plans, aux_deltas=d_effs,
                         context=f"aux eps={epsilon:g} seed={seeds}").run()
-    gaps = [float(np.mean(g)) for g in runner.aux_gap]
+    gaps = [float(np.mean(g)) for g in runner.aux_gap[:, 0]]
     return [{"delta": d, "gap": g, "gap_over_delta": g / d} for d, g in zip(d_effs, gaps)]
 
 
@@ -516,14 +537,3 @@ def write_report(report: RateReport, out_dir: str) -> dict:
                 fh.write(f"  epsilon={eps:g}: {msg}\n")
     return {"rate_report": rate_path, "fit": fit_path, "summary": summary_path}
 
-
-def read_rate_report(path: str) -> list:
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            vals = [float(v) for v in line.strip().split(",")]
-            rows.append(RateRow(*vals))
-    if header != ["epsilon", "error_sq", "std_error", "aux_gap", "increment_stat"]:
-        raise ConfigError("rate_report.csv: unexpected header")
-    return rows

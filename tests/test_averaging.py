@@ -261,7 +261,7 @@ def test_hmm_node_table_matches_cubic_oracles():
     assert nodes == pytest.approx(np.linspace(0.5, 1.5, HMM_NODES)) and 1.0 not in nodes
     se = runner.fbar_cache[0][4]
     comb = 3.0 * math.sqrt(se ** 2 + FBAR_CUBIC_LONGRUN_SE ** 2)
-    fbar = runner._fbar[0, 1, 0]
+    fbar = runner._fbar[0, 0, 1, 0]
     assert abs(fbar - FBAR_CUBIC_LONGRUN) < comb
     assert abs(fbar - FBAR_CUBIC_QUAD) < comb
 

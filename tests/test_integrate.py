@@ -35,7 +35,7 @@ def test_zero_coefficients_leave_ensemble_fixed():
     r = FullRunner(m, [0.0], [0.0], 4, params, [NoisePlan(1)])
     r.advance(1, *(draw(r.noise, kind, 0, 1, 4, modes) for kind, modes in r.streams))
     assert np.all(r.X == 0.0) and np.all(r.Y == 0.0)
-    assert r.k == 1 and r.X[0].shape == (4, 1)
+    assert r.k == 1 and r.X[0, 0].shape == (4, 1)
 
 
 def test_deterministic_linear_matches_matrix_exponential():
@@ -48,8 +48,8 @@ def test_deterministic_linear_matches_matrix_exponential():
     A = np.array([[c["a11"] + c["a12"], c["f0"]],
                   [(c["k1"] + c["k2"]) / eps, -c["gamma"] / eps]])
     ref = expm(A) @ np.array([1.0, 1.0])
-    assert abs(r.X[0, 0, 0] - ref[0]) < 50 * params.h_micro
-    assert abs(r.Y[0, 0, 0] - ref[1]) < 50 * params.h_micro
+    assert abs(r.X[0, 0, 0, 0] - ref[0]) < 50 * params.h_micro
+    assert abs(r.Y[0, 0, 0, 0] - ref[1]) < 50 * params.h_micro
 
 
 def advance_in_slices(r, chunk):
@@ -91,7 +91,7 @@ def test_aux_process_collapses_when_coefficients_ignore_slow():
     params = resolve_params(0.05, 0.5)
     r = FullRunner(m, [1.0], [1.0], 16, params, [NoisePlan(5)],
                    aux_deltas=(params.delta_block,)).run()
-    assert r.aux_gap[0, 0] == 0.0
+    assert r.aux_gap[0, 0, 0] == 0.0
     assert np.array_equal(r.Y, r.Y_aux[0])
 
 
@@ -102,7 +102,7 @@ def test_aux_process_block_of_one_step_matches_truth():
     params = resolve_params(0.05, 0.2)
     r = FullRunner(m, [1.0], [1.0], 8, params, [NoisePlan(6)],
                    aux_deltas=(params.h_micro,)).run()
-    assert r.aux_gap[0, 0] == 0.0
+    assert r.aux_gap[0, 0, 0] == 0.0
 
 
 def test_blowup_raises_with_context():
@@ -164,7 +164,7 @@ def test_stabilised_slow_step_is_backward_euler_when_linear(model_id, params, h)
     r = FullRunner(m, m.default_x0, m.default_y0, 5,
                    MultiscaleParams(epsilon=0.1, t_end=1.0, h_micro=h), [NoisePlan(1)])
     rng = np.random.default_rng(9)
-    r.X, coupling = rng.normal(size=(2, 1, 5, n))
+    r.X, coupling = rng.normal(size=(2, 1, 1, 5, n))
     xs = rng.normal(size=(1, 5, m.n_slow_modes))
     mu = empirical_view(m, r.X)
     hk, dx2 = h * m.slow_stab, m.grid.dx ** 2
@@ -190,8 +190,8 @@ def test_first_moment_matches_mean_ode():
     A = np.array([[c["a11"] + c["a12"], c["f0"]],
                   [(c["k1"] + c["k2"]) / eps, -c["gamma"] / eps]])
     ref = expm(A) @ np.array([1.0, 1.0])
-    se = r.X[0, :, 0].std(ddof=1) / math.sqrt(N)
-    assert abs(r.X[0, :, 0].mean() - ref[0]) < 3.0 * se + 60 * params.h_micro
+    se = r.X[0, 0, :, 0].std(ddof=1) / math.sqrt(N)
+    assert abs(r.X[0, 0, :, 0].mean() - ref[0]) < 3.0 * se + 60 * params.h_micro
 
 
 def test_fast_fluctuation_variance_near_stationary():
@@ -201,9 +201,9 @@ def test_fast_fluctuation_variance_near_stationary():
     N = 4000
     params = resolve_params(0.02, 1.0)
     r = FullRunner(m, [1.0], [1.0], N, params, [NoisePlan(13)]).run()
-    mu = empirical_view(m, r.X[0])
-    cond_mean = (c["k1"] * r.X[0] + c["k2"] * mu.mean) / c["gamma"]
-    fluct = (r.Y[0] - cond_mean)[:, 0]
+    mu = empirical_view(m, r.X[0, 0])
+    cond_mean = (c["k1"] * r.X[0, 0] + c["k2"] * mu.mean) / c["gamma"]
+    fluct = (r.Y[0, 0] - cond_mean)[:, 0]
     target = c["sigma2"] ** 2 / (2 * c["gamma"])
     se = np.var(fluct) * math.sqrt(2.0 / N)  # rough chi^2 standard error
     assert abs(np.var(fluct) - target) < 3 * se + 0.05 * target
@@ -252,7 +252,7 @@ def test_increment_stat_constant_path():
     m = decaying_slow(a11=0.0)
     params = MultiscaleParams(epsilon=0.1, t_end=1.0, h_micro=0.002)
     r = FullRunner(m, [1.0], [1.0], 2, params, [NoisePlan(1)], increment_delta=0.1).run()
-    assert r.increment_stat[0] == 0.0
+    assert r.increment_stat[0, 0] == 0.0
 
 
 def test_increment_stat_vs_euler_sum_and_quadrature():
@@ -265,17 +265,17 @@ def test_increment_stat_vs_euler_sum_and_quadrature():
     s = round(delta / h)
     k = np.arange(1, params.n_steps + 1)
     euler = np.mean(((1 - h) ** k - (1 - h) ** ((k - 1) // s * s)) ** 2)
-    assert r.increment_stat[0] == pytest.approx(euler, rel=1e-9)
+    assert r.increment_stat[0, 0] == pytest.approx(euler, rel=1e-9)
     tt = np.linspace(0.0, T, 200_001)
     ref = np.mean((np.exp(-tt) - np.exp(-np.floor(tt / delta + 1e-12) * delta)) ** 2)
-    assert r.increment_stat[0] == pytest.approx(ref, rel=0.02)
+    assert r.increment_stat[0, 0] == pytest.approx(ref, rel=0.02)
 
 
 def test_increment_stat_scales_linearly_in_delta():
     m = build_model("linear-benchmark")
     params = MultiscaleParams(epsilon=0.05, t_end=1.0, h_micro=0.001)
     s1, s2 = (FullRunner(m, [1.0], [1.0], 512, params, [NoisePlan(16)],
-                         increment_delta=d).run().increment_stat[0] for d in (0.10, 0.05))
+                         increment_delta=d).run().increment_stat[0, 0] for d in (0.10, 0.05))
     assert 1.5 < s1 / s2 < 2.7  # halving delta roughly halves the statistic
 
 
@@ -302,13 +302,32 @@ def test_diagnostics_independent_of_chunks_and_folds(model_id, monkeypatch):
         r = FullRunner(m, [1.0], [0.5], 16, params, [NoisePlan(3)], aux_deltas=(0.01,),
                        increment_delta=0.02)
         advance_in_slices(r, chunk)
-        results.append((r.aux_gap[0, 0], r.increment_stat[0], bool(r.moment_flag[0])))
+        results.append((r.aux_gap[0, 0, 0], r.increment_stat[0, 0], bool(r.moment_flag[0, 0])))
     # the linear model exercises the gap and increment sums, the expanding one the flag
     if model_id == "linear-benchmark":
         assert results[0][0] > 0 and results[0][1] > 0 and not results[0][2]
     else:
         assert results[0][2]
     assert all(res == results[0] for res in results)
+
+
+@pytest.mark.parametrize("diagnostics", [{}, {"aux_deltas": (0.01,), "increment_delta": 0.02}])
+def test_grid_point_leaving_the_stack_keeps_the_others_bitwise(diagnostics):
+    # eps = 0.1 and 0.05 stepped together, then eps = 0.05 alone after the
+    # first leaves: the same bits as eps = 0.05 stepped alone all the way
+    m = build_model("linear-benchmark")
+    params = [MultiscaleParams(epsilon=e, t_end=0.1, h_micro=0.001) for e in (0.1, 0.05)]
+    plans = [NoisePlan(4), NoisePlan(5)]
+    draws = [draw(plans, kind, 0, 40, 8, modes) for kind, modes in ((0, 1), (1, 1))]
+    both = FullRunner(m, [1.0], [0.5], 8, params, plans, **diagnostics)
+    lone = FullRunner(m, [1.0], [0.5], 8, params[1], plans, **diagnostics)
+    both.advance(15, *(d[:15] for d in draws))
+    both.leave([1])
+    both.advance(25, *(d[15:] for d in draws))
+    lone.advance(40, *draws)
+    assert both.X.shape == lone.X.shape == (1, 2, 8, 1)
+    for name in ("X", "Y", "moment_flag") + (("aux_gap", "increment_stat") if diagnostics else ()):
+        assert np.array_equal(getattr(both, name), getattr(lone, name)), name
 
 
 def test_zero_horizon_returns_initial_state_only():

@@ -1,3 +1,4 @@
+import math
 import numpy as np
 import pytest
 
@@ -140,6 +141,33 @@ def test_probe_broken_model_rejected_with_witness():
     w = rep.violating_witness
     dv = w["v1"] - w["v2"]
     assert float(dv @ dv) > 0.0
+
+
+def test_one_component_norm_is_the_reduction_bitwise():
+    # a one-component Euclidean state skips the reduction over its last axis
+    m = build_model("linear-benchmark")
+    U = np.random.default_rng(3).normal(size=(2, 3, 5, 1))
+    U[0, 1, 2, 0] = np.nan
+    for states in (U, U[0, 0], U[1, 2, 3]):
+        assert np.array_equal(slow_norm_sq(m, states), (states * states).sum(axis=-1),
+                              equal_nan=True)
+
+
+def test_probe_fails_on_non_finite_slack():
+    # kappa = NaN makes every fast slack NaN: a NaN is no certificate, and
+    # argmin alone would leave the margin at its starting +inf
+    m = build_model("mvsde-cubic", {"kappa": float("nan")})
+    rep = probe_hypothesis(m, "strict_monotonicity_fast", n_samples=200, seed=2)
+    assert not rep.passed and math.isnan(rep.worst_margin)
+    assert rep.violating_witness is not None and math.isnan(rep.violating_witness["slack"])
+
+
+def test_probe_fails_on_zero_samples():
+    m = build_model("linear-benchmark")
+    rep = probe_hypothesis(m, "coercivity_fast", n_samples=0)
+    assert rep.samples == 0 and not rep.passed
+    with pytest.raises(ValueError, match="n_samples"):
+        probe_hypothesis(m, "coercivity_fast", n_samples=-5)
 
 
 def test_probe_unknown_property():

@@ -12,14 +12,14 @@ from mvavg import study
 from mvavg.averaging import (default_frozen_params, estimate_fbar, estimate_mixing_rate,
                              frozen_simulate)
 from mvavg.cli import main
+from mvavg.averaging import AveragedRunner
 from mvavg.integrate import BlowUpError, FullRunner, resolve_params
 from mvavg.measure import MeasureMoments
 from mvavg.models import build_model
 from mvavg.noise import NoisePlan
 from mvavg.study import (ConfigError, RateRow, StudyConfig, _coupled_error_once,
                          aggregate, assemble_report, fit_loglog, load_config,
-                         read_rate_report, run_aux_diagnostic, run_rate_study,
-                         write_report)
+                         run_aux_diagnostic, run_rate_study, write_report)
 
 
 def write_cfg(tmp_path, **kw):
@@ -342,24 +342,119 @@ def test_group_draws_each_stream_once_per_step(crn, monkeypatch):
         assert [s for s, _ in windows] == list(range(0, 250, 24))
 
 
-def test_group_blowups_drop_only_their_grid_points():
+def test_group_blowups_drop_only_their_grid_points(monkeypatch):
     # eps = 0.02 and 0.01 blow up before t_end = 0.458, eps = 0.1 and 0.05 do
-    # not; eps = 0.01 (2290 steps) blows up in its second noise window
+    # not; eps = 0.01 (2290 steps) blows up in its second noise window.  Then
+    # again on windows of 8 steps, so that the strides of eps = 0.02 and 0.01
+    # (5 and 11 steps) cross window edges and advances split there: a blow-up
+    # is still found at a sup time, with the same time, particle and context
     cfg = StudyConfig(model="linear-benchmark", model_params={"a11": 40.0}, n_particles=8,
                       epsilon_grid=[0.1, 0.05, 0.02, 0.01], replications=2, t_end=0.458,
                       seed=2024)
-    group = _coupled_error_once(cfg, (0, 1, 2, 3), (0, 1))
-    alone = [_coupled_error_once(cfg, (i,), (0, 1))[0] for i in range(4)]
-    failed = [i for i, out in enumerate(group) if isinstance(out, BlowUpError)]
-    assert failed == [2, 3]
+    groups = []
+    for normals in (study.noise_mod.NOISE_WINDOW_NORMALS, 7 * cfg.n_particles):
+        monkeypatch.setattr(study.noise_mod, "NOISE_WINDOW_NORMALS", normals)
+        group = _coupled_error_once(cfg, (0, 1, 2, 3), (0, 1))
+        alone = [_coupled_error_once(cfg, (i,), (0, 1))[0] for i in range(4)]
+        failed = [i for i, out in enumerate(group) if isinstance(out, BlowUpError)]
+        assert failed == [2, 3]
+        assert [repr(out) for out in group] == [repr(out) for out in alone]
+        report = run_rate_study(cfg)
+        assert report.incomplete
+        assert report.rows == [aggregate(cfg.epsilon_grid[i], alone[i])
+                               for i in range(4) if i not in failed]
+        assert report.failures == [(cfg.epsilon_grid[i],
+                                    repr(_coupled_error_once(cfg, (i,), (rep,))[0]))
+                                   for i in failed for rep in range(2)]
+        groups.append([repr(out) for out in group])
+    assert groups[0] == groups[1]
+
+
+def test_group_steps_each_step_index_once(monkeypatch):
+    # 50, 100 and 250 steps: 250 step indices per runner, not 400 steps, and
+    # each grid point leaves the stack after its last step
+    cfg = StudyConfig(model="linear-benchmark", n_particles=8, record_points=7,
+                      epsilon_grid=[0.1, 0.05, 0.02], replications=2, t_end=0.1, seed=11)
+    steps = {FullRunner: [], AveragedRunner: []}
+    for cls, calls in steps.items():
+        def spy(runner, n_sub, *draws, _advance=cls.advance, _calls=calls):
+            _calls.append((runner.k, n_sub, runner.X.shape[:2]))
+            return _advance(runner, n_sub, *draws)
+        monkeypatch.setattr(cls, "advance", spy)
+    _coupled_error_once(cfg, (0, 1, 2), (0, 1))
+    for calls in steps.values():
+        assert sum(n for _, n, _ in calls) == 250
+        assert [k + n for k, n, _ in calls] == sorted({k + n for k, n, _ in calls})
+        assert {shape[0] for k, _, shape in calls if k < 50} == {3}
+        assert {shape[0] for k, _, shape in calls if 50 <= k < 100} == {2}
+        assert {shape[0] for k, _, shape in calls if k >= 100} == {1}
+
+
+@pytest.mark.parametrize("base", BATCH_CASES[:3], ids=["linear", "linear-no-crn", "porous"])
+def test_group_split_into_stacks_is_bitwise_lone_grid_points(base, monkeypatch):
+    # a stack cap of two grid points' states: the group of three runs as a
+    # stack of two and a stack of one, 100 + 250 step indices per runner,
+    # against the same noise windows, small enough that strides cross them
+    cfg = StudyConfig(**base, epsilon_grid=[0.1, 0.05, 0.02], replications=2, t_end=0.1,
+                      seed=11)
+    model = cfg.build_model()
+    monkeypatch.setattr(study.noise_mod, "NOISE_WINDOW_NORMALS", 24 * cfg.n_particles)
+    alone = [_coupled_error_once(cfg, (i,), (0, 1))[0] for i in range(3)]
+    monkeypatch.setattr(study, "STACK_ELEMENTS", 2 * 2 * cfg.n_particles * model.slow_dim)
+    heights = []
+    advance = FullRunner.advance
+
+    def spy(runner, n_sub, *draws):
+        heights.extend([runner.X.shape[0]] * n_sub)
+        return advance(runner, n_sub, *draws)
+
+    monkeypatch.setattr(FullRunner, "advance", spy)
+    assert _coupled_error_once(cfg, (0, 1, 2), (0, 1)) == alone
+    assert len(heights) == 350 and heights.count(2) == 50 and max(heights) == 2
+
+
+@pytest.mark.parametrize("base", [
+    dict(model="porous-media-1d", model_params={"n_interior": 7}),
+    dict(model="linear-benchmark"),
+])
+def test_group_with_per_grid_point_solvers_is_bitwise_lone_grid_points(base):
+    # h_factor 0.03 on eps = 0.1, 0.07 and 0.02 gives three different h / eps
+    # in floating point, so the stack carries a fast solver per grid point; the
+    # porous x0 of amplitude 1.5 raises K, and h K differs per grid point too
+    nodes = np.arange(1, 8) / 8
+    x0 = list(1.5 * np.sin(np.pi * nodes)) if base["model"] == "porous-media-1d" else None
+    cfg = StudyConfig(**base, n_particles=8, epsilon_grid=[0.1, 0.07, 0.02], h_factor=0.03,
+                      replications=2, t_end=0.03, seed=12, x0=x0)
+    model = cfg.build_model()
+    params = [cfg.params_for(e) for e in cfg.epsilon_grid]
+    assert len({p.h_micro / p.epsilon for p in params}) == 3
+    runner = FullRunner(model, *cfg.initial_states(model), 8, params, [NoisePlan(1)])
+    if model.slow_stab is not None:
+        assert runner.slow_stab == model.slow_stab_for(1.5) > model.slow_stab
+        assert runner.stab_inv_t.shape == (3, 1, 7, 7)
+        for g, p in enumerate(params):
+            lone = FullRunner(model, *cfg.initial_states(model), 8, p, [NoisePlan(1)])
+            assert np.array_equal(runner.stab_inv_t[g, 0], lone.stab_inv_t)
+    group = _coupled_error_once(cfg, (0, 1, 2), (0, 1))
+    alone = [_coupled_error_once(cfg, (i,), (0, 1))[0] for i in range(3)]
+    assert all(isinstance(out, list) for out in group)
+    assert group == alone
+
+
+@pytest.mark.filterwarnings("ignore:fbar standard error")
+def test_group_frozen_run_blowup_fails_its_grid_point():
+    # the eps = 0.1 grid point's refresh marches a frozen run that blows up
+    # inside an advance of the stack: it fails that grid point with the
+    # frozen run's time and particle, as when it runs alone
+    cfg = StudyConfig(model="mvsde-cubic", model_params={"c_mu": 20.0}, n_particles=8,
+                      averaged_mode="hmm",
+                      hmm={"replicas": 1, "horizon": 0.5, "burn_in": 0.2, "h_frozen": 0.02},
+                      epsilon_grid=[0.1, 0.05, 0.02], replications=2, t_end=1.0, seed=3)
+    group = _coupled_error_once(cfg, (0, 1, 2), (0, 1))
+    alone = [_coupled_error_once(cfg, (i,), (0, 1))[0] for i in range(3)]
+    assert all(isinstance(out, BlowUpError) for out in group)
+    assert "[frozen run, batch row 0]" in repr(group[0])
     assert [repr(out) for out in group] == [repr(out) for out in alone]
-    report = run_rate_study(cfg)
-    assert report.incomplete
-    assert report.rows == [aggregate(cfg.epsilon_grid[i], alone[i])
-                           for i in range(4) if i not in failed]
-    assert report.failures == [(cfg.epsilon_grid[i],
-                                repr(_coupled_error_once(cfg, (i,), (rep,))[0]))
-                               for i in failed for rep in range(2)]
 
 
 def test_pool_submits_the_longest_grid_point_first(monkeypatch):
@@ -410,7 +505,10 @@ def test_programming_error_in_a_job_propagates(monkeypatch):
 def test_report_roundtrip_full_precision(tmp_path):
     report = synthetic_report(lambda e: math.pi * e ** 0.7)
     paths = write_report(report, str(tmp_path))
-    rows = read_rate_report(paths["rate_report"])
+    with open(paths["rate_report"]) as fh:
+        assert fh.readline().strip().split(",") == [f.name for f in dataclasses.fields(RateRow)]
+        rows = [RateRow(*map(float, line.split(","))) for line in fh]
+    assert len(rows) == len(report.rows)
     for got, want in zip(rows, report.rows):
         assert got.epsilon == want.epsilon
         assert got.error_sq == want.error_sq  # exact: 17 significant digits
@@ -560,6 +658,26 @@ def test_freeze_non_finite_flags_name_the_flag(tmp_path, capsys, flag, value):
     assert f"config error: {flag}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, key, value", [("linear-benchmark", "gamma", "NaN"),
+                                                ("linear-benchmark", "sigma1", "1e200"),
+                                                ("porous-media-1d", "n_interior", "1.5")])
+def test_model_params_checked_and_key_named(tmp_path, capsys, model, key, value):
+    # a non-finite value, one that overflows the model's constants, and a
+    # fractional node count: each exits 2 naming model_params.<key>
+    argv = ["rate-study", "--model", model, "--param", f"{key}={value}", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert f"model_params.{key}" in capsys.readouterr().err
+
+
+def test_cli_probe_fails_on_no_samples(tmp_path, capsys):
+    model = ["--model", "linear-benchmark", "--out", str(tmp_path)]
+    assert main(["probe", "--samples", "0"] + model) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.startswith("FAIL ") and "over 0 samples" in line for line in lines)
+    assert main(["probe", "--samples", "-5"] + model) == 2
+    assert "config error: --samples:" in capsys.readouterr().err
+
+
 def test_cli_blowup_is_exit_3(tmp_path):
     assert main(["simulate", "--model", "broken-antidissipative",
                  "--epsilon", "0.01", "--seed", "1",
@@ -635,7 +753,7 @@ def test_aux_ladder_is_bitwise_single_delta_runners():
         alone = FullRunner(m, [1.0], [1.0], 16, params, plans, aux_deltas=(d,)).run()
         assert np.array_equal(both.aux_gap[i], alone.aux_gap[0])
         assert np.array_equal(both.Y_aux[i], alone.Y_aux[0])
-    assert both.aux_gap.shape == (2, 2) and both.aux_gap[0, 0] < both.aux_gap[1, 0]
+    assert both.aux_gap.shape == (2, 1, 2) and both.aux_gap[0, 0, 0] < both.aux_gap[1, 0, 0]
 
 
 def test_aux_diagnostic_steps_the_true_path_once(monkeypatch):
