@@ -308,7 +308,6 @@ class AveragedRunner(_SlowRunner):
         if collect_fbar_cache and (len(self.params), len(self.noise)) != (1, 1):
             raise ValueError("collect_fbar_cache needs exactly one grid point and one noise plan")
         self.mode = mode
-        self.fbar_warned = False
         self.fbar_cache: list[tuple] = [] if collect_fbar_cache else None
 
         if mode == "hmm":
@@ -319,7 +318,8 @@ class AveragedRunner(_SlowRunner):
                 self.hmm[0].replicas * points, model.fast_dim)).copy()
             self.frozen_step = [0] * len(self.params)
             self._fbar = np.zeros(self.X.shape)
-            self._stacked += ("hmm", "frozen_step", "_Z", "_fbar")
+            self.fbar_warned = [False] * len(self.params)    # each grid point warns once
+            self._stacked += ("hmm", "frozen_step", "_Z", "_fbar", "fbar_warned")
         self._record(self.X[..., :0])
 
     def _refresh_fbar(self, g, mu):
@@ -364,12 +364,12 @@ class AveragedRunner(_SlowRunner):
             se = sd.reshape(R, -1).mean(axis=-1) / math.sqrt(M)
             scale = np.abs(fbar).reshape(R, -1).mean(axis=-1) + 1e-30
             for se_r, scale_r in zip(se, scale):
-                if se_r > hmm.warn_fraction * scale_r and not self.fbar_warned:
+                if se_r > hmm.warn_fraction * scale_r and not self.fbar_warned[g]:
                     warnings.warn(
                         f"fbar standard error {se_r:.3g} exceeds {hmm.warn_fraction:.0%} "
-                        f"of the drift magnitude {scale_r:.3g}; increase the hmm horizon "
-                        "or replicas", RuntimeWarning)
-                    self.fbar_warned = True
+                        f"of the drift magnitude {scale_r:.3g} at eps={self.params[g].epsilon:g}; "
+                        "increase the hmm horizon or replicas", RuntimeWarning)
+                    self.fbar_warned[g] = True
         if self.fbar_cache is not None:
             self._cache_fbar(mu, points, est, float(se[0]))
 

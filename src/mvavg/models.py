@@ -94,9 +94,7 @@ class ModelSpec:
 def _norm_sq(tag, grid, states):
     states = np.asarray(states, dtype=float)
     if tag == "euclidean":
-        sq = states * states
-        # one component: its square is the norm, bit for bit, without a reduction
-        return sq[..., 0] if sq.shape[-1] == 1 else sq.sum(axis=-1)
+        return (states * states).sum(axis=-1)
     if tag == "l2":
         return spatial.l2_norm_sq(grid, states)
     if tag == "hminus1":

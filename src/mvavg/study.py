@@ -36,14 +36,6 @@ from .models import REGISTRY, ModelSpec, build_model, slow_norm_sq
 SLOPE_TOLERANCE_FRACTION = 0.1
 ERROR_SQ_SLOPE_THRESHOLD = (2.0 / 3.0) * (1.0 - SLOPE_TOLERANCE_FRACTION)
 DEFAULT_EPS_GRID = (0.1, 0.05, 0.02, 0.01, 0.005)
-# A job stacks at most this many state elements (grid points x replications
-# x particles x components) in one runner: stacking saves per-step overhead,
-# but a stack's arrays past the core's cache make element work dearer.  On a
-# 2-vCPU x86_64 host (2 MB L2 per core) a 63-node porous step of 3 grid
-# points x 2 replications x 200 particles (75,600 elements) cost 1.10x the
-# three lone grid points, 2 of them (50,400) 0.97x, and the 40,000 elements
-# of the bundled linear config 0.75x.
-STACK_ELEMENTS = 65536
 
 
 class ConfigError(ValueError):
@@ -256,18 +248,18 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
 def _coupled_error_once(cfg: StudyConfig, eps_indices, reps) -> list:
     """One job: lockstep full/averaged runs of a group of grid points under shared slow noise.
 
-    Stacks the grid points ``eps_indices`` on the runners' leading axis, in
-    stacks of at most ``STACK_ELEMENTS`` state elements, and behind it the
-    replications ``reps`` (a tuple of replication indices), each on its own
-    plan; every (grid point, replication) keeps its own empirical measure.
+    Stacks the grid points ``eps_indices`` on the runners' leading axis, and
+    behind it the replications ``reps`` (a tuple of replication indices),
+    each on its own plan; every (grid point, replication) keeps its own
+    empirical measure.
     Every grid point reads the same streams from step 0, so one loop of noise
     windows up to the group's largest ``n_steps`` draws each window of each
-    stream once, and one Python step advances every grid point still on a
+    stream once, and one Python step advances every grid point still on the
     stack at one step index.  An advance runs to the next sup time of any
     grid point on the stack (every multiple of its stride, and its last
     step) or to the window end.  At its own sup times a grid point is
     checked for blow-up, full rows first, and its sup-norm maximum taken; it
-    leaves its stack when it finishes or blows up.  Returns, per grid point,
+    leaves the stack when it finishes or blows up.  Returns, per grid point,
     either one (error_sq, aux_gap, increment_stat) per replication, the same
     numbers as running each replication and grid point alone, or the
     BlowUpError that stopped it; a blow-up drops that grid point only.
@@ -278,17 +270,13 @@ def _coupled_error_once(cfg: StudyConfig, eps_indices, reps) -> list:
     x0, y0 = cfg.initial_states(model)
     N = cfg.n_particles
     params = [cfg.params_for(cfg.epsilon_grid[i]) for i in eps_indices]
-    size = max(1, STACK_ELEMENTS // (len(reps) * N * max(model.slow_dim, model.fast_dim)))
-    stacks = []     # (full runner, averaged runner, its grid points in stack order)
-    for first in range(0, len(params), size):
-        live = list(range(first, min(first + size, len(params))))
-        deltas = [params[j].delta_block for j in live]
-        full = FullRunner(model, x0, y0, N, [params[j] for j in live], plans,
-                          aux_deltas=(deltas,), increment_delta=deltas)
-        avg = AveragedRunner(model, x0, N, [params[j] for j in live], plans,
-                             slow_kind=noise_mod.SLOW if cfg.crn else noise_mod.SLOW_ALT,
-                             **cfg.averaged_mode_kwargs(model))
-        stacks.append((full, avg, live))
+    live = list(range(len(params)))     # the grid points on the stack, in stack order
+    deltas = [p.delta_block for p in params]
+    full = FullRunner(model, x0, y0, N, params, plans,
+                      aux_deltas=(deltas,), increment_delta=deltas)
+    avg = AveragedRunner(model, x0, N, params, plans,
+                         slow_kind=noise_mod.SLOW if cfg.crn else noise_mod.SLOW_ALT,
+                         **cfg.averaged_mode_kwargs(model))
     # the streams of both runners, each once: SLOW and FAST, and SLOW_ALT without CRN
     streams = list(dict.fromkeys(full.streams + avg.streams))
     strides = [max(1, p.n_steps // cfg.record_points) for p in params]
@@ -297,38 +285,37 @@ def _coupled_error_once(cfg: StudyConfig, eps_indices, reps) -> list:
     for start, draws in noise_mod.windows(plans, streams, 0, max(p.n_steps for p in params), N):
         window = dict(zip(streams, draws))
         end = start + len(draws[0])
-        for full, avg, live in stacks:
-            while live and full.k < end:
-                k = full.k
-                stop = min([end] + [min(k - k % strides[j] + strides[j], params[j].n_steps)
-                                    for j in live])
-                # counter-based streams: the stack's slice of the shared
-                # windows holds the increments each grid point would draw alone
-                for runner in (full, avg):
-                    runner.advance(stop - k, *(window[s][k - start:stop - start]
-                                               for s in runner.streams))
-                for g, j in enumerate(live):
-                    if stop % strides[j] and stop < params[j].n_steps:
-                        continue
-                    eps = cfg.epsilon_grid[eps_indices[j]]
-                    try:
-                        full.check_finite(g, f"full eps={eps:g} seed={seeds}")
-                        avg.check_finite(g, f"averaged eps={eps:g} seed={seeds}")
-                    except BlowUpError as exc:
-                        outcomes[j] = exc
-                        continue
-                    np.maximum(sup_sq[j], slow_norm_sq(model, full.X[g] - avg.X[g]),
-                               out=sup_sq[j])
-                    if stop == params[j].n_steps:
-                        outcomes[j] = [(float(np.mean(s)), float(a), float(c)) for s, a, c in
-                                       zip(sup_sq[j], full.aux_gap[0, g], full.increment_stat[g])]
-                keep = [g for g, j in enumerate(live) if outcomes[j] is None]
-                if len(keep) < len(live):
-                    live[:] = [live[g] for g in keep]
-                    if live:
-                        full.leave(keep)
-                        avg.leave(keep)
-        if not any(live for _, _, live in stacks):
+        while live and full.k < end:
+            k = full.k
+            stop = min([end] + [min(k - k % strides[j] + strides[j], params[j].n_steps)
+                                for j in live])
+            # counter-based streams: the stack's slice of the shared
+            # windows holds the increments each grid point would draw alone
+            for runner in (full, avg):
+                runner.advance(stop - k, *(window[s][k - start:stop - start]
+                                           for s in runner.streams))
+            for g, j in enumerate(live):
+                if stop % strides[j] and stop < params[j].n_steps:
+                    continue
+                eps = cfg.epsilon_grid[eps_indices[j]]
+                try:
+                    full.check_finite(g, f"full eps={eps:g} seed={seeds}")
+                    avg.check_finite(g, f"averaged eps={eps:g} seed={seeds}")
+                except BlowUpError as exc:
+                    outcomes[j] = exc
+                    continue
+                np.maximum(sup_sq[j], slow_norm_sq(model, full.X[g] - avg.X[g]),
+                           out=sup_sq[j])
+                if stop == params[j].n_steps:
+                    outcomes[j] = [(float(np.mean(s)), float(a), float(c)) for s, a, c in
+                                   zip(sup_sq[j], full.aux_gap[0, g], full.increment_stat[g])]
+            keep = [g for g, j in enumerate(live) if outcomes[j] is None]
+            if len(keep) < len(live):
+                live = [live[g] for g in keep]
+                if live:
+                    full.leave(keep)
+                    avg.leave(keep)
+        if not live:
             break
     return outcomes
 

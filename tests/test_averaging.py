@@ -247,6 +247,26 @@ def test_hmm_warns_on_noisy_fbar():
                                      warn_fraction=0.001)).run()
 
 
+def test_hmm_noisy_fbar_warns_once_per_grid_point():
+    # a stack of two grid points warns for each, as two lone runners do
+    m = build_model("linear-benchmark")
+    params = [resolve_params(0.05, 0.05), resolve_params(0.1, 0.05)]
+    hmm = HmmConfig(replicas=2, horizon=0.4, burn_in_initial=0.2, warn_fraction=0.001)
+
+    def messages(p):
+        runner = AveragedRunner(m, [1.0], 4, p, [NoisePlan(23)], mode="hmm", hmm=hmm)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for k in range(2):
+                runner.advance(1, draw(runner.noise, SLOW, k, 1, 4, 1))
+        return [str(w.message) for w in caught]
+
+    lone = [messages(p) for p in params]
+    assert [len(msgs) for msgs in lone] == [1, 1]
+    assert "at eps=0.05;" in lone[0][0] and "at eps=0.1;" in lone[1][0]
+    assert messages(params) == lone[0] + lone[1]
+
+
 def test_hmm_node_table_matches_cubic_oracles():
     # a cloud over [0.5, 1.5]: x = 1 falls between two nodes, and the
     # interpolated drift there agrees with the independent oracles

@@ -143,16 +143,6 @@ def test_probe_broken_model_rejected_with_witness():
     assert float(dv @ dv) > 0.0
 
 
-def test_one_component_norm_is_the_reduction_bitwise():
-    # a one-component Euclidean state skips the reduction over its last axis
-    m = build_model("linear-benchmark")
-    U = np.random.default_rng(3).normal(size=(2, 3, 5, 1))
-    U[0, 1, 2, 0] = np.nan
-    for states in (U, U[0, 0], U[1, 2, 3]):
-        assert np.array_equal(slow_norm_sq(m, states), (states * states).sum(axis=-1),
-                              equal_nan=True)
-
-
 def test_probe_fails_on_non_finite_slack():
     # kappa = NaN makes every fast slack NaN: a NaN is no certificate, and
     # argmin alone would leave the margin at its starting +inf

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 from mvavg import study
-from mvavg.averaging import (default_frozen_params, estimate_fbar, estimate_mixing_rate,
-                             frozen_simulate)
+from mvavg.averaging import (AveragedRunner, default_frozen_params, estimate_fbar,
+                             estimate_mixing_rate, frozen_simulate)
 from mvavg.cli import main
-from mvavg.averaging import AveragedRunner
 from mvavg.integrate import BlowUpError, FullRunner, resolve_params
 from mvavg.measure import MeasureMoments
 from mvavg.models import build_model
@@ -391,26 +390,14 @@ def test_group_steps_each_step_index_once(monkeypatch):
 
 
 @pytest.mark.parametrize("base", BATCH_CASES[:3], ids=["linear", "linear-no-crn", "porous"])
-def test_group_split_into_stacks_is_bitwise_lone_grid_points(base, monkeypatch):
-    # a stack cap of two grid points' states: the group of three runs as a
-    # stack of two and a stack of one, 100 + 250 step indices per runner,
-    # against the same noise windows, small enough that strides cross them
+def test_group_on_small_windows_is_bitwise_lone_grid_points(base, monkeypatch):
+    # windows of 24 steps: advances split at their edges, which the linear
+    # cases' strides (7, 14 and 35 steps) cross
     cfg = StudyConfig(**base, epsilon_grid=[0.1, 0.05, 0.02], replications=2, t_end=0.1,
                       seed=11)
-    model = cfg.build_model()
     monkeypatch.setattr(study.noise_mod, "NOISE_WINDOW_NORMALS", 24 * cfg.n_particles)
     alone = [_coupled_error_once(cfg, (i,), (0, 1))[0] for i in range(3)]
-    monkeypatch.setattr(study, "STACK_ELEMENTS", 2 * 2 * cfg.n_particles * model.slow_dim)
-    heights = []
-    advance = FullRunner.advance
-
-    def spy(runner, n_sub, *draws):
-        heights.extend([runner.X.shape[0]] * n_sub)
-        return advance(runner, n_sub, *draws)
-
-    monkeypatch.setattr(FullRunner, "advance", spy)
     assert _coupled_error_once(cfg, (0, 1, 2), (0, 1)) == alone
-    assert len(heights) == 350 and heights.count(2) == 50 and max(heights) == 2
 
 
 @pytest.mark.parametrize("base", [
