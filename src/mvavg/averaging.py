@@ -94,7 +94,7 @@ def default_frozen_params(model: ModelSpec, x_frozen, mu_frozen, y_init=None,
 
 
 def _frozen_batch(model, x_frozen, mu, h, plans, paths_y0, n_steps, on_sample=None,
-                  start_step=0):
+                  start_step=0, context="frozen run"):
     """March R blocks of frozen paths at step h; optionally visit each post-step state.
 
     ``paths_y0`` is (R, P, fast_dim), block r driven by ``plans[r]``.  Row i
@@ -102,7 +102,7 @@ def _frozen_batch(model, x_frozen, mu, h, plans, paths_y0, n_steps, on_sample=No
     sees; path i consumes stream (FROZEN, particle=i) from ``start_step`` on,
     so two marches from the same plan and start step share increments.  The
     march takes its noise from ``noise.windows`` and checks for blow-up at
-    each window end.
+    each window end, a failure naming ``context`` and the march's own time.
     """
     Xa = np.broadcast_to(x_frozen, paths_y0.shape[:-1] + (model.slow_dim,))
     solver = _FastSolver(model, h)
@@ -116,7 +116,7 @@ def _frozen_batch(model, x_frozen, mu, h, plans, paths_y0, n_steps, on_sample=No
             k += 1
             if on_sample is not None:
                 on_sample(k, Z)
-        _check_finite(Xa, Z, k * h, "frozen run")
+        _check_finite(Xa, Z, k * h, context)
     return Z
 
 
@@ -288,8 +288,8 @@ class AveragedRunner(_SlowRunner):
     path i on stream particle i, from the grid point's own frozen step on;
     in "exact" mode it is evaluated from the model's closed form at every
     step.  A frozen run that blows up fails its grid point at its next
-    ``check_finite``.  An fbar cache, like a recorder, needs exactly one grid
-    point and one plan.
+    ``check_finite``, naming the study time of its refresh.  An fbar cache,
+    like a recorder, needs exactly one grid point and one plan.
     """
 
     def __init__(self, model: ModelSpec, x0, n_particles: int, params, plans,
@@ -350,8 +350,10 @@ class AveragedRunner(_SlowRunner):
             if k > n_burn:
                 np.add(acc, m.f(Xa, mu, Z), out=acc)
 
+        t = self.k * self.params[g].h_micro
         self._Z[g] = _frozen_batch(m, Xa, mu, hf, self.frozen_noise, self._Z[g], n_tot,
-                                   on_sample=visit, start_step=self.frozen_step[g])
+                                   on_sample=visit, start_step=self.frozen_step[g],
+                                   context=f"frozen run of the refresh at study t={t:.6g}")
         self.frozen_step[g] += n_tot
         per_rep = (acc / n_samp).reshape(R, M, P, m.slow_dim)
         est = per_rep.mean(axis=1)

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: simulate, freeze, average, rate-study, probe, aux.
-Exit codes: 0 success, 2 config error, 3 blow-up, 4 rate-study verdict fail.
+Exit codes: 0 success, 2 config error, 3 blow-up, 4 a failed check (the
+rate-study verdict, or a probe property).
 The MVAVG_SEED environment variable overrides the config-file seed; an
 explicit --seed flag overrides both.
 """
@@ -49,6 +50,8 @@ def _epsilon_params(cfg: StudyConfig, flag):
     epsilon = flag if flag is not None else cfg.epsilon_grid[0]
     try:
         return epsilon, cfg.params_for(epsilon)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"--epsilon: {exc}") from exc
 
@@ -164,7 +167,7 @@ def _cmd_probe(args) -> int:
         if rep.violating_witness is not None:
             line += f" (witness slack {rep.violating_witness['slack']:.3g})"
         print(line)
-    return 0
+    return 0 if all(rep.passed for rep in reports) else 4
 
 
 def _cmd_aux(args) -> int:

@@ -14,7 +14,9 @@ same noise at step k, so each step's (R, N, m) draw broadcasts over G.  A
 single run is one grid point and one plan, (1, 1, N, d).  The fast drift's
 declared stiff linear part is integrated by its exact exponential factor
 (scalar dissipative rate) or semi-implicitly (Laplacian, by a precomputed
-dense inverse of I + h_eff * (-laplacian)); everything else is explicit.
+dense inverse of I + h_eff * (-laplacian), one ``spatial.solve_banded`` on
+the identity, so only the field models need scipy); everything else is
+explicit.
 h_eff = h / eps is the same number on grid points of one ``h_factor``, and
 they then share one fast solver.  The slow step is Euler-Maruyama, except
 for models that declare a stabilisation constant K (``slow_stab``: the field
@@ -53,12 +55,11 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import noise as noise_mod
 from .measure import MeasureMoments
 from .models import ModelSpec, empirical_view, fast_norm_sq, slow_norm_sq
-from .spatial import _laplacian_banded, laplacian_apply
+from .spatial import _laplacian_banded, laplacian_apply, solve_banded
 
 BLOWUP_LIMIT = 1e8
 # FullRunner folds its per-step diagnostic norms into the running sums once
@@ -360,11 +361,12 @@ class _SlowRunner:
         """Raise a BlowUpError for grid point g (stack position) if a step
         failed or its state is not finite or past ``BLOWUP_LIMIT``: its time,
         particle and, in a batch, replication, with ``context`` (default the
-        runner's)."""
-        if self.failures[g] is not None:
-            raise self.failures[g]
-        _check_finite(*self._state(g), self.k * self.params[g].h_micro,
-                      self.context if context is None else context)
+        runner's; a failure found inside a step adds its own)."""
+        context = self.context if context is None else context
+        failure = self.failures[g]
+        if failure is not None:
+            raise BlowUpError(failure.time, failure.particle, f"{context}; {failure.context}")
+        _check_finite(*self._state(g), self.k * self.params[g].h_micro, context)
 
     def run(self):
         """Advance to n_steps through the noise windows of ``streams``,

@@ -31,6 +31,10 @@ from .measure import MeasureMoments, SampleSet, w2_1d, w2_coupling_bound
 from .spatial import Grid1D
 
 
+class ModelParamError(ValueError):
+    """A model parameter outside its range; the message starts with its name."""
+
+
 @dataclass(frozen=True)
 class FastLinearPart:
     """Declared linear part of the fast drift, flagged for stiff treatment.
@@ -295,7 +299,8 @@ def make_linear_benchmark(a11: float = -1.0, a12: float = 0.25, f0: float = 1.0,
     so the averaged coupling drift is f0 (k1 x + k2 m)/gamma exactly.
     """
     if gamma <= 0:
-        raise ValueError("gamma must be positive (fast dynamics must dissipate)")
+        raise ModelParamError(f"gamma: must be positive (fast dynamics must dissipate), "
+                              f"got {gamma!r}")
 
     def a1(U, mu):
         return a11 * U + a12 * mu.mean
@@ -365,7 +370,7 @@ def make_mvsde_cubic(kappa: float = 1.0, k1: float = 0.5, c_sin: float = 0.5,
     estimated ergodically.
     """
     if kappa <= 0:
-        raise ValueError("kappa must be positive")
+        raise ModelParamError(f"kappa: must be positive, got {kappa!r}")
     if kappa <= 2.0 * l_sigma2 ** 2:
         raise ValueError("averaging applicability needs kappa > 2 * l_sigma2^2")
     if sigma_c <= abs(l_sigma2):
@@ -417,6 +422,23 @@ def make_mvsde_cubic(kappa: float = 1.0, k1: float = 0.5, c_sin: float = 0.5,
     return m
 
 
+def _field_grid(n_interior: int, n_slow_modes: int, n_fast_modes: int) -> Grid1D:
+    """A field model's grid, its node and mode counts checked.
+
+    Also loads scipy's banded solver, which the field models' cached
+    inverses use: the build solves nothing, but its import is then paid in
+    set-up and not in a run's first step.
+    """
+    if n_interior < 1:
+        raise ModelParamError(f"n_interior: must be >= 1, got {n_interior!r}")
+    for key, val in (("n_slow_modes", n_slow_modes), ("n_fast_modes", n_fast_modes)):
+        if not 1 <= val <= n_interior:
+            raise ModelParamError(f"{key}: must lie in [1, n_interior] = [1, {n_interior}], "
+                                  f"got {val!r}")
+    spatial.banded_solver()
+    return Grid1D(n_interior)
+
+
 def _sine_noise(grid, n_modes, scale):
     basis = np.stack([spatial.sine_mode(grid, k) for k in range(1, n_modes + 1)])
     coeff = scale * basis.T  # (d, m)
@@ -459,8 +481,8 @@ def make_porous_media_1d(r: float = 4.0, n_interior: int = 63, c_psi: float = 1.
     coupling drift is available in closed form.
     """
     if r < 2:
-        raise ValueError("porous medium exponent requires r >= 2")
-    grid = Grid1D(n_interior)
+        raise ModelParamError(f"r: the porous medium exponent must be >= 2, got {r!r}")
+    grid = _field_grid(n_interior, n_slow_modes, n_fast_modes)
     lam1 = spatial.lambda1(grid)
     if lam1 - c_g <= 0.0:
         raise ValueError("eigenvalue gap condition needs c_g < lambda1 of the grid")
@@ -541,8 +563,8 @@ def make_plaplace_1d(p: float = 4.0, n_interior: int = 63, c_p: float = 0.3,
     errors are measured in discrete L^2 (the pivot space for this example).
     """
     if p < 2:
-        raise ValueError("p-Laplace exponent requires p >= 2")
-    grid = Grid1D(n_interior)
+        raise ModelParamError(f"p: the p-Laplace exponent must be >= 2, got {p!r}")
+    grid = _field_grid(n_interior, n_slow_modes, n_fast_modes)
     dx = grid.dx
     lam1 = spatial.lambda1(grid)
     if lam1 - c_g <= 0.0:

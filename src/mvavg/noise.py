@@ -54,7 +54,7 @@ NOISE_WINDOW_NORMALS = 32768
 
 # counter field limits (see NoisePlan); a value past its field would alias
 # another stream, so gaussians and derive refuse it
-_STEP_LIMIT = 2 ** 48
+STEP_LIMIT = 2 ** 48
 _PARTICLE_LIMIT = 2 ** 32
 _FIELD16_LIMIT = 2 ** 16
 
@@ -154,7 +154,7 @@ class NoisePlan:
         mid-pair computes the partner step and drops it, so any window gives
         the same bits as a slice of a larger one.
         """
-        if not 0 <= step_start <= step_start + n_steps <= _STEP_LIMIT:
+        if not 0 <= step_start <= step_start + n_steps <= STEP_LIMIT:
             raise ValueError(f"steps [{step_start}, {step_start + n_steps}) "
                              "outside the 48-bit step counter")
         if not 0 <= n_particles <= _PARTICLE_LIMIT:
@@ -185,7 +185,7 @@ class NoisePlan:
         if len(tags) > 3:
             raise ValueError(f"derive takes at most 3 tags, got {len(tags)}")
         for i, tag in enumerate(tags):
-            limit = _STEP_LIMIT if i == 0 else _PARTICLE_LIMIT
+            limit = STEP_LIMIT if i == 0 else _PARTICLE_LIMIT
             if not isinstance(tag, (int, np.integer)) or not 0 <= tag < limit:
                 raise ValueError(f"derive tag {i} must be an integer in [0, {limit}), "
                                  f"got {tag!r}")

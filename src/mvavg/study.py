@@ -22,7 +22,6 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -31,7 +30,7 @@ import numpy as np
 from . import noise as noise_mod
 from .averaging import AveragedRunner, HmmConfig
 from .integrate import BlowUpError, FullRunner, MultiscaleParams, resolve_params
-from .models import REGISTRY, ModelSpec, build_model, slow_norm_sq
+from .models import REGISTRY, ModelParamError, ModelSpec, build_model, slow_norm_sq
 
 SLOPE_TOLERANCE_FRACTION = 0.1
 ERROR_SQ_SLOPE_THRESHOLD = (2.0 / 3.0) * (1.0 - SLOPE_TOLERANCE_FRACTION)
@@ -145,6 +144,8 @@ class StudyConfig:
             raise ConfigError("h_factor: must lie in (0, 0.1]")
         if self.record_points < 2:
             raise ConfigError("record_points: must be >= 2")
+        for e in grid:
+            self.params_for(e)
         if self.averaged_mode not in ("exact", "hmm"):
             raise ConfigError("averaged_mode: must be 'exact' or 'hmm'")
         if self.workers < 1:
@@ -174,6 +175,8 @@ class StudyConfig:
             (_check_int if key in _INT_MODEL_PARAMS else _check_real)(f"model_params.{key}", val)
         try:
             return build_model(self.model, self.model_params)
+        except ModelParamError as exc:
+            raise ConfigError(f"model_params.{exc}") from exc
         except (TypeError, KeyError, ValueError) as exc:
             raise ConfigError(f"model_params: {exc}") from exc
         except ArithmeticError as exc:
@@ -182,8 +185,18 @@ class StudyConfig:
                               f"{self.model!r} from {given}") from exc
 
     def params_for(self, epsilon: float) -> MultiscaleParams:
-        return resolve_params(epsilon, self.t_end, h_factor=self.h_factor,
-                              delta_exponent=self.delta_exponent)
+        """The step bundle at ``epsilon``; a run past the noise step counter
+        is refused here, before any step."""
+        try:
+            p = resolve_params(epsilon, self.t_end, h_factor=self.h_factor,
+                               delta_exponent=self.delta_exponent)
+        except OverflowError as exc:
+            raise ConfigError(f"delta_exponent: eps={epsilon:g} to the power "
+                              f"{self.delta_exponent:g} overflows") from exc
+        if p.t_end / p.h_micro > noise_mod.STEP_LIMIT:
+            raise ConfigError(f"t_end: {self.t_end:g} takes {p.t_end / p.h_micro:.3g} steps at "
+                              f"eps={epsilon:g}, past the 2^48 steps of the noise counter")
+        return p
 
     def initial_states(self, model: ModelSpec):
         x0 = np.asarray(self.x0, dtype=float) if self.x0 is not None else model.default_x0
@@ -442,6 +455,8 @@ def run_rate_study(cfg: StudyConfig) -> RateReport:
     cfg.averaged_mode_kwargs(cfg.build_model())   # a config error before any job runs
     groups = _groups(cfg, min(cfg.workers, len(cfg.epsilon_grid)))
     if len(groups) > 1:
+        # imported here, so that a one-job study does not pay for it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=len(groups)) as pool:
             futs = [pool.submit(_grid_points, cfg, g) for g in groups]
             results = [f.result() for f in futs]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -440,7 +441,10 @@ def test_group_frozen_run_blowup_fails_its_grid_point():
     group = _coupled_error_once(cfg, (0, 1, 2), (0, 1))
     alone = [_coupled_error_once(cfg, (i,), (0, 1))[0] for i in range(3)]
     assert all(isinstance(out, BlowUpError) for out in group)
-    assert "[frozen run, batch row 0]" in repr(group[0])
+    # the failure names the grid point, its seeds and the refresh's study time
+    seeds = ",".join(str(NoisePlan(3).derive(4242, rep).seed) for rep in (0, 1))
+    assert (f"[averaged eps=0.1 seed={seeds}; frozen run of the refresh at study t=0.34, "
+            "batch row 0]") in repr(group[0])
     assert [repr(out) for out in group] == [repr(out) for out in alone]
 
 
@@ -462,7 +466,8 @@ def test_pool_submits_the_longest_grid_point_first(monkeypatch):
             result = fn(cfg, group)
             return type("Done", (), {"result": lambda self: result})()
 
-    monkeypatch.setattr(study, "ProcessPoolExecutor", InlinePool)
+    # the study imports the pool class on its pooled branch only
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     cfg = StudyConfig(model="linear-benchmark", n_particles=8,
                       epsilon_grid=[0.1, 0.05, 0.02, 0.01], replications=2, t_end=0.1, seed=4)
     # 50, 100, 250 and 500 steps: the longest grid point first, each to the
@@ -581,7 +586,7 @@ def test_cli_config_error_is_exit_2(tmp_path):
 
 def test_config_types_checked_and_key_named(tmp_path, capsys):
     for key, val in (("replications", 2.5), ("n_particles", "abc"), ("workers", True),
-                     ("t_end", "1"), ("epsilon_grid", [0.1, "x"])):
+                     ("t_end", "1"), ("epsilon_grid", [0.1, "x"]), ("delta_exponent", -1000)):
         path = write_cfg(tmp_path, model="linear-benchmark", **{key: val})
         with pytest.raises(ConfigError, match=key):
             load_config(path)
@@ -647,18 +652,52 @@ def test_freeze_non_finite_flags_name_the_flag(tmp_path, capsys, flag, value):
 
 @pytest.mark.parametrize("model, key, value", [("linear-benchmark", "gamma", "NaN"),
                                                 ("linear-benchmark", "sigma1", "1e200"),
-                                                ("porous-media-1d", "n_interior", "1.5")])
+                                                ("porous-media-1d", "n_interior", "1.5"),
+                                                ("linear-benchmark", "gamma", "-1"),
+                                                ("mvsde-cubic", "kappa", "0"),
+                                                ("porous-media-1d", "r", "1.5"),
+                                                ("plaplace-1d", "p", "1"),
+                                                ("plaplace-1d", "n_interior", "0"),
+                                                ("porous-media-1d", "n_slow_modes", "0"),
+                                                ("porous-media-1d", "n_fast_modes", "100"),
+                                                ("plaplace-1d", "n_slow_modes", "64"),
+                                                ("plaplace-1d", "n_fast_modes", "-2")])
 def test_model_params_checked_and_key_named(tmp_path, capsys, model, key, value):
-    # a non-finite value, one that overflows the model's constants, and a
-    # fractional node count: each exits 2 naming model_params.<key>
+    # a non-finite value, one that overflows the model's constants, a
+    # fractional node count, and values outside a builder's range (a field
+    # model carries 1..n_interior sine modes per noise, n_interior = 63 by
+    # default): each exits 2 naming model_params.<key>
     argv = ["rate-study", "--model", model, "--param", f"{key}={value}", "--out", str(tmp_path)]
     assert main(argv) == 2
     assert f"model_params.{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t_end", [1e12, 1e306])
+def test_runs_past_the_step_counter_are_refused(tmp_path, capsys, t_end):
+    # 5e14 steps at eps = 0.1 (and an infinite t_end / h at 1e306) would
+    # pass the noise counter's 2^48 steps: refused at load, before any step
+    assert main(["rate-study", "--config", write_cfg(tmp_path, t_end=t_end),
+                 "--out", str(tmp_path)]) == 2
+    assert "config error: t_end:" in capsys.readouterr().err
+    # the grid fits the counter, but --epsilon 1e-4 takes 5e14 steps
+    fits = write_cfg(tmp_path, t_end=1e9)
+    for command in ("simulate", "average", "aux"):
+        assert main([command, "--config", fits, "--epsilon", "1e-4", "--out", str(tmp_path)]) == 2
+        assert "config error: t_end: 1e+09 takes 5e+14 steps at eps=0.0001" in \
+            capsys.readouterr().err
+
+
+def test_cli_probe_exit_code_follows_the_properties(tmp_path, capsys):
+    out = ["--samples", "300", "--out", str(tmp_path)]
+    assert main(["probe", "--model", "linear-benchmark"] + out) == 0
+    assert all(line.startswith("PASS ") for line in capsys.readouterr().out.splitlines())
+    assert main(["probe", "--model", "broken-antidissipative"] + out) == 4
+    assert "FAIL broken-antidissipative" in capsys.readouterr().out
+
+
 def test_cli_probe_fails_on_no_samples(tmp_path, capsys):
     model = ["--model", "linear-benchmark", "--out", str(tmp_path)]
-    assert main(["probe", "--samples", "0"] + model) == 0
+    assert main(["probe", "--samples", "0"] + model) == 4
     lines = capsys.readouterr().out.splitlines()
     assert lines and all(line.startswith("FAIL ") and "over 0 samples" in line for line in lines)
     assert main(["probe", "--samples", "-5"] + model) == 2
