@@ -9,10 +9,10 @@ from .models import (ModelSpec, ProbeSampler, REGISTRY, build_model,
                      run_probe_suite)
 from .noise import NoisePlan
 from .integrate import (BlowUpError, FullRunner, MultiscaleParams, TrajectoryRecorder,
-                        resolve_params, simulate_full)
+                        resolve_params)
 from .averaging import (AveragedRunner, FrozenEstimate, FrozenParams, HmmConfig,
                         MixingFailure, default_frozen_params, estimate_fbar,
-                        estimate_mixing_rate, frozen_simulate, simulate_averaged)
+                        estimate_mixing_rate, frozen_simulate)
 from .study import (ConfigError, RateReport, StudyConfig, load_config,
                     run_aux_diagnostic, run_rate_study, write_report)
 

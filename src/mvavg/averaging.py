@@ -39,8 +39,8 @@ from typing import Optional
 import numpy as np
 
 from . import noise as noise_mod
-from .integrate import (BlowUpError, MultiscaleParams, TrajectoryRecorder, _check_finite,
-                        _FastSolver, _measure_at, _SlowRunner)
+from .integrate import (BlowUpError, MultiscaleParams, _check_finite, _FastSolver,
+                        _measure_at, _SlowRunner)
 from .measure import MeasureMoments
 from .models import ModelSpec, empirical_view, fast_norm_sq
 
@@ -77,20 +77,23 @@ class FrozenParams:
                              f"got {self.sample_horizon!r}")
         if not 0 < self.h_micro < math.inf:
             raise ValueError(f"h_micro must be finite and positive, got {self.h_micro!r}")
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
+        if not 1 <= self.replicas <= noise_mod.PARTICLE_LIMIT:   # path i is stream particle i
+            raise ValueError(f"replicas must lie in [1, 2^32], got {self.replicas!r}")
+        n = (self.burn_in + self.sample_horizon) / self.h_micro
+        if n > noise_mod.STEP_LIMIT:
+            raise ValueError(f"n_steps={n:.3g} of (burn_in {self.burn_in:g} + sample_horizon "
+                             f"{self.sample_horizon:g}) / h_micro passes the noise counter's 2^48")
 
 
 def default_frozen_params(model: ModelSpec, x_frozen, mu_frozen, y_init=None,
-                          sample_horizon: float = 200.0, h_micro: float = 0.01,
-                          replicas: int = 4) -> FrozenParams:
-    """Burn-in 8 / (declared dissipativity rate): residual bias ~ e^-8."""
-    lam = model.constants.get("lam", 1.0)
+                          burn_in: Optional[float] = None, sample_horizon: float = 200.0,
+                          h_micro: float = 0.01, replicas: int = 4) -> FrozenParams:
+    """Burn-in by default 8 / (declared dissipativity rate): residual bias ~ e^-8."""
     return FrozenParams(
         x_frozen=x_frozen, mu_frozen=mu_frozen,
         y_init=model.default_y0 if y_init is None else y_init,
-        burn_in=8.0 / lam, sample_horizon=sample_horizon,
-        h_micro=h_micro, replicas=replicas)
+        burn_in=8.0 / model.constants.get("lam", 1.0) if burn_in is None else burn_in,
+        sample_horizon=sample_horizon, h_micro=h_micro, replicas=replicas)
 
 
 def _frozen_batch(model, x_frozen, mu, h, plans, paths_y0, n_steps, on_sample=None,
@@ -263,7 +266,7 @@ class HmmConfig:
 
     def resolved(self, model: ModelSpec, params: MultiscaleParams):
         lam = model.constants.get("lam", 1.0)
-        out = HmmConfig(
+        return HmmConfig(
             replicas=self.replicas,
             burn_in_initial=self.burn_in_initial if self.burn_in_initial is not None else 8.0 / lam,
             burn_in=self.burn_in if self.burn_in is not None else 1.0 / lam,
@@ -273,7 +276,15 @@ class HmmConfig:
                                   if self.refresh_stride_steps is not None
                                   else max(1, params.n_steps // 200)),
             warn_fraction=self.warn_fraction)
-        return out
+
+    def refresh_steps(self, first: bool):
+        """Frozen (burn-in, sample) steps of a refresh of a resolved config; the
+        first burns in for ``burn_in_initial``.  A count past the noise counter
+        reads as one past it, however large."""
+        def steps(t):
+            return round(min(t / self.h_frozen, noise_mod.STEP_LIMIT + 1))
+        return (steps(self.burn_in_initial if first else self.burn_in),
+                max(MIN_SAMPLE_STEPS, steps(self.horizon)))
 
 
 class AveragedRunner(_SlowRunner):
@@ -288,14 +299,14 @@ class AveragedRunner(_SlowRunner):
     path i on stream particle i, from the grid point's own frozen step on;
     in "exact" mode it is evaluated from the model's closed form at every
     step.  A frozen run that blows up fails its grid point at its next
-    ``check_finite``, naming the study time of its refresh.  An fbar cache,
-    like a recorder, needs exactly one grid point and one plan.
+    ``check_finite``, naming the study time of its refresh.  An fbar cache
+    records grid point 0, replication 0, so it needs exactly one grid point
+    and one plan.
     """
 
     def __init__(self, model: ModelSpec, x0, n_particles: int, params, plans,
                  mode: str = "exact", hmm: Optional[HmmConfig] = None,
                  slow_kind: int = noise_mod.SLOW,
-                 recorder: Optional[TrajectoryRecorder] = None,
                  collect_fbar_cache: bool = False,
                  context: str = ""):
         if mode not in ("exact", "hmm"):
@@ -304,7 +315,7 @@ class AveragedRunner(_SlowRunner):
             raise ValueError(
                 f"model {model.model_id!r} has no closed-form fbar; use hmm mode")
         super().__init__(model, x0, n_particles, params, plans,
-                         ((slow_kind, model.n_slow_modes),), recorder, context or "averaged run")
+                         ((slow_kind, model.n_slow_modes),), context or "averaged run")
         if collect_fbar_cache and (len(self.params), len(self.noise)) != (1, 1):
             raise ValueError("collect_fbar_cache needs exactly one grid point and one noise plan")
         self.mode = mode
@@ -320,7 +331,6 @@ class AveragedRunner(_SlowRunner):
             self._fbar = np.zeros(self.X.shape)
             self.fbar_warned = [False] * len(self.params)    # each grid point warns once
             self._stacked += ("hmm", "frozen_step", "_Z", "_fbar", "fbar_warned")
-        self._record(self.X[..., :0])
 
     def _refresh_fbar(self, g, mu):
         """Re-estimate grid point g's fbar from its state and its measures ``mu``."""
@@ -339,10 +349,7 @@ class AveragedRunner(_SlowRunner):
 
         P = points.shape[1]
         Xa = np.tile(points, (M, 1))     # M frozen replicas along the path axis
-        hf = hmm.h_frozen
-        first = self.frozen_step[g] == 0
-        n_burn = int(round((hmm.burn_in_initial if first else hmm.burn_in) / hf))
-        n_samp = max(MIN_SAMPLE_STEPS, int(round(hmm.horizon / hf)))
+        n_burn, n_samp = hmm.refresh_steps(self.frozen_step[g] == 0)
         n_tot = n_burn + n_samp
         acc = np.zeros(Xa.shape)
 
@@ -351,7 +358,7 @@ class AveragedRunner(_SlowRunner):
                 np.add(acc, m.f(Xa, mu, Z), out=acc)
 
         t = self.k * self.params[g].h_micro
-        self._Z[g] = _frozen_batch(m, Xa, mu, hf, self.frozen_noise, self._Z[g], n_tot,
+        self._Z[g] = _frozen_batch(m, Xa, mu, hmm.h_frozen, self.frozen_noise, self._Z[g], n_tot,
                                    on_sample=visit, start_step=self.frozen_step[g],
                                    context=f"frozen run of the refresh at study t={t:.6g}")
         self.frozen_step[g] += n_tot
@@ -405,7 +412,6 @@ class AveragedRunner(_SlowRunner):
                     fbar = self._fbar
                 self.X = self._slow_step(mu, fbar, xs[j])
                 self.k += 1
-                self._record(self.X[..., :0])
 
 
 def _interpolate(nodes, table, X):
@@ -422,21 +428,6 @@ def _interpolate(nodes, table, X):
         else:
             out[r] = fs.mean()
     return out
-
-
-def simulate_averaged(model: ModelSpec, x0, n_particles: int,
-                      params: MultiscaleParams, noise: noise_mod.NoisePlan,
-                      mode: str = "exact", hmm: Optional[HmmConfig] = None,
-                      recorder: Optional[TrajectoryRecorder] = None,
-                      collect_fbar_cache: bool = False) -> TrajectoryRecorder:
-    """Integrate the averaged equation to t_end; returns the recorder."""
-    if recorder is None:
-        recorder = TrajectoryRecorder(stride_steps=max(1, params.n_steps // 200))
-    runner = AveragedRunner(model, x0, n_particles, params, (noise,), mode=mode,
-                            hmm=hmm, recorder=recorder,
-                            collect_fbar_cache=collect_fbar_cache).run()
-    recorder.fbar_cache = runner.fbar_cache
-    return recorder
 
 
 def write_fbar_cache(rows, path):

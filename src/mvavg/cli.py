@@ -18,9 +18,8 @@ import numpy as np
 
 from . import noise as noise_mod
 from . import study
-from .averaging import (FrozenParams, default_frozen_params, estimate_fbar,
-                        simulate_averaged, write_fbar_cache)
-from .integrate import BlowUpError, TrajectoryRecorder, simulate_full
+from .averaging import AveragedRunner, default_frozen_params, estimate_fbar, write_fbar_cache
+from .integrate import BlowUpError, FullRunner, TrajectoryRecorder
 from .measure import MeasureMoments
 from .models import run_probe_suite
 from .study import ConfigError, StudyConfig, run_aux_diagnostic, run_rate_study, write_report
@@ -70,7 +69,8 @@ def _parse_vector(flag: str, text: str, dim: int) -> np.ndarray:
 
 # FrozenParams fields set by freeze flags; their range errors name the field first
 _FREEZE_FLAGS = {"burn_in": "--burn-in", "sample_horizon": "--horizon",
-                 "h_micro": "--h", "replicas": "--replicas"}
+                 "h_micro": "--h", "replicas": "--replicas",
+                 "n_steps": "--burn-in/--horizon/--h"}
 
 
 def _cmd_simulate(args) -> int:
@@ -78,16 +78,15 @@ def _cmd_simulate(args) -> int:
     model = cfg.build_model()
     epsilon, params = _epsilon_params(cfg, args.epsilon)
     x0, y0 = cfg.initial_states(model)
-    rec = TrajectoryRecorder(stride_steps=max(1, params.n_steps // cfg.record_points),
-                             record_fast=True)
-    simulate_full(model, x0, y0, cfg.n_particles, params,
-                  noise_mod.NoisePlan(cfg.seed), recorder=rec)
+    rec = TrajectoryRecorder(stride_steps=max(1, params.n_steps // cfg.record_points))
+    runner = FullRunner(model, x0, y0, cfg.n_particles, params,
+                        (noise_mod.NoisePlan(cfg.seed),)).run(rec)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "trajectories.csv")
     rec.dump_csv(path)
     print(f"simulated {cfg.model} at epsilon={epsilon:g} "
           f"({params.n_steps} steps, N={cfg.n_particles}); wrote {path}")
-    if rec.moment_flag:
+    if runner.moment_flag[0, 0]:
         print("WARNING: fast second-moment diagnostic exceeded its bound")
     return 0
 
@@ -102,12 +101,9 @@ def _cmd_freeze(args) -> int:
         raise ConfigError(f"--mu-m2: expected a finite number >= 0, got {args.mu_m2!r}")
     mu = MeasureMoments(mean=mu_mean, second_moment=args.mu_m2)
     try:
-        fp = default_frozen_params(model, x, mu, sample_horizon=args.horizon,
-                                   h_micro=args.h, replicas=args.replicas)
-        if args.burn_in is not None:
-            fp = FrozenParams(x_frozen=x, mu_frozen=mu, y_init=fp.y_init,
-                              burn_in=args.burn_in, sample_horizon=args.horizon,
-                              h_micro=args.h, replicas=args.replicas)
+        fp = default_frozen_params(model, x, mu, burn_in=args.burn_in,
+                                   sample_horizon=args.horizon, h_micro=args.h,
+                                   replicas=args.replicas)
         est = estimate_fbar(model, fp, noise_mod.NoisePlan(cfg.seed))
     except ValueError as exc:
         flag = _FREEZE_FLAGS.get(str(exc).split(" ", 1)[0].split("=", 1)[0])
@@ -128,19 +124,19 @@ def _cmd_average(args) -> int:
     cfg = _load_cfg(args)
     model = cfg.build_model()
     epsilon, params = _epsilon_params(cfg, args.epsilon)
+    cfg.check_frozen_counter(model, params)
     x0, _ = cfg.initial_states(model)
     rec = TrajectoryRecorder(stride_steps=max(1, params.n_steps // cfg.record_points))
-    rec = simulate_averaged(model, x0, cfg.n_particles, params,
-                            noise_mod.NoisePlan(cfg.seed), recorder=rec,
-                            collect_fbar_cache=True, **cfg.averaged_mode_kwargs(model))
+    runner = AveragedRunner(model, x0, cfg.n_particles, params, (noise_mod.NoisePlan(cfg.seed),),
+                            collect_fbar_cache=True, **cfg.averaged_mode_kwargs(model)).run(rec)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "averaged_trajectories.csv")
     rec.dump_csv(path)
     print(f"averaged run of {cfg.model} ({cfg.averaged_mode} fbar, "
           f"{params.n_steps} steps); wrote {path}")
-    if rec.fbar_cache:
+    if runner.fbar_cache:
         cache_path = os.path.join(cfg.out_dir, "fbar_cache.csv")
-        write_fbar_cache(rec.fbar_cache, cache_path)
+        write_fbar_cache(runner.fbar_cache, cache_path)
         print(f"wrote {cache_path}")
     return 0
 

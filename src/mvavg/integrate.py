@@ -34,11 +34,15 @@ the runner's initial one.  A state far past them can still blow up, which
 the finiteness check reports.
 
 Runners step only on noise handed to them: ``advance`` takes the draws of
-the streams a runner lists in ``streams`` and checks nothing; its caller
-checks each grid point for blow-up (``check_finite``) where it wants a
-named failure.  ``run`` takes the draws window by window from
-``noise.windows`` and checks at each window end.  A grid point leaves the
-stack (``leave``) when its caller is done with it.
+the streams a runner lists in ``streams`` and checks nothing, and records
+nothing.  ``march`` is the one loop over noise windows: it draws the
+union of its runners' streams window by window from ``noise.windows`` and
+advances them together to each stop, a window end or a step its caller
+names.  At a stop the caller checks grid points for blow-up
+(``check_finite``), reads or records states, and lets a grid point leave
+the stack (``leave``) when it is done with it.  ``run`` is a single runner's
+march to its last step: it checks at each window end, and a
+``TrajectoryRecorder`` handed to it records at its stride.
 
 Auxiliary fast processes can be carried along, one per block size delta:
 each consumes the SAME fast noise increments as the true fast process but
@@ -143,46 +147,33 @@ def resolve_params(epsilon: float, t_end: float, h_factor: float = 0.02,
 
 
 class TrajectoryRecorder:
-    """Slow-state snapshots on a fixed step stride plus running diagnostics."""
+    """Rows of a single run (``_SlowRunner.run``) at step 0, every ``stride_steps``-th
+    step and the last step: the slow state of grid point 0, replication 0, and
+    its fast state where the runner has one."""
 
-    def __init__(self, stride_steps: int = 1, record_fast: bool = False):
+    def __init__(self, stride_steps: int = 1):
         if stride_steps < 1:
             raise ValueError("stride_steps must be >= 1")
         self.stride_steps = stride_steps
-        self.record_fast = record_fast
         self.times: list[float] = []
         self.slow: list[np.ndarray] = []
         self.fast: list[np.ndarray] = []
-        self.moment_flag = False
 
-    def maybe_record(self, step, time, slow, fast, last=False):
-        if step % self.stride_steps == 0 or last:
-            if self.times and abs(self.times[-1] - time) < 1e-15:
-                return
-            self.times.append(time)
-            self.slow.append(slow.copy())
-            if self.record_fast:
-                self.fast.append(fast.copy())
-
-    def time_array(self):
-        return np.asarray(self.times)
-
-    def slow_array(self):
-        return np.stack(self.slow) if self.slow else np.empty((0, 0, 0))
+    def record(self, runner):
+        """Append ``runner``'s state at its step."""
+        self.times.append(runner.k * runner.params[0].h_micro)
+        self.slow.append(runner.X[0, 0].copy())
+        if runner.Y is not None:
+            self.fast.append(runner.Y[0, 0].copy())
 
     def dump_csv(self, path):
         """Plain CSV dump with header time,particle,component,index,value."""
         with open(path, "w") as fh:
             fh.write("time,particle,component,index,value\n")
             for j, t in enumerate(self.times):
-                for comp, block in (("slow", self.slow),
-                                    ("fast", self.fast if self.record_fast else [])):
-                    if not block:
-                        continue
-                    arr = block[j]
-                    for p in range(arr.shape[0]):
-                        for i in range(arr.shape[1]):
-                            fh.write(f"{t:.17g},{p},{comp},{i},{arr[p, i]:.17g}\n")
+                for comp, block in (("slow", self.slow), ("fast", self.fast)):
+                    for (p, i), v in np.ndenumerate(block[j]) if block else ():
+                        fh.write(f"{t:.17g},{p},{comp},{i},{v:.17g}\n")
 
 
 @lru_cache(maxsize=32)
@@ -295,22 +286,20 @@ class _SlowRunner:
     replication, and the slow state ``X`` is (G, R, N, slow_dim).
     ``streams`` lists the (kind, n_modes) noise streams that ``advance``
     takes, in its argument order.  ``n_steps`` is the last step of the
-    longest grid point.  A recorder records grid point 0, replication 0, so
-    it is refused with more than one of either.
+    longest grid point.  ``Y`` is the fast state, None for a runner without
+    one.
     """
 
     # the attributes that hold one entry per grid point, on their leading axis
     _stacked = ("params", "failures", "X")
+    Y = None
 
     def __init__(self, model: ModelSpec, x0, n_particles: int, params, plans, streams,
-                 recorder: Optional[TrajectoryRecorder], context: str):
+                 context: str):
         self.params = (params,) if isinstance(params, MultiscaleParams) else tuple(params)
         self.noise = tuple(plans)
-        if recorder is not None and (len(self.params), len(self.noise)) != (1, 1):
-            raise ValueError("a recorder needs exactly one grid point and one noise plan")
         self.model = model
         self.streams = streams
-        self.recorder = recorder
         self.context = context
         self.X = _initial_state(x0, (len(self.params), len(self.noise), n_particles,
                                      model.slow_dim))
@@ -348,15 +337,6 @@ class _SlowRunner:
         X1 = self.X + self.h * drift + self.sqrt_h * m.b1_apply(self.X, mu, xs)
         return X1 if self.slow_stab is None else X1 @ self.stab_inv_t
 
-    def _record(self, fast):
-        if self.recorder is not None:
-            self.recorder.maybe_record(self.k, self.k * self.params[0].h_micro, self.X[0, 0],
-                                       fast[0, 0], last=self.k == self.n_steps)
-
-    def _state(self, g):
-        """The arrays of grid point g that the blow-up check reads, (R, N, d) each."""
-        return self.X[g], self.X[g]
-
     def check_finite(self, g, context=None):
         """Raise a BlowUpError for grid point g (stack position) if a step
         failed or its state is not finite or past ``BLOWUP_LIMIT``: its time,
@@ -366,17 +346,52 @@ class _SlowRunner:
         failure = self.failures[g]
         if failure is not None:
             raise BlowUpError(failure.time, failure.particle, f"{context}; {failure.context}")
-        _check_finite(*self._state(g), self.k * self.params[g].h_micro, context)
+        _check_finite(self.X[g], self.X[g] if self.Y is None else self.Y[g],
+                      self.k * self.params[g].h_micro, context)
 
-    def run(self):
-        """Advance to n_steps through the noise windows of ``streams``,
-        checking every grid point at each window end."""
-        for _, draws in noise_mod.windows(self.noise, self.streams, self.k, self.n_steps,
-                                          self.X.shape[-2]):
-            self.advance(len(draws[0]), *draws)
-            for g in range(len(self.params)):
-                self.check_finite(g)
+    def run(self, recorder: Optional[TrajectoryRecorder] = None):
+        """March to n_steps, checking every grid point at each window end.
+        A ``recorder`` takes grid point 0, replication 0 at its stride, and is
+        refused with more than one grid point or plan."""
+        if recorder is not None:
+            if (len(self.params), len(self.noise)) != (1, 1):
+                raise ValueError("a recorder needs exactly one grid point and one noise plan")
+            recorder.record(self)
+        # without a recorder, the stops are the window ends
+        stride = self.n_steps if recorder is None else recorder.stride_steps
+        for k, window_end in march((self,), self.n_steps,
+                                   lambda k: min(k - k % stride + stride, self.n_steps)):
+            if window_end:
+                for g in range(len(self.params)):
+                    self.check_finite(g)
+            if recorder is not None and (k % stride == 0 or k == self.n_steps):
+                recorder.record(self)
         return self
+
+
+def march(runners, n_steps: int, next_stop):
+    """Advance ``runners`` together to step ``n_steps``; yield (k, window_end) at each stop.
+
+    The runners share their plans, particle count and step index k.  One walk
+    over ``noise.windows`` draws the union of their ``streams`` once per
+    window; a stop is the window end or, if sooner, the step ``next_stop(k)``.
+    At a stop the caller may check, read, record or ``leave``; leaving the
+    loop ends the march, and no window past it is drawn.
+    """
+    lead = runners[0]
+    streams = list(dict.fromkeys(s for r in runners for s in r.streams))
+    for start, draws in noise_mod.windows(lead.noise, streams, lead.k, n_steps,
+                                          lead.X.shape[-2]):
+        window = dict(zip(streams, draws))
+        end = start + len(draws[0])
+        while lead.k < end:
+            k = lead.k
+            stop = min(end, next_stop(k))
+            # counter-based streams: a runner's slice of the shared window
+            # holds the increments it would draw alone
+            for r in runners:
+                r.advance(stop - k, *(window[s][k - start:stop - start] for s in r.streams))
+            yield stop, stop == end
 
 
 class FullRunner(_SlowRunner):
@@ -398,12 +413,11 @@ class FullRunner(_SlowRunner):
     def __init__(self, model: ModelSpec, x0, y0, n_particles: int, params, plans,
                  aux_deltas=(),
                  increment_delta=None,
-                 recorder: Optional[TrajectoryRecorder] = None,
                  context: str = ""):
         super().__init__(model, x0, n_particles, params, plans,
                          ((noise_mod.SLOW, model.n_slow_modes),
                           (noise_mod.FAST, model.n_fast_modes)),
-                         recorder, context)
+                         context)
         G, R = self.X.shape[:2]
         self.Y = _initial_state(y0, (G, R, n_particles, model.fast_dim))
 
@@ -429,7 +443,6 @@ class FullRunner(_SlowRunner):
         # per-step squared norms (aux gap, block increment, fast state) and
         # measure second moments, not yet folded into the diagnostics
         self._pending = ([], [], [], [])
-        self._record(self.Y)
 
     def _block_steps(self, delta, name):
         """Micro steps per block on each grid point, from one delta or one per grid point."""
@@ -452,9 +465,6 @@ class FullRunner(_SlowRunner):
                                      None if snap[2] is None else snap[2][keep])
                            for snap in self._aux_snaps]
         self.gap_sum = self.gap_sum[:, keep]
-
-    def _state(self, g):
-        return self.X[g], self.Y[g]
 
     def advance(self, n_sub: int, xs, xf):
         """Advance every grid point n_sub micro steps on the slow and fast
@@ -486,7 +496,6 @@ class FullRunner(_SlowRunner):
                     inc_sq.append(slow_norm_sq(m, self.X - self._X_block))
                 y_sq.append(fast_norm_sq(m, self.Y))
                 x_m2.append(mu.second_moment)
-                self._record(self.Y)
                 if len(y_sq) >= FOLD_STEPS:
                     self._fold_diagnostics()
 
@@ -551,14 +560,3 @@ class FullRunner(_SlowRunner):
         """Estimate of (1/T) int E||X_t - X_{t(delta)}||^2 dt, (G, R)."""
         self._fold_diagnostics()
         return self.inc_sum / max(self.inc_count, 1)
-
-
-def simulate_full(model: ModelSpec, x0, y0, n_particles: int,
-                  params: MultiscaleParams, noise: noise_mod.NoisePlan,
-                  recorder: Optional[TrajectoryRecorder] = None) -> TrajectoryRecorder:
-    """Integrate the full system to t_end, recording on the recorder's stride."""
-    if recorder is None:
-        recorder = TrajectoryRecorder(stride_steps=max(1, params.n_steps // 200))
-    runner = FullRunner(model, x0, y0, n_particles, params, (noise,), recorder=recorder).run()
-    recorder.moment_flag = bool(runner.moment_flag[0, 0])
-    return recorder

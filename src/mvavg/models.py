@@ -20,6 +20,7 @@ that its randomized hypothesis probes certify numerically.
 """
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -372,9 +373,11 @@ def make_mvsde_cubic(kappa: float = 1.0, k1: float = 0.5, c_sin: float = 0.5,
     if kappa <= 0:
         raise ModelParamError(f"kappa: must be positive, got {kappa!r}")
     if kappa <= 2.0 * l_sigma2 ** 2:
-        raise ValueError("averaging applicability needs kappa > 2 * l_sigma2^2")
+        raise ModelParamError(f"kappa: averaging needs kappa > 2 l_sigma2^2 = "
+                              f"{2 * l_sigma2 ** 2:.6g} (l_sigma2 = {l_sigma2!r}), got {kappa!r}")
     if sigma_c <= abs(l_sigma2):
-        raise ValueError("need sigma_c > |l_sigma2| for nondegenerate fast noise")
+        raise ModelParamError(f"sigma_c: nondegenerate fast noise needs sigma_c > |l_sigma2| = "
+                              f"{abs(l_sigma2):.6g}, got {sigma_c!r}")
 
     def a1(U, mu):
         return c_sin * np.sin(U) + c_mu * mu.mean
@@ -422,8 +425,9 @@ def make_mvsde_cubic(kappa: float = 1.0, k1: float = 0.5, c_sin: float = 0.5,
     return m
 
 
-def _field_grid(n_interior: int, n_slow_modes: int, n_fast_modes: int) -> Grid1D:
-    """A field model's grid, its node and mode counts checked.
+def _field_grid(n_interior: int, n_slow_modes: int, n_fast_modes: int, c_g: float):
+    """A field model's grid and its lambda1, the node and mode counts checked,
+    and c_g against the eigenvalue gap condition c_g < lambda1.
 
     Also loads scipy's banded solver, which the field models' cached
     inverses use: the build solves nothing, but its import is then paid in
@@ -436,7 +440,12 @@ def _field_grid(n_interior: int, n_slow_modes: int, n_fast_modes: int) -> Grid1D
             raise ModelParamError(f"{key}: must lie in [1, n_interior] = [1, {n_interior}], "
                                   f"got {val!r}")
     spatial.banded_solver()
-    return Grid1D(n_interior)
+    grid = Grid1D(n_interior)
+    lam1 = spatial.lambda1(grid)
+    if lam1 - c_g <= 0.0:
+        raise ModelParamError(f"c_g: the eigenvalue gap condition needs c_g < lambda1 = "
+                              f"{lam1:.6g} of the n_interior = {n_interior} grid, got {c_g!r}")
+    return grid, lam1
 
 
 def _sine_noise(grid, n_modes, scale):
@@ -482,10 +491,7 @@ def make_porous_media_1d(r: float = 4.0, n_interior: int = 63, c_psi: float = 1.
     """
     if r < 2:
         raise ModelParamError(f"r: the porous medium exponent must be >= 2, got {r!r}")
-    grid = _field_grid(n_interior, n_slow_modes, n_fast_modes)
-    lam1 = spatial.lambda1(grid)
-    if lam1 - c_g <= 0.0:
-        raise ValueError("eigenvalue gap condition needs c_g < lambda1 of the grid")
+    grid, lam1 = _field_grid(n_interior, n_slow_modes, n_fast_modes, c_g)
 
     def psi(u):
         return np.abs(u) ** (r - 2.0) * u
@@ -564,11 +570,8 @@ def make_plaplace_1d(p: float = 4.0, n_interior: int = 63, c_p: float = 0.3,
     """
     if p < 2:
         raise ModelParamError(f"p: the p-Laplace exponent must be >= 2, got {p!r}")
-    grid = _field_grid(n_interior, n_slow_modes, n_fast_modes)
+    grid, lam1 = _field_grid(n_interior, n_slow_modes, n_fast_modes, c_g)
     dx = grid.dx
-    lam1 = spatial.lambda1(grid)
-    if lam1 - c_g <= 0.0:
-        raise ValueError("eigenvalue gap condition needs c_g < lambda1 of the grid")
 
     def grad(U):
         # forward differences including both Dirichlet ghost gaps: (..., n+1)
@@ -755,4 +758,9 @@ def build_model(model_id: str, params: dict | None = None) -> ModelSpec:
     """Instantiate a registered model with keyword overrides."""
     if model_id not in REGISTRY:
         raise KeyError(f"unknown model id {model_id!r}; known: {sorted(REGISTRY)}")
+    known = inspect.signature(REGISTRY[model_id]).parameters
+    for key in params or {}:
+        if key not in known:
+            raise ModelParamError(f"{key}: not a parameter of {model_id!r}; "
+                                  f"known: {', '.join(known)}")
     return REGISTRY[model_id](**(params or {}))

@@ -15,9 +15,9 @@ uniforms and two standard normals per counter, and a counter serves a pair
 of steps: the cos output is the even step's normal and the sin output the
 odd step's.
 
-``windows`` is the one feed of noise to the steppers: every runner and the
-frozen marcher advance window by window through it, and it is the only
-caller of ``draw``.
+``windows`` is the one feed of noise to the steppers: the runners (through
+``integrate.march``) and the frozen marcher advance window by window through
+it, and it is the only caller of ``draw``.
 """
 from __future__ import annotations
 
@@ -55,7 +55,7 @@ NOISE_WINDOW_NORMALS = 32768
 # counter field limits (see NoisePlan); a value past its field would alias
 # another stream, so gaussians and derive refuse it
 STEP_LIMIT = 2 ** 48
-_PARTICLE_LIMIT = 2 ** 32
+PARTICLE_LIMIT = 2 ** 32
 _FIELD16_LIMIT = 2 ** 16
 
 
@@ -157,7 +157,7 @@ class NoisePlan:
         if not 0 <= step_start <= step_start + n_steps <= STEP_LIMIT:
             raise ValueError(f"steps [{step_start}, {step_start + n_steps}) "
                              "outside the 48-bit step counter")
-        if not 0 <= n_particles <= _PARTICLE_LIMIT:
+        if not 0 <= n_particles <= PARTICLE_LIMIT:
             raise ValueError(f"n_particles={n_particles} outside the 32-bit particle counter")
         if not 0 <= n_modes <= _FIELD16_LIMIT:
             raise ValueError(f"n_modes={n_modes} outside the 16-bit mode counter")
@@ -185,7 +185,7 @@ class NoisePlan:
         if len(tags) > 3:
             raise ValueError(f"derive takes at most 3 tags, got {len(tags)}")
         for i, tag in enumerate(tags):
-            limit = STEP_LIMIT if i == 0 else _PARTICLE_LIMIT
+            limit = STEP_LIMIT if i == 0 else PARTICLE_LIMIT
             if not isinstance(tag, (int, np.integer)) or not 0 <= tag < limit:
                 raise ValueError(f"derive tag {i} must be an integer in [0, {limit}), "
                                  f"got {tag!r}")

@@ -28,8 +28,8 @@ from typing import Optional
 import numpy as np
 
 from . import noise as noise_mod
-from .averaging import AveragedRunner, HmmConfig
-from .integrate import BlowUpError, FullRunner, MultiscaleParams, resolve_params
+from .averaging import HMM_NODES, AveragedRunner, HmmConfig
+from .integrate import BlowUpError, FullRunner, MultiscaleParams, march, resolve_params
 from .models import REGISTRY, ModelParamError, ModelSpec, build_model, slow_norm_sq
 
 SLOPE_TOLERANCE_FRACTION = 0.1
@@ -136,8 +136,6 @@ class StudyConfig:
         if any(a >= b for a, b in zip(grid[1:], grid[:-1])):
             raise ConfigError("epsilon_grid: epsilon grid must be strictly decreasing")
         self.epsilon_grid = grid
-        if self.replications < 1:
-            raise ConfigError("replications: must be >= 1")
         if self.t_end <= 0:
             raise ConfigError("t_end: must be positive")
         if not 0 < self.h_factor <= 0.1:
@@ -155,8 +153,11 @@ class StudyConfig:
             raise ConfigError(f"seed: must be an integer in [0, 2^64), got {self.seed!r}")
         if self.n_particles is None:
             self.n_particles = 200 if self.model in ("porous-media-1d", "plaplace-1d") else 1000
-        if self.n_particles < 1:
-            raise ConfigError("n_particles: must be >= 1")
+        # a particle index and a replication's derive tag each fill a 32-bit counter field
+        for key in ("n_particles", "replications"):
+            if not 1 <= getattr(self, key) <= noise_mod.PARTICLE_LIMIT:
+                raise ConfigError(f"{key}: must lie in [1, 2^32] (a noise counter field), "
+                                  f"got {getattr(self, key)}")
         if not isinstance(self.crn, bool):
             raise ConfigError(f"crn: must be true or false, got {self.crn!r}")
         _check_hmm(self.hmm)
@@ -166,6 +167,8 @@ class StudyConfig:
         for key, dim in (("x0", model.slow_dim), ("y0", model.fast_dim)):
             if getattr(self, key) is not None:
                 _check_state(key, getattr(self, key), dim, self.n_particles)
+        for e in grid:
+            self.check_frozen_counter(model, self.params_for(e))
 
     def build_model(self) -> ModelSpec:
         """The model of ``model`` and ``model_params``, each value checked first."""
@@ -177,8 +180,6 @@ class StudyConfig:
             return build_model(self.model, self.model_params)
         except ModelParamError as exc:
             raise ConfigError(f"model_params.{exc}") from exc
-        except (TypeError, KeyError, ValueError) as exc:
-            raise ConfigError(f"model_params: {exc}") from exc
         except ArithmeticError as exc:
             given = ", ".join(f"model_params.{k}={v!r}" for k, v in self.model_params.items())
             raise ConfigError(f"model_params: {type(exc).__name__} ({exc}) building "
@@ -198,6 +199,25 @@ class StudyConfig:
                               f"eps={epsilon:g}, past the 2^48 steps of the noise counter")
         return p
 
+    def check_frozen_counter(self, model: ModelSpec, p: MultiscaleParams):
+        """In HMM mode, the frozen paths of a refresh and the frozen steps of
+        a run of ``p`` must fit the noise counter; refused naming the hmm key."""
+        if self.averaged_mode != "hmm":
+            return
+        hmm = HmmConfig(**self.hmm).resolved(model, p)
+        if hmm.replicas * (HMM_NODES if model.slow_dim == 1 else self.n_particles) \
+                > noise_mod.PARTICLE_LIMIT:
+            raise ConfigError("hmm.replicas: its frozen paths per replication pass the 2^32 "
+                              "particles of the noise counter")
+        refreshes = -(-p.n_steps // hmm.refresh_stride_steps)
+        (burn0, samp), (burn, _) = hmm.refresh_steps(True), hmm.refresh_steps(False)
+        steps = {"burn_in_initial": burn0, "burn_in": (refreshes - 1) * burn,
+                 "horizon": refreshes * samp}
+        if sum(steps.values()) > noise_mod.STEP_LIMIT:
+            key = max(steps, key=steps.get)
+            raise ConfigError(f"hmm.{key}: the frozen runs at eps={p.epsilon:g} take more than "
+                              f"the 2^48 steps of the noise counter (h_frozen={hmm.h_frozen:g})")
+
     def initial_states(self, model: ModelSpec):
         x0 = np.asarray(self.x0, dtype=float) if self.x0 is not None else model.default_x0
         y0 = np.asarray(self.y0, dtype=float) if self.y0 is not None else model.default_y0
@@ -211,9 +231,6 @@ class StudyConfig:
                                   "fbar; use 'hmm'")
             return {"mode": "exact"}
         return {"mode": "hmm", "hmm": HmmConfig(**self.hmm)}
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> StudyConfig:
@@ -265,12 +282,12 @@ def _coupled_error_once(cfg: StudyConfig, eps_indices, reps) -> list:
     behind it the replications ``reps`` (a tuple of replication indices),
     each on its own plan; every (grid point, replication) keeps its own
     empirical measure.
-    Every grid point reads the same streams from step 0, so one loop of noise
-    windows up to the group's largest ``n_steps`` draws each window of each
-    stream once, and one Python step advances every grid point still on the
-    stack at one step index.  An advance runs to the next sup time of any
-    grid point on the stack (every multiple of its stride, and its last
-    step) or to the window end.  At its own sup times a grid point is
+    Every grid point reads the same streams from step 0, so one ``march`` of
+    both runners up to the group's largest ``n_steps`` draws each window of
+    each stream once, and one Python step advances every grid point still on
+    the stack at one step index.  The march stops at the next sup time of
+    any grid point on the stack (every multiple of its stride, and its last
+    step) and at window ends.  At its own sup times a grid point is
     checked for blow-up, full rows first, and its sup-norm maximum taken; it
     leaves the stack when it finishes or blows up.  Returns, per grid point,
     either one (error_sq, aux_gap, increment_stat) per replication, the same
@@ -290,46 +307,35 @@ def _coupled_error_once(cfg: StudyConfig, eps_indices, reps) -> list:
     avg = AveragedRunner(model, x0, N, params, plans,
                          slow_kind=noise_mod.SLOW if cfg.crn else noise_mod.SLOW_ALT,
                          **cfg.averaged_mode_kwargs(model))
-    # the streams of both runners, each once: SLOW and FAST, and SLOW_ALT without CRN
-    streams = list(dict.fromkeys(full.streams + avg.streams))
     strides = [max(1, p.n_steps // cfg.record_points) for p in params]
     sup_sq = [np.zeros((len(reps), N)) for _ in params]
     outcomes = [None] * len(params)
-    for start, draws in noise_mod.windows(plans, streams, 0, max(p.n_steps for p in params), N):
-        window = dict(zip(streams, draws))
-        end = start + len(draws[0])
-        while live and full.k < end:
-            k = full.k
-            stop = min([end] + [min(k - k % strides[j] + strides[j], params[j].n_steps)
-                                for j in live])
-            # counter-based streams: the stack's slice of the shared
-            # windows holds the increments each grid point would draw alone
-            for runner in (full, avg):
-                runner.advance(stop - k, *(window[s][k - start:stop - start]
-                                           for s in runner.streams))
-            for g, j in enumerate(live):
-                if stop % strides[j] and stop < params[j].n_steps:
-                    continue
-                eps = cfg.epsilon_grid[eps_indices[j]]
-                try:
-                    full.check_finite(g, f"full eps={eps:g} seed={seeds}")
-                    avg.check_finite(g, f"averaged eps={eps:g} seed={seeds}")
-                except BlowUpError as exc:
-                    outcomes[j] = exc
-                    continue
-                np.maximum(sup_sq[j], slow_norm_sq(model, full.X[g] - avg.X[g]),
-                           out=sup_sq[j])
-                if stop == params[j].n_steps:
-                    outcomes[j] = [(float(np.mean(s)), float(a), float(c)) for s, a, c in
-                                   zip(sup_sq[j], full.aux_gap[0, g], full.increment_stat[g])]
-            keep = [g for g, j in enumerate(live) if outcomes[j] is None]
-            if len(keep) < len(live):
-                live = [live[g] for g in keep]
-                if live:
-                    full.leave(keep)
-                    avg.leave(keep)
-        if not live:
-            break
+
+    def next_sup(k):
+        return min(min(k - k % strides[j] + strides[j], params[j].n_steps) for j in live)
+
+    for stop, _ in march((full, avg), max(p.n_steps for p in params), next_sup):
+        for g, j in enumerate(live):
+            if stop % strides[j] and stop < params[j].n_steps:
+                continue
+            eps = cfg.epsilon_grid[eps_indices[j]]
+            try:
+                full.check_finite(g, f"full eps={eps:g} seed={seeds}")
+                avg.check_finite(g, f"averaged eps={eps:g} seed={seeds}")
+            except BlowUpError as exc:
+                outcomes[j] = exc
+                continue
+            np.maximum(sup_sq[j], slow_norm_sq(model, full.X[g] - avg.X[g]), out=sup_sq[j])
+            if stop == params[j].n_steps:
+                outcomes[j] = [(float(np.mean(s)), float(a), float(c)) for s, a, c in
+                               zip(sup_sq[j], full.aux_gap[0, g], full.increment_stat[g])]
+        keep = [g for g, j in enumerate(live) if outcomes[j] is None]
+        if len(keep) < len(live):
+            live = [live[g] for g in keep]
+            if not live:
+                break
+            full.leave(keep)
+            avg.leave(keep)
     return outcomes
 
 

@@ -3,14 +3,16 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion.  The heavy sweeps (5, 6, 7, 10) share module-scoped fixtures.
 """
+import dataclasses
 import math
 import time
 
 import numpy as np
 import pytest
 
-from mvavg.averaging import FrozenParams, estimate_fbar, estimate_mixing_rate, frozen_simulate
-from mvavg.integrate import resolve_params
+from mvavg.averaging import (AveragedRunner, FrozenParams, estimate_fbar, estimate_mixing_rate,
+                             frozen_simulate)
+from mvavg.integrate import TrajectoryRecorder, resolve_params
 from mvavg.measure import MeasureMoments, SampleSet, w2_1d, w2_bruteforce
 from mvavg.models import build_model, probe_hypothesis, run_probe_suite
 from mvavg.noise import NoisePlan
@@ -102,9 +104,9 @@ def test_criterion_04_averaged_equation_oracle():
     m = build_model("linear-benchmark", {"sigma1": 0.0})
     c = m.constants
     params = resolve_params(0.05, 1.0)
-    from mvavg.averaging import simulate_averaged
-    rec = simulate_averaged(m, [1.0], 2, params, NoisePlan(5), mode="exact")
-    xT = rec.slow_array()[-1][0, 0]
+    rec = TrajectoryRecorder(stride_steps=max(1, params.n_steps // 200))
+    AveragedRunner(m, [1.0], 2, params, [NoisePlan(5)], mode="exact").run(rec)
+    xT = rec.slow[-1][0, 0]
     rate = c["a11"] + c["a12"] + c["f0"] * (c["k1"] + c["k2"]) / c["gamma"]
     err = abs(xT - math.exp(rate))
     h_macro = 1.0 / 200
@@ -206,8 +208,7 @@ def test_criterion_10_worker_determinism(linear_rate_cfg, linear_rate_report,
                                          tmp_path):
     _, paths, base_elapsed = linear_rate_report
     t0 = time.monotonic()
-    cfg8 = StudyConfig(**{**linear_rate_cfg.to_dict(),
-                          "workers": 8, "out_dir": str(tmp_path)})
+    cfg8 = dataclasses.replace(linear_rate_cfg, workers=8, out_dir=str(tmp_path))
     report8 = run_rate_study(cfg8)
     paths8 = write_report(report8, cfg8.out_dir)
     bytes1 = open(paths["rate_report"], "rb").read()

@@ -7,8 +7,7 @@ import pytest
 from mvavg import averaging, noise
 from mvavg.averaging import (HMM_NODES, AveragedRunner, FrozenParams, HmmConfig,
                              MixingFailure, default_frozen_params, estimate_fbar,
-                             estimate_mixing_rate, frozen_simulate,
-                             simulate_averaged)
+                             estimate_mixing_rate, frozen_simulate)
 from mvavg.integrate import FullRunner, TrajectoryRecorder, resolve_params
 from mvavg.measure import MeasureMoments
 from mvavg.models import build_model, empirical_view
@@ -126,6 +125,7 @@ def test_default_frozen_params_burn_in_rule():
     m = linear_ou(gamma=2.0)
     fp = default_frozen_params(m, [1.0], DELTA0)
     assert fp.burn_in == pytest.approx(8.0 / 2.0)
+    assert default_frozen_params(m, [1.0], DELTA0, burn_in=0.5).burn_in == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +203,9 @@ def test_averaged_exact_matches_closed_form_ode():
     m = build_model("linear-benchmark", {"sigma1": 0.0})
     c = m.constants
     params = resolve_params(0.05, 1.0)
-    rec = simulate_averaged(m, [1.0], 2, params, NoisePlan(12), mode="exact")
-    xT = rec.slow_array()[-1][0, 0]
+    rec = TrajectoryRecorder(stride_steps=max(1, params.n_steps // 200))
+    AveragedRunner(m, [1.0], 2, params, [NoisePlan(12)], mode="exact").run(rec)
+    xT = rec.slow[-1][0, 0]
     rate = c["a11"] + c["a12"] + c["f0"] * (c["k1"] + c["k2"]) / c["gamma"]
     h_macro = 1.0 / 200
     assert abs(xT - math.exp(rate)) <= 5 * h_macro
@@ -344,13 +345,13 @@ def test_estimate_fbar_across_windows_is_bitwise_one_window(monkeypatch):
     assert np.array_equal(one.fbar, many.fbar) and np.array_equal(one.std_error, many.std_error)
 
 
-def test_simulate_averaged_collects_fbar_cache():
+def test_averaged_run_collects_fbar_cache():
     m = build_model("linear-benchmark")
     params = resolve_params(0.1, 0.2)
-    rec = simulate_averaged(m, [1.0], 4, params, NoisePlan(24), mode="exact",
-                            collect_fbar_cache=True)
-    assert rec.fbar_cache
-    x, mu_mean, mu_m2, fbar, se = rec.fbar_cache[0]
+    runner = AveragedRunner(m, [1.0], 4, params, [NoisePlan(24)], mode="exact",
+                            collect_fbar_cache=True).run()
+    assert runner.fbar_cache
+    x, mu_mean, mu_m2, fbar, se = runner.fbar_cache[0]
     c = m.constants
     assert fbar == pytest.approx((c["f0"] / c["gamma"]) * (c["k1"] * x + c["k2"] * mu_mean))
     assert se == 0.0
@@ -361,9 +362,12 @@ def test_recorder_and_fbar_cache_need_one_plan():
     m = build_model("linear-benchmark")
     params = resolve_params(0.1, 0.2)
     plans = [NoisePlan(24), NoisePlan(25)]
-    with pytest.raises(ValueError, match="recorder"):
-        FullRunner(m, [1.0], [1.0], 4, params, plans, recorder=TrajectoryRecorder())
-    with pytest.raises(ValueError, match="recorder"):
-        AveragedRunner(m, [1.0], 4, params, plans, recorder=TrajectoryRecorder())
+    for runner in (FullRunner(m, [1.0], [1.0], 4, params, plans),
+                   AveragedRunner(m, [1.0], 4, params, plans),
+                   FullRunner(m, [1.0], [1.0], 4, [params, resolve_params(0.05, 0.2)],
+                              plans[:1])):
+        with pytest.raises(ValueError, match="recorder"):
+            runner.run(TrajectoryRecorder())
+        assert runner.k == 0      # refused before any step
     with pytest.raises(ValueError, match="collect_fbar_cache"):
         AveragedRunner(m, [1.0], 4, params, plans, collect_fbar_cache=True)

@@ -7,9 +7,11 @@ from scipy.linalg import expm, solve_banded
 
 from mvavg.integrate import (BLOWUP_LIMIT, BlowUpError, FullRunner, MultiscaleParams,
                              TrajectoryRecorder, _check_finite, _FastSolver,
-                             resolve_params, simulate_full)
+                             resolve_params)
 from mvavg.measure import MeasureMoments
 from mvavg.models import build_model, empirical_view
+from mvavg import noise as noise_mod
+from mvavg.averaging import AveragedRunner
 from mvavg.noise import NoisePlan, draw
 from mvavg.spatial import l2_norm_sq
 
@@ -213,16 +215,16 @@ def test_moment_flag_stays_clear_on_sane_run():
     m = build_model("linear-benchmark")
     params = resolve_params(0.05, 1.0)
     rec = TrajectoryRecorder(stride_steps=100)
-    simulate_full(m, [1.0], [1.0], 64, params, NoisePlan(14), recorder=rec)
-    assert rec.moment_flag is False
-    assert rec.time_array()[-1] == pytest.approx(1.0)
+    runner = FullRunner(m, [1.0], [1.0], 64, params, [NoisePlan(14)]).run(rec)
+    assert bool(runner.moment_flag[0, 0]) is False
+    assert rec.times[-1] == pytest.approx(1.0)
 
 
 def test_recorder_csv_format(tmp_path):
     m = build_model("linear-benchmark")
     params = resolve_params(0.1, 0.1)
-    rec = TrajectoryRecorder(stride_steps=10, record_fast=True)
-    simulate_full(m, [1.0], [1.0], 2, params, NoisePlan(15), recorder=rec)
+    rec = TrajectoryRecorder(stride_steps=10)
+    FullRunner(m, [1.0], [1.0], 2, params, [NoisePlan(15)]).run(rec)
     path = tmp_path / "traj.csv"
     rec.dump_csv(path)
     lines = path.read_text().splitlines()
@@ -333,6 +335,38 @@ def test_grid_point_leaving_the_stack_keeps_the_others_bitwise(diagnostics):
 def test_zero_horizon_returns_initial_state_only():
     m = build_model("linear-benchmark")
     params = MultiscaleParams(epsilon=0.1, t_end=0.0, h_micro=0.002)
-    rec = simulate_full(m, [1.5], [0.5], 4, params, NoisePlan(17))
-    assert rec.time_array().tolist() == [0.0]
-    assert np.all(rec.slow_array()[0] == 1.5)
+    rec = TrajectoryRecorder()
+    FullRunner(m, [1.5], [0.5], 4, params, [NoisePlan(17)]).run(rec)
+    assert rec.times == [0.0]
+    assert len(rec.slow) == 1 and np.all(rec.slow[0] == 1.5)
+    assert len(rec.fast) == 1 and np.all(rec.fast[0] == 0.5)
+
+
+@pytest.mark.parametrize("runner_cls", [FullRunner, AveragedRunner])
+def test_recorder_takes_step_zero_each_stride_and_the_last_step(runner_cls, monkeypatch):
+    # 53 steps on a stride of 10, on windows of 6 steps: rows at steps 0, 10,
+    # ..., 50 and 53, once each, with the states of a runner stepped one step
+    # at a time; the fast state only where the runner has one
+    monkeypatch.setattr(noise_mod, "NOISE_WINDOW_NORMALS", 6 * 4)
+    m = build_model("linear-benchmark")
+    params = MultiscaleParams(epsilon=0.1, t_end=0.106, h_micro=0.002)
+    assert params.n_steps == 53
+    plans = [NoisePlan(18)]
+    args = (m, [1.0], [0.5], 4) if runner_cls is FullRunner else (m, [1.0], 4)
+    rec = TrajectoryRecorder(stride_steps=10)
+    runner_cls(*args, params, plans).run(rec)
+    steps = [0, 10, 20, 30, 40, 50, 53]
+    assert rec.times == [k * params.h_micro for k in steps]
+    ref = runner_cls(*args, params, plans)
+    slow, fast = [ref.X[0, 0].copy()], [None if ref.Y is None else ref.Y[0, 0].copy()]
+    while ref.k < 53:
+        draws = [draw(plans, kind, ref.k, 1, 4, modes) for kind, modes in ref.streams]
+        ref.advance(1, *draws)
+        if ref.k in steps:
+            slow.append(ref.X[0, 0].copy())
+            fast.append(None if ref.Y is None else ref.Y[0, 0].copy())
+    assert all(np.array_equal(a, b) for a, b in zip(rec.slow, slow, strict=True))
+    if runner_cls is FullRunner:
+        assert all(np.array_equal(a, b) for a, b in zip(rec.fast, fast, strict=True))
+    else:
+        assert rec.fast == []

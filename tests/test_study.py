@@ -237,7 +237,7 @@ def test_study_rows_come_from_the_job_and_aggregator():
                       epsilon_grid=[0.1, 0.05, 0.02], replications=2, t_end=0.1, seed=4)
     report = run_rate_study(cfg)
     for i, row in enumerate(report.rows):
-        one = StudyConfig(**{**cfg.to_dict(), "epsilon_grid": [cfg.epsilon_grid[i]]})
+        one = dataclasses.replace(cfg, epsilon_grid=[cfg.epsilon_grid[i]])
         assert row == one_point_row(one)
 
 
@@ -340,6 +340,38 @@ def test_group_draws_each_stream_once_per_step(crn, monkeypatch):
     for windows in drawn.values():
         assert [k for s, n in windows for k in range(s, s + n)] == list(range(250))
         assert [s for s, _ in windows] == list(range(0, 250, 24))
+
+
+@pytest.mark.parametrize("base, frozen", [
+    (dict(model="linear-benchmark"), 0),
+    (dict(model="linear-benchmark", crn=False), 0),
+    (dict(model="mvsde-cubic", averaged_mode="hmm",
+          hmm={"replicas": 2, "horizon": 0.5, "burn_in": 0.2, "h_frozen": 0.02}), 5190),
+], ids=["linear", "linear-no-crn", "cubic-hmm"])
+@pytest.mark.filterwarnings("ignore:fbar standard error")
+def test_group_draws_each_window_of_each_stream_once(base, frozen, monkeypatch):
+    # windows of 24 steps over 250 steps: 11 windows per stream and plan, each
+    # drawn by one NoisePlan.gaussians call; the frozen draws of the HMM
+    # refreshes (5190 calls, per grid point) are counted as they were before
+    # the job's window loop became the runners' march
+    calls = []
+    gaussians = NoisePlan.gaussians
+
+    def spy(plan, kind, step_start, n_steps, *args):
+        calls.append((plan.seed, kind, step_start, n_steps))
+        return gaussians(plan, kind, step_start, n_steps, *args)
+
+    monkeypatch.setattr(study.noise_mod, "NOISE_WINDOW_NORMALS", 23 * 8)
+    monkeypatch.setattr(NoisePlan, "gaussians", spy)
+    cfg = StudyConfig(**base, n_particles=8, record_points=7, epsilon_grid=[0.1, 0.05, 0.02],
+                      replications=2, t_end=0.1, seed=11)
+    _coupled_error_once(cfg, (0, 1, 2), (0, 1))
+    coupled = [c for c in calls if c[1] != study.noise_mod.FROZEN]
+    kinds = 2 if cfg.crn else 3
+    assert len(coupled) == len(set(coupled)) == kinds * 2 * 11
+    assert sorted({(k, s, n) for _, k, s, n in coupled}) == sorted(
+        (k, s, min(24, 250 - s)) for k in {c[1] for c in coupled} for s in range(0, 250, 24))
+    assert len(calls) - len(coupled) == frozen
 
 
 def test_group_blowups_drop_only_their_grid_points(monkeypatch):
@@ -472,11 +504,11 @@ def test_pool_submits_the_longest_grid_point_first(monkeypatch):
                       epsilon_grid=[0.1, 0.05, 0.02, 0.01], replications=2, t_end=0.1, seed=4)
     # 50, 100, 250 and 500 steps: the longest grid point first, each to the
     # group with the fewest steps, and the heavier group submitted first
-    pooled = run_rate_study(StudyConfig(**{**cfg.to_dict(), "workers": 2}))
+    pooled = run_rate_study(dataclasses.replace(cfg, workers=2))
     assert submitted == [(3,), (0, 1, 2)]
     assert pooled.rows == run_rate_study(cfg).rows
     submitted.clear()
-    run_rate_study(StudyConfig(**{**cfg.to_dict(), "workers": 8}))
+    run_rate_study(dataclasses.replace(cfg, workers=8))
     assert submitted == [(3,), (2,), (1,), (0,)]
 
 
@@ -661,15 +693,83 @@ def test_freeze_non_finite_flags_name_the_flag(tmp_path, capsys, flag, value):
                                                 ("porous-media-1d", "n_slow_modes", "0"),
                                                 ("porous-media-1d", "n_fast_modes", "100"),
                                                 ("plaplace-1d", "n_slow_modes", "64"),
-                                                ("plaplace-1d", "n_fast_modes", "-2")])
+                                                ("plaplace-1d", "n_fast_modes", "-2"),
+                                                ("linear-benchmark", "n_fast_modes", "100"),
+                                                ("porous-media-1d", "c_g", "20"),
+                                                ("plaplace-1d", "c_g", "20"),
+                                                ("mvsde-cubic", "kappa", "0.01"),
+                                                ("mvsde-cubic", "sigma_c", "0.05")])
 def test_model_params_checked_and_key_named(tmp_path, capsys, model, key, value):
     # a non-finite value, one that overflows the model's constants, a
     # fractional node count, and values outside a builder's range (a field
     # model carries 1..n_interior sine modes per noise, n_interior = 63 by
-    # default): each exits 2 naming model_params.<key>
+    # default), a key the builder does not take, and the conditions that tie
+    # two keys (c_g below lambda1 of the n_interior grid; cubic kappa above
+    # 2 l_sigma2^2 and sigma_c above |l_sigma2|): each exits 2 naming
+    # model_params.<key>
     argv = ["rate-study", "--model", model, "--param", f"{key}={value}", "--out", str(tmp_path)]
     assert main(argv) == 2
     assert f"model_params.{key}" in capsys.readouterr().err
+
+
+def test_model_param_errors_name_the_other_keys(tmp_path, capsys):
+    out = ["--out", str(tmp_path)]
+    for argv, words in (
+            (["simulate", "--model", "linear-benchmark", "--param", "n_fast_modes=100"],
+             ["model_params.n_fast_modes:", "known: a11, a12, f0, sigma1, gamma, k1, k2, sigma2"]),
+            (["average", "--model", "porous-media-1d", "--param", "c_g=20"],
+             ["model_params.c_g:", "n_interior = 63"]),
+            (["aux", "--model", "mvsde-cubic", "--param", "kappa=0.01"],
+             ["model_params.kappa:", "l_sigma2 = 0.1"])):
+        assert main(argv + out) == 2
+        err = capsys.readouterr().err
+        assert all(w in err for w in words), err
+
+
+def test_frozen_runs_past_the_counter_are_refused(tmp_path, capsys):
+    # burn-in 8 / gamma = 8e300 (the default), or a step of 1e-320: refused
+    # before any step, naming the flags that set the step count
+    model = ["--model", "linear-benchmark", "--x", "1", "--out", str(tmp_path)]
+    for argv in (["--param", "gamma=1e-300"], ["--h", "1e-320"], ["--burn-in", "3e12"]):
+        assert main(["freeze"] + argv + model) == 2
+        assert "config error: --burn-in/--horizon/--h: n_steps=" in capsys.readouterr().err
+    # one frozen path per replica, each on its own stream particle
+    assert main(["freeze", "--replicas", str(2 ** 32 + 1)] + model) == 2
+    assert "config error: --replicas: replicas must lie in [1, 2^32]" in capsys.readouterr().err
+    # an HMM study's frozen steps per grid point: the initial burn-in, then
+    # each refresh's burn-in and horizon, over h_frozen
+    for hmm, key in (({"burn_in_initial": 3e12, "h_frozen": 0.01}, "burn_in_initial"),
+                     ({"burn_in": 1e12, "h_frozen": 0.01}, "burn_in"),
+                     ({"horizon": 1e12}, "horizon"),
+                     ({"h_frozen": 1e-300}, "horizon")):
+        path = write_cfg(tmp_path, model="mvsde-cubic", averaged_mode="hmm", hmm=hmm)
+        with pytest.raises(ConfigError, match=f"hmm.{key}: the frozen runs at eps=0.1"):
+            load_config(path)
+        assert main(["average", "--config", path]) == 2
+        assert f"config error: hmm.{key}:" in capsys.readouterr().err
+    # fits at the grid, but not at the --epsilon of an average run
+    path = write_cfg(tmp_path, model="mvsde-cubic", averaged_mode="hmm",
+                     hmm={"burn_in": 1e8, "h_frozen": 0.01, "refresh_stride_steps": 1})
+    assert main(["average", "--config", path, "--epsilon", "1e-3"]) == 2
+    assert "config error: hmm.burn_in: the frozen runs at eps=0.001" in capsys.readouterr().err
+
+
+def test_counter_fields_are_checked_at_load():
+    # particle indices and replication derive tags fill 32-bit counter fields,
+    # and so do the frozen paths of an HMM refresh (hmm.replicas per table
+    # node of a scalar model, per particle of a field model); checked without
+    # allocating any state
+    StudyConfig(n_particles=2 ** 32, replications=2 ** 32)      # indices up to 2^32 - 1
+    for kw, key in ((dict(n_particles=2 ** 32 + 1), "n_particles"),
+                    (dict(replications=2 ** 32 + 1), "replications"),
+                    (dict(model="mvsde-cubic", averaged_mode="hmm",
+                          hmm={"replicas": 2 ** 28 + 1}), "hmm.replicas"),
+                    (dict(model="porous-media-1d", averaged_mode="hmm", n_particles=2 ** 20,
+                          hmm={"replicas": 2 ** 12 + 1}), "hmm.replicas")):
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            StudyConfig(**kw)
+    StudyConfig(model="porous-media-1d", averaged_mode="hmm", n_particles=2 ** 20,
+                hmm={"replicas": 2 ** 12})
 
 
 @pytest.mark.parametrize("t_end", [1e12, 1e306])
