@@ -31,6 +31,7 @@ averages ``hmm.replicas`` independent frozen paths.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -213,22 +214,10 @@ def estimate_mixing_rate(model: ModelSpec, fp: FrozenParams, y_alt,
     y_alt = np.asarray(y_alt, dtype=float).reshape(-1)
     if np.allclose(y_alt, fp.y_init):
         raise ValueError("y_alt must differ from y_init")
-    h = fp.h_micro
-    n_steps = int(round(fp.sample_horizon / h))
-    # the first copy's path is held (n_steps x n_pairs x fast_dim floats); the
-    # second copy, marched on the same increments, is compared against it
-    path = [np.broadcast_to(fp.y_init, (1, n_pairs, model.fast_dim)).copy()]
-    _frozen_batch(model, fp.x_frozen, fp.mu_frozen, h, (noise,), path[0], n_steps,
-                  on_sample=lambda k, Z: path.append(Z))
-    gaps = np.empty(n_steps + 1)
-
-    def gap(k, Z):
-        gaps[k] = float(np.mean(fast_norm_sq(model, path[k] - Z)))
-
-    Z = np.broadcast_to(y_alt, (1, n_pairs, model.fast_dim)).copy()
-    gap(0, Z)
-    _frozen_batch(model, fp.x_frozen, fp.mu_frozen, h, (noise,), Z, n_steps, on_sample=gap)
-    t = h * np.arange(n_steps + 1)
+    fp = dataclasses.replace(fp, burn_in=0.0)
+    t, path = frozen_simulate(model, fp, noise, n_pairs)
+    _, alt = frozen_simulate(model, dataclasses.replace(fp, y_init=y_alt), noise, n_pairs)
+    gaps = np.mean(fast_norm_sq(model, path - alt), axis=-1)
     valid = gaps > gaps[0] * rel_floor
     # stop at the first collapsed point: later samples are noise-floor chatter
     cut = int(np.argmin(valid)) if not valid.all() else len(gaps)
@@ -385,9 +374,10 @@ class AveragedRunner(_SlowRunner):
     def _cache_fbar(self, mu, points, fbar, se):
         """Rows (x, mu_mean, mu_m2, fbar, std_error) of component 0, one per point
         of replication 0, from one grid point's (R, ...) arrays."""
+        n = points.shape[1]
         mean, m2 = float(mu.mean[0, 0, 0]), float(mu.second_moment[0, 0, 0])
-        for x, f in zip(points[0, :, 0], fbar[0, :, 0]):
-            self.fbar_cache.append((float(x), mean, m2, float(f), se))
+        self.fbar_cache += zip(points[0, :, 0].tolist(), [mean] * n, [m2] * n,
+                               fbar[0, :, 0].tolist(), [se] * n)
 
     def advance(self, n_sub: int, xs):
         """Advance every grid point n_sub micro steps on the slow noise
@@ -438,5 +428,4 @@ def write_fbar_cache(rows, path):
     """
     with open(path, "w") as fh:
         fh.write("x,mu_mean,mu_m2,fbar,std_error\n")
-        for row in rows or []:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines("%.17g,%.17g,%.17g,%.17g,%.17g\n" % tuple(row) for row in rows or [])

@@ -28,10 +28,10 @@ stabilised semi-implicit step
 
 by a cached dense inverse per grid point (h K differs between them), so h
 need not resolve dx^2 and follows eps alone.  K bounds the drift's
-linearisation on the amplitudes the model expects; where it depends on the
-amplitude (``slow_stab_for``) it is sized on the larger of the model's and
-the runner's initial one.  A state far past them can still blow up, which
-the finiteness check reports.
+linearisation on the amplitudes the model expects: ``slow_stab`` maps the
+largest |x0| a runner starts from to its K (the porous model sizes K on the
+larger of that and its own ``x0_amplitude``; the p-Laplace K is constant).
+A state far past them can still blow up, which the finiteness check reports.
 
 Runners step only on noise handed to them: ``advance`` takes the draws of
 the streams a runner lists in ``streams`` and checks nothing, and records
@@ -168,12 +168,17 @@ class TrajectoryRecorder:
 
     def dump_csv(self, path):
         """Plain CSV dump with header time,particle,component,index,value."""
+        # one line template per component: a record is one % over (t, v, t, v, ...)
+        blocks = [(rows, "".join(f"%.17g,{p},{comp},{i},%.17g\n"
+                                 for p, i in np.ndindex(rows[0].shape)))
+                  for comp, rows in (("slow", self.slow), ("fast", self.fast)) if rows]
         with open(path, "w") as fh:
             fh.write("time,particle,component,index,value\n")
             for j, t in enumerate(self.times):
-                for comp, block in (("slow", self.slow), ("fast", self.fast)):
-                    for (p, i), v in np.ndenumerate(block[j]) if block else ():
-                        fh.write(f"{t:.17g},{p},{comp},{i},{v:.17g}\n")
+                for rows, line in blocks:
+                    args = [t] * (2 * rows[j].size)
+                    args[1::2] = rows[j].ravel().tolist()
+                    fh.write(line % tuple(args))
 
 
 @lru_cache(maxsize=32)
@@ -303,10 +308,9 @@ class _SlowRunner:
         self.context = context
         self.X = _initial_state(x0, (len(self.params), len(self.noise), n_particles,
                                      model.slow_dim))
-        self.slow_stab = model.slow_stab
-        if model.slow_stab_for is not None:
-            # K follows the initial state, so a large config x0 raises it
-            self.slow_stab = max(self.slow_stab, model.slow_stab_for(float(np.abs(self.X).max())))
+        # K follows the initial state, so a large config x0 raises it
+        self.slow_stab = (None if model.slow_stab is None
+                          else model.slow_stab(float(np.abs(self.X).max())))
         # a failure found inside a step, per grid point, raised by check_finite
         self.failures = [None] * len(self.params)
         self.k = 0

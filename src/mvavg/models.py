@@ -14,9 +14,11 @@ arguments.
 
 The registry exposes four concrete systems ("linear-benchmark",
 "mvsde-cubic", "porous-media-1d", "plaplace-1d") plus one deliberately
-anti-dissipative model used to exercise the probe machinery.  Each model
-declares the structural constants (dissipativity rate, Lipschitz constants)
-that its randomized hypothesis probes certify numerically.
+anti-dissipative model used to exercise the probe machinery.  One builder
+per family holds what its members share (``_scalar_model``, ``_field_model``);
+a member's builder checks its parameters and declares its own slow drift,
+slow norm and K.  Each model declares the structural constants (dissipativity
+rates, coercivity budgets) that its randomized hypothesis probes certify.
 """
 from __future__ import annotations
 
@@ -75,9 +77,8 @@ class ModelSpec:
     grid: Optional[Grid1D] = None
     exact_fbar: Optional[Callable] = None
     v1_norm_alpha: Optional[Callable] = None
-    slow_stab: Optional[float] = None  # K of the stabilised slow step (field models)
-    slow_stab_for: Optional[Callable] = None   # K for an initial amplitude, when K
-                                               # depends on it (see _SlowRunner)
+    slow_stab: Optional[Callable] = None   # K(initial amplitude) of the stabilised
+                                           # slow step (field models; see _SlowRunner)
     measure_dependent: bool = True
 
     def fast_linear_apply(self, V):
@@ -165,17 +166,6 @@ def _hs_sq(tag, grid, coeff):
 # ---------------------------------------------------------------------------
 # hypothesis probes
 # ---------------------------------------------------------------------------
-
-PROBE_PROPERTIES = (
-    "monotonicity_slow",
-    "strict_monotonicity_fast",
-    "lipschitz_f",
-    "lipschitz_b1",
-    "lipschitz_b2",
-    "coercivity_slow",
-    "coercivity_fast",
-)
-
 
 @dataclass(frozen=True)
 class ProbeSampler:
@@ -287,6 +277,40 @@ def run_probe_suite(model: ModelSpec, n_samples: int = 1000, seed: int = 0,
 # model builders
 # ---------------------------------------------------------------------------
 
+def _scalar_model(model_id: str, a1, a2_remainder, *, f0, sigma1, rate, b2_apply, b2_coeff,
+                  y0, constants, measure_dependent, a2_split=None, exact_fbar=None):
+    """A scalar model: coupling f0 y, additive slow noise sigma1, the fast
+    drift's exact scalar rate, euclidean norms and x0 = 1."""
+
+    def f(U, mu, V):
+        return f0 * V
+
+    b1c = np.array([[sigma1]])
+    m = ModelSpec(
+        model_id=model_id, slow_dim=1, fast_dim=1,
+        n_slow_modes=1, n_fast_modes=1,
+        a1=a1, f=f, a2_remainder=a2_remainder,
+        b1_apply=lambda U, mu, xi: sigma1 * xi,
+        b2_apply=b2_apply,
+        b1_coeff=lambda U, mu: b1c,
+        b2_coeff=b2_coeff,
+        constants={"kappa": rate, "lam": rate, "f0": f0, "sigma1": sigma1, **constants},
+        norm_slow="euclidean", norm_fast="euclidean",
+        default_x0=np.array([1.0]), default_y0=np.array([y0]),
+        fast_linear=FastLinearPart("scalar", rate=rate),
+        a2_split=a2_split,
+        exact_fbar=exact_fbar,
+        v1_norm_alpha=lambda U: np.sum(U * U, axis=-1),
+        measure_dependent=measure_dependent,
+    )
+
+    def lip_f_bound(du, dv, w2, mu1, mu2):
+        return abs(f0) * dv
+
+    m.probe_fns = _standard_probe_fns(m, lip_f_bound)
+    return m
+
+
 def make_linear_benchmark(a11: float = -1.0, a12: float = 0.25, f0: float = 1.0,
                           sigma1: float = 0.3, gamma: float = 2.0, k1: float = 1.0,
                           k2: float = 0.25, sigma2: float = 0.5) -> ModelSpec:
@@ -306,54 +330,30 @@ def make_linear_benchmark(a11: float = -1.0, a12: float = 0.25, f0: float = 1.0,
     def a1(U, mu):
         return a11 * U + a12 * mu.mean
 
-    def f(U, mu, V):
-        return f0 * V
-
     def a2_forcing(U, mu):
         return k1 * U + k2 * mu.mean
 
     def a2_rem(U, mu, V):
         return a2_forcing(U, mu)
 
-    b1c = np.array([[sigma1]])
-    b2c = np.array([[sigma2]])
-
     def exact_fbar(U, mu):
         return (f0 / gamma) * (k1 * U + k2 * mu.mean)
 
-    theta_slow = -2.0 * a11 - abs(a12)
-    constants = {
-        "kappa": gamma, "l_b2": 0.0, "lam": gamma, "lip_f": abs(f0),
-        "alpha": 2.0, "beta": 2.0,
-        "c_mono_slow": max(a11, 0.0) + abs(a12),
-        "theta_slow": theta_slow,
-        "c_coer_slow": abs(a12) + sigma1 ** 2 + 1.0,
-        "c_coer_fast": 2.0 * (k1 ** 2 + k2 ** 2) / gamma + sigma2 ** 2 + 1.0,
-        "a11": a11, "a12": a12, "f0": f0, "sigma1": sigma1,
-        "gamma": gamma, "k1": k1, "k2": k2, "sigma2": sigma2,
-    }
-    m = ModelSpec(
-        model_id="linear-benchmark", slow_dim=1, fast_dim=1,
-        n_slow_modes=1, n_fast_modes=1,
-        a1=a1, f=f, a2_remainder=a2_rem,
-        b1_apply=lambda U, mu, xi: sigma1 * xi,
+    b2c = np.array([[sigma2]])
+    return _scalar_model(
+        "linear-benchmark", a1, a2_rem, f0=f0, sigma1=sigma1, rate=gamma,
         b2_apply=lambda U, mu, V, xi: sigma2 * xi,
-        b1_coeff=lambda U, mu: b1c,
         b2_coeff=lambda U, mu, V: b2c,
-        constants=constants, norm_slow="euclidean", norm_fast="euclidean",
-        default_x0=np.array([1.0]), default_y0=np.array([1.0]),
-        fast_linear=FastLinearPart("scalar", rate=gamma),
-        a2_split=(0.0, a2_forcing),
-        exact_fbar=exact_fbar,
-        v1_norm_alpha=lambda U: np.sum(U * U, axis=-1),
+        y0=1.0, constants={
+            "l_b2": 0.0,
+            "c_mono_slow": max(a11, 0.0) + abs(a12),
+            "theta_slow": -2.0 * a11 - abs(a12),
+            "c_coer_slow": abs(a12) + sigma1 ** 2 + 1.0,
+            "c_coer_fast": 2.0 * (k1 ** 2 + k2 ** 2) / gamma + sigma2 ** 2 + 1.0,
+            "a11": a11, "a12": a12, "gamma": gamma, "k1": k1, "k2": k2, "sigma2": sigma2,
+        },
         measure_dependent=not (a12 == 0.0 and k2 == 0.0),
-    )
-
-    def lip_f_bound(du, dv, w2, mu1, mu2):
-        return abs(f0) * dv
-
-    m.probe_fns = _standard_probe_fns(m, lip_f_bound)
-    return m
+        a2_split=(0.0, a2_forcing), exact_fbar=exact_fbar)
 
 
 def make_mvsde_cubic(kappa: float = 1.0, k1: float = 0.5, c_sin: float = 0.5,
@@ -382,47 +382,26 @@ def make_mvsde_cubic(kappa: float = 1.0, k1: float = 0.5, c_sin: float = 0.5,
     def a1(U, mu):
         return c_sin * np.sin(U) + c_mu * mu.mean
 
-    def f(U, mu, V):
-        return f0 * V
-
     def a2_rem(U, mu, V):
         return -V ** 3 + k1 * U
 
     def sig2(V):
         return sigma_c + l_sigma2 * np.tanh(V)
 
-    b1c = np.array([[sigma1]])
-    constants = {
-        "kappa": kappa, "l_b2": abs(l_sigma2), "lam": kappa, "lip_f": abs(f0),
-        "alpha": 2.0, "beta": 2.0,
-        "c_mono_slow": c_sin + c_mu,
-        "theta_slow": 1.0,
-        "c_coer_slow": 1.0 + c_sin + c_mu + sigma1 ** 2,
-        "c_coer_fast": k1 ** 2 / kappa + (sigma_c + abs(l_sigma2)) ** 2 + 1.0,
-        "k1": k1, "c_sin": c_sin, "c_mu": c_mu, "f0": f0,
-        "sigma1": sigma1, "sigma_c": sigma_c, "l_sigma2": l_sigma2,
-    }
-    m = ModelSpec(
-        model_id="mvsde-cubic", slow_dim=1, fast_dim=1,
-        n_slow_modes=1, n_fast_modes=1,
-        a1=a1, f=f, a2_remainder=a2_rem,
-        b1_apply=lambda U, mu, xi: sigma1 * xi,
+    return _scalar_model(
+        "mvsde-cubic", a1, a2_rem, f0=f0, sigma1=sigma1, rate=kappa,
         b2_apply=lambda U, mu, V, xi: sig2(V) * xi,
-        b1_coeff=lambda U, mu: b1c,
         b2_coeff=lambda U, mu, V: sig2(V)[..., None],
-        constants=constants, norm_slow="euclidean", norm_fast="euclidean",
-        default_x0=np.array([1.0]), default_y0=np.array([0.5]),
-        fast_linear=FastLinearPart("scalar", rate=kappa),
-        exact_fbar=None,
-        v1_norm_alpha=lambda U: np.sum(U * U, axis=-1),
-        measure_dependent=c_mu != 0.0,
-    )
-
-    def lip_f_bound(du, dv, w2, mu1, mu2):
-        return abs(f0) * dv
-
-    m.probe_fns = _standard_probe_fns(m, lip_f_bound)
-    return m
+        y0=0.5, constants={
+            "l_b2": abs(l_sigma2),
+            "c_mono_slow": c_sin + c_mu,
+            "theta_slow": 1.0,
+            "c_coer_slow": 1.0 + c_sin + c_mu + sigma1 ** 2,
+            "c_coer_fast": k1 ** 2 / kappa + (sigma_c + abs(l_sigma2)) ** 2 + 1.0,
+            "k1": k1, "c_sin": c_sin, "c_mu": c_mu,
+            "sigma_c": sigma_c, "l_sigma2": l_sigma2,
+        },
+        measure_dependent=c_mu != 0.0)
 
 
 def _field_grid(n_interior: int, n_slow_modes: int, n_fast_modes: int, c_g: float):
@@ -458,8 +437,26 @@ def _sine_noise(grid, n_modes, scale):
     return coeff, apply
 
 
-def _pde_fast_block(grid, c_g, c_u, c_mu_g, sigma2, n_fast_modes):
+def _field_model(model_id: str, grid: Grid1D, lam1: float, a1, *, norm_slow, hs_b1,
+                 v1_norm_alpha, slow_stab, constants, c_f, c_m, sigma1, c_g, c_u, c_mu_g,
+                 sigma2, n_slow_modes, n_fast_modes, x0_amplitude):
+    """A field model: the slow drift ``a1`` over the shared fast field
+
+        coupling   f = c_f v + c_m mu(||.||^2) tanh(u)
+        fast drift laplacian(v) - c_g v + c_u tanh(u) + c_mu_g m(mu)
+
+    with sine-mode noise on both (sigma1, sigma2; n_slow_modes, n_fast_modes
+    modes), fast errors in L^2 and x0 = x0_amplitude sin(pi x).  The fast
+    equation is linear in v with constant mode noise, so the frozen
+    invariant mean solves (c_g - laplacian) mean = forcing and the averaged
+    coupling drift is available in closed form.
+    """
+    n = grid.n_interior
+    b1c, b1_do = _sine_noise(grid, n_slow_modes, sigma1)
     b2c, b2_do = _sine_noise(grid, n_fast_modes, sigma2)
+
+    def f(U, mu, V):
+        return c_f * V + c_m * mu.second_moment * np.tanh(U)
 
     def a2_rem(U, mu, V):
         return -c_g * V + c_u * np.tanh(U) + c_mu_g * mu.mean
@@ -467,7 +464,46 @@ def _pde_fast_block(grid, c_g, c_u, c_mu_g, sigma2, n_fast_modes):
     def forcing(U, mu):
         return c_u * np.tanh(U) + c_mu_g * mu.mean
 
-    return a2_rem, forcing, b2c, b2_do
+    def exact_fbar(U, mu):
+        mean_v = spatial.solve_shifted_neg_laplacian(grid, c_g, forcing(U, mu))
+        return c_f * mean_v + c_m * mu.second_moment * np.tanh(U)
+
+    hs_b2 = sigma2 ** 2 * n_fast_modes                # columns measured in L^2
+    kappa = lam1 + c_g
+    m = ModelSpec(
+        model_id=model_id, slow_dim=n, fast_dim=n,
+        n_slow_modes=n_slow_modes, n_fast_modes=n_fast_modes,
+        a1=a1, f=f, a2_remainder=a2_rem,
+        b1_apply=lambda U, mu, xi: b1_do(xi),
+        b2_apply=lambda U, mu, V, xi: b2_do(xi),
+        b1_coeff=lambda U, mu: b1c,
+        b2_coeff=lambda U, mu, V: b2c,
+        constants={
+            "kappa": kappa, "l_b2": 0.0, "lam": kappa,
+            "c_mono_slow": 0.0,
+            "c_coer_slow": hs_b1 + 1.0,
+            "c_coer_fast": (c_u ** 2 + c_mu_g ** 2) / kappa * 4.0 + hs_b2 + 1.0,
+            "c_f": c_f, "c_m": c_m, "sigma1": sigma1,
+            "c_g": c_g, "c_u": c_u, "c_mu_g": c_mu_g, "sigma2": sigma2, **constants,
+        },
+        norm_slow=norm_slow, norm_fast="l2",
+        default_x0=x0_amplitude * np.sin(np.pi * grid.nodes), default_y0=np.zeros(n),
+        fast_linear=FastLinearPart("laplacian"),
+        a2_split=(-c_g, forcing),
+        grid=grid, exact_fbar=exact_fbar,
+        v1_norm_alpha=v1_norm_alpha,
+        slow_stab=slow_stab,
+    )
+
+    def lip_f_bound(du_l2, dv, w2, mu1, mu2):
+        # pointwise tanh coupling: the L2 modulus of the slow argument; an L2
+        # bound is over sqrt(lambda1) in H^-1
+        big_m2 = max(mu1.second_moment, mu2.second_moment)
+        bound = c_f * dv + c_m * big_m2 * du_l2
+        return bound / math.sqrt(lam1) if norm_slow == "hminus1" else bound
+
+    m.probe_fns = _standard_probe_fns(m, lip_f_bound)
+    return m
 
 
 def make_porous_media_1d(r: float = 4.0, n_interior: int = 63, c_psi: float = 1.0,
@@ -475,19 +511,14 @@ def make_porous_media_1d(r: float = 4.0, n_interior: int = 63, c_psi: float = 1.
                          c_g: float = 0.5, c_u: float = 0.5, c_mu_g: float = 0.25,
                          sigma2: float = 0.2, n_slow_modes: int = 4,
                          n_fast_modes: int = 4, x0_amplitude: float = 0.4) -> ModelSpec:
-    """Degenerate-diffusion slow field coupled to a stiff linear fast field.
+    """Degenerate-diffusion slow field coupled to the stiff linear fast field
+    of ``_field_model``.
 
     Slow drift: c_psi * laplacian(psi(u)) with psi(u) = |u|^(r-2) u applied
     pointwise (monotone, not Lipschitz; integrated by the stabilised
     semi-implicit step with ``slow_stab`` K, sized on the larger of
-    ``x0_amplitude`` and the largest |x0| a runner starts from).
-    Fast drift: laplacian(v) - c_g v + c_u tanh(u) + c_mu_g m(mu), handled
-    semi-implicitly on the Laplacian.  Slow-state errors are measured in the
-    discrete H^-1 norm, fast-state errors in L^2.
-
-    The fast equation is linear in v with constant mode noise, so the frozen
-    invariant mean solves (c_g - laplacian) mean = forcing and the averaged
-    coupling drift is available in closed form.
+    ``x0_amplitude`` and the largest |x0| a runner starts from).  Slow-state
+    errors are measured in the discrete H^-1 norm.
     """
     if r < 2:
         raise ModelParamError(f"r: the porous medium exponent must be >= 2, got {r!r}")
@@ -499,62 +530,21 @@ def make_porous_media_1d(r: float = 4.0, n_interior: int = 63, c_psi: float = 1.
     def a1(U, mu):
         return c_psi * spatial.laplacian_apply(grid, psi(U))
 
-    def f(U, mu, V):
-        return c_f * V + c_m * mu.second_moment * np.tanh(U)
-
-    a2_rem, forcing, b2c, b2_do = _pde_fast_block(grid, c_g, c_u, c_mu_g, sigma2, n_fast_modes)
-    b1c, b1_do = _sine_noise(grid, n_slow_modes, sigma1)
-
-    def exact_fbar(U, mu):
-        mean_v = spatial.solve_shifted_neg_laplacian(grid, c_g, forcing(U, mu))
-        return c_f * mean_v + c_m * mu.second_moment * np.tanh(U)
-
-    eigs = (2.0 / grid.dx ** 2) * (1.0 - np.cos(np.arange(1, n_slow_modes + 1) * np.pi * grid.dx))
-    hs_b1 = sigma1 ** 2 * float(np.sum(1.0 / eigs))   # columns measured in H^-1
-    hs_b2 = sigma2 ** 2 * n_fast_modes                # columns measured in L^2
-    kappa = lam1 + c_g
-    constants = {
-        "kappa": kappa, "l_b2": 0.0, "l_g": c_g, "lam": kappa,
-        "lip_f": (c_f + 2.0 * c_m) / math.sqrt(lam1),
-        "alpha": r, "beta": 2.0, "r": r,
-        "c_mono_slow": 0.0,
-        "theta_slow": 2.0 * c_psi,
-        "c_coer_slow": hs_b1 + 1.0,
-        "c_coer_fast": (c_u ** 2 + c_mu_g ** 2) / kappa * 4.0 + hs_b2 + 1.0,
-        "c_psi": c_psi, "c_f": c_f, "c_m": c_m, "sigma1": sigma1,
-        "c_g": c_g, "c_u": c_u, "c_mu_g": c_mu_g, "sigma2": sigma2,
-    }
-    x0 = x0_amplitude * np.sin(np.pi * grid.nodes)
-
-    def stab_for(amplitude):
+    def stab(amplitude):
         # bound on the linearisation c_psi psi'(u) = c_psi (r-1) |u|^(r-2),
         # on amplitudes up to about twice the initial one
         return c_psi * (r - 1.0) * max(2.0 * amplitude, 0.25) ** (r - 2.0)
 
-    m = ModelSpec(
-        model_id="porous-media-1d", slow_dim=n_interior, fast_dim=n_interior,
-        n_slow_modes=n_slow_modes, n_fast_modes=n_fast_modes,
-        a1=a1, f=f, a2_remainder=a2_rem,
-        b1_apply=lambda U, mu, xi: b1_do(xi),
-        b2_apply=lambda U, mu, V, xi: b2_do(xi),
-        b1_coeff=lambda U, mu: b1c,
-        b2_coeff=lambda U, mu, V: b2c,
-        constants=constants, norm_slow="hminus1", norm_fast="l2",
-        default_x0=x0, default_y0=np.zeros(n_interior),
-        fast_linear=FastLinearPart("laplacian"),
-        a2_split=(-c_g, forcing),
-        grid=grid, exact_fbar=exact_fbar,
+    stab_x0 = stab(x0_amplitude)
+    eigs = (2.0 / grid.dx ** 2) * (1.0 - np.cos(np.arange(1, n_slow_modes + 1) * np.pi * grid.dx))
+    return _field_model(
+        "porous-media-1d", grid, lam1, a1, norm_slow="hminus1",
+        hs_b1=sigma1 ** 2 * float(np.sum(1.0 / eigs)),   # columns measured in H^-1
         v1_norm_alpha=lambda U: grid.dx * np.sum(np.abs(U) ** r, axis=-1),
-        slow_stab=stab_for(x0_amplitude), slow_stab_for=stab_for,
-    )
-
-    def lip_f_bound(du_l2, dv, w2, mu1, mu2):
-        # pointwise tanh coupling: use the L2 modulus for the slow argument
-        big_m2 = max(mu1.second_moment, mu2.second_moment)
-        return (c_f * dv + c_m * big_m2 * du_l2) / math.sqrt(lam1)
-
-    m.probe_fns = _standard_probe_fns(m, lip_f_bound, lip_f_du_norm="l2")
-    return m
+        slow_stab=lambda amplitude: max(stab_x0, stab(amplitude)),
+        constants={"r": r, "c_psi": c_psi, "theta_slow": 2.0 * c_psi},
+        c_f=c_f, c_m=c_m, sigma1=sigma1, c_g=c_g, c_u=c_u, c_mu_g=c_mu_g, sigma2=sigma2,
+        n_slow_modes=n_slow_modes, n_fast_modes=n_fast_modes, x0_amplitude=x0_amplitude)
 
 
 def make_plaplace_1d(p: float = 4.0, n_interior: int = 63, c_p: float = 0.3,
@@ -562,11 +552,12 @@ def make_plaplace_1d(p: float = 4.0, n_interior: int = 63, c_p: float = 0.3,
                      c_g: float = 0.5, c_u: float = 0.5, c_mu_g: float = 0.25,
                      sigma2: float = 0.2, n_slow_modes: int = 4,
                      n_fast_modes: int = 4, x0_amplitude: float = 0.3) -> ModelSpec:
-    """Gradient-nonlinearity slow field; reduces to the heat drift at p = 2.
+    """Gradient-nonlinearity slow field over the fast field of
+    ``_field_model``; reduces to the heat drift at p = 2.
 
     Slow drift: c_p * d/dx(|du/dx|^(p-2) du/dx) via forward differences with
-    Dirichlet ghosts.  Fast block identical to the porous-media model.  Slow
-    errors are measured in discrete L^2 (the pivot space for this example).
+    Dirichlet ghosts.  Slow errors are measured in discrete L^2 (the pivot
+    space for this example).
     """
     if p < 2:
         raise ModelParamError(f"p: the p-Laplace exponent must be >= 2, got {p!r}")
@@ -583,55 +574,16 @@ def make_plaplace_1d(p: float = 4.0, n_interior: int = 63, c_p: float = 0.3,
         phi = np.abs(q) ** (p - 2.0) * q
         return c_p * np.diff(phi, axis=-1) / dx
 
-    def f(U, mu, V):
-        return c_f * V + c_m * mu.second_moment * np.tanh(U)
-
-    a2_rem, forcing, b2c, b2_do = _pde_fast_block(grid, c_g, c_u, c_mu_g, sigma2, n_fast_modes)
-    b1c, b1_do = _sine_noise(grid, n_slow_modes, sigma1)
-
-    def exact_fbar(U, mu):
-        mean_v = spatial.solve_shifted_neg_laplacian(grid, c_g, forcing(U, mu))
-        return c_f * mean_v + c_m * mu.second_moment * np.tanh(U)
-
-    hs_b1 = sigma1 ** 2 * n_slow_modes
-    hs_b2 = sigma2 ** 2 * n_fast_modes
-    kappa = lam1 + c_g
-    constants = {
-        "kappa": kappa, "l_b2": 0.0, "l_g": c_g, "lam": kappa,
-        "lip_f": c_f + 2.0 * c_m,
-        "alpha": p, "beta": 2.0, "p": p,
-        "c_mono_slow": 0.0,
-        "theta_slow": 2.0 * c_p,
-        "c_coer_slow": hs_b1 + 1.0,
-        "c_coer_fast": (c_u ** 2 + c_mu_g ** 2) / kappa * 4.0 + hs_b2 + 1.0,
-        "c_p": c_p, "c_f": c_f, "c_m": c_m, "sigma1": sigma1,
-        "c_g": c_g, "c_u": c_u, "c_mu_g": c_mu_g, "sigma2": sigma2,
-    }
-    x0 = x0_amplitude * np.sin(np.pi * grid.nodes)
-    m = ModelSpec(
-        model_id="plaplace-1d", slow_dim=n_interior, fast_dim=n_interior,
-        n_slow_modes=n_slow_modes, n_fast_modes=n_fast_modes,
-        a1=a1, f=f, a2_remainder=a2_rem,
-        b1_apply=lambda U, mu, xi: b1_do(xi),
-        b2_apply=lambda U, mu, V, xi: b2_do(xi),
-        b1_coeff=lambda U, mu: b1c,
-        b2_coeff=lambda U, mu, V: b2c,
-        constants=constants, norm_slow="l2", norm_fast="l2",
-        default_x0=x0, default_y0=np.zeros(n_interior),
-        fast_linear=FastLinearPart("laplacian"),
-        a2_split=(-c_g, forcing),
-        grid=grid, exact_fbar=exact_fbar,
+    # bound on the linearisation c_p (p-1) |du/dx|^(p-2), on gradients up to 2
+    stab = c_p * (p - 1.0) * 2.0 ** (p - 2.0)
+    return _field_model(
+        "plaplace-1d", grid, lam1, a1, norm_slow="l2",
+        hs_b1=sigma1 ** 2 * n_slow_modes,
         v1_norm_alpha=lambda U: dx * np.sum(np.abs(grad(U)) ** p, axis=-1),
-        # bound on the linearisation c_p (p-1) |du/dx|^(p-2), on gradients up to 2
-        slow_stab=c_p * (p - 1.0) * 2.0 ** (p - 2.0),
-    )
-
-    def lip_f_bound(du, dv, w2, mu1, mu2):
-        big_m2 = max(mu1.second_moment, mu2.second_moment)
-        return c_f * dv + c_m * big_m2 * du
-
-    m.probe_fns = _standard_probe_fns(m, lip_f_bound)
-    return m
+        slow_stab=lambda amplitude: stab,
+        constants={"p": p, "c_p": c_p, "theta_slow": 2.0 * c_p},
+        c_f=c_f, c_m=c_m, sigma1=sigma1, c_g=c_g, c_u=c_u, c_mu_g=c_mu_g, sigma2=sigma2,
+        n_slow_modes=n_slow_modes, n_fast_modes=n_fast_modes, x0_amplitude=x0_amplitude)
 
 
 def make_broken_antidissipative(sigma2: float = 0.3) -> ModelSpec:
@@ -648,8 +600,7 @@ def make_broken_antidissipative(sigma2: float = 0.3) -> ModelSpec:
         return V
 
     b2c = np.array([[sigma2]])
-    constants = {"kappa": 1.0, "l_b2": 0.0, "lam": 1.0, "lip_f": 0.0,
-                 "alpha": 2.0, "beta": 2.0}
+    constants = {"kappa": 1.0, "l_b2": 0.0, "lam": 1.0}
     m = ModelSpec(
         model_id="broken-antidissipative", slow_dim=1, fast_dim=1,
         n_slow_modes=1, n_fast_modes=1,
@@ -685,14 +636,11 @@ def _strict_fast_slack(m: ModelSpec):
     return slack
 
 
-def _standard_probe_fns(m: ModelSpec, lip_f_bound, lip_f_du_norm: str | None = None):
+def _standard_probe_fns(m: ModelSpec, lip_f_bound):
     c = m.constants
     grid = m.grid
-
-    def du_for_f(du_states):
-        if lip_f_du_norm == "l2":
-            return np.sqrt(spatial.l2_norm_sq(grid, du_states))
-        return np.sqrt(slow_norm_sq(m, du_states))
+    # the slow argument of f in L2 on a field model (its coupling is pointwise)
+    du_tag = m.norm_slow if grid is None else "l2"
 
     def mono_slow(u1, u2, v1, v2, mu1, mu2, w2):
         du = u1 - u2
@@ -703,7 +651,8 @@ def _standard_probe_fns(m: ModelSpec, lip_f_bound, lip_f_du_norm: str | None = N
         # same measure on both sides: certifies the state Lipschitz modulus
         df = m.f(u1, mu1, v1) - m.f(u2, mu1, v2)
         dv = np.sqrt(fast_norm_sq(m, v1 - v2))
-        return lip_f_bound(du_for_f(u1 - u2), dv, w2, mu1, mu1) - np.sqrt(slow_norm_sq(m, df))
+        du = np.sqrt(_norm_sq(du_tag, grid, u1 - u2))
+        return lip_f_bound(du, dv, w2, mu1, mu1) - np.sqrt(slow_norm_sq(m, df))
 
     def lip_b1(u1, u2, v1, v2, mu1, mu2, w2):
         db = np.asarray(m.b1_coeff(u1, mu1), dtype=float) - np.asarray(m.b1_coeff(u2, mu2), dtype=float)

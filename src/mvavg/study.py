@@ -87,13 +87,6 @@ def _check_state(key: str, val, dim: int, n_particles: int):
 # model parameters that count something (grid nodes, noise modes)
 _INT_MODEL_PARAMS = {"n_interior", "n_slow_modes", "n_fast_modes"}
 
-_CONFIG_KEYS = {
-    "model", "model_params", "n_particles", "epsilon_grid", "t_end",
-    "h_factor", "delta_exponent", "replications", "seed", "out_dir",
-    "record_points", "averaged_mode", "hmm", "workers", "x0", "y0", "crn",
-}
-
-
 @dataclass
 class StudyConfig:
     model: str = "linear-benchmark"
@@ -262,7 +255,7 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
                 raise ConfigError("model_params: must be a JSON object")
             val = {**raw.get(key, {}), **val}
         raw[key] = val
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - {f.name for f in dataclasses.fields(StudyConfig)}
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     try:

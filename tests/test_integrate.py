@@ -11,7 +11,7 @@ from mvavg.integrate import (BLOWUP_LIMIT, BlowUpError, FullRunner, MultiscalePa
 from mvavg.measure import MeasureMoments
 from mvavg.models import build_model, empirical_view
 from mvavg import noise as noise_mod
-from mvavg.averaging import AveragedRunner
+from mvavg.averaging import AveragedRunner, write_fbar_cache
 from mvavg.noise import NoisePlan, draw
 from mvavg.spatial import l2_norm_sq
 
@@ -162,14 +162,14 @@ def test_stabilised_slow_step_is_backward_euler_when_linear(model_id, params, h)
     # stabilised step reduces to backward Euler on it
     n = 31
     m = build_model(model_id, {**params, "n_interior": n})
-    assert m.slow_stab == 0.7
+    assert m.slow_stab(0.0) == 0.7
     r = FullRunner(m, m.default_x0, m.default_y0, 5,
                    MultiscaleParams(epsilon=0.1, t_end=1.0, h_micro=h), [NoisePlan(1)])
     rng = np.random.default_rng(9)
     r.X, coupling = rng.normal(size=(2, 1, 1, 5, n))
     xs = rng.normal(size=(1, 5, m.n_slow_modes))
     mu = empirical_view(m, r.X)
-    hk, dx2 = h * m.slow_stab, m.grid.dx ** 2
+    hk, dx2 = h * m.slow_stab(0.0), m.grid.dx ** 2
     ab = np.zeros((3, n))
     ab[0, 1:] = -hk / dx2
     ab[1, :] = 1.0 + 2.0 * hk / dx2
@@ -232,6 +232,27 @@ def test_recorder_csv_format(tmp_path):
     t, p, comp, idx, val = lines[1].split(",")
     assert comp in ("slow", "fast")
     float(t), int(p), int(idx), float(val)
+
+
+def test_csv_writers_print_every_float_as_17g(tmp_path):
+    # the writers format whole records at once; each value must read as
+    # format(v, ".17g"), the special values included
+    odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1 / 3, -1e300]
+    rec = TrajectoryRecorder()
+    rec.times = [0.0, 0.1, 1 / 3]
+    rec.slow = [np.roll(np.reshape(odd, (4, 2)), j) for j in range(3)]
+    rec.fast = [-rec.slow[j][:, :1] for j in range(3)]
+    rec.dump_csv(tmp_path / "traj.csv")
+    want = ["time,particle,component,index,value"]
+    for j, t in enumerate(rec.times):
+        for comp, block in (("slow", rec.slow[j]), ("fast", rec.fast[j])):
+            for (p, i), v in np.ndenumerate(block):
+                want.append(f"{t:.17g},{p},{comp},{i},{v:.17g}")
+    assert (tmp_path / "traj.csv").read_text() == "\n".join(want) + "\n"
+    rows = [tuple(odd[j:j + 5]) for j in range(4)]
+    write_fbar_cache(rows, tmp_path / "fbar.csv")
+    want = ["x,mu_mean,mu_m2,fbar,std_error"] + [",".join(f"{v:.17g}" for v in r) for r in rows]
+    assert (tmp_path / "fbar.csv").read_text() == "\n".join(want) + "\n"
 
 
 def test_blowup_error_survives_pickling():

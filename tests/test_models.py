@@ -1,3 +1,4 @@
+import hashlib
 import math
 import numpy as np
 import pytest
@@ -200,3 +201,68 @@ def test_applicability_conditions_enforced():
         build_model("porous-media-1d", {"n_interior": 15, "c_g": 50.0})
     with pytest.raises(ValueError, match="lambda1"):
         build_model("plaplace-1d", {"n_interior": 15, "c_g": 50.0})
+
+
+# SHA-256 of each model's coefficient layer: probe margins, every coefficient
+# map on one fixed stacked state, K at three amplitudes, the initial states
+# and the declared constants.  Recorded before the field and scalar models
+# were built through one shared builder per family; they must not move.
+GATE_MODELS = {
+    "linear-benchmark": {},
+    "mvsde-cubic": {},
+    "porous-media-1d": {"n_interior": 15},
+    "porous-media-1d/c_psi<0": {"n_interior": 15, "c_psi": -0.5, "r": 3.0},
+    "plaplace-1d": {"n_interior": 15},
+    "broken-antidissipative": {},
+}
+MODEL_LAYER_DIGESTS = {
+    "linear-benchmark":
+        "ee6bc077eeb89f6a3055ec49aadf371d6b30c8bb70c73837c5211bacdf6bebf7",
+    "mvsde-cubic":
+        "c1a7aa0895575372757d2e754bd0d59505e4d6151e20b889252da353b1f627b7",
+    "porous-media-1d":
+        "405e6f4e01de77e069ea130e9842f6cedeabd58ac687753757352ad2dc7090ce",
+    "porous-media-1d/c_psi<0":
+        "1242e66bbe1c46de0e8ee701e4fd46d96447950d0e5b8bdc580b46760612c595",
+    "plaplace-1d":
+        "9036891eec373bada88c938c526c294325a28bd67905a625c07eab1dca1a4072",
+    "broken-antidissipative":
+        "60a1052c07bb4439d5159daa9ffca7e397058aceebab4f951cd34854c3013717",
+}
+
+
+def _model_layer_digest(m):
+    rng = np.random.default_rng(2024)
+    shape = (2, 1, 3)
+    U = 0.8 * rng.standard_normal(shape + (m.slow_dim,))
+    V = 0.8 * rng.standard_normal(shape + (m.fast_dim,))
+    xi1 = rng.standard_normal(shape + (m.n_slow_modes,))
+    xi2 = rng.standard_normal(shape + (m.n_fast_modes,))
+    mu = empirical_view(m, U)
+    arrays = [m.a1(U, mu), m.f(U, mu, V), m.a2_remainder(U, mu, V), m.a2(U, mu, V),
+              m.b1_apply(U, mu, xi1), m.b2_apply(U, mu, V, xi2),
+              m.b1_coeff(U, mu), m.b2_coeff(U, mu, V), m.v1_norm_alpha(U),
+              m.default_x0, m.default_y0]
+    if m.exact_fbar is not None:
+        arrays.append(m.exact_fbar(U, mu))
+    if m.a2_split is not None:
+        arrays.append(m.a2_split[1](U, mu))
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a, dtype=float)
+        h.update(repr(a.shape).encode() + a.tobytes())
+    words = [m.model_id, m.norm_slow, m.norm_fast, repr(m.fast_linear),
+             repr(m.a2_split and float(m.a2_split[0]).hex()), repr(m.measure_dependent),
+             repr((m.slow_dim, m.fast_dim, m.n_slow_modes, m.n_fast_modes))]
+    words += [float(rep.worst_margin).hex() for rep in run_probe_suite(m, n_samples=200, seed=11)]
+    words += ([float(m.slow_stab(a)).hex() for a in (0.05, 0.4, 3.0)]
+              if m.slow_stab is not None else ["no K"])
+    words += [f"{k}={float(v).hex()}" for k, v in sorted(m.constants.items())]
+    h.update("|".join(words).encode())
+    return h.hexdigest()
+
+
+def test_model_layer_unchanged():
+    got = {name: _model_layer_digest(build_model(name.split("/")[0], params))
+           for name, params in GATE_MODELS.items()}
+    assert got == MODEL_LAYER_DIGESTS

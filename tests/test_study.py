@@ -450,7 +450,7 @@ def test_group_with_per_grid_point_solvers_is_bitwise_lone_grid_points(base):
     assert len({p.h_micro / p.epsilon for p in params}) == 3
     runner = FullRunner(model, *cfg.initial_states(model), 8, params, [NoisePlan(1)])
     if model.slow_stab is not None:
-        assert runner.slow_stab == model.slow_stab_for(1.5) > model.slow_stab
+        assert runner.slow_stab == model.slow_stab(1.5) > model.slow_stab(0.0)
         assert runner.stab_inv_t.shape == (3, 1, 7, 7)
         for g, p in enumerate(params):
             lone = FullRunner(model, *cfg.initial_states(model), 8, p, [NoisePlan(1)])
@@ -1009,10 +1009,10 @@ def test_porous_stab_follows_config_x0():
     model = cfg.build_model()
     runner = FullRunner(model, cfg.x0, model.default_y0, 2, cfg.params_for(0.1),
                         [NoisePlan(1)])
-    assert runner.slow_stab == model.slow_stab_for(3.0) > model.slow_stab
+    assert runner.slow_stab == model.slow_stab(3.0) > model.slow_stab(0.0)
     default = FullRunner(model, model.default_x0, model.default_y0, 2, cfg.params_for(0.1),
                          [NoisePlan(1)])
-    assert default.slow_stab == model.slow_stab
+    assert default.slow_stab == model.slow_stab(0.0)
 
 
 def test_plaplace_reduced_rate_study_decreases():
