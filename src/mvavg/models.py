@@ -80,6 +80,10 @@ class ModelSpec:
     slow_stab: Optional[Callable] = None   # K(initial amplitude) of the stabilised
                                            # slow step (field models; see _SlowRunner)
     measure_dependent: bool = True
+    # whether a2_remainder, b2_apply or f read mu: a scalar model whose
+    # frozen law does not shares one fbar(x) lattice per replication in HMM
+    # mode (see averaging)
+    frozen_reads_mu: bool = True
 
     def fast_linear_apply(self, V):
         if self.fast_linear is None:
@@ -278,7 +282,8 @@ def run_probe_suite(model: ModelSpec, n_samples: int = 1000, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 def _scalar_model(model_id: str, a1, a2_remainder, *, f0, sigma1, rate, b2_apply, b2_coeff,
-                  y0, constants, measure_dependent, a2_split=None, exact_fbar=None):
+                  y0, constants, measure_dependent, a2_split=None, exact_fbar=None,
+                  frozen_reads_mu=True):
     """A scalar model: coupling f0 y, additive slow noise sigma1, the fast
     drift's exact scalar rate, euclidean norms and x0 = 1."""
 
@@ -302,6 +307,7 @@ def _scalar_model(model_id: str, a1, a2_remainder, *, f0, sigma1, rate, b2_apply
         exact_fbar=exact_fbar,
         v1_norm_alpha=lambda U: np.sum(U * U, axis=-1),
         measure_dependent=measure_dependent,
+        frozen_reads_mu=frozen_reads_mu,
     )
 
     def lip_f_bound(du, dv, w2, mu1, mu2):
@@ -368,7 +374,8 @@ def make_mvsde_cubic(kappa: float = 1.0, k1: float = 0.5, c_sin: float = 0.5,
     The cubic term only strengthens the fast dissipativity, so the strict
     monotonicity constant is kappa itself; the diffusion is Lipschitz in y
     with constant l_sigma2.  The averaged drift has no closed form and is
-    estimated ergodically.
+    estimated ergodically; mu enters the slow drift alone, so the frozen law
+    reads x alone (``frozen_reads_mu`` False).
     """
     if kappa <= 0:
         raise ModelParamError(f"kappa: must be positive, got {kappa!r}")
@@ -401,7 +408,7 @@ def make_mvsde_cubic(kappa: float = 1.0, k1: float = 0.5, c_sin: float = 0.5,
             "k1": k1, "c_sin": c_sin, "c_mu": c_mu,
             "sigma_c": sigma_c, "l_sigma2": l_sigma2,
         },
-        measure_dependent=c_mu != 0.0)
+        measure_dependent=c_mu != 0.0, frozen_reads_mu=False)
 
 
 def _field_grid(n_interior: int, n_slow_modes: int, n_fast_modes: int, c_g: float):

@@ -28,7 +28,8 @@ from typing import Optional
 import numpy as np
 
 from . import noise as noise_mod
-from .averaging import HMM_NODES, AveragedRunner, HmmConfig
+from .averaging import (HMM_NODE_SPACING, HMM_NODES, HMM_WINDOWS_PER_CHAIN, LATTICE_REACH,
+                        AveragedRunner, HmmConfig, lattice_law)
 from .integrate import BlowUpError, FullRunner, MultiscaleParams, march, resolve_params
 from .models import REGISTRY, ModelParamError, ModelSpec, build_model, slow_norm_sq
 
@@ -193,16 +194,38 @@ class StudyConfig:
         return p
 
     def check_frozen_counter(self, model: ModelSpec, p: MultiscaleParams):
-        """In HMM mode, the frozen paths of a refresh and the frozen steps of
-        a run of ``p`` must fit the noise counter; refused naming the hmm key."""
+        """In HMM mode, the frozen paths and steps of a run of ``p`` must fit
+        the noise counter; refused naming the key.
+
+        On the x-lattice (``averaging.lattice_law``) a path's replica fills
+        the 16-bit extra field and its chain the 16-bit mode field, the
+        initial states lie within the lattice's reach, and a chain marches
+        the steps of ``HMM_WINDOWS_PER_CHAIN`` refreshes; otherwise a
+        refresh's paths fill the 32-bit particle field and a grid point's
+        frozen run marches every refresh.
+        """
         if self.averaged_mode != "hmm":
             return
         hmm = HmmConfig(**self.hmm).resolved(model, p)
-        if hmm.replicas * (HMM_NODES if model.slow_dim == 1 else self.n_particles) \
+        refreshes = -(-p.n_steps // hmm.refresh_stride_steps)
+        if lattice_law(model):
+            if hmm.replicas > noise_mod.FIELD16_LIMIT:
+                raise ConfigError("hmm.replicas: the frozen replicas of a lattice node pass the "
+                                  "2^16 of the noise counter's extra field")
+            chains = -(-refreshes // HMM_WINDOWS_PER_CHAIN)
+            if chains * model.n_fast_modes > noise_mod.FIELD16_LIMIT:
+                raise ConfigError(f"hmm.refresh_stride_steps: the {refreshes} refreshes at "
+                                  f"eps={p.epsilon:g} take {chains} frozen chains per lattice "
+                                  "node, past the 2^16 modes of the noise counter")
+            x0, _ = self.initial_states(model)
+            if not np.all(np.abs(x0) < LATTICE_REACH * HMM_NODE_SPACING):
+                raise ConfigError(f"x0: past the reach of the fbar lattice, which needs "
+                                  f"|x0| < {LATTICE_REACH * HMM_NODE_SPACING:.6g}")
+            refreshes = min(refreshes, HMM_WINDOWS_PER_CHAIN)
+        elif hmm.replicas * (HMM_NODES if model.slow_dim == 1 else self.n_particles) \
                 > noise_mod.PARTICLE_LIMIT:
             raise ConfigError("hmm.replicas: its frozen paths per replication pass the 2^32 "
                               "particles of the noise counter")
-        refreshes = -(-p.n_steps // hmm.refresh_stride_steps)
         (burn0, samp), (burn, _) = hmm.refresh_steps(True), hmm.refresh_steps(False)
         steps = {"burn_in_initial": burn0, "burn_in": (refreshes - 1) * burn,
                  "horizon": refreshes * samp}

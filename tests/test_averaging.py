@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -8,7 +9,7 @@ from mvavg import averaging, noise
 from mvavg.averaging import (HMM_NODES, AveragedRunner, FrozenParams, HmmConfig,
                              MixingFailure, default_frozen_params, estimate_fbar,
                              estimate_mixing_rate, frozen_simulate)
-from mvavg.integrate import FullRunner, TrajectoryRecorder, resolve_params
+from mvavg.integrate import BlowUpError, FullRunner, TrajectoryRecorder, resolve_params
 from mvavg.measure import MeasureMoments
 from mvavg.models import build_model, empirical_view
 from mvavg.noise import SLOW, NoisePlan, draw
@@ -268,10 +269,123 @@ def test_hmm_noisy_fbar_warns_once_per_grid_point():
     assert messages(params) == lone[0] + lone[1]
 
 
-def test_hmm_node_table_matches_cubic_oracles():
-    # a cloud over [0.5, 1.5]: x = 1 falls between two nodes, and the
-    # interpolated drift there agrees with the independent oracles
+def test_hmm_lattice_matches_cubic_oracles():
+    # one refresh marches every window a runner reads: here 5 of 60 time
+    # units each at the node x = 1, whose mean agrees with the independent
+    # oracles, and whose spread is the standard error the cache reports
     m = build_model("mvsde-cubic")
+    params = resolve_params(0.05, 0.5)      # 500 steps, refreshes at 0, 100, ..., 400
+    runner = AveragedRunner(m, [1.0], 3, params, [NoisePlan(31)], mode="hmm",
+                            hmm=HmmConfig(replicas=8, burn_in_initial=8.0, burn_in=1.0,
+                                          horizon=60.0, h_frozen=0.005,
+                                          refresh_stride_steps=100),
+                            collect_fbar_cache=True)
+    runner.advance(2, draw(runner.noise, SLOW, 0, 2, 3, 1))
+    lattice = runner._lattice
+    [i] = np.flatnonzero(lattice.nodes == 10)
+    assert 10 * averaging.HMM_NODE_SPACING == 1.0 and lattice.table.shape[2] == 5
+    windows = lattice.table[0, i]
+    assert np.all(runner._fbar == windows[0])
+    [se] = [row[4] for row in runner.fbar_cache if row[0] == 1.0]
+    assert se == windows.std(ddof=1) > 0.0
+    comb = 3.0 * math.sqrt(se ** 2 / 5 + FBAR_CUBIC_LONGRUN_SE ** 2)
+    assert abs(windows.mean() - FBAR_CUBIC_LONGRUN) < comb
+    assert abs(windows.mean() - FBAR_CUBIC_QUAD) < comb
+
+
+@pytest.mark.filterwarnings("ignore:fbar standard error")
+def test_hmm_lattice_interpolates_between_nodes():
+    # each particle reads the two nodes around it, a one-point cloud too;
+    # the lattice spans the nodes within HMM_NODE_PAD of the particles
+    m = build_model("mvsde-cubic")
+    params = resolve_params(0.1, 0.05)
+    hmm = HmmConfig(replicas=2, horizon=0.5, refresh_stride_steps=10)
+    for x0 in ([[0.95], [1.0], [1.05], [-1.23]], [1.05]):
+        runner = AveragedRunner(m, x0, 4, params, [NoisePlan(4), NoisePlan(5)], mode="hmm",
+                                hmm=hmm)
+        runner.advance(1, draw(runner.noise, SLOW, 0, 1, 4, 1))
+        lattice = runner._lattice
+        # the state at the refresh: x0
+        u = np.broadcast_to(np.reshape(x0, -1), (2, 4)) / averaging.HMM_NODE_SPACING
+        lo = np.floor(u).astype(int)
+        pad = averaging.HMM_NODE_PAD
+        want = np.unique(lo[..., None] + np.arange(-pad, pad + 2))
+        assert np.array_equal(lattice.nodes, want)
+        i = np.searchsorted(lattice.nodes, lo)
+        t = lattice.table[:, :, 0]
+        f_lo, f_hi = np.take_along_axis(t, i, 1), np.take_along_axis(t, i + 1, 1)
+        assert np.array_equal(runner._fbar[0, :, :, 0], f_lo + (u - lo) * (f_hi - f_lo))
+        assert np.all(f_lo != f_hi)
+
+
+@pytest.mark.filterwarnings("ignore:fbar standard error")
+def test_hmm_lattice_nodes_entering_mid_study_are_bitwise_a_full_table(monkeypatch):
+    # with a pad of one node the spreading cloud enters nodes at later
+    # refreshes; with a pad of 40 the first refresh enters all of them: the
+    # runs are bitwise equal
+    m = build_model("mvsde-cubic", {"sigma1": 1.0})
+    params = [resolve_params(0.1, 0.3), resolve_params(0.05, 0.3)]
+    hmm = HmmConfig(replicas=2, horizon=0.5, burn_in=0.2, refresh_stride_steps=10)
+    marches = []
+    march = averaging._FbarLattice._march
+
+    def spy(lattice, new):
+        marches.append(len(new))
+        return march(lattice, new)
+
+    monkeypatch.setattr(averaging._FbarLattice, "_march", spy)
+    runs = {}
+    for pad in (1, 40):
+        monkeypatch.setattr(averaging, "HMM_NODE_PAD", pad)
+        marches.clear()
+        runner = AveragedRunner(m, [1.0], 16, params, [NoisePlan(6), NoisePlan(7)],
+                                mode="hmm", hmm=hmm).run()
+        runs[pad] = (runner.X, runner._lattice, list(marches))
+    (x1, lat1, marches1), (x40, lat40, marches40) = runs[1], runs[40]
+    assert len(marches1) > 2 and len(marches40) == 1
+    assert np.array_equal(x1, x40)
+    assert set(lat1.nodes) < set(lat40.nodes)
+    assert np.array_equal(lat1.table, lat40.table[:, np.searchsorted(lat40.nodes, lat1.nodes)])
+
+
+def test_hmm_lattice_standard_error_at_one_replica():
+    # one frozen path per estimate: the spread of a node's windows is still
+    # its standard error, in the cache and in the noisy-fbar warning
+    m = build_model("mvsde-cubic")
+    params = resolve_params(0.1, 0.05)       # 25 steps, refreshes every 5: 5 windows
+    runner = AveragedRunner(m, [1.0], 4, params, [NoisePlan(8)], mode="hmm",
+                            hmm=HmmConfig(replicas=1, horizon=0.5, refresh_stride_steps=5,
+                                          warn_fraction=0.01),
+                            collect_fbar_cache=True)
+    with pytest.warns(RuntimeWarning, match="fbar standard error"):
+        runner.run()
+    ses = np.array([row[4] for row in runner.fbar_cache])
+    assert len(ses) and np.all(ses > 0.0)
+
+
+@pytest.mark.filterwarnings("ignore:fbar standard error")
+def test_hmm_lattice_divergence_is_a_blowup():
+    # c_mu = 20 drives the cloud off to large x: the frozen chains there
+    # blow up, or the particles leave the lattice; either way a BlowUpError,
+    # not a MemoryError or a hang
+    m = build_model("mvsde-cubic", {"c_mu": 20.0})
+    params = resolve_params(0.1, 1.0)
+    runner = AveragedRunner(m, [1.0], 8, params, [NoisePlan(3)], mode="hmm",
+                            hmm=HmmConfig(replicas=1, horizon=0.5, burn_in=0.2, h_frozen=0.02))
+    with pytest.raises(BlowUpError):
+        runner.run()
+    far = AveragedRunner(m, [[1.0], [3e12]], 2, params, [NoisePlan(3)], mode="hmm")
+    far.advance(1, draw(far.noise, SLOW, 0, 1, 2, 1))
+    with pytest.raises(BlowUpError, match=r"t=0 \(particle 1\).*past the .* fbar lattice"):
+        far.check_finite(0)
+    assert len(far._lattice.nodes) == 0
+
+
+def test_hmm_node_table_matches_cubic_oracles():
+    # a law that reads mu keeps the node table; on the cubic model's law, a
+    # cloud over [0.5, 1.5] puts x = 1 between two nodes, and the
+    # interpolated drift there agrees with the independent oracles
+    m = dataclasses.replace(build_model("mvsde-cubic"), frozen_reads_mu=True)
     params = resolve_params(0.05, 0.5)
     runner = AveragedRunner(m, [[0.5], [1.0], [1.5]], 3, params, [NoisePlan(31)], mode="hmm",
                             hmm=HmmConfig(replicas=8, burn_in_initial=8.0, horizon=300.0,
@@ -288,9 +402,9 @@ def test_hmm_node_table_matches_cubic_oracles():
 
 
 def test_hmm_degenerate_cloud_uses_every_node_estimate():
-    # at t = 0 every particle sits at x0, so all nodes coincide; each
-    # particle then gets the mean of the table, not one node's estimate
-    m = build_model("mvsde-cubic")
+    # node table: at t = 0 every particle sits at x0, so all nodes coincide;
+    # each particle then gets the mean of the table, not one node's estimate
+    m = build_model("linear-benchmark")
     params = resolve_params(0.05, 0.5)
     runner = AveragedRunner(m, [1.0], 5, params, [NoisePlan(3)], mode="hmm",
                             hmm=HmmConfig(replicas=1, horizon=1.0), collect_fbar_cache=True)
@@ -312,7 +426,7 @@ def test_hmm_frozen_width_is_nodes_times_replicas(monkeypatch, n_particles):
         return batch(model, x_frozen, mu, h, plans, paths_y0, *args, **kwargs)
 
     monkeypatch.setattr(averaging, "_frozen_batch", spy)
-    m = build_model("mvsde-cubic")
+    m = build_model("linear-benchmark")
     params = resolve_params(0.1, 0.05)     # 25 steps: refreshes at steps 0, 10 and 20
     x0 = np.linspace(0.0, 2.0, n_particles)[:, None]
     AveragedRunner(m, x0, n_particles, params, [NoisePlan(4), NoisePlan(5)], mode="hmm",

@@ -266,3 +266,30 @@ def test_model_layer_unchanged():
     got = {name: _model_layer_digest(build_model(name.split("/")[0], params))
            for name, params in GATE_MODELS.items()}
     assert got == MODEL_LAYER_DIGESTS
+
+
+def _frozen_maps_move_with_mu(m):
+    """Whether a2_remainder, b2_apply, f or the a2 forcing differ, bit for bit,
+    between two measures at one fixed state."""
+    rng = np.random.default_rng(5)
+    U = rng.standard_normal((6, m.slow_dim))
+    V = rng.standard_normal((6, m.fast_dim))
+    xi = rng.standard_normal((6, m.n_fast_modes))
+    mus = [MeasureMoments(mean=np.full(m.slow_dim, 0.3), second_moment=0.5),
+           MeasureMoments(mean=np.full(m.slow_dim, -2.0), second_moment=7.0)]
+    maps = [lambda mu: m.a2_remainder(U, mu, V), lambda mu: m.b2_apply(U, mu, V, xi),
+            lambda mu: m.f(U, mu, V)]
+    if m.a2_split is not None:
+        maps.append(lambda mu: m.a2_split[1](U, mu))
+    return any(not np.array_equal(fn(mus[0]), fn(mus[1])) for fn in maps)
+
+
+def test_frozen_laws_declared_free_of_mu_do_not_read_it():
+    # a model that declares frozen_reads_mu=False shares one fbar(x) lattice
+    # over every measure in HMM mode, so a wrong declaration fails here; the
+    # check sees the linear benchmark's k2 m(mu) forcing
+    declared = [name for name, build in REGISTRY.items() if not build().frozen_reads_mu]
+    assert declared == ["mvsde-cubic"]
+    for name in declared:
+        assert not _frozen_maps_move_with_mu(build_model(name))
+    assert _frozen_maps_move_with_mu(build_model("linear-benchmark"))

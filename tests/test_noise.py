@@ -196,3 +196,31 @@ def test_windows_cover_an_odd_start_to_a_mid_window_stop_once(monkeypatch):
         joined = np.concatenate([d[i] for _, d in got])
         assert np.array_equal(joined, draw(plans, kind, 7, 23, 4, modes))
     assert list(noise.windows(plans, streams, 30, 30, 4)) == []
+
+
+def test_particle_offset_draws_a_slice_of_the_particles():
+    plan = NoisePlan(3)
+    whole = plan.gaussians(FROZEN, 5, 7, 10, 2, 4)
+    assert np.array_equal(plan.gaussians(FROZEN, 5, 7, 3, 2, 4, 6), whole[:, 6:9])
+    assert plan.gaussians(FROZEN, 0, 2, 2, 1, 0, 2 ** 32 - 2).shape == (2, 2, 1)
+    for first, n_particles in ((-1, 1), (2 ** 32 - 1, 2), (2 ** 32, 1)):
+        with pytest.raises(ValueError, match="particle counter"):
+            plan.gaussians(FROZEN, 0, 1, n_particles, 1, 0, first)
+
+
+def test_lattice_windows_address_particle_replica_and_mode(monkeypatch):
+    # windows of 2 steps over 7 steps; particle runs 10..12 and 20..21, two
+    # replicas on the extra field, three modes: each slice is the per-plan,
+    # per-replica draw of its particles
+    monkeypatch.setattr(noise, "NOISE_WINDOW_NORMALS", 200)
+    plans = [NoisePlan(1), NoisePlan(2)]
+    runs = [(10, 3), (20, 2)]
+    starts, draws = zip(*noise.lattice_windows(plans, runs, 2, 3, 7))
+    assert starts == (0, 2, 4, 6)
+    xi = np.concatenate(draws)
+    assert xi.shape == (7, 2, 5, 2, 3)
+    for r, plan in enumerate(plans):
+        for m in range(2):
+            want = np.concatenate([plan.gaussians(FROZEN, 0, 7, n, 3, m, first)
+                                   for first, n in runs], axis=1)
+            assert np.array_equal(xi[:, r, :, m], want)

@@ -346,14 +346,15 @@ def test_group_draws_each_stream_once_per_step(crn, monkeypatch):
     (dict(model="linear-benchmark"), 0),
     (dict(model="linear-benchmark", crn=False), 0),
     (dict(model="mvsde-cubic", averaged_mode="hmm",
-          hmm={"replicas": 2, "horizon": 0.5, "burn_in": 0.2, "h_frozen": 0.02}), 5190),
+          hmm={"replicas": 2, "horizon": 0.5, "burn_in": 0.2, "h_frozen": 0.02}), 2532),
 ], ids=["linear", "linear-no-crn", "cubic-hmm"])
 @pytest.mark.filterwarnings("ignore:fbar standard error")
 def test_group_draws_each_window_of_each_stream_once(base, frozen, monkeypatch):
     # windows of 24 steps over 250 steps: 11 windows per stream and plan, each
-    # drawn by one NoisePlan.gaussians call; the frozen draws of the HMM
-    # refreshes (5190 calls, per grid point) are counted as they were before
-    # the job's window loop became the runners' march
+    # drawn by one NoisePlan.gaussians call; the HMM lattice's one march of
+    # 1265 frozen steps (a chain's 400-step initial burn-in, then 25 windows
+    # of 10 + 25 steps) is drawn in 633 windows of 2 steps, one call per plan
+    # and frozen replica each: 2532 calls
     calls = []
     gaussians = NoisePlan.gaussians
 
@@ -463,9 +464,9 @@ def test_group_with_per_grid_point_solvers_is_bitwise_lone_grid_points(base):
 
 @pytest.mark.filterwarnings("ignore:fbar standard error")
 def test_group_frozen_run_blowup_fails_its_grid_point():
-    # the eps = 0.1 grid point's refresh marches a frozen run that blows up
-    # inside an advance of the stack: it fails that grid point with the
-    # frozen run's time and particle, as when it runs alone
+    # c_mu = 20 drives every cloud off to large x, where the lattice's frozen
+    # chains blow up: the particles that read their estimates fail each grid
+    # point at a sup time, as when it runs alone
     cfg = StudyConfig(model="mvsde-cubic", model_params={"c_mu": 20.0}, n_particles=8,
                       averaged_mode="hmm",
                       hmm={"replicas": 1, "horizon": 0.5, "burn_in": 0.2, "h_frozen": 0.02},
@@ -473,10 +474,10 @@ def test_group_frozen_run_blowup_fails_its_grid_point():
     group = _coupled_error_once(cfg, (0, 1, 2), (0, 1))
     alone = [_coupled_error_once(cfg, (i,), (0, 1))[0] for i in range(3)]
     assert all(isinstance(out, BlowUpError) for out in group)
-    # the failure names the grid point, its seeds and the refresh's study time
+    # the failure names the grid point, its seeds and the sup time
     seeds = ",".join(str(NoisePlan(3).derive(4242, rep).seed) for rep in (0, 1))
-    assert (f"[averaged eps=0.1 seed={seeds}; frozen run of the refresh at study t=0.34, "
-            "batch row 0]") in repr(group[0])
+    assert (f"t=0.344 (particle 0) [averaged eps=0.1 seed={seeds}, batch row 0]"
+            in repr(group[0]))
     assert [repr(out) for out in group] == [repr(out) for out in alone]
 
 
@@ -747,8 +748,9 @@ def test_frozen_runs_past_the_counter_are_refused(tmp_path, capsys):
             load_config(path)
         assert main(["average", "--config", path]) == 2
         assert f"config error: hmm.{key}:" in capsys.readouterr().err
-    # fits at the grid, but not at the --epsilon of an average run
-    path = write_cfg(tmp_path, model="mvsde-cubic", averaged_mode="hmm",
+    # fits at the grid, but not at the --epsilon of an average run (a law that
+    # reads mu: its frozen run marches every refresh)
+    path = write_cfg(tmp_path, model="linear-benchmark", averaged_mode="hmm",
                      hmm={"burn_in": 1e8, "h_frozen": 0.01, "refresh_stride_steps": 1})
     assert main(["average", "--config", path, "--epsilon", "1e-3"]) == 2
     assert "config error: hmm.burn_in: the frozen runs at eps=0.001" in capsys.readouterr().err
@@ -770,6 +772,28 @@ def test_counter_fields_are_checked_at_load():
             StudyConfig(**kw)
     StudyConfig(model="porous-media-1d", averaged_mode="hmm", n_particles=2 ** 20,
                 hmm={"replicas": 2 ** 12})
+
+
+def test_lattice_counter_fields_are_checked_at_load(tmp_path, capsys):
+    # on the fbar lattice a frozen replica fills the 16-bit extra field, a
+    # chain of 25 refreshes the 16-bit mode field, and x0 lies within the
+    # lattice's reach; checked without allocating any state.  At eps = 0.005
+    # and refresh_stride_steps 1, t_end 163.84 takes 1,638,400 refreshes:
+    # 2^16 chains
+    base = dict(model="mvsde-cubic", averaged_mode="hmm")
+    StudyConfig(**base, hmm={"replicas": 2 ** 16})
+    StudyConfig(**base, t_end=163.84, hmm={"refresh_stride_steps": 1})
+    for kw, key in ((dict(hmm={"replicas": 2 ** 16 + 1}), "hmm.replicas"),
+                    (dict(t_end=163.8401, hmm={"refresh_stride_steps": 1}),
+                     "hmm.refresh_stride_steps"),
+                    (dict(x0=[3e8]), "x0")):
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            StudyConfig(**base, **kw)
+    # fits at the grid, but not at the --epsilon of an average run
+    path = write_cfg(tmp_path, **base, t_end=100.0, hmm={"refresh_stride_steps": 1})
+    assert main(["average", "--config", path, "--epsilon", "1e-3"]) == 2
+    assert ("config error: hmm.refresh_stride_steps: the 5000000 refreshes at eps=0.001 take "
+            "200000 frozen chains") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("t_end", [1e12, 1e306])
@@ -910,9 +934,10 @@ def test_cli_average_dumps_cache(tmp_path, capsys):
 
 # SHA-256 of single-run outputs, recorded when single runs still held (N, d)
 # states; they must not move now that a single run is a batch of one.  The
-# porous simulate digest was re-recorded with the stabilised slow step, the
-# cubic HMM ones with the fbar node table (one cache row per node), and all
-# of them with noise stream version 2.
+# porous simulate digest was re-recorded with the stabilised slow step, all
+# of them with noise stream version 2, the cubic HMM ones with the fbar
+# lattice (one cache row per lattice node read), and the exact-mode cache
+# with its HMM_NODES rows per cache step.
 SINGLE_RUN_DIGESTS = {
     "simulate-linear/trajectories.csv":
         "66bff5327bf8775dba96b80801813394773e121b8f4fcd5da1248dbb70123779",
@@ -921,11 +946,11 @@ SINGLE_RUN_DIGESTS = {
     "average-linear-exact/averaged_trajectories.csv":
         "bf3540bdeeab6ae562a70430cf8ed6595f9f4d9ea18164fd662df9a569661638",
     "average-linear-exact/fbar_cache.csv":
-        "7564c6d383c44f1ede856dd47ffb06be12b1f442fd67d52ff2eac64747d74118",
+        "c12d8040a9b3b63e5c06effa596f9f8710483582a9bcdd1cb46698a04c327916",
     "average-cubic-hmm/averaged_trajectories.csv":
-        "4adc07f9e0fd783fe42cc912ba1c95015ca5218774f5fb365b47a3bd3c98ef3e",
+        "92cf020c22f1230489666520e23eea4c733aeb90c0afabe4dbb70712256d2978",
     "average-cubic-hmm/fbar_cache.csv":
-        "666b44e005feae2994e63894f62343782e3bb38818abe90d267921453bca88e2",
+        "c7798171fbbf16b55cc499ca012282b3942930f4c46c98edfffe5401ae90ce7d",
     "freeze-porous": "4e391ff8847325c6d82d6e39a75384c88e4e022b2d34581c25d97a605f6e4da5",
     "frozen-simulate-cubic": "6cf3972ac962714295c97f935d7267621d8a6d3e81019449fad648fddf09cfa8",
 }
