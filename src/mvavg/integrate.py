@@ -15,8 +15,7 @@ single run is one grid point and one plan, (1, 1, N, d).  The fast drift's
 declared stiff linear part is integrated by its exact exponential factor
 (scalar dissipative rate) or semi-implicitly (Laplacian, by a precomputed
 dense inverse of I + h_eff * (-laplacian), one ``spatial.solve_banded`` on
-the identity, so only the field models need scipy); everything else is
-explicit.
+the identity); everything else is explicit.
 h_eff = h / eps is the same number on grid points of one ``h_factor``, and
 they then share one fast solver.  The slow step is Euler-Maruyama, except
 for models that declare a stabilisation constant K (``slow_stab``: the field
@@ -189,7 +188,7 @@ def _implicit_inverse(n: int, h_eff: float) -> np.ndarray:
     """
     ab = h_eff * _laplacian_banded(n)
     ab[1, :] += 1.0
-    inv = solve_banded((1, 1), ab, np.eye(n), check_finite=False)
+    inv = solve_banded(ab, np.eye(n))
     inv.flags.writeable = False
     return inv
 

@@ -413,19 +413,13 @@ def make_mvsde_cubic(kappa: float = 1.0, k1: float = 0.5, c_sin: float = 0.5,
 
 def _field_grid(n_interior: int, n_slow_modes: int, n_fast_modes: int, c_g: float):
     """A field model's grid and its lambda1, the node and mode counts checked,
-    and c_g against the eigenvalue gap condition c_g < lambda1.
-
-    Also loads scipy's banded solver, which the field models' cached
-    inverses use: the build solves nothing, but its import is then paid in
-    set-up and not in a run's first step.
-    """
+    and c_g against the eigenvalue gap condition c_g < lambda1."""
     if n_interior < 1:
         raise ModelParamError(f"n_interior: must be >= 1, got {n_interior!r}")
     for key, val in (("n_slow_modes", n_slow_modes), ("n_fast_modes", n_fast_modes)):
         if not 1 <= val <= n_interior:
             raise ModelParamError(f"{key}: must lie in [1, n_interior] = [1, {n_interior}], "
                                   f"got {val!r}")
-    spatial.banded_solver()
     grid = Grid1D(n_interior)
     lam1 = spatial.lambda1(grid)
     if lam1 - c_g <= 0.0:

@@ -6,10 +6,9 @@ discrete sine modes that carry the models' noise.  All operations accept
 stacked fields of shape (..., n_interior) and are pure.  The solves apply a
 dense inverse built once per (n_interior, shift) and cached: the operators
 are fixed, and a small dense product is cheaper than a banded solve per call.
-Each inverse is one banded solve on the identity, by scipy's
-``solve_banded``; scipy is imported on first use (:func:`banded_solver`),
-which the field models call while they are built, so the scalar models
-never import it.
+Each inverse is one tridiagonal solve on the identity by :func:`solve_banded`,
+a numpy port of LAPACK's ``dgtsv`` that gives its bits, so no run imports
+scipy.
 
 Discrete conventions, with dx = 1/(n+1) and ghost values u_0 = u_{n+1} = 0:
 
@@ -61,11 +60,29 @@ def _check(grid: Grid1D, u: np.ndarray) -> np.ndarray:
 
 
 def laplacian_apply(grid: Grid1D, u) -> np.ndarray:
-    """Dirichlet Laplacian, the (1,-2,1)/dx^2 stencil with zero boundary."""
+    """Dirichlet Laplacian, the (1,-2,1)/dx^2 stencil with zero boundary.
+
+    A stack of rows adds each neighbour over the whole flat buffer, one long
+    add in place of one short add per row, and then restores the row edges
+    that add reached across into the next row.  Every entry sees the same
+    additions in the same order as the per-row stencil, so the bits are equal.
+    """
     u = _check(grid, u)
-    out = -2.0 * u
-    out[..., :-1] += u[..., 1:]
-    out[..., 1:] += u[..., :-1]
+    if u.ndim == 1 or u.shape[-1] == 1:
+        # one row (the probes) or one node: the per-row adds are the faster
+        out = -2.0 * u
+        out[..., :-1] += u[..., 1:]
+        out[..., 1:] += u[..., :-1]
+    else:
+        u = np.ascontiguousarray(u)
+        out = -2.0 * u
+        flat, u_flat = out.reshape(-1), u.reshape(-1)
+        edge = out[..., -1].copy()
+        flat[:-1] += u_flat[1:]
+        out[..., -1] = edge
+        edge = out[..., 0].copy()
+        flat[1:] += u_flat[:-1]
+        out[..., 0] = edge
     return out / grid.dx ** 2
 
 
@@ -75,18 +92,38 @@ def lambda1(grid: Grid1D) -> float:
     return (2.0 / dx ** 2) * (1.0 - np.cos(np.pi * dx))
 
 
-@lru_cache(maxsize=None)
-def banded_solver():
-    """``scipy.linalg.solve_banded``, imported on the first call: only the
-    field models solve, and the import costs a process about 0.3 s and
-    26 MB of RSS (2-vCPU x86_64 host)."""
-    from scipy.linalg import solve_banded as solver
-    return solver
+def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system A x = b, A in LAPACK ab-form (rows: super-,
+    main and sub-diagonal), for b of shape (n,) or (n, nrhs).
 
-
-def solve_banded(l_and_u, ab, b, **kwargs):
-    """``scipy.linalg.solve_banded`` through :func:`banded_solver`."""
-    return banded_solver()(l_and_u, ab, b, **kwargs)
+    A numpy port of LAPACK ``dgtsv``'s path without row interchanges: the same
+    operations in the same order, so x has the bits of
+    ``scipy.linalg.solve_banded((1, 1), ab, b)``.  Each step acts on a whole
+    row of b.  Raises ``numpy.linalg.LinAlgError`` on a zero pivot or where
+    ``dgtsv`` would interchange rows (``|d_i| < |dl_i|``); the program's
+    matrices are diagonally dominant, so neither happens.
+    """
+    # the pivot recurrence runs on Python floats, IEEE doubles as in LAPACK
+    du, d, dl = (np.asarray(row, dtype=float).tolist()
+                 for row in (ab[0, 1:], ab[1], ab[2, :-1]))
+    x = np.array(b, dtype=float)
+    n = len(d)
+    for i in range(n - 1):
+        if not abs(d[i]) >= abs(dl[i]) or d[i] == 0.0:
+            raise np.linalg.LinAlgError(
+                f"tridiagonal solve needs a row interchange or meets a zero pivot at row {i}")
+        fact = dl[i] / d[i]
+        d[i + 1] -= fact * du[i]
+        x[i + 1] -= fact * x[i]
+        dl[i] = 0.0     # as in dgtsv: the back substitution keeps its `- 0 * x` term
+    if d[n - 1] == 0.0:
+        raise np.linalg.LinAlgError(f"tridiagonal solve meets a zero pivot at row {n - 1}")
+    x[n - 1] /= d[n - 1]
+    if n > 1:
+        x[n - 2] = (x[n - 2] - du[n - 2] * x[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        x[i] = (x[i] - du[i] * x[i + 1] - dl[i] * x[i + 2]) / d[i]
+    return x
 
 
 @lru_cache(maxsize=32)
@@ -106,7 +143,7 @@ def _shifted_inverse(n: int, shift: float) -> np.ndarray:
     """Dense read-only (shift*I - laplacian)^{-1}, one banded solve on the identity."""
     ab = _laplacian_banded(n).copy()
     ab[1, :] += shift
-    inv = solve_banded((1, 1), ab, np.eye(n), check_finite=False)
+    inv = solve_banded(ab, np.eye(n))
     inv.flags.writeable = False
     return inv
 

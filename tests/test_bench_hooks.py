@@ -41,8 +41,8 @@ def test_tracer_counts_one_span_per_job(tmp_path, monkeypatch):
 
 
 def test_tracer_finds_the_solves_of_a_field_model_inside_the_study(tmp_path, monkeypatch):
-    # the field model's build loads scipy but solves nothing: every banded
-    # solve (each cached inverse is one) lies inside the study span
+    # the field model's build solves nothing: every banded solve (each
+    # cached inverse is one) lies inside the study span
     from mvavg import integrate, spatial
 
     monkeypatch.syspath_prepend(RATEBENCH)

@@ -3,6 +3,7 @@ import pytest
 
 from scipy.linalg import solve_banded
 
+from mvavg import spatial
 from mvavg.spatial import (Grid1D, GridDimensionError, hminus1_inner,
                            hminus1_norm_sq, l2_norm_sq, lambda1, laplacian_apply,
                            sine_mode, solve_neg_laplacian, solve_shifted_neg_laplacian)
@@ -58,6 +59,31 @@ def test_laplacian_matches_dense():
     rng = np.random.default_rng(0)
     u = rng.normal(size=(4, 17))
     assert np.allclose(laplacian_apply(g, u), u @ dense_laplacian(g).T, atol=1e-10)
+
+
+def row_stencil(grid, u):
+    """The per-row stencil, the reference for the flat-buffer one."""
+    out = -2.0 * u
+    out[..., :-1] += u[..., 1:]
+    out[..., 1:] += u[..., :-1]
+    return out / grid.dx ** 2
+
+
+@pytest.mark.parametrize("n,stack", [(31, (3, 1, 200)), (63, (3, 2, 200))])
+def test_flat_laplacian_is_bitwise_the_row_stencil(n, stack):
+    g = Grid1D(n)
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        u = rng.normal(size=stack + (n,)) * 10.0 ** rng.integers(-3, 4)
+        assert laplacian_apply(g, u).tobytes() == row_stencil(g, u).tobytes()
+    row = rng.normal(size=n)
+    assert laplacian_apply(g, row).tobytes() == row_stencil(g, row).tobytes()
+    # a transposed (non-contiguous) stack, and a strided slice of one
+    for u in (rng.normal(size=(n, 40)).T, rng.normal(size=(4, 50, 2 * n))[:, ::3, ::2]):
+        assert not u.flags.c_contiguous
+        got = laplacian_apply(g, u)
+        assert got.shape == u.shape
+        assert got.tobytes() == row_stencil(g, u).tobytes()
 
 
 def test_lambda1_closed_form():
@@ -159,6 +185,44 @@ def test_dense_solves_match_banded_solve(n, shift):
     single = solve_shifted_neg_laplacian(g, shift, rhs[0, 0])
     assert single.shape == (n,)
     assert np.linalg.norm(single - ref[0, 0]) <= 1e-12 * np.linalg.norm(ref[0, 0])
+
+
+def _tridiagonal(n, kind, h):
+    # the two matrices the program inverts: I + h (-laplacian) and h I - laplacian
+    if kind == "implicit":
+        ab = h * spatial._laplacian_banded(n)
+        ab[1, :] += 1.0
+    else:
+        ab = spatial._laplacian_banded(n).copy()
+        ab[1, :] += h
+    return ab
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 15, 31, 63, 127])
+def test_tridiagonal_solve_is_bitwise_lapack(n):
+    # scipy's solve_banded((1, 1), ...) runs LAPACK dgtsv: the port gives its bits
+    for kind in ("implicit", "shifted"):
+        for h in (0.0, 1e-6, 1e-3, 0.05, 0.5, 1.0, 3.3, 1e2, 1e4, 1e8):
+            ab = _tridiagonal(n, kind, h)
+            ref = solve_banded((1, 1), ab, np.eye(n), check_finite=False)
+            assert spatial.solve_banded(ab, np.eye(n)).tobytes() == ref.tobytes()
+    rhs = np.random.default_rng(n).normal(size=(n, 3))
+    for b in (rhs, rhs[:, 0]):
+        got = spatial.solve_banded(ab, b)
+        assert got.shape == b.shape
+        assert got.tobytes() == solve_banded((1, 1), ab, b).tobytes()
+
+
+def test_tridiagonal_solve_refuses_row_interchange_and_zero_pivot():
+    # rows of ab: super-, main and sub-diagonal
+    swap = np.array([[0.0, 1.0, 1.0], [1.0, 4.0, 4.0], [2.0, 1.0, 0.0]])
+    with pytest.raises(np.linalg.LinAlgError, match="row interchange .* at row 0"):
+        spatial.solve_banded(swap, np.eye(3))       # |d_0| = 1 < |dl_0| = 2
+    singular = np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(np.linalg.LinAlgError, match="zero pivot at row 1"):
+        spatial.solve_banded(singular, np.eye(2))   # d_1 - (dl_0 / d_0) du_0 = 0
+    with pytest.raises(np.linalg.LinAlgError, match="zero pivot at row 0"):
+        spatial.solve_banded(np.zeros((3, 1)), np.eye(1))
 
 
 # ---------------------------------------------------------------------------
