@@ -62,27 +62,20 @@ def _check(grid: Grid1D, u: np.ndarray) -> np.ndarray:
 def laplacian_apply(grid: Grid1D, u) -> np.ndarray:
     """Dirichlet Laplacian, the (1,-2,1)/dx^2 stencil with zero boundary.
 
-    A stack of rows adds each neighbour over the whole flat buffer, one long
-    add in place of one short add per row, and then restores the row edges
-    that add reached across into the next row.  Every entry sees the same
-    additions in the same order as the per-row stencil, so the bits are equal.
+    Each neighbour is added over the whole flat buffer, one long add in place
+    of one short add per row, and then the row edges that add reached across
+    into the next row are restored.  Every entry sees the same additions in
+    the same order as the per-row stencil, so the bits are equal.
     """
-    u = _check(grid, u)
-    if u.ndim == 1 or u.shape[-1] == 1:
-        # one row (the probes) or one node: the per-row adds are the faster
-        out = -2.0 * u
-        out[..., :-1] += u[..., 1:]
-        out[..., 1:] += u[..., :-1]
-    else:
-        u = np.ascontiguousarray(u)
-        out = -2.0 * u
-        flat, u_flat = out.reshape(-1), u.reshape(-1)
-        edge = out[..., -1].copy()
-        flat[:-1] += u_flat[1:]
-        out[..., -1] = edge
-        edge = out[..., 0].copy()
-        flat[1:] += u_flat[:-1]
-        out[..., 0] = edge
+    u = np.ascontiguousarray(_check(grid, u))
+    out = -2.0 * u
+    flat, u_flat = out.reshape(-1), u.reshape(-1)
+    edge = out[..., -1].copy()
+    flat[:-1] += u_flat[1:]
+    out[..., -1] = edge
+    edge = out[..., 0].copy()
+    flat[1:] += u_flat[:-1]
+    out[..., 0] = edge
     return out / grid.dx ** 2
 
 

@@ -86,6 +86,14 @@ def test_flat_laplacian_is_bitwise_the_row_stencil(n, stack):
         assert got.tobytes() == row_stencil(g, u).tobytes()
 
 
+def test_flat_laplacian_one_node_stack():
+    # every add crosses a row here and the edge restores undo it
+    g = Grid1D(1)
+    u = np.random.default_rng(1).normal(size=(3, 200, 1))
+    assert laplacian_apply(g, u).tobytes() == row_stencil(g, u).tobytes()
+    assert np.array_equal(laplacian_apply(g, u), -8.0 * u)
+
+
 def test_lambda1_closed_form():
     assert lambda1(Grid1D(1)) == pytest.approx(8.0)
     assert lambda1(Grid1D(999)) == pytest.approx(np.pi ** 2, abs=1e-3)
