@@ -586,7 +586,8 @@ class AveragedRunner(_SlowRunner):
         feed = _frozen_feed(m, self.frozen_noise, self.frozen_step[g], n_tot, Xa.shape[-2])
         self._Z[g] = _frozen_batch(m, Xa, mu, hmm.h_frozen, feed, self._Z[g], on_sample=visit,
                                    context=f"frozen run of the refresh at study t={t:.6g}")
-        self.frozen_step[g] += n_tot
+        # the next refresh starts on a counter group, so its draw drops no rows
+        self.frozen_step[g] += noise_mod.GROUP_STEPS * -(-n_tot // noise_mod.GROUP_STEPS)
         per_rep = (acc / n_samp).reshape(R, M, P, m.slow_dim)
         est = per_rep.mean(axis=1)
         se = (np.zeros(R) if M < 2 else

@@ -436,8 +436,9 @@ def test_hmm_frozen_width_is_nodes_times_replicas(monkeypatch, n_particles):
 
 
 def test_estimate_fbar_across_windows_is_bitwise_one_window(monkeypatch):
-    # 4 replicas on windows of 10 steps: the 1300-step march crosses 129
-    # window edges, and still reads the normals of one window holding it all
+    # 4 replicas on windows of 12 steps (10 rounded up to whole counter
+    # groups): the 1300-step march crosses 108 window edges, and still reads
+    # the normals of one window holding it all
     m = build_model("mvsde-cubic")
     fp = default_frozen_params(m, [1.0], DELTA0, sample_horizon=5.0, h_micro=0.01)
     n_steps = round((fp.burn_in + fp.sample_horizon) / fp.h_micro)
@@ -455,7 +456,7 @@ def test_estimate_fbar_across_windows_is_bitwise_one_window(monkeypatch):
     monkeypatch.setattr(noise, "NOISE_WINDOW_NORMALS", 40)
     starts.clear()
     many = estimate_fbar(m, fp, NoisePlan(8))
-    assert starts == list(range(0, n_steps, 10))
+    assert starts == list(range(0, n_steps, 12))
     assert np.array_equal(one.fbar, many.fbar) and np.array_equal(one.std_error, many.std_error)
 
 

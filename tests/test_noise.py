@@ -46,13 +46,16 @@ def test_marginals_are_standard_normal():
 
 
 def test_cos_and_sin_steps_are_each_standard_normal():
-    # even steps take the cos output of their pair's counter, odd steps the sin output
+    # even steps take the cos output of a Box-Muller pair, odd steps the sin
+    # output; and each of the four steps of a counter group (cos and sin of
+    # the block's first pair, then of its second) is standard normal alone
     z = NoisePlan(2026).gaussians(SLOW, 0, 400, 500, 1)
-    for half in (z[0::2].ravel(), z[1::2].ravel()):
-        n = half.size
-        assert abs(half.mean()) < 4.0 / np.sqrt(n)
-        assert abs(half.var() - 1.0) < 6.0 / np.sqrt(n)
-        assert stats.kstest(half, "norm").pvalue > 1e-3
+    for part in [z[0::2], z[1::2]] + [z[i::4] for i in range(4)]:
+        part = part.ravel()
+        n = part.size
+        assert abs(part.mean()) < 4.0 / np.sqrt(n)
+        assert abs(part.var() - 1.0) < 6.0 / np.sqrt(n)
+        assert stats.kstest(part, "norm").pvalue > 1e-3
 
 
 def test_pair_partners_uncorrelated():
@@ -66,7 +69,7 @@ def test_pair_partners_uncorrelated():
 @pytest.mark.parametrize("start, n_steps", [(0, 1), (1, 1), (3, 5), (7, 0), (5, 8), (10, 3),
                                             (1, 39)])
 def test_mid_pair_windows_are_slices(start, n_steps):
-    # a window that starts or ends mid-pair drops the partner it computes
+    # a window that starts or ends mid-group drops the steps it computes past it
     plan = NoisePlan(3)
     big = plan.gaussians(FROZEN, 0, 40, 5, 2, extra=9)
     window = plan.gaussians(FROZEN, start, n_steps, 5, 2, extra=9)
@@ -74,11 +77,75 @@ def test_mid_pair_windows_are_slices(start, n_steps):
     assert np.array_equal(window, big[start:start + n_steps])
 
 
+def test_every_window_start_and_length_is_a_slice():
+    # each start modulo a counter group, each length from 1 to 9 steps
+    plan = NoisePlan(11)
+    big = plan.gaussians(FAST, 0, 24, 3, 2, extra=5, first_particle=40)
+    for start in range(4, 8):
+        for n_steps in range(1, 10):
+            window = plan.gaussians(FAST, start, n_steps, 3, 2, extra=5, first_particle=40)
+            assert np.array_equal(window, big[start:start + n_steps]), (start, n_steps)
+
+
+def test_particle_normals_do_not_depend_on_the_particle_range():
+    plan = NoisePlan(12)
+    ref = plan.gaussians(SLOW_ALT, 3, 10, 1, 3, extra=2, first_particle=17)[:, 0]
+    for first, n in ((17, 1), (17, 9), (0, 18), (10, 50), (16, 2)):
+        z = plan.gaussians(SLOW_ALT, 3, 10, n, 3, extra=2, first_particle=first)
+        assert np.array_equal(z[:, 17 - first], ref), (first, n)
+
+
+def _block_normals(seed, kind, group, particle, mode, extra):
+    """The four normals of one counter group, from numpy's Philox as the
+    NoisePlan docstring lays it out."""
+    counter = np.array([particle | mode << 32 | extra << 48, group, kind, 0], np.uint64)
+    w = np.random.Philox(key=np.array([seed, 0], np.uint64), counter=counter).random_raw(4)
+    d = ((w >> np.uint64(12)) | np.uint64(0x3FF0000000000000)).view(np.float64)
+    radius = np.sqrt(-2.0 * np.log(2.0 - d[0::2]))
+    angle = (d[1::2] - 1.5) * (2.0 * np.pi)
+    return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1).ravel()
+
+
+@pytest.mark.parametrize("seed, kind, group, particle, mode, extra", [
+    (5, SLOW, 0, 0, 0, 0),
+    (2 ** 64 - 1, FROZEN, 2 ** 46 - 1, 2 ** 32 - 1, 2 ** 16 - 1, 2 ** 16 - 1),
+    (123, FAST, 7, 2 ** 32 - 1, 3, 0),
+    (9, SLOW_ALT, 2 ** 46 - 1, 12, 0, 2 ** 16 - 1),
+])
+def test_counter_layout(seed, kind, group, particle, mode, extra):
+    # the stream is the documented map, down to the bits
+    z = NoisePlan(seed).gaussians(kind, 4 * group, 4, 1, mode + 1, extra, particle)
+    want = _block_normals(seed, kind, group, particle, mode, extra)
+    assert np.array_equal(z[:, 0, mode], want)
+
+
+def test_field_edges_are_finite_and_alias_no_neighbour():
+    # a stream at the edge of every field against the streams next to it in
+    # each field: none shares a normal, so no field overflows into another
+    top_step, top_particle, top16 = 2 ** 48 - 1, 2 ** 32 - 1, 2 ** 16 - 1
+    plan = NoisePlan(2 ** 64 - 1)
+
+    def one(kind=FROZEN, step=top_step - 3, particle=top_particle, mode=top16, extra=top16,
+            seed=2 ** 64 - 1):
+        return NoisePlan(seed).gaussians(kind, step, 4, 1, mode + 1, extra, particle)[:, 0, mode]
+
+    edge = one()
+    assert np.all(np.isfinite(edge)) and np.all(np.isfinite(plan.gaussians(
+        FROZEN, top_step - 3, 4, 2, 2, top16, top_particle - 1)))
+    neighbours = [one(step=top_step - 7), one(particle=top_particle - 1), one(particle=0),
+                  one(mode=top16 - 1), one(mode=0), one(extra=top16 - 1), one(extra=0),
+                  one(kind=FROZEN + 1), one(kind=FROZEN - 1), one(seed=2 ** 64 - 2),
+                  one(particle=0, mode=0, extra=0), one(step=0)]
+    for other in neighbours:
+        assert np.all(np.isfinite(other))
+        assert not np.isin(edge, other).any()
+
+
 def test_last_legal_step_is_a_slice():
-    last = 2 ** 48 - 1            # an odd step: the sin output of the last pair
+    last = 2 ** 48 - 1            # the sin output of the last group's second pair
     plan = NoisePlan(2 ** 64 - 1)
     one = plan.gaussians(SLOW_ALT, last, 1, 3, 2)
-    tail = plan.gaussians(SLOW_ALT, last - 5, 6, 3, 2)   # starts on a pair
+    tail = plan.gaussians(SLOW_ALT, last - 5, 6, 3, 2)   # starts mid-group
     assert one.shape == (1, 3, 2) and np.all(np.isfinite(one))
     assert np.array_equal(one, tail[-1:])
 
@@ -126,23 +193,24 @@ def test_seed_range_checked():
 
 def test_in_range_streams_unchanged():
     # values recorded before the counter limits were enforced, at the field edges
-    # too; re-recorded with stream version 2 (one counter per pair of steps)
+    # too; re-recorded with stream version 3 (numpy's Philox 4x64-10, one block
+    # per group of four steps)
     plan = NoisePlan(123)
     assert plan.gaussians(SLOW, 0, 2, 2, 2).ravel().tolist() == [
-        0.017698533350502765, 1.5193069845933358, 0.3368953914026729,
-        0.3427268458992593, 2.325375753244536, 0.7113622802274305,
-        0.006572862448713432, 0.9051941129170468]
+        -0.4874672230461946, 0.9014578333785855, -0.745373973043792,
+        -1.9610406120259982, -1.1035735810564706, -0.39026930640214436,
+        -0.5880578591509568, -0.5640606062297658]
     edge = NoisePlan(2 ** 64 - 1).gaussians(FAST, 2 ** 48 - 3, 3, 1, 1, extra=2 ** 16 - 1)
-    assert edge.ravel().tolist() == [-1.3766847613220252, -1.0883197352095566,
-                                     -1.6880446778298681]
+    assert edge.ravel().tolist() == [-1.7690653270852583, 1.2238860179168223,
+                                     0.7832525160161844]
     wide = NoisePlan(7).gaussians(FROZEN, 2 ** 40, 1, 3, 2 ** 16).ravel()
-    assert wide[[0, 1, -1]].tolist() == [0.002055575764910691, 1.673153189812147,
-                                         -2.7365705028834895]
+    assert wide[[0, 1, -1]].tolist() == [-2.140490772991871, 0.1704593713508872,
+                                         -1.4263512914108818]
     base = NoisePlan(42)
-    assert base.derive(4242, 0).seed == 1552263589983501128
-    assert base.derive(9001).seed == 2304168245982568478
-    assert base.derive().seed == 1553859894536179048
-    assert base.derive(2 ** 48 - 1, 2 ** 32 - 1, 2 ** 32 - 1).seed == 15146122226473025961
+    assert base.derive(4242, 0).seed == 2065663018272311592
+    assert base.derive(9001).seed == 5039835847134209703
+    assert base.derive().seed == 3169299812854106338
+    assert base.derive(2 ** 48 - 1, 2 ** 32 - 1, 2 ** 32 - 1).seed == 18175552821301824146
 
 
 @pytest.mark.parametrize("kind, start, n_steps, n_particles, n_modes, extra", [
@@ -185,17 +253,18 @@ def test_batched_draw_stacks_per_plan_draws():
 
 
 def test_windows_cover_an_odd_start_to_a_mid_window_stop_once(monkeypatch):
-    # windows of 6 steps from step 7 to step 30: [7, 13), [13, 19), [19, 25),
-    # [25, 30), each stream bitwise one draw of the whole range
+    # 5 steps' normals round up to windows of 8 steps (two counter groups);
+    # from step 7 to step 38: [7, 15), [15, 23), [23, 31), [31, 38), each
+    # stream bitwise one draw of the whole range
     plans = [NoisePlan(5).derive(4242, rep) for rep in range(2)]
     streams = [(SLOW, 1), (FAST, 3)]
     monkeypatch.setattr(noise, "NOISE_WINDOW_NORMALS", 5 * 4 * 3)
-    got = list(noise.windows(plans, streams, 7, 30, 4))
-    assert [(k, len(d[0])) for k, d in got] == [(7, 6), (13, 6), (19, 6), (25, 5)]
+    got = list(noise.windows(plans, streams, 7, 38, 4))
+    assert [(k, len(d[0])) for k, d in got] == [(7, 8), (15, 8), (23, 8), (31, 7)]
     for i, (kind, modes) in enumerate(streams):
         joined = np.concatenate([d[i] for _, d in got])
-        assert np.array_equal(joined, draw(plans, kind, 7, 23, 4, modes))
-    assert list(noise.windows(plans, streams, 30, 30, 4)) == []
+        assert np.array_equal(joined, draw(plans, kind, 7, 31, 4, modes))
+    assert list(noise.windows(plans, streams, 38, 38, 4)) == []
 
 
 def test_particle_offset_draws_a_slice_of_the_particles():
@@ -209,18 +278,18 @@ def test_particle_offset_draws_a_slice_of_the_particles():
 
 
 def test_lattice_windows_address_particle_replica_and_mode(monkeypatch):
-    # windows of 2 steps over 7 steps; particle runs 10..12 and 20..21, two
-    # replicas on the extra field, three modes: each slice is the per-plan,
-    # per-replica draw of its particles
+    # windows of 4 steps (one counter group) over 15 steps; particle runs
+    # 10..12 and 20..21, two replicas on the extra field, three modes: each
+    # slice is the per-plan, per-replica draw of its particles
     monkeypatch.setattr(noise, "NOISE_WINDOW_NORMALS", 200)
     plans = [NoisePlan(1), NoisePlan(2)]
     runs = [(10, 3), (20, 2)]
-    starts, draws = zip(*noise.lattice_windows(plans, runs, 2, 3, 7))
-    assert starts == (0, 2, 4, 6)
+    starts, draws = zip(*noise.lattice_windows(plans, runs, 2, 3, 15))
+    assert starts == (0, 4, 8, 12)
     xi = np.concatenate(draws)
-    assert xi.shape == (7, 2, 5, 2, 3)
+    assert xi.shape == (15, 2, 5, 2, 3)
     for r, plan in enumerate(plans):
         for m in range(2):
-            want = np.concatenate([plan.gaussians(FROZEN, 0, 7, n, 3, m, first)
+            want = np.concatenate([plan.gaussians(FROZEN, 0, 15, n, 3, m, first)
                                    for first, n in runs], axis=1)
             assert np.array_equal(xi[:, r, :, m], want)

@@ -265,8 +265,8 @@ def test_windowed_noise_draws_are_bitwise_per_stride_draws(base, monkeypatch):
 
 def test_coupled_noise_windows_start_on_step_pairs(monkeypatch):
     # an odd stride (5 steps) and windows of 5 steps' normals: the window is
-    # rounded up to 6 steps, so strides cross windows and every window starts
-    # on a noise step pair
+    # rounded up to 8 steps, two noise counter groups, so strides cross
+    # windows and every window starts on a counter group (and a step pair)
     cfg = StudyConfig(model="linear-benchmark", n_particles=8, record_points=20,
                       epsilon_grid=[0.05], replications=1, t_end=0.1, seed=11)
     starts = []
@@ -279,7 +279,7 @@ def test_coupled_noise_windows_start_on_step_pairs(monkeypatch):
     monkeypatch.setattr(study.noise_mod, "NOISE_WINDOW_NORMALS", 5 * cfg.n_particles)
     monkeypatch.setattr(study.noise_mod, "draw", spy)
     _coupled_error_once(cfg, (0,), (0,))
-    assert starts == [k for k in range(0, 100, 6) for _ in range(2)]
+    assert starts == [k for k in range(0, 100, 8) for _ in range(2)]
 
 
 BATCH_CASES = (
@@ -346,15 +346,15 @@ def test_group_draws_each_stream_once_per_step(crn, monkeypatch):
     (dict(model="linear-benchmark"), 0),
     (dict(model="linear-benchmark", crn=False), 0),
     (dict(model="mvsde-cubic", averaged_mode="hmm",
-          hmm={"replicas": 2, "horizon": 0.5, "burn_in": 0.2, "h_frozen": 0.02}), 2532),
+          hmm={"replicas": 2, "horizon": 0.5, "burn_in": 0.2, "h_frozen": 0.02}), 1268),
 ], ids=["linear", "linear-no-crn", "cubic-hmm"])
 @pytest.mark.filterwarnings("ignore:fbar standard error")
 def test_group_draws_each_window_of_each_stream_once(base, frozen, monkeypatch):
     # windows of 24 steps over 250 steps: 11 windows per stream and plan, each
     # drawn by one NoisePlan.gaussians call; the HMM lattice's one march of
     # 1265 frozen steps (a chain's 400-step initial burn-in, then 25 windows
-    # of 10 + 25 steps) is drawn in 633 windows of 2 steps, one call per plan
-    # and frozen replica each: 2532 calls
+    # of 10 + 25 steps) is drawn in 317 windows of 4 steps (one counter
+    # group), one call per plan and frozen replica each: 1268 calls
     calls = []
     gaussians = NoisePlan.gaussians
 
@@ -476,7 +476,7 @@ def test_group_frozen_run_blowup_fails_its_grid_point():
     assert all(isinstance(out, BlowUpError) for out in group)
     # the failure names the grid point, its seeds and the sup time
     seeds = ",".join(str(NoisePlan(3).derive(4242, rep).seed) for rep in (0, 1))
-    assert (f"t=0.344 (particle 0) [averaged eps=0.1 seed={seeds}, batch row 0]"
+    assert (f"t=0.348 (particle 0) [averaged eps=0.1 seed={seeds}, batch row 0]"
             in repr(group[0]))
     assert [repr(out) for out in group] == [repr(out) for out in alone]
 
@@ -574,16 +574,16 @@ def test_blowup_failures_identical_across_workers():
     r2 = run_rate_study(StudyConfig(**base, workers=2))
     # a blown-up batch is re-run replication by replication: each failure
     # names its own time, particle and seed, as when every replication ran alone
-    seeds = {0: "14836143257433513782", 1: "12359854349162442115"}
+    seeds = {0: "9684295000089048702", 1: "16972349115004639570"}
     expected = [(eps, f"BlowUpError('state blew up at t={t} (particle {p}) [{run} eps={eps:g} "
                       f"seed={seeds[rep]}]; consider a smaller h_factor (the config key that "
                       "sets h = h_factor * eps; frozen runs step by --h or hmm.h_frozen)')")
-                for eps, t, p, run, rep in ((0.1, 0.468, 3, "averaged", 0),
-                                            (0.1, 0.472, 0, "averaged", 1),
+                for eps, t, p, run, rep in ((0.1, 0.468, 0, "averaged", 0),
+                                            (0.1, 0.468, 1, "averaged", 1),
                                             (0.05, 0.46, 0, "averaged", 0),
-                                            (0.05, 0.46, 0, "averaged", 1),
-                                            (0.02, 0.456, 0, "full", 0),
-                                            (0.02, 0.456, 0, "full", 1))]
+                                            (0.05, 0.46, 1, "averaged", 1),
+                                            (0.02, 0.456, 3, "full", 0),
+                                            (0.02, 0.456, 1, "full", 1))]
     assert r1.failures == expected
     assert r1.failures == r2.failures
     assert r1.incomplete and not r1.rows
@@ -877,18 +877,19 @@ def test_cli_aux_writes_table(tmp_path, capsys):
 
 def test_aux_diagnostic_gaps_unchanged_by_batching():
     # gaps recorded when every derive(777, rep) replication ran on its own runner,
-    # re-recorded with noise stream version 2
+    # re-recorded with noise stream versions 2 and 3
     cfg = StudyConfig(model="linear-benchmark", n_particles=16, replications=3, t_end=0.2,
                       seed=21)
     gaps = [row["gap"] for row in run_aux_diagnostic(cfg, 0.05)]
-    assert gaps == [float.fromhex(h) for h in ("0x1.c92a7258a75a1p-13",
-                                               "0x1.8a0d570d54f2bp-11",
-                                               "0x1.79514255042afp-10")]
+    assert gaps == [float.fromhex(h) for h in ("0x1.9c12bafbc16d3p-13",
+                                               "0x1.632ab37dd481dp-11",
+                                               "0x1.3fa25cd9e185cp-10")]
     # the porous gap re-recorded with the stabilised semi-implicit slow step
+    # and with noise stream version 3
     cfg = StudyConfig(model="porous-media-1d", model_params={"n_interior": 7}, n_particles=8,
                       replications=2, t_end=0.05, seed=22)
     gaps = [row["gap"] for row in run_aux_diagnostic(cfg, 0.1)]
-    assert gaps == [float.fromhex("0x1.7d5f3edb2badap-23")] * 3
+    assert gaps == [float.fromhex("0x1.516c85dc81508p-23")] * 3
 
 
 def test_aux_ladder_is_bitwise_single_delta_runners():
@@ -935,24 +936,24 @@ def test_cli_average_dumps_cache(tmp_path, capsys):
 # SHA-256 of single-run outputs, recorded when single runs still held (N, d)
 # states; they must not move now that a single run is a batch of one.  The
 # porous simulate digest was re-recorded with the stabilised slow step, all
-# of them with noise stream version 2, the cubic HMM ones with the fbar
+# of them with noise stream versions 2 and 3, the cubic HMM ones with the fbar
 # lattice (one cache row per lattice node read), and the exact-mode cache
 # with its HMM_NODES rows per cache step.
 SINGLE_RUN_DIGESTS = {
     "simulate-linear/trajectories.csv":
-        "66bff5327bf8775dba96b80801813394773e121b8f4fcd5da1248dbb70123779",
+        "ff4862863fa893b70eb53683f75199aa871dbc0a74b48d4ab439df328e844910",
     "simulate-porous/trajectories.csv":
-        "6e55732d0e8323266b58ae8b351dba1bf956dacad6cf180c336ab07a26c87dfc",
+        "8ce61c3cca080f1ebef2d3c7372acb693bc27c6332284f4aecd3d3e55ecb3c7b",
     "average-linear-exact/averaged_trajectories.csv":
-        "bf3540bdeeab6ae562a70430cf8ed6595f9f4d9ea18164fd662df9a569661638",
+        "34ab8974182a5cc397af8169740046984799e21a4254eedbd28b74483eb243af",
     "average-linear-exact/fbar_cache.csv":
-        "c12d8040a9b3b63e5c06effa596f9f8710483582a9bcdd1cb46698a04c327916",
+        "b40975cc9d20f7e0f9361c5715197bb5cc83b4e9eacf5eafd19581e0b3575afb",
     "average-cubic-hmm/averaged_trajectories.csv":
-        "92cf020c22f1230489666520e23eea4c733aeb90c0afabe4dbb70712256d2978",
+        "8aad28ce871614fbb91b048abd720043d649de22cd1496c3f8b808e6c8c48dde",
     "average-cubic-hmm/fbar_cache.csv":
-        "c7798171fbbf16b55cc499ca012282b3942930f4c46c98edfffe5401ae90ce7d",
-    "freeze-porous": "4e391ff8847325c6d82d6e39a75384c88e4e022b2d34581c25d97a605f6e4da5",
-    "frozen-simulate-cubic": "6cf3972ac962714295c97f935d7267621d8a6d3e81019449fad648fddf09cfa8",
+        "daf227971fae6f114c64867087f98f1dd3fad3ccda093dff02af998d15ff75c8",
+    "freeze-porous": "a1485e2552e6b7a28f1be27c8ce91e5a4872d0ac406ff2e5c6b9eba52baadf04",
+    "frozen-simulate-cubic": "67b68c598a14b29af0eb79f7020ec8dba941ffeff2d0e2c6946faae8bd4b8672",
 }
 
 
@@ -993,16 +994,17 @@ def test_single_run_outputs_unchanged(tmp_path, capsys):
     _, paths = frozen_simulate(cubic, fp, NoisePlan(9), n_paths=3, record_stride=7)
     got["frozen-simulate-cubic"] = hashlib.sha256(paths.tobytes()).hexdigest()
     assert got == SINGLE_RUN_DIGESTS
-    assert estimate_mixing_rate(cubic, fp, [-1.0], NoisePlan(10), n_pairs=4) == 3.205209298268997
+    assert estimate_mixing_rate(cubic, fp, [-1.0], NoisePlan(10), n_pairs=4) == 2.902523445896667
 
 
 # SHA-256 of a porous HMM `average` run, recorded when every scalar and field
 # model estimated fbar per particle: field models still do, bit for bit.
-# Re-recorded with noise stream version 2.
+# Re-recorded with noise stream versions 2 and 3; under 3 also with each
+# refresh's frozen draw starting on a counter group.
 POROUS_HMM_DIGESTS = {
     "averaged_trajectories.csv":
-        "9b192f045bc0967d8bed59b78d40097ba54815597caf0abf5047d4693d937881",
-    "fbar_cache.csv": "63212cfbfdc308b3d887d98b7e42d5c4074b0cbb1c61b6a7a9d32946c8bb912e",
+        "f3e6ee89d50c292a8cd977a91d44839a886ca2614125441c05eb9d31198a9d65",
+    "fbar_cache.csv": "d9be948502d91f58059479b7762fd0b3c88e1a2cc8eb57f007cfdf1c587431ab",
 }
 
 
