@@ -390,7 +390,8 @@ def make_mvsde_cubic(kappa: float = 1.0, k1: float = 0.5, c_sin: float = 0.5,
         return c_sin * np.sin(U) + c_mu * mu.mean
 
     def a2_rem(U, mu, V):
-        return -V ** 3 + k1 * U
+        # a product, not a power: numpy's pow takes a slow path on negative bases
+        return -(V * V * V) + k1 * U
 
     def sig2(V):
         return sigma_c + l_sigma2 * np.tanh(V)

@@ -937,8 +937,9 @@ def test_cli_average_dumps_cache(tmp_path, capsys):
 # states; they must not move now that a single run is a batch of one.  The
 # porous simulate digest was re-recorded with the stabilised slow step, all
 # of them with noise stream versions 2 and 3, the cubic HMM ones with the fbar
-# lattice (one cache row per lattice node read), and the exact-mode cache
-# with its HMM_NODES rows per cache step.
+# lattice (one cache row per lattice node read), the exact-mode cache
+# with its HMM_NODES rows per cache step, and the cubic HMM cache with the
+# cubic fast drift computed as a product.
 SINGLE_RUN_DIGESTS = {
     "simulate-linear/trajectories.csv":
         "ff4862863fa893b70eb53683f75199aa871dbc0a74b48d4ab439df328e844910",
@@ -951,7 +952,7 @@ SINGLE_RUN_DIGESTS = {
     "average-cubic-hmm/averaged_trajectories.csv":
         "8aad28ce871614fbb91b048abd720043d649de22cd1496c3f8b808e6c8c48dde",
     "average-cubic-hmm/fbar_cache.csv":
-        "daf227971fae6f114c64867087f98f1dd3fad3ccda093dff02af998d15ff75c8",
+        "30501a3360f89e3dd086711f75d3a2ed20e2d8bcc59126dfd6d944830aa4e658",
     "freeze-porous": "a1485e2552e6b7a28f1be27c8ce91e5a4872d0ac406ff2e5c6b9eba52baadf04",
     "frozen-simulate-cubic": "67b68c598a14b29af0eb79f7020ec8dba941ffeff2d0e2c6946faae8bd4b8672",
 }
