@@ -141,7 +141,8 @@ def _frozen_batch(model, x_frozen, mu, h, feed, paths_y0, on_sample=None,
     by window, each draw (n_win, ..., P, n_modes).  Row i of ``x_frozen``
     (or the one shared row) is the slow state that path i sees.  The march
     checks for blow-up at each window end, a failure naming ``context`` and
-    the march's own time; with ``context`` None it checks nothing.
+    the march's own times of this check and the last; with ``context`` None
+    it checks nothing.
     """
     Xa = np.broadcast_to(x_frozen, paths_y0.shape[:-1] + (model.slow_dim,))
     solver = _FastSolver(model, h)
@@ -155,7 +156,7 @@ def _frozen_batch(model, x_frozen, mu, h, feed, paths_y0, on_sample=None,
             if on_sample is not None:
                 on_sample(k, Z)
         if context is not None:
-            _check_finite(Xa, Z, k * h, context)
+            _check_finite(Xa, Z, k * h, context, (k - len(xi)) * h)
     return Z
 
 

@@ -74,13 +74,17 @@ FOLD_STEPS = 16
 
 
 class BlowUpError(RuntimeError):
-    """Non-finite or exploding particle state."""
+    """Non-finite or exploding particle state, found at ``time``; ``since`` is
+    the time of the last check that found it clean, where one was made."""
 
-    def __init__(self, time, particle, context=""):
+    def __init__(self, time, particle, context="", since=None):
         self.time = time
         self.particle = particle
         self.context = context
-        msg = f"state blew up at t={time:.6g} (particle {particle})"
+        self.since = since
+        msg = (f"state blew up at t={time:.6g}" if since is None else
+               f"state blew up: found non-finite or |value| > {BLOWUP_LIMIT:g} "
+               f"between t={since:.6g} and t={time:.6g}") + f" (particle {particle})"
         if context:
             msg += f" [{context}]"
         msg += ("; consider a smaller h_factor (the config key that sets h = h_factor * eps; "
@@ -89,7 +93,7 @@ class BlowUpError(RuntimeError):
 
     def __reduce__(self):
         # rebuild from the fields, so the error survives a process pool
-        return type(self), (self.time, self.particle, self.context)
+        return type(self), (self.time, self.particle, self.context, self.since)
 
 
 def _check_epsilon(epsilon: float):
@@ -247,7 +251,7 @@ class _FastSolver:
         return (v + self.h_eff * g + noise_incr) @ self.inv_t
 
 
-def _check_finite(X, Y, time, context):
+def _check_finite(X, Y, time, context, since=None):
     # one reduction per array; a NaN fails the comparison too
     if np.abs(X).max() <= BLOWUP_LIMIT and np.abs(Y).max() <= BLOWUP_LIMIT:
         return
@@ -256,7 +260,7 @@ def _check_finite(X, Y, time, context):
     row, particle = np.unravel_index(np.argmax(bad), bad.shape)
     if bad.shape[0] > 1:    # a single run (R = 1) keeps its message free of a row
         context = f"{context}, batch row {row}" if context else f"batch row {row}"
-    raise BlowUpError(time, int(particle), context)
+    raise BlowUpError(time, int(particle), context, since)
 
 
 def _initial_state(v, shape):
@@ -295,7 +299,7 @@ class _SlowRunner:
     """
 
     # the attributes that hold one entry per grid point, on their leading axis
-    _stacked = ("params", "failures", "X")
+    _stacked = ("params", "failures", "clean_k", "X")
     Y = None
 
     def __init__(self, model: ModelSpec, x0, n_particles: int, params, plans, streams,
@@ -312,6 +316,8 @@ class _SlowRunner:
                           else model.slow_stab(float(np.abs(self.X).max())))
         # a failure found inside a step, per grid point, raised by check_finite
         self.failures = [None] * len(self.params)
+        # the step of each grid point's last check that found it finite
+        self.clean_k = [0] * len(self.params)
         self.k = 0
         self._set_steps()
 
@@ -342,15 +348,19 @@ class _SlowRunner:
 
     def check_finite(self, g, context=None):
         """Raise a BlowUpError for grid point g (stack position) if a step
-        failed or its state is not finite or past ``BLOWUP_LIMIT``: its time,
-        particle and, in a batch, replication, with ``context`` (default the
-        runner's; a failure found inside a step adds its own)."""
+        failed or its state is not finite or past ``BLOWUP_LIMIT``: the time
+        of this check and of the last clean one, the particle and, in a batch,
+        the replication, with ``context`` (default the runner's; a failure
+        found inside a step adds its own)."""
         context = self.context if context is None else context
         failure = self.failures[g]
         if failure is not None:
-            raise BlowUpError(failure.time, failure.particle, f"{context}; {failure.context}")
-        _check_finite(self.X[g], self.X[g] if self.Y is None else self.Y[g],
-                      self.k * self.params[g].h_micro, context)
+            raise BlowUpError(failure.time, failure.particle, f"{context}; {failure.context}",
+                              failure.since)
+        h = self.params[g].h_micro
+        _check_finite(self.X[g], self.X[g] if self.Y is None else self.Y[g], self.k * h,
+                      context, self.clean_k[g] * h)
+        self.clean_k[g] = self.k
 
     def run(self, recorder: Optional[TrajectoryRecorder] = None):
         """March to n_steps, checking every grid point at each window end.

@@ -117,6 +117,27 @@ def test_blowup_raises_with_context():
     assert err.value.time <= 1.0
 
 
+def test_single_run_blowup_names_the_interval_since_its_last_clean_check(monkeypatch):
+    # windows of 4 steps: a single run checks at each window end, so the
+    # blow-up lies between the last clean window end and the one that found it
+    monkeypatch.setattr(noise_mod, "NOISE_WINDOW_NORMALS", 8)
+    m = build_model("broken-antidissipative")
+
+    def run(t_end):
+        FullRunner(m, [0.0], [1.0], 2, resolve_params(0.01, t_end), [NoisePlan(3)],
+                   context="unit test").run()
+
+    with pytest.raises(BlowUpError) as err:
+        run(1.0)
+    a, b, h = err.value.since, err.value.time, resolve_params(0.01, 1.0).h_micro
+    assert 0.0 < a < b <= 1.0 and round((b - a) / h) == 4
+    assert f"found non-finite or |value| > 1e+08 between t={a:.6g} and t={b:.6g}" in str(
+        err.value)
+    run(a)          # the same path up to t=a is clean
+    back = pickle.loads(pickle.dumps(err.value))
+    assert (back.since, back.time, str(back)) == (a, b, str(err.value))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 2 * BLOWUP_LIMIT, -2 * BLOWUP_LIMIT])
 @pytest.mark.parametrize("in_fast", [False, True])
 def test_blowup_check_names_the_particle(bad, in_fast):

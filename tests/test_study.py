@@ -403,6 +403,22 @@ def test_group_blowups_drop_only_their_grid_points(monkeypatch):
     assert groups[0] == groups[1]
 
 
+def test_grid_point_blowup_names_the_interval_since_its_last_sup_time():
+    # a grid point is checked at its sup times, every stride steps: its
+    # blow-up lies between the last clean sup time and the one that found it,
+    # and the grid point run to the last clean one does not blow up
+    cfg = StudyConfig(model="linear-benchmark", model_params={"a11": 40.0}, n_particles=8,
+                      epsilon_grid=[0.02], replications=1, t_end=1.0, seed=2024)
+    params = cfg.params_for(0.02)
+    stride = max(1, params.n_steps // cfg.record_points)
+    err = _coupled_error_once(cfg, (0,), (0,))[0]
+    assert isinstance(err, BlowUpError)
+    assert 0.0 < err.since < err.time and round((err.time - err.since) / params.h_micro) == stride
+    assert f"between t={err.since:.6g} and t={err.time:.6g}" in str(err)
+    clean = dataclasses.replace(cfg, t_end=err.since)
+    assert isinstance(_coupled_error_once(clean, (0,), (0,))[0], list)
+
+
 def test_group_steps_each_step_index_once(monkeypatch):
     # 50, 100 and 250 steps: 250 step indices per runner, not 400 steps, and
     # each grid point leaves the stack after its last step
@@ -474,9 +490,11 @@ def test_group_frozen_run_blowup_fails_its_grid_point():
     group = _coupled_error_once(cfg, (0, 1, 2), (0, 1))
     alone = [_coupled_error_once(cfg, (i,), (0, 1))[0] for i in range(3)]
     assert all(isinstance(out, BlowUpError) for out in group)
-    # the failure names the grid point, its seeds and the sup time
+    # the failure names the grid point, its seeds, the sup time and the last
+    # clean one
     seeds = ",".join(str(NoisePlan(3).derive(4242, rep).seed) for rep in (0, 1))
-    assert (f"t=0.348 (particle 0) [averaged eps=0.1 seed={seeds}, batch row 0]"
+    assert (f"between t=0.344 and t=0.348 (particle 0) [averaged eps=0.1 seed={seeds}, "
+            "batch row 0]"
             in repr(group[0]))
     assert [repr(out) for out in group] == [repr(out) for out in alone]
 
@@ -575,15 +593,16 @@ def test_blowup_failures_identical_across_workers():
     # a blown-up batch is re-run replication by replication: each failure
     # names its own time, particle and seed, as when every replication ran alone
     seeds = {0: "9684295000089048702", 1: "16972349115004639570"}
-    expected = [(eps, f"BlowUpError('state blew up at t={t} (particle {p}) [{run} eps={eps:g} "
+    expected = [(eps, "BlowUpError('state blew up: found non-finite or |value| > 1e+08 "
+                      f"between t={a} and t={t} (particle {p}) [{run} eps={eps:g} "
                       f"seed={seeds[rep]}]; consider a smaller h_factor (the config key that "
                       "sets h = h_factor * eps; frozen runs step by --h or hmm.h_frozen)')")
-                for eps, t, p, run, rep in ((0.1, 0.468, 0, "averaged", 0),
-                                            (0.1, 0.468, 1, "averaged", 1),
-                                            (0.05, 0.46, 0, "averaged", 0),
-                                            (0.05, 0.46, 1, "averaged", 1),
-                                            (0.02, 0.456, 3, "full", 0),
-                                            (0.02, 0.456, 1, "full", 1))]
+                for eps, a, t, p, run, rep in ((0.1, 0.464, 0.468, 0, "averaged", 0),
+                                               (0.1, 0.464, 0.468, 1, "averaged", 1),
+                                               (0.05, 0.455, 0.46, 0, "averaged", 0),
+                                               (0.05, 0.455, 0.46, 1, "averaged", 1),
+                                               (0.02, 0.4512, 0.456, 3, "full", 0),
+                                               (0.02, 0.4512, 0.456, 1, "full", 1))]
     assert r1.failures == expected
     assert r1.failures == r2.failures
     assert r1.incomplete and not r1.rows
@@ -602,7 +621,8 @@ def test_field_model_far_past_its_amplitude_fails_cleanly():
         for row in report.rows:
             assert all(map(math.isfinite, dataclasses.astuple(row))), row
         for eps, msg in report.failures:
-            assert msg.startswith("BlowUpError('state blew up at t="), msg
+            assert msg.startswith("BlowUpError('state blew up: found non-finite or |value| > "
+                                  "1e+08 between t="), msg
             assert "(particle " in msg and f"eps={eps:g}" in msg
         assert len(report.rows) + len({eps for eps, _ in report.failures}) == 3
 
