@@ -79,14 +79,13 @@ def _cmd_simulate(args) -> int:
     epsilon, params = _epsilon_params(cfg, args.epsilon)
     x0, y0 = cfg.initial_states(model)
     rec = TrajectoryRecorder(stride_steps=max(1, params.n_steps // cfg.record_points))
-    runner = FullRunner(model, x0, y0, cfg.n_particles, params,
-                        (noise_mod.NoisePlan(cfg.seed),)).run(rec)
+    FullRunner(model, x0, y0, cfg.n_particles, params, (noise_mod.NoisePlan(cfg.seed),)).run(rec)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "trajectories.csv")
     rec.dump_csv(path)
     print(f"simulated {cfg.model} at epsilon={epsilon:g} "
           f"({params.n_steps} steps, N={cfg.n_particles}); wrote {path}")
-    if runner.moment_flag[0, 0]:
+    if rec.moment_flag(model):
         print("WARNING: fast second-moment diagnostic exceeded its bound")
     return 0
 

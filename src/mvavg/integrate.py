@@ -41,7 +41,8 @@ names.  At a stop the caller checks grid points for blow-up
 (``check_finite``), reads or records states, and lets a grid point leave
 the stack (``leave``) when it is done with it.  ``run`` is a single runner's
 march to its last step: it checks at each window end, and a
-``TrajectoryRecorder`` handed to it records at its stride.
+``TrajectoryRecorder`` handed to it records at its stride; the recorder's
+``moment_flag`` checks the fast second moment on the rows it holds.
 
 Auxiliary fast processes can be carried along, one per block size delta:
 each consumes the SAME fast noise increments as the true fast process but
@@ -65,12 +66,6 @@ from .models import ModelSpec, empirical_view, fast_norm_sq, slow_norm_sq
 from .spatial import _laplacian_banded, laplacian_apply, solve_banded
 
 BLOWUP_LIMIT = 1e8
-# FullRunner folds its per-step diagnostic norms into the running sums once
-# this many steps are pending (and whenever a diagnostic is read): the fold's
-# fixed cost is then shared by many steps even when a driver advances one
-# step at a time, and the pending norms stay a few steps of state in size
-# however long an advance (a whole noise window in ``run``) is.
-FOLD_STEPS = 16
 
 
 class BlowUpError(RuntimeError):
@@ -168,6 +163,21 @@ class TrajectoryRecorder:
         self.slow.append(runner.X[0, 0].copy())
         if runner.Y is not None:
             self.fast.append(runner.Y[0, 0].copy())
+
+    def moment_flag(self, model: ModelSpec) -> bool:
+        """Whether the fast second moment left its bound at a recorded row j > 0:
+
+            mu_j(|y|^2) > 10 (mu_0(|y|^2) + c_coer_fast / lam (1 + max_{i<j} 2 mu_i(|x|^2)))
+
+        with mu_j the particle mean at row j, in the model's norms (lam floored
+        at 1e-12; a constant the model does not declare reads as 1).  Reads the
+        rows alone, so steps between them go unchecked."""
+        c = model.constants
+        rate = c.get("c_coer_fast", 1.0) / max(c.get("lam", 1.0), 1e-12)
+        m2y = np.mean(fast_norm_sq(model, np.array(self.fast)), axis=-1)
+        m2x = np.mean(slow_norm_sq(model, np.array(self.slow)), axis=-1)
+        sup = np.maximum.accumulate(2.0 * m2x[:-1])
+        return bool((m2y[1:] > 10.0 * (m2y[0] + rate * (1.0 + sup))).any())
 
     def dump_csv(self, path):
         """Plain CSV dump with header time,particle,component,index,value."""
@@ -415,13 +425,12 @@ class FullRunner(_SlowRunner):
       * one block-frozen auxiliary fast process per entry of ``aux_deltas``
         (its gap is the row of ``aux_gap``),
       * the time-integrated squared slow increment over blocks
-        (``increment_delta``),
-      * the fast second-moment diagnostic flag.
+        (``increment_delta``).
     A block size is one delta for every grid point, or a sequence of one per
     grid point.
     """
 
-    _stacked = _SlowRunner._stacked + ("Y", "_mom_y0", "_mom_sup_x", "_moment_flag")
+    _stacked = _SlowRunner._stacked + ("Y",)
 
     def __init__(self, model: ModelSpec, x0, y0, n_particles: int, params, plans,
                  aux_deltas=(),
@@ -438,24 +447,14 @@ class FullRunner(_SlowRunner):
         self.Y_aux = [self.Y.copy() for _ in self.aux_steps]
         # per aux process: the frozen (X, mu, forcing) it sees
         self._aux_snaps = [None] * len(self.aux_steps)
+        # running sums of the per-step diagnostics, over the k steps taken
         self.gap_sum = np.zeros((len(self.aux_steps), G, R))
-        self.gap_count = 0
         self.inc_steps = (self._block_steps(increment_delta, "increment_delta")
                           if increment_delta is not None else [])
         if self.inc_steps:
             self._X_block = self.X.copy()
             self.inc_sum = np.zeros((G, R))
-            self.inc_count = 0
             self._stacked += ("inc_steps", "_X_block", "inc_sum")
-
-        c = model.constants
-        self._mom_rate = c.get("c_coer_fast", 1.0) / max(c.get("lam", 1.0), 1e-12)
-        self._mom_y0 = np.mean(fast_norm_sq(model, self.Y), axis=-1)
-        self._mom_sup_x = np.zeros((G, R))
-        self._moment_flag = np.zeros((G, R), dtype=bool)
-        # per-step squared norms (aux gap, block increment, fast state) and
-        # measure second moments, not yet folded into the diagnostics
-        self._pending = ([], [], [], [])
 
     def _block_steps(self, delta, name):
         """Micro steps per block on each grid point, from one delta or one per grid point."""
@@ -469,7 +468,6 @@ class FullRunner(_SlowRunner):
         self.solver = _FastSolver(self.model, [p.h_micro / p.epsilon for p in self.params])
 
     def leave(self, keep):
-        self._fold_diagnostics()
         super().leave(keep)
         # one entry per aux process, each per grid point
         self.Y_aux = [_take(Ya, keep) for Ya in self.Y_aux]
@@ -483,9 +481,10 @@ class FullRunner(_SlowRunner):
         """Advance every grid point n_sub micro steps on the slow and fast
         noise ``xs`` and ``xf``, each (n_sub, R, N, n_modes): steps k.. of the
         two streams, which every grid point reads.  Checks nothing (see
-        ``check_finite``)."""
+        ``check_finite``).  Each step adds its particle means of the squared
+        aux gaps and block increment to the diagnostics' running sums."""
         m = self.model
-        gap_sq, inc_sq, y_sq, x_m2 = self._pending
+        N = self.X.shape[-2]
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(n_sub):
                 mu = empirical_view(m, self.X)
@@ -501,16 +500,11 @@ class FullRunner(_SlowRunner):
                 Yn = self.solver.step(self.X, mu, self.Y, xf[j])
                 for i, (Xs, mus, frc) in enumerate(self._aux_snaps):
                     self.Y_aux[i] = self.solver.step(Xs, mus, self.Y_aux[i], xf[j], forcing=frc)
-                    gap_sq.append(fast_norm_sq(m, Yn - self.Y_aux[i]))
+                    self.gap_sum[i] += fast_norm_sq(m, Yn - self.Y_aux[i]).sum(axis=-1) / N
                 self.X, self.Y = Xn, Yn
                 self.k += 1
-
                 if self.inc_steps:
-                    inc_sq.append(slow_norm_sq(m, self.X - self._X_block))
-                y_sq.append(fast_norm_sq(m, self.Y))
-                x_m2.append(mu.second_moment)
-                if len(y_sq) >= FOLD_STEPS:
-                    self._fold_diagnostics()
+                    self.inc_sum += slow_norm_sq(m, self.X - self._X_block).sum(axis=-1) / N
 
     def _snapshot(self, snap, due, mu):
         """An aux process's frozen (X, mu, forcing), with the grid points ``due``
@@ -527,49 +521,13 @@ class FullRunner(_SlowRunner):
                 old[due] = new[due]
         return snap
 
-    def _fold_diagnostics(self):
-        """Fold the pending per-step norms into the running diagnostics.
-
-        Means over the particle axis, one per step, grid point and
-        replication, are added (or maximised) in step order, so the result
-        does not depend on when the fold happens.
-        """
-        gap_sq, inc_sq, y_sq, x_m2 = self._pending
-        if not y_sq:
-            return
-        N = self.X.shape[-2]
-        if gap_sq:
-            # one (G, R, N) norm per step and aux process, in step order
-            for g in np.reshape(np.sum(gap_sq, axis=-1) / N, (-1,) + self.gap_sum.shape):
-                self.gap_sum += g
-            self.gap_count += len(gap_sq) // len(self.aux_steps)
-        if inc_sq:
-            for g in np.sum(inc_sq, axis=-1) / N:
-                self.inc_sum += g
-            self.inc_count += len(inc_sq)
-        m2y = np.sum(y_sq, axis=-1) / N
-        sup = np.maximum.accumulate(2.0 * np.reshape(x_m2, m2y.shape), axis=0)
-        sup = np.maximum(sup, self._mom_sup_x)
-        self._mom_sup_x = sup[-1]
-        self._moment_flag |= (m2y > 10.0 * (self._mom_y0 + self._mom_rate * (1.0 + sup))).any(axis=0)
-        for pending in self._pending:
-            pending.clear()
-
-    @property
-    def moment_flag(self):
-        """Whether the fast second moment left its bound, (G, R)."""
-        self._fold_diagnostics()
-        return self._moment_flag
-
     @property
     def aux_gap(self):
         """Time-integrated mean-square gap (1/T) int E||Y - Y_aux||^2 dt, (D, G, R):
         one row per block size of ``aux_deltas``."""
-        self._fold_diagnostics()
-        return self.gap_sum / max(self.gap_count, 1)
+        return self.gap_sum / max(self.k, 1)
 
     @property
     def increment_stat(self):
         """Estimate of (1/T) int E||X_t - X_{t(delta)}||^2 dt, (G, R)."""
-        self._fold_diagnostics()
-        return self.inc_sum / max(self.inc_count, 1)
+        return self.inc_sum / max(self.k, 1)

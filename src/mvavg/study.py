@@ -202,13 +202,15 @@ class StudyConfig:
         initial states lie within the lattice's reach, and a chain marches
         the steps of ``HMM_WINDOWS_PER_CHAIN`` refreshes; otherwise a
         refresh's paths fill the 32-bit particle field and a grid point's
-        frozen run marches every refresh.
+        frozen run marches every refresh, each but the last rounded up to a
+        whole group of ``noise.GROUP_STEPS`` counter steps.
         """
         if self.averaged_mode != "hmm":
             return
         hmm = HmmConfig(**self.hmm).resolved(model, p)
         refreshes = -(-p.n_steps // hmm.refresh_stride_steps)
-        if lattice_law(model):
+        lattice = lattice_law(model)
+        if lattice:
             if hmm.replicas > noise_mod.FIELD16_LIMIT:
                 raise ConfigError("hmm.replicas: the frozen replicas of a lattice node pass the "
                                   "2^16 of the noise counter's extra field")
@@ -229,7 +231,10 @@ class StudyConfig:
         (burn0, samp), (burn, _) = hmm.refresh_steps(True), hmm.refresh_steps(False)
         steps = {"burn_in_initial": burn0, "burn_in": (refreshes - 1) * burn,
                  "horizon": refreshes * samp}
-        if sum(steps.values()) > noise_mod.STEP_LIMIT:
+        pad = 0 if lattice or refreshes < 2 else (
+            -(burn0 + samp) % noise_mod.GROUP_STEPS
+            + (refreshes - 2) * (-(burn + samp) % noise_mod.GROUP_STEPS))
+        if sum(steps.values()) + pad > noise_mod.STEP_LIMIT:
             key = max(steps, key=steps.get)
             raise ConfigError(f"hmm.{key}: the frozen runs at eps={p.epsilon:g} take more than "
                               f"the 2^48 steps of the noise counter (h_frozen={hmm.h_frozen:g})")

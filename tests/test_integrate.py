@@ -236,8 +236,8 @@ def test_moment_flag_stays_clear_on_sane_run():
     m = build_model("linear-benchmark")
     params = resolve_params(0.05, 1.0)
     rec = TrajectoryRecorder(stride_steps=100)
-    runner = FullRunner(m, [1.0], [1.0], 64, params, [NoisePlan(14)]).run(rec)
-    assert bool(runner.moment_flag[0, 0]) is False
+    FullRunner(m, [1.0], [1.0], 64, params, [NoisePlan(14)]).run(rec)
+    assert rec.moment_flag(m) is False
     assert rec.times[-1] == pytest.approx(1.0)
 
 
@@ -334,25 +334,27 @@ def test_increment_stat_stride_mismatch():
 
 
 @pytest.mark.parametrize("model_id", ["linear-benchmark", "broken-antidissipative"])
-def test_diagnostics_independent_of_chunks_and_folds(model_id, monkeypatch):
-    # per-step norms are folded every FOLD_STEPS steps and on read; neither
-    # the chunking nor where the folds fall may move a bit of the diagnostics
-    from mvavg import integrate
+def test_diagnostics_independent_of_chunks(model_id):
+    # each step adds its means to the running sums, so the chunking of the
+    # advances moves no bit of the diagnostics; the recorder's fast-moment
+    # flag, read at a stride of the same sizes, stays clear on the linear
+    # model and trips on the expanding one
     m = build_model(model_id)
     params = MultiscaleParams(epsilon=0.1, t_end=0.3, h_micro=0.002)
-    results = []
-    for fold, chunk in ((1, 64), (16, 1), (16, 7), (1000, 64)):
-        monkeypatch.setattr(integrate, "FOLD_STEPS", fold)
+    results, flags = [], []
+    for chunk in (64, 1, 7):
         r = FullRunner(m, [1.0], [0.5], 16, params, [NoisePlan(3)], aux_deltas=(0.01,),
                        increment_delta=0.02)
         advance_in_slices(r, chunk)
-        results.append((r.aux_gap[0, 0, 0], r.increment_stat[0, 0], bool(r.moment_flag[0, 0])))
+        results.append((r.aux_gap[0, 0, 0], r.increment_stat[0, 0]))
+        rec = TrajectoryRecorder(stride_steps=chunk)
+        FullRunner(m, [1.0], [0.5], 16, params, [NoisePlan(3)]).run(rec)
+        flags.append(rec.moment_flag(m))
     # the linear model exercises the gap and increment sums, the expanding one the flag
     if model_id == "linear-benchmark":
-        assert results[0][0] > 0 and results[0][1] > 0 and not results[0][2]
-    else:
-        assert results[0][2]
+        assert results[0][0] > 0 and results[0][1] > 0
     assert all(res == results[0] for res in results)
+    assert flags == [model_id == "broken-antidissipative"] * 3
 
 
 @pytest.mark.parametrize("diagnostics", [{}, {"aux_deltas": (0.01,), "increment_delta": 0.02}])
@@ -370,7 +372,7 @@ def test_grid_point_leaving_the_stack_keeps_the_others_bitwise(diagnostics):
     both.advance(25, *(d[15:] for d in draws))
     lone.advance(40, *draws)
     assert both.X.shape == lone.X.shape == (1, 2, 8, 1)
-    for name in ("X", "Y", "moment_flag") + (("aux_gap", "increment_stat") if diagnostics else ()):
+    for name in ("X", "Y") + (("aux_gap", "increment_stat") if diagnostics else ()):
         assert np.array_equal(getattr(both, name), getattr(lone, name)), name
 
 

@@ -776,6 +776,29 @@ def test_frozen_runs_past_the_counter_are_refused(tmp_path, capsys):
     assert "config error: hmm.burn_in: the frozen runs at eps=0.001" in capsys.readouterr().err
 
 
+def test_node_table_counter_check_counts_the_group_rounded_refreshes(tmp_path, capsys):
+    # a node-table frozen run (a scalar law that reads mu) advances its
+    # counter by whole groups of 4 steps at each refresh but the last: 500
+    # refreshes of 562949953421 = 1 (mod 4) sample steps draw 500 * samp
+    # + 1497 steps, past 2^48 though 500 * samp is not; checked without a run
+    h = 2.0 ** -10
+    base = dict(model="linear-benchmark", epsilon_grid=[0.1], averaged_mode="hmm")
+
+    def hmm(samp):
+        return {"refresh_stride_steps": 1, "burn_in_initial": 0.0, "burn_in": 0.0,
+                "horizon": samp * h, "h_frozen": h}
+
+    assert 500 * 562949953421 <= 2 ** 48 < 500 * 562949953421 + 1497
+    path = write_cfg(tmp_path, **base, hmm=hmm(562949953421))
+    with pytest.raises(ConfigError, match="^hmm.horizon: the frozen runs at eps=0.1"):
+        load_config(path)
+    assert main(["average", "--config", path]) == 2
+    assert "config error: hmm.horizon:" in capsys.readouterr().err
+    # a multiple of 4 takes no rounding, and one of 2 (mod 4) fits rounded
+    for samp in (562949953420, 562949953418):
+        StudyConfig(**base, hmm=hmm(samp))
+
+
 def test_counter_fields_are_checked_at_load():
     # particle indices and replication derive tags fill 32-bit counter fields,
     # and so do the frozen paths of an HMM refresh (hmm.replicas per table
@@ -846,6 +869,17 @@ def test_cli_probe_fails_on_no_samples(tmp_path, capsys):
     assert lines and all(line.startswith("FAIL ") and "over 0 samples" in line for line in lines)
     assert main(["probe", "--samples", "-5"] + model) == 2
     assert "config error: --samples:" in capsys.readouterr().err
+
+
+def test_cli_simulate_warns_when_the_fast_moment_leaves_its_bound(tmp_path, capsys):
+    # the recorder's rows of the expanding model pass the fast second-moment
+    # bound, those of the linear benchmark do not; neither is a failure
+    warning = "WARNING: fast second-moment diagnostic exceeded its bound"
+    cfg = write_cfg(tmp_path, n_particles=32, out_dir=str(tmp_path))
+    for model, epsilon, warns in (("broken-antidissipative", "0.1", True),
+                                  ("linear-benchmark", "0.05", False)):
+        assert main(["simulate", "--config", cfg, "--model", model, "--epsilon", epsilon]) == 0
+        assert (warning in capsys.readouterr().out) is warns
 
 
 def test_cli_blowup_is_exit_3(tmp_path):
