@@ -55,13 +55,16 @@ from typing import Optional
 import numpy as np
 
 from . import noise as noise_mod
-from .integrate import (BlowUpError, MultiscaleParams, _check_finite, _FastSolver,
+from .integrate import (BlowUpError, MultiscaleParams, _blow_up, _check_finite, _FastSolver,
                         _measure_at, _SlowRunner)
 from .measure import MeasureMoments
 from .models import ModelSpec, empirical_view, fast_norm_sq
 
 MIN_SAMPLE_STEPS = 20
 BATCHES_PER_PATH = 20
+# estimate_mixing_rate's noise floor, relative to the starting gap, and fewest fit points
+MIXING_REL_FLOOR = 1e-12
+MIXING_MIN_POINTS = 8
 # nodes of a replication's fbar table in HMM mode (a scalar law that reads mu)
 HMM_NODES = 16
 # The fbar lattice of an x-only frozen law (see _FbarLattice): node j sits at
@@ -133,9 +136,8 @@ def _frozen_feed(model, plans, start_step, n_steps, n_paths):
         yield xi
 
 
-def _frozen_batch(model, x_frozen, mu, h, feed, paths_y0, on_sample=None,
-                  context="frozen run"):
-    """March frozen paths at step h; optionally visit each post-step state.
+def _frozen_batch(model, x_frozen, mu, h, feed, paths_y0, on_sample, context="frozen run"):
+    """March frozen paths at step h; ``on_sample(k, Z)`` visits each post-step state.
 
     ``paths_y0`` is (..., P, fast_dim), and ``feed`` yields its noise window
     by window, each draw (n_win, ..., P, n_modes).  Row i of ``x_frozen``
@@ -153,8 +155,7 @@ def _frozen_batch(model, x_frozen, mu, h, feed, paths_y0, on_sample=None,
         for xi_k in xi:
             Z = solver.step(Xa, mu, Z, xi_k, forcing=frc)
             k += 1
-            if on_sample is not None:
-                on_sample(k, Z)
+            on_sample(k, Z)
         if context is not None:
             _check_finite(Xa, Z, k * h, context, (k - len(xi)) * h)
     return Z
@@ -229,25 +230,21 @@ def estimate_fbar(model: ModelSpec, fp: FrozenParams,
                   Z, on_sample=visit)
     batch_means = batch_sums / batch_len
     flat = batch_means.reshape(R * BATCHES_PER_PATH, model.slow_dim)
-    fbar = flat.mean(axis=0)
-    n_batches = flat.shape[0]
-    if n_batches > 1:
-        se = flat.std(axis=0, ddof=1) / math.sqrt(n_batches)
-    else:
-        se = np.zeros(model.slow_dim)
-    return FrozenEstimate(fbar=fbar, std_error=se, n_effective=n_batches)
+    n_batches = flat.shape[0]       # >= BATCHES_PER_PATH, so the spread is defined
+    se = flat.std(axis=0, ddof=1) / math.sqrt(n_batches)
+    return FrozenEstimate(fbar=flat.mean(axis=0), std_error=se, n_effective=n_batches)
 
 
 def estimate_mixing_rate(model: ModelSpec, fp: FrozenParams, y_alt,
-                         noise: noise_mod.NoisePlan, n_pairs: int = 1,
-                         rel_floor: float = 1e-12, min_points: int = 8) -> float:
+                         noise: noise_mod.NoisePlan, n_pairs: int = 1) -> float:
     """Fit the mean-square contraction rate of two shared-noise frozen copies.
 
     Runs the frozen dynamics from y_init and y_alt with identical Gaussian
     increments, fits log E||Y - Y'||^2 against t by least squares over the
-    window before the gap collapses into the noise floor, and returns the
-    decay rate (so additive-noise linear models give exactly twice their
-    drift rate).  Raises :class:`MixingFailure` when the gap does not decay.
+    window before the gap collapses under ``MIXING_REL_FLOOR`` times its
+    start (at least ``MIXING_MIN_POINTS`` samples), and returns the decay
+    rate (so additive-noise linear models give exactly twice their drift
+    rate).  Raises :class:`MixingFailure` when the gap does not decay.
     """
     y_alt = np.asarray(y_alt, dtype=float).reshape(-1)
     if np.allclose(y_alt, fp.y_init):
@@ -256,11 +253,11 @@ def estimate_mixing_rate(model: ModelSpec, fp: FrozenParams, y_alt,
     t, path = frozen_simulate(model, fp, noise, n_pairs)
     _, alt = frozen_simulate(model, dataclasses.replace(fp, y_init=y_alt), noise, n_pairs)
     gaps = np.mean(fast_norm_sq(model, path - alt), axis=-1)
-    valid = gaps > gaps[0] * rel_floor
+    valid = gaps > gaps[0] * MIXING_REL_FLOOR
     # stop at the first collapsed point: later samples are noise-floor chatter
     cut = int(np.argmin(valid)) if not valid.all() else len(gaps)
     t, g = t[:cut], gaps[:cut]
-    if len(g) < min_points or not np.all(g > 0):
+    if len(g) < MIXING_MIN_POINTS or not np.all(g > 0):
         raise MixingFailure("gap collapsed too fast to fit a rate")
     slope = np.polyfit(t, np.log(g), 1)[0]
     if slope >= 0:
@@ -433,11 +430,11 @@ class AveragedRunner(_SlowRunner):
     """Integrates the averaged slow ensemble on the micro grid.
 
     The drift a1 + fbar and the slow noise are applied at every micro step
-    with the same stream ids the full system uses (common random numbers);
-    in "exact" mode fbar is evaluated from the model's closed form at every
-    step.  In "hmm" mode each grid point re-estimates its fbar on its own
-    refresh stride from embedded frozen runs, each replication drawing its
-    frozen noise from its own ``derive(9001)`` plan (see the module
+    with the same stream ids the full system uses (common random numbers).
+    Without an ``hmm`` config fbar is evaluated from the model's closed form
+    at every step.  With one, each grid point re-estimates its fbar on its
+    own refresh stride from embedded frozen runs, each replication drawing
+    its frozen noise from its own ``derive(9001)`` plan (see the module
     docstring):
 
       * on the x-lattice (``lattice_law``): refresh r reads window r of the
@@ -453,26 +450,23 @@ class AveragedRunner(_SlowRunner):
     """
 
     _lattice = None
+    hmm = None      # the resolved HmmConfig of each grid point; None for the closed form
 
     def __init__(self, model: ModelSpec, x0, n_particles: int, params, plans,
-                 mode: str = "exact", hmm: Optional[HmmConfig] = None,
+                 hmm: Optional[HmmConfig] = None,
                  slow_kind: int = noise_mod.SLOW,
-                 collect_fbar_cache: bool = False,
-                 context: str = ""):
-        if mode not in ("exact", "hmm"):
-            raise ValueError("averaged mode must be 'exact' or 'hmm'")
-        if mode == "exact" and model.exact_fbar is None:
+                 collect_fbar_cache: bool = False):
+        if hmm is None and model.exact_fbar is None:
             raise ValueError(
-                f"model {model.model_id!r} has no closed-form fbar; use hmm mode")
+                f"model {model.model_id!r} has no closed-form fbar; pass an HmmConfig")
         super().__init__(model, x0, n_particles, params, plans,
-                         ((slow_kind, model.n_slow_modes),), context or "averaged run")
+                         ((slow_kind, model.n_slow_modes),), "averaged run")
         if collect_fbar_cache and (len(self.params), len(self.noise)) != (1, 1):
             raise ValueError("collect_fbar_cache needs exactly one grid point and one noise plan")
-        self.mode = mode
         self.fbar_cache: list[tuple] = [] if collect_fbar_cache else None
 
-        if mode == "hmm":
-            self.hmm = [(hmm or HmmConfig()).resolved(model, p) for p in self.params]
+        if hmm is not None:
+            self.hmm = [hmm.resolved(model, p) for p in self.params]
             self.frozen_noise = [plan.derive(9001) for plan in self.noise]
             self._fbar = np.zeros(self.X.shape)
             self.fbar_warned = [False] * len(self.params)    # each grid point warns once
@@ -528,11 +522,8 @@ class AveragedRunner(_SlowRunner):
         lo = np.floor(u)
         past = ~(np.abs(lo) <= LATTICE_REACH)          # a NaN is past too
         if past.any():
-            row, particle = np.unravel_index(np.argmax(past), past.shape)
-            context = (f"x past the {LATTICE_REACH}-node reach of the fbar lattice "
-                       f"at study t={t:.6g}")
-            raise BlowUpError(t, int(particle),
-                              f"{context}, batch row {row}" if len(X) > 1 else context)
+            raise _blow_up(past, t, f"x past the {LATTICE_REACH}-node reach of the fbar "
+                                    f"lattice at study t={t:.6g}")
         lo = lo.astype(np.int64)
         frac = u - lo
         lat = self._lattice
@@ -613,7 +604,7 @@ class AveragedRunner(_SlowRunner):
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(n_sub):
                 mu = empirical_view(m, self.X)
-                if self.mode == "exact":
+                if self.hmm is None:
                     fbar = m.exact_fbar(self.X, mu)
                     if self.fbar_cache is not None and self.k % max(1, self.n_steps // 200) == 0:
                         self._cache_exact(_measure_at(mu, 0), fbar[0])

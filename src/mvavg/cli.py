@@ -46,6 +46,8 @@ def _load_cfg(args) -> StudyConfig:
 
 def _epsilon_params(cfg: StudyConfig, flag):
     """The --epsilon value (default: the first grid point) and its step bundle."""
+    if flag is None and not cfg.epsilon_grid:
+        raise ConfigError("epsilon_grid: empty, and no --epsilon given")
     epsilon = flag if flag is not None else cfg.epsilon_grid[0]
     try:
         return epsilon, cfg.params_for(epsilon)
@@ -127,7 +129,7 @@ def _cmd_average(args) -> int:
     x0, _ = cfg.initial_states(model)
     rec = TrajectoryRecorder(stride_steps=max(1, params.n_steps // cfg.record_points))
     runner = AveragedRunner(model, x0, cfg.n_particles, params, (noise_mod.NoisePlan(cfg.seed),),
-                            collect_fbar_cache=True, **cfg.averaged_mode_kwargs(model)).run(rec)
+                            hmm=cfg.hmm_config(model), collect_fbar_cache=True).run(rec)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "averaged_trajectories.csv")
     rec.dump_csv(path)
@@ -169,17 +171,16 @@ def _cmd_aux(args) -> int:
     cfg = _load_cfg(args)
     epsilon, _ = _epsilon_params(cfg, args.epsilon)
     table = run_aux_diagnostic(cfg, epsilon)
-    print("delta,gap,gap_over_delta")
-    for row in table:
-        print(f"{row['delta']:.17g},{row['gap']:.17g},{row['gap_over_delta']:.17g}")
-    gaps = [row["gap"] for row in table]
-    print(f"gap monotone increasing in delta: {all(a < b for a, b in zip(gaps, gaps[1:]))}")
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "aux_report.csv")
     with open(path, "w") as fh:
         fh.write("delta,gap,gap_over_delta\n")
         for row in table:
             fh.write(f"{row['delta']:.17g},{row['gap']:.17g},{row['gap_over_delta']:.17g}\n")
+    with open(path) as fh:
+        sys.stdout.write(fh.read())
+    gaps = [row["gap"] for row in table]
+    print(f"gap monotone increasing in delta: {all(a < b for a, b in zip(gaps, gaps[1:]))}")
     print(f"wrote {path}")
     return 0
 

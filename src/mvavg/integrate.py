@@ -13,9 +13,9 @@ together, one step index at a time: grid points of one replication read the
 same noise at step k, so each step's (R, N, m) draw broadcasts over G.  A
 single run is one grid point and one plan, (1, 1, N, d).  The fast drift's
 declared stiff linear part is integrated by its exact exponential factor
-(scalar dissipative rate) or semi-implicitly (Laplacian, by a precomputed
-dense inverse of I + h_eff * (-laplacian), one ``spatial.solve_banded`` on
-the identity); everything else is explicit.
+(scalar dissipative rate) or semi-implicitly (Laplacian, by the cached dense
+inverse of I + h_eff * (-laplacian) from ``spatial.dirichlet_inverse``);
+everything else is explicit.
 h_eff = h / eps is the same number on grid points of one ``h_factor``, and
 they then share one fast solver.  The slow step is Euler-Maruyama, except
 for models that declare a stabilisation constant K (``slow_stab``: the field
@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -63,7 +62,9 @@ import numpy as np
 from . import noise as noise_mod
 from .measure import MeasureMoments
 from .models import ModelSpec, empirical_view, fast_norm_sq, slow_norm_sq
-from .spatial import _laplacian_banded, laplacian_apply, solve_banded
+from .spatial import dirichlet_inverse, laplacian_apply
+# not called here: ratebench/spans.py patches this module's solve_banded to trace a run
+from .spatial import solve_banded  # noqa: F401
 
 BLOWUP_LIMIT = 1e8
 
@@ -194,19 +195,6 @@ class TrajectoryRecorder:
                     fh.write(line % tuple(args))
 
 
-@lru_cache(maxsize=32)
-def _implicit_inverse(n: int, h_eff: float) -> np.ndarray:
-    """Dense read-only (I + h_eff * (-laplacian))^{-1}, one banded solve on the identity.
-
-    Cached per (n, h_eff): the HMM refresh prepares a solver on every refresh.
-    """
-    ab = h_eff * _laplacian_banded(n)
-    ab[1, :] += 1.0
-    inv = solve_banded(ab, np.eye(n))
-    inv.flags.writeable = False
-    return inv
-
-
 def _per_point(values):
     """One scalar per grid point: the one float when they share it, else a
     (G, 1, 1, 1) array over a (G, R, N, d) state (a float is the cheaper
@@ -217,15 +205,16 @@ def _per_point(values):
 
 
 def _inverses(n: int, h_effs):
-    """The transposed implicit inverses of ``h_effs``, one per grid point: the
-    one (n, n) when they share it, else a (G, 1, n, n) stack.
+    """The transposed inverses of I + h_eff * (-laplacian) of ``h_effs``, one per
+    grid point: the one (n, n) when they share it, else a (G, 1, n, n) stack.
 
-    Slice g of a stack is ``_implicit_inverse(n, h_effs[g]).T``, memory
+    Slice g of a stack is ``dirichlet_inverse(n, 1.0, h_effs[g]).T``, memory
     layout included, so a grid point's product runs a lone runner's kernel.
+    Cached per (n, h_eff): the HMM refresh prepares a solver on every refresh.
     """
     if len(set(h_effs)) == 1:
-        return _implicit_inverse(n, h_effs[0]).T
-    return np.stack([_implicit_inverse(n, h) for h in h_effs]).transpose(0, 2, 1)[:, None]
+        return dirichlet_inverse(n, 1.0, h_effs[0]).T
+    return np.stack([dirichlet_inverse(n, 1.0, h) for h in h_effs]).transpose(0, 2, 1)[:, None]
 
 
 class _FastSolver:
@@ -267,10 +256,16 @@ def _check_finite(X, Y, time, context, since=None):
         return
     bad = ~np.isfinite(X).all(axis=-1) | ~np.isfinite(Y).all(axis=-1)
     bad |= (np.abs(X) > BLOWUP_LIMIT).any(axis=-1) | (np.abs(Y) > BLOWUP_LIMIT).any(axis=-1)
+    raise _blow_up(bad, time, context, since)
+
+
+def _blow_up(bad, time, context, since=None) -> BlowUpError:
+    """The BlowUpError of the first True in ``bad``, (R, N): its particle and,
+    in a batch (R > 1), its replication row."""
     row, particle = np.unravel_index(np.argmax(bad), bad.shape)
     if bad.shape[0] > 1:    # a single run (R = 1) keeps its message free of a row
         context = f"{context}, batch row {row}" if context else f"batch row {row}"
-    raise BlowUpError(time, int(particle), context, since)
+    return BlowUpError(time, int(particle), context, since)
 
 
 def _initial_state(v, shape):
@@ -375,10 +370,14 @@ class _SlowRunner:
     def run(self, recorder: Optional[TrajectoryRecorder] = None):
         """March to n_steps, checking every grid point at each window end.
         A ``recorder`` takes grid point 0, replication 0 at its stride, and is
-        refused with more than one grid point or plan."""
+        refused with more than one grid point or plan; a stack whose grid
+        points differ in ``n_steps`` is refused too, both before any step."""
+        if recorder is not None and (len(self.params), len(self.noise)) != (1, 1):
+            raise ValueError("a recorder needs exactly one grid point and one noise plan")
+        if len({p.n_steps for p in self.params}) > 1:
+            raise ValueError("run() needs grid points of equal n_steps; march them as "
+                             "study._coupled_error_once does, each leaving at its own last step")
         if recorder is not None:
-            if (len(self.params), len(self.noise)) != (1, 1):
-                raise ValueError("a recorder needs exactly one grid point and one noise plan")
             recorder.record(self)
         # without a recorder, the stops are the window ends
         stride = self.n_steps if recorder is None else recorder.stride_steps

@@ -101,33 +101,22 @@ class ModelSpec:
 # norms, inner products, empirical views
 # ---------------------------------------------------------------------------
 
-def _norm_sq(tag, grid, states):
-    states = np.asarray(states, dtype=float)
-    if tag == "euclidean":
-        return (states * states).sum(axis=-1)
-    if tag == "l2":
-        return spatial.l2_norm_sq(grid, states)
-    if tag == "hminus1":
-        return spatial.hminus1_norm_sq(grid, states)
-    raise ValueError(f"unknown norm tag {tag!r}")
-
-
 def _inner(tag, grid, a, b):
     if tag == "euclidean":
-        return np.sum(a * b, axis=-1)
+        return (a * b).sum(axis=-1)
     if tag == "l2":
-        return grid.dx * np.sum(a * b, axis=-1)
+        return spatial.l2_inner(grid, a, b)
     if tag == "hminus1":
         return spatial.hminus1_inner(grid, a, b)
     raise ValueError(f"unknown norm tag {tag!r}")
 
 
 def slow_norm_sq(model: ModelSpec, U):
-    return _norm_sq(model.norm_slow, model.grid, U)
+    return _inner(model.norm_slow, model.grid, U, U)
 
 
 def fast_norm_sq(model: ModelSpec, V):
-    return _norm_sq(model.norm_fast, model.grid, V)
+    return _inner(model.norm_fast, model.grid, V, V)
 
 
 def slow_inner(model: ModelSpec, a, b):
@@ -162,14 +151,18 @@ def _hs_sq(tag, grid, coeff):
     ``coeff`` is (d, m) or (N, d, m); columns are measured in the state norm.
     Returns a scalar or (N,) array.
     """
-    coeff = np.asarray(coeff, dtype=float)
-    cols_sq = _norm_sq(tag, grid, np.moveaxis(coeff, -1, -2))
+    cols = np.moveaxis(np.asarray(coeff, dtype=float), -1, -2)
+    cols_sq = _inner(tag, grid, cols, cols)
     return np.sum(cols_sq, axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # hypothesis probes
 # ---------------------------------------------------------------------------
+
+# a probe passes when its worst slack is >= -PROBE_TOLERANCE (rounding headroom)
+PROBE_TOLERANCE = 1e-10
+
 
 @dataclass(frozen=True)
 class ProbeSampler:
@@ -186,13 +179,12 @@ class HypothesisReport:
     property: str
     samples: int
     worst_margin: float
-    tolerance: float
     violating_witness: Optional[dict] = None
 
     @property
     def passed(self) -> bool:
         # a NaN margin (a non-finite slack, or no samples) fails
-        return self.worst_margin >= -self.tolerance
+        return self.worst_margin >= -PROBE_TOLERANCE
 
 
 def _sample_measure_pair(model, sampler, rng):
@@ -211,14 +203,13 @@ def _sample_measure_pair(model, sampler, rng):
 
 
 def probe_hypothesis(model: ModelSpec, property_name: str, n_samples: int = 1000,
-                     sampler: ProbeSampler | None = None, seed: int = 0,
-                     tolerance: float = 1e-10) -> HypothesisReport:
+                     sampler: ProbeSampler | None = None, seed: int = 0) -> HypothesisReport:
     """Randomized slack certificate for one structural inequality.
 
     Draws tuples (u1, u2, mu1, mu2, v1, v2), evaluates the model's slack for
     the requested property (slack >= 0 means the inequality holds with the
     declared constants) and reports the worst margin with a witness if it
-    dips below -tolerance.  A non-finite slack certifies nothing: it makes
+    dips below -PROBE_TOLERANCE.  A non-finite slack certifies nothing: it makes
     the margin NaN, which fails, with that sample as the witness; so does a
     probe of zero samples.  Deterministic given the seed.
     """
@@ -264,16 +255,13 @@ def probe_hypothesis(model: ModelSpec, property_name: str, n_samples: int = 1000
         worst = math.nan
     return HypothesisReport(
         property=property_name, samples=total, worst_margin=worst,
-        tolerance=tolerance,
-        violating_witness=witness if not worst >= -tolerance else None)
+        violating_witness=witness if not worst >= -PROBE_TOLERANCE else None)
 
 
-def run_probe_suite(model: ModelSpec, n_samples: int = 1000, seed: int = 0,
-                    sampler: ProbeSampler | None = None,
-                    tolerance: float = 1e-10) -> list[HypothesisReport]:
+def run_probe_suite(model: ModelSpec, n_samples: int = 1000,
+                    seed: int = 0) -> list[HypothesisReport]:
     """Run every probe the model declares."""
-    return [probe_hypothesis(model, p, n_samples=n_samples, seed=seed + j,
-                             sampler=sampler, tolerance=tolerance)
+    return [probe_hypothesis(model, p, n_samples=n_samples, seed=seed + j)
             for j, p in enumerate(model.probe_fns)]
 
 
@@ -653,7 +641,7 @@ def _standard_probe_fns(m: ModelSpec, lip_f_bound):
         # same measure on both sides: certifies the state Lipschitz modulus
         df = m.f(u1, mu1, v1) - m.f(u2, mu1, v2)
         dv = np.sqrt(fast_norm_sq(m, v1 - v2))
-        du = np.sqrt(_norm_sq(du_tag, grid, u1 - u2))
+        du = np.sqrt(_inner(du_tag, grid, u1 - u2, u1 - u2))
         return lip_f_bound(du, dv, w2, mu1, mu1) - np.sqrt(slow_norm_sq(m, df))
 
     def lip_b1(u1, u2, v1, v2, mu1, mu2, w2):

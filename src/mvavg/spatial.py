@@ -1,20 +1,21 @@
 """Uniform 1-d grids on (0,1) with homogeneous Dirichlet boundary.
 
-Provides the tridiagonal Laplacian, the discrete norms that realise the
-function-space norms used by the PDE models (L^2, H^-1), and the
-discrete sine modes that carry the models' noise.  All operations accept
-stacked fields of shape (..., n_interior) and are pure.  The solves apply a
-dense inverse built once per (n_interior, shift) and cached: the operators
-are fixed, and a small dense product is cheaper than a banded solve per call.
-Each inverse is one tridiagonal solve on the identity by :func:`solve_banded`,
-a numpy port of LAPACK's ``dgtsv`` that gives its bits, so no run imports
-scipy.
+Provides the tridiagonal Laplacian, the discrete inner products that
+realise the function-space norms used by the PDE models (L^2, H^-1), and
+the discrete sine modes that carry the models' noise.  All operations accept
+stacked fields of shape (..., n_interior) and are pure.  Every solve with
+the Dirichlet Laplacian, here and in the implicit steps of ``integrate``,
+applies the one dense inverse :func:`dirichlet_inverse`, built once per
+(n_interior, a, b) and cached: the operators are fixed, and a small dense
+product is cheaper than a banded solve per call.  Each inverse is one
+tridiagonal solve on the identity by :func:`solve_banded`, a numpy port of
+LAPACK's ``dgtsv`` that gives its bits, so no run imports scipy.
 
 Discrete conventions, with dx = 1/(n+1) and ghost values u_0 = u_{n+1} = 0:
 
     (laplacian u)_i   = (u_{i-1} - 2 u_i + u_{i+1}) / dx^2
-    ||u||_{L2}^2      = dx * sum u_i^2
-    ||u||_{H-1}^2     = dx * u^T (-laplacian)^{-1} u
+    <a, b>_{L2}       = dx * sum a_i b_i
+    <a, b>_{H-1}      = dx * a^T (-laplacian)^{-1} b
 
 The sine modes e_k(x_i) = sqrt(2) sin(k pi x_i) are exactly orthonormal in
 the dx-weighted inner product and diagonalise the Laplacian with eigenvalues
@@ -121,7 +122,7 @@ def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _laplacian_banded(n: int) -> np.ndarray:
-    # ab-form of -laplacian; SPD tridiagonal, read-only (callers copy to shift it)
+    # ab-form of -laplacian; SPD tridiagonal, read-only
     dx2 = (1.0 / (n + 1)) ** 2
     ab = np.zeros((3, n))
     ab[0, 1:] = -1.0 / dx2
@@ -131,11 +132,12 @@ def _laplacian_banded(n: int) -> np.ndarray:
     return ab
 
 
-@lru_cache(maxsize=32)
-def _shifted_inverse(n: int, shift: float) -> np.ndarray:
-    """Dense read-only (shift*I - laplacian)^{-1}, one banded solve on the identity."""
-    ab = _laplacian_banded(n).copy()
-    ab[1, :] += shift
+@lru_cache(maxsize=64)
+def dirichlet_inverse(n: int, a: float, b: float) -> np.ndarray:
+    """Dense read-only (a*I + b*(-laplacian))^{-1} on n interior nodes, one
+    banded solve on the identity; a >= 0 and b > 0 keep it SPD."""
+    ab = b * _laplacian_banded(n)
+    ab[1] += a
     inv = solve_banded(ab, np.eye(n))
     inv.flags.writeable = False
     return inv
@@ -149,26 +151,17 @@ def solve_neg_laplacian(grid: Grid1D, rhs) -> np.ndarray:
 def solve_shifted_neg_laplacian(grid: Grid1D, shift: float, rhs) -> np.ndarray:
     """Solve (shift*I - laplacian) w = rhs; shift >= 0 keeps it SPD."""
     rhs = _check(grid, rhs)
-    return rhs @ _shifted_inverse(grid.n_interior, float(shift)).T
-
-
-def hminus1_norm_sq(grid: Grid1D, u) -> np.ndarray | float:
-    """Squared discrete H^-1 norm, dx * u^T (-laplacian)^{-1} u."""
-    u = _check(grid, u)
-    w = solve_neg_laplacian(grid, u)
-    return grid.dx * np.sum(u * w, axis=-1)
+    return rhs @ dirichlet_inverse(grid.n_interior, float(shift), 1.0).T
 
 
 def hminus1_inner(grid: Grid1D, a, b) -> np.ndarray | float:
     """Discrete H^-1 inner product dx * a^T (-laplacian)^{-1} b."""
-    a = _check(grid, a)
-    b = _check(grid, b)
-    return grid.dx * np.sum(a * solve_neg_laplacian(grid, b), axis=-1)
+    return grid.dx * np.sum(_check(grid, a) * solve_neg_laplacian(grid, b), axis=-1)
 
 
-def l2_norm_sq(grid: Grid1D, u) -> np.ndarray | float:
-    u = _check(grid, u)
-    return grid.dx * np.sum(u * u, axis=-1)
+def l2_inner(grid: Grid1D, a, b) -> np.ndarray | float:
+    """Discrete L^2 inner product dx * a^T b."""
+    return grid.dx * np.sum(_check(grid, a) * _check(grid, b), axis=-1)
 
 
 @lru_cache(maxsize=16)

@@ -244,14 +244,14 @@ class StudyConfig:
         y0 = np.asarray(self.y0, dtype=float) if self.y0 is not None else model.default_y0
         return x0, y0
 
-    def averaged_mode_kwargs(self, model: ModelSpec) -> dict:
-        """``mode`` and ``hmm`` arguments of the averaged run for this model."""
-        if self.averaged_mode == "exact":
-            if model.exact_fbar is None:
-                raise ConfigError(f"averaged_mode: model {self.model!r} has no closed-form "
-                                  "fbar; use 'hmm'")
-            return {"mode": "exact"}
-        return {"mode": "hmm", "hmm": HmmConfig(**self.hmm)}
+    def hmm_config(self, model: ModelSpec) -> Optional[HmmConfig]:
+        """The averaged run's ``hmm`` argument for this model: None for the closed form."""
+        if self.averaged_mode == "hmm":
+            return HmmConfig(**self.hmm)
+        if model.exact_fbar is None:
+            raise ConfigError(f"averaged_mode: model {self.model!r} has no closed-form "
+                              "fbar; use 'hmm'")
+        return None
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> StudyConfig:
@@ -326,8 +326,8 @@ def _coupled_error_once(cfg: StudyConfig, eps_indices, reps) -> list:
     full = FullRunner(model, x0, y0, N, params, plans,
                       aux_deltas=(deltas,), increment_delta=deltas)
     avg = AveragedRunner(model, x0, N, params, plans,
-                         slow_kind=noise_mod.SLOW if cfg.crn else noise_mod.SLOW_ALT,
-                         **cfg.averaged_mode_kwargs(model))
+                         hmm=cfg.hmm_config(model),
+                         slow_kind=noise_mod.SLOW if cfg.crn else noise_mod.SLOW_ALT)
     strides = [max(1, p.n_steps // cfg.record_points) for p in params]
     sup_sq = [np.zeros((len(reps), N)) for _ in params]
     outcomes = [None] * len(params)
@@ -479,7 +479,7 @@ def run_rate_study(cfg: StudyConfig) -> RateReport:
     """
     if len(cfg.epsilon_grid) < 3:
         raise ConfigError("epsilon_grid: a rate study needs at least 3 grid points")
-    cfg.averaged_mode_kwargs(cfg.build_model())   # a config error before any job runs
+    cfg.hmm_config(cfg.build_model())   # a config error before any job runs
     groups = _groups(cfg, min(cfg.workers, len(cfg.epsilon_grid)))
     if len(groups) > 1:
         # imported here, so that a one-job study does not pay for it

@@ -105,7 +105,7 @@ def test_criterion_04_averaged_equation_oracle():
     c = m.constants
     params = resolve_params(0.05, 1.0)
     rec = TrajectoryRecorder(stride_steps=max(1, params.n_steps // 200))
-    AveragedRunner(m, [1.0], 2, params, [NoisePlan(5)], mode="exact").run(rec)
+    AveragedRunner(m, [1.0], 2, params, [NoisePlan(5)]).run(rec)
     xT = rec.slow[-1][0, 0]
     rate = c["a11"] + c["a12"] + c["f0"] * (c["k1"] + c["k2"]) / c["gamma"]
     err = abs(xT - math.exp(rate))

@@ -205,7 +205,7 @@ def test_averaged_exact_matches_closed_form_ode():
     c = m.constants
     params = resolve_params(0.05, 1.0)
     rec = TrajectoryRecorder(stride_steps=max(1, params.n_steps // 200))
-    AveragedRunner(m, [1.0], 2, params, [NoisePlan(12)], mode="exact").run(rec)
+    AveragedRunner(m, [1.0], 2, params, [NoisePlan(12)]).run(rec)
     xT = rec.slow[-1][0, 0]
     rate = c["a11"] + c["a12"] + c["f0"] * (c["k1"] + c["k2"]) / c["gamma"]
     h_macro = 1.0 / 200
@@ -217,7 +217,7 @@ def test_averaged_equals_decoupled_slow_system_when_f_vanishes():
     params = resolve_params(0.05, 1.0)
     plan = NoisePlan(9)
     full = FullRunner(m, [1.0], [1.0], 64, params, [plan]).run()
-    avg = AveragedRunner(m, [1.0], 64, params, [plan], mode="exact").run()
+    avg = AveragedRunner(m, [1.0], 64, params, [plan]).run()
     assert np.array_equal(full.X, avg.X)
 
 
@@ -225,15 +225,15 @@ def test_averaged_requires_closed_form_for_exact_mode():
     m = build_model("mvsde-cubic")
     params = resolve_params(0.05, 0.5)
     with pytest.raises(ValueError, match="closed-form"):
-        AveragedRunner(m, [1.0], 4, params, [NoisePlan(1)], mode="exact")
+        AveragedRunner(m, [1.0], 4, params, [NoisePlan(1)])
 
 
 def test_hmm_consistent_with_exact_fbar():
     # same slow noise, fbar estimated instead of closed-form: small gap
     m = build_model("linear-benchmark")
     params = resolve_params(0.05, 0.5)
-    ex = AveragedRunner(m, [1.0], 128, params, [NoisePlan(21)], mode="exact").run()
-    hm = AveragedRunner(m, [1.0], 128, params, [NoisePlan(21)], mode="hmm",
+    ex = AveragedRunner(m, [1.0], 128, params, [NoisePlan(21)]).run()
+    hm = AveragedRunner(m, [1.0], 128, params, [NoisePlan(21)],
                         hmm=HmmConfig(replicas=2, horizon=20.0)).run()
     gap = abs(float(ex.X.mean()) - float(hm.X.mean()))
     # fbar noise ~ se/step accumulated over T=0.5; generous 3x envelope
@@ -244,7 +244,7 @@ def test_hmm_warns_on_noisy_fbar():
     m = build_model("linear-benchmark")
     params = resolve_params(0.05, 0.05)
     with pytest.warns(RuntimeWarning, match="fbar standard error"):
-        AveragedRunner(m, [1.0], 4, params, [NoisePlan(23)], mode="hmm",
+        AveragedRunner(m, [1.0], 4, params, [NoisePlan(23)],
                        hmm=HmmConfig(replicas=2, horizon=0.4, burn_in_initial=0.2,
                                      warn_fraction=0.001)).run()
 
@@ -256,7 +256,7 @@ def test_hmm_noisy_fbar_warns_once_per_grid_point():
     hmm = HmmConfig(replicas=2, horizon=0.4, burn_in_initial=0.2, warn_fraction=0.001)
 
     def messages(p):
-        runner = AveragedRunner(m, [1.0], 4, p, [NoisePlan(23)], mode="hmm", hmm=hmm)
+        runner = AveragedRunner(m, [1.0], 4, p, [NoisePlan(23)], hmm=hmm)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for k in range(2):
@@ -275,7 +275,7 @@ def test_hmm_lattice_matches_cubic_oracles():
     # oracles, and whose spread is the standard error the cache reports
     m = build_model("mvsde-cubic")
     params = resolve_params(0.05, 0.5)      # 500 steps, refreshes at 0, 100, ..., 400
-    runner = AveragedRunner(m, [1.0], 3, params, [NoisePlan(31)], mode="hmm",
+    runner = AveragedRunner(m, [1.0], 3, params, [NoisePlan(31)],
                             hmm=HmmConfig(replicas=8, burn_in_initial=8.0, burn_in=1.0,
                                           horizon=60.0, h_frozen=0.005,
                                           refresh_stride_steps=100),
@@ -301,8 +301,7 @@ def test_hmm_lattice_interpolates_between_nodes():
     params = resolve_params(0.1, 0.05)
     hmm = HmmConfig(replicas=2, horizon=0.5, refresh_stride_steps=10)
     for x0 in ([[0.95], [1.0], [1.05], [-1.23]], [1.05]):
-        runner = AveragedRunner(m, x0, 4, params, [NoisePlan(4), NoisePlan(5)], mode="hmm",
-                                hmm=hmm)
+        runner = AveragedRunner(m, x0, 4, params, [NoisePlan(4), NoisePlan(5)], hmm=hmm)
         runner.advance(1, draw(runner.noise, SLOW, 0, 1, 4, 1))
         lattice = runner._lattice
         # the state at the refresh: x0
@@ -324,7 +323,7 @@ def test_hmm_lattice_nodes_entering_mid_study_are_bitwise_a_full_table(monkeypat
     # refreshes; with a pad of 40 the first refresh enters all of them: the
     # runs are bitwise equal
     m = build_model("mvsde-cubic", {"sigma1": 1.0})
-    params = [resolve_params(0.1, 0.3), resolve_params(0.05, 0.3)]
+    params = [resolve_params(0.1, 0.6), resolve_params(0.05, 0.3)]     # 300 steps each
     hmm = HmmConfig(replicas=2, horizon=0.5, burn_in=0.2, refresh_stride_steps=10)
     marches = []
     march = averaging._FbarLattice._march
@@ -338,8 +337,7 @@ def test_hmm_lattice_nodes_entering_mid_study_are_bitwise_a_full_table(monkeypat
     for pad in (1, 40):
         monkeypatch.setattr(averaging, "HMM_NODE_PAD", pad)
         marches.clear()
-        runner = AveragedRunner(m, [1.0], 16, params, [NoisePlan(6), NoisePlan(7)],
-                                mode="hmm", hmm=hmm).run()
+        runner = AveragedRunner(m, [1.0], 16, params, [NoisePlan(6), NoisePlan(7)], hmm=hmm).run()
         runs[pad] = (runner.X, runner._lattice, list(marches))
     (x1, lat1, marches1), (x40, lat40, marches40) = runs[1], runs[40]
     assert len(marches1) > 2 and len(marches40) == 1
@@ -353,7 +351,7 @@ def test_hmm_lattice_standard_error_at_one_replica():
     # its standard error, in the cache and in the noisy-fbar warning
     m = build_model("mvsde-cubic")
     params = resolve_params(0.1, 0.05)       # 25 steps, refreshes every 5: 5 windows
-    runner = AveragedRunner(m, [1.0], 4, params, [NoisePlan(8)], mode="hmm",
+    runner = AveragedRunner(m, [1.0], 4, params, [NoisePlan(8)],
                             hmm=HmmConfig(replicas=1, horizon=0.5, refresh_stride_steps=5,
                                           warn_fraction=0.01),
                             collect_fbar_cache=True)
@@ -370,11 +368,11 @@ def test_hmm_lattice_divergence_is_a_blowup():
     # not a MemoryError or a hang
     m = build_model("mvsde-cubic", {"c_mu": 20.0})
     params = resolve_params(0.1, 1.0)
-    runner = AveragedRunner(m, [1.0], 8, params, [NoisePlan(3)], mode="hmm",
+    runner = AveragedRunner(m, [1.0], 8, params, [NoisePlan(3)],
                             hmm=HmmConfig(replicas=1, horizon=0.5, burn_in=0.2, h_frozen=0.02))
     with pytest.raises(BlowUpError):
         runner.run()
-    far = AveragedRunner(m, [[1.0], [3e12]], 2, params, [NoisePlan(3)], mode="hmm")
+    far = AveragedRunner(m, [[1.0], [3e12]], 2, params, [NoisePlan(3)], hmm=HmmConfig())
     far.advance(1, draw(far.noise, SLOW, 0, 1, 2, 1))
     with pytest.raises(BlowUpError, match=r"t=0 \(particle 1\).*past the .* fbar lattice"):
         far.check_finite(0)
@@ -387,7 +385,7 @@ def test_hmm_node_table_matches_cubic_oracles():
     # interpolated drift there agrees with the independent oracles
     m = dataclasses.replace(build_model("mvsde-cubic"), frozen_reads_mu=True)
     params = resolve_params(0.05, 0.5)
-    runner = AveragedRunner(m, [[0.5], [1.0], [1.5]], 3, params, [NoisePlan(31)], mode="hmm",
+    runner = AveragedRunner(m, [[0.5], [1.0], [1.5]], 3, params, [NoisePlan(31)],
                             hmm=HmmConfig(replicas=8, burn_in_initial=8.0, horizon=300.0,
                                           h_frozen=0.005),
                             collect_fbar_cache=True)
@@ -406,7 +404,7 @@ def test_hmm_degenerate_cloud_uses_every_node_estimate():
     # each particle then gets the mean of the table, not one node's estimate
     m = build_model("linear-benchmark")
     params = resolve_params(0.05, 0.5)
-    runner = AveragedRunner(m, [1.0], 5, params, [NoisePlan(3)], mode="hmm",
+    runner = AveragedRunner(m, [1.0], 5, params, [NoisePlan(3)],
                             hmm=HmmConfig(replicas=1, horizon=1.0), collect_fbar_cache=True)
     runner.advance(1, draw(runner.noise, SLOW, 0, 1, runner.X.shape[-2], 1))
     table = np.array([row[3] for row in runner.fbar_cache])
@@ -429,7 +427,7 @@ def test_hmm_frozen_width_is_nodes_times_replicas(monkeypatch, n_particles):
     m = build_model("linear-benchmark")
     params = resolve_params(0.1, 0.05)     # 25 steps: refreshes at steps 0, 10 and 20
     x0 = np.linspace(0.0, 2.0, n_particles)[:, None]
-    AveragedRunner(m, x0, n_particles, params, [NoisePlan(4), NoisePlan(5)], mode="hmm",
+    AveragedRunner(m, x0, n_particles, params, [NoisePlan(4), NoisePlan(5)],
                    hmm=HmmConfig(replicas=3, horizon=0.5, refresh_stride_steps=10)).run()
     assert len(widths) == 3
     assert set(widths) == {(2, HMM_NODES * 3, 1)}
@@ -463,7 +461,7 @@ def test_estimate_fbar_across_windows_is_bitwise_one_window(monkeypatch):
 def test_averaged_run_collects_fbar_cache():
     m = build_model("linear-benchmark")
     params = resolve_params(0.1, 0.2)
-    runner = AveragedRunner(m, [1.0], 4, params, [NoisePlan(24)], mode="exact",
+    runner = AveragedRunner(m, [1.0], 4, params, [NoisePlan(24)],
                             collect_fbar_cache=True).run()
     assert runner.fbar_cache
     x, mu_mean, mu_m2, fbar, se = runner.fbar_cache[0]
@@ -486,3 +484,16 @@ def test_recorder_and_fbar_cache_need_one_plan():
         assert runner.k == 0      # refused before any step
     with pytest.raises(ValueError, match="collect_fbar_cache"):
         AveragedRunner(m, [1.0], 4, params, plans, collect_fbar_cache=True)
+
+
+def test_run_refuses_grid_points_of_unequal_steps_before_any_step():
+    # run() marches every grid point to one last step: a shorter grid point
+    # would step past its t_end, and on the fbar lattice read windows past
+    # its table, so the stack is refused at k = 0
+    m = build_model("mvsde-cubic")
+    params = [resolve_params(0.1, 1.0), resolve_params(0.05, 1.0)]
+    for runner in (FullRunner(m, [1.0], [0.0], 4, params, [NoisePlan(1)]),
+                   AveragedRunner(m, [1.0], 4, params, [NoisePlan(1)], hmm=HmmConfig())):
+        with pytest.raises(ValueError, match="equal n_steps"):
+            runner.run()
+        assert runner.k == 0

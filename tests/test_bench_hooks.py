@@ -43,14 +43,13 @@ def test_tracer_counts_one_span_per_job(tmp_path, monkeypatch):
 def test_tracer_finds_the_solves_of_a_field_model_inside_the_study(tmp_path, monkeypatch):
     # the field model's build solves nothing: every banded solve (each
     # cached inverse is one) lies inside the study span
-    from mvavg import integrate, spatial
+    from mvavg import spatial
 
     monkeypatch.syspath_prepend(RATEBENCH)
     monkeypatch.delitem(sys.modules, "spans", raising=False)
     import spans
 
-    spatial._shifted_inverse.cache_clear()
-    integrate._implicit_inverse.cache_clear()
+    spatial.dirichlet_inverse.cache_clear()
     path = tmp_path / "cfg.json"
     path.write_text('{"model": "porous-media-1d", "model_params": {"n_interior": 7}, '
                     '"n_particles": 8, "t_end": 0.1, "epsilon_grid": [0.1, 0.05, 0.02], '

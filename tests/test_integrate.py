@@ -13,7 +13,7 @@ from mvavg.models import build_model, empirical_view
 from mvavg import noise as noise_mod
 from mvavg.averaging import AveragedRunner, write_fbar_cache
 from mvavg.noise import NoisePlan, draw
-from mvavg.spatial import l2_norm_sq
+from mvavg.spatial import l2_inner
 
 
 def test_params_validation():
@@ -84,7 +84,7 @@ def test_semi_implicit_fast_step_unconditionally_stable():
     for h_eff in (1e-3, 1.0, 1e3):
         solver = _FastSolver(m, h_eff)
         v1 = solver.step(np.zeros((1, 31)), mu, v, xi)
-        assert l2_norm_sq(m.grid, v1[0]) <= l2_norm_sq(m.grid, v[0]) * (1 + 1e-12)
+        assert l2_inner(m.grid, v1[0], v1[0]) <= l2_inner(m.grid, v[0], v[0]) * (1 + 1e-12)
 
 
 def test_aux_process_collapses_when_coefficients_ignore_slow():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mvavg.measure import (DimensionMismatchError, SampleSet, UnsupportedCaseError,
                            w2_1d, w2_bruteforce, w2_coupling_bound)
 from mvavg.models import build_model, empirical_view
-from mvavg.spatial import hminus1_inner, hminus1_norm_sq
+from mvavg.spatial import hminus1_inner
 
 
 def pts(*vals):
@@ -36,7 +36,7 @@ def test_moments_custom_norm():
     m = build_model("porous-media-1d", {"n_interior": 5})
     U = np.random.default_rng(1).normal(size=(4, 5))
     mm = empirical_view(m, U)
-    assert mm.second_moment == pytest.approx(float(np.mean(hminus1_norm_sq(m.grid, U))))
+    assert mm.second_moment == pytest.approx(float(np.mean(hminus1_inner(m.grid, U, U))))
 
 
 def test_moments_translation_rule():
@@ -49,7 +49,7 @@ def test_moments_translation_rule():
     shifted = empirical_view(m, points + c)
     assert np.allclose(shifted.mean, base.mean + c)
     expected = (base.second_moment + 2.0 * float(hminus1_inner(m.grid, base.mean, c))
-                + float(hminus1_norm_sq(m.grid, c)))
+                + float(hminus1_inner(m.grid, c, c)))
     assert shifted.second_moment == pytest.approx(expected)
 
 

@@ -4,9 +4,9 @@ import pytest
 from scipy.linalg import solve_banded
 
 from mvavg import spatial
-from mvavg.spatial import (Grid1D, GridDimensionError, hminus1_inner,
-                           hminus1_norm_sq, l2_norm_sq, lambda1, laplacian_apply,
-                           sine_mode, solve_neg_laplacian, solve_shifted_neg_laplacian)
+from mvavg.spatial import (Grid1D, GridDimensionError, hminus1_inner, l2_inner, lambda1,
+                           laplacian_apply, sine_mode, solve_neg_laplacian,
+                           solve_shifted_neg_laplacian)
 
 
 def h01_norm_sq(grid, u):
@@ -111,20 +111,20 @@ def test_lambda1_matches_bruteforce_eigenvalue(n):
 
 def test_hminus1_zero_and_single_node():
     g1 = Grid1D(1)
-    assert hminus1_norm_sq(g1, np.zeros(1)) == 0.0
+    assert hminus1_inner(g1, np.zeros(1), np.zeros(1)) == 0.0
     # dx * u (-L)^{-1} u with -L = 8, dx = 1/2: 0.5 / 8 = 0.0625
-    assert hminus1_norm_sq(g1, np.array([1.0])) == pytest.approx(0.0625)
+    assert hminus1_inner(g1, np.array([1.0]), np.array([1.0])) == pytest.approx(0.0625)
 
 
 def test_hminus1_quadratic_scaling():
     g = Grid1D(9)
     u = np.sin(2 * np.pi * g.nodes)
-    assert hminus1_norm_sq(g, 3.0 * u) == pytest.approx(9.0 * hminus1_norm_sq(g, u))
+    assert hminus1_inner(g, 3.0 * u, 3.0 * u) == pytest.approx(9.0 * hminus1_inner(g, u, u))
 
 
 def test_l2_of_ones_near_one():
     g = Grid1D(199)
-    assert l2_norm_sq(g, np.ones(199)) == pytest.approx(1.0, abs=2 * g.dx)
+    assert l2_inner(g, np.ones(199), np.ones(199)) == pytest.approx(1.0, abs=2 * g.dx)
 
 
 def test_h01_equals_dirichlet_form():
@@ -154,13 +154,7 @@ def test_duality_cauchy_schwarz():
     for _ in range(20):
         u, v = rng.normal(size=(2, 31))
         pair = (g.dx * float(u @ v)) ** 2
-        assert pair <= h01_norm_sq(g, u) * hminus1_norm_sq(g, v) * (1 + 1e-10)
-
-
-def test_hminus1_inner_consistent_with_norm():
-    g = Grid1D(15)
-    u = np.random.default_rng(5).normal(size=15)
-    assert hminus1_inner(g, u, u) == pytest.approx(hminus1_norm_sq(g, u), rel=1e-12)
+        assert pair <= h01_norm_sq(g, u) * hminus1_inner(g, v, v) * (1 + 1e-10)
 
 
 def test_solve_neg_laplacian_roundtrip():
@@ -195,25 +189,27 @@ def test_dense_solves_match_banded_solve(n, shift):
     assert np.linalg.norm(single - ref[0, 0]) <= 1e-12 * np.linalg.norm(ref[0, 0])
 
 
-def _tridiagonal(n, kind, h):
-    # the two matrices the program inverts: I + h (-laplacian) and h I - laplacian
-    if kind == "implicit":
-        ab = h * spatial._laplacian_banded(n)
-        ab[1, :] += 1.0
-    else:
-        ab = spatial._laplacian_banded(n).copy()
-        ab[1, :] += h
+def _tridiagonal(n, a, b):
+    # ab-form of a I + b (-laplacian): with (1, h) and (h, 1) the two matrices
+    # the program inverts, I + h (-laplacian) and h I - laplacian
+    dx2 = (1.0 / (n + 1)) ** 2
+    ab = np.zeros((3, n))
+    ab[0, 1:], ab[1], ab[2, :-1] = -1.0 / dx2, 2.0 / dx2, -1.0 / dx2
+    ab = b * ab
+    ab[1] += a
     return ab
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 15, 31, 63, 127])
 def test_tridiagonal_solve_is_bitwise_lapack(n):
-    # scipy's solve_banded((1, 1), ...) runs LAPACK dgtsv: the port gives its bits
-    for kind in ("implicit", "shifted"):
-        for h in (0.0, 1e-6, 1e-3, 0.05, 0.5, 1.0, 3.3, 1e2, 1e4, 1e8):
-            ab = _tridiagonal(n, kind, h)
+    # scipy's solve_banded((1, 1), ...) runs LAPACK dgtsv: the port gives its
+    # bits, and so does each cached inverse built on it
+    for h in (0.0, 1e-6, 1e-3, 0.05, 0.5, 1.0, 3.3, 1e2, 1e4, 1e8):
+        for a, b in ((1.0, h), (h, 1.0)):
+            ab = _tridiagonal(n, a, b)
             ref = solve_banded((1, 1), ab, np.eye(n), check_finite=False)
             assert spatial.solve_banded(ab, np.eye(n)).tobytes() == ref.tobytes()
+            assert spatial.dirichlet_inverse(n, a, b).tobytes() == ref.tobytes()
     rhs = np.random.default_rng(n).normal(size=(n, 3))
     for b in (rhs, rhs[:, 0]):
         got = spatial.solve_banded(ab, b)

@@ -227,7 +227,7 @@ def test_sup_dominates_terminal_error():
     [[(error_sq, _, _)]] = _coupled_error_once(cfg, (0,), (0,))
     full = FullRunner(m, *cfg.initial_states(m), cfg.n_particles, params, [plan]).run()
     avg = AveragedRunner(m, cfg.initial_states(m)[0], cfg.n_particles, params,
-                         [plan], mode="exact").run()
+                         [plan]).run()
     terminal = float(np.mean(slow_norm_sq(m, full.X - avg.X)))
     assert error_sq >= terminal - 1e-15
 
@@ -852,6 +852,14 @@ def test_runs_past_the_step_counter_are_refused(tmp_path, capsys, t_end):
         assert main([command, "--config", fits, "--epsilon", "1e-4", "--out", str(tmp_path)]) == 2
         assert "config error: t_end: 1e+09 takes 5e+14 steps at eps=0.0001" in \
             capsys.readouterr().err
+
+
+def test_cli_empty_epsilon_grid_without_epsilon_is_a_config_error(tmp_path, capsys):
+    path = write_cfg(tmp_path, epsilon_grid=[], n_particles=4, t_end=0.01)
+    for command in ("simulate", "average", "aux"):
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+        assert "config error: epsilon_grid:" in capsys.readouterr().err
+    assert main(["simulate", "--config", path, "--epsilon", "0.1", "--out", str(tmp_path)]) == 0
 
 
 def test_cli_probe_exit_code_follows_the_properties(tmp_path, capsys):
