@@ -597,7 +597,7 @@ class AveragedRunner(_SlowRunner):
 
     def advance(self, n_sub: int, xs):
         """Advance every grid point n_sub micro steps on the slow noise
-        ``xs``, (n_sub, R, N, n_modes): steps k.. of its stream, the full
+        ``xs``, (n_sub, [1,] R, N, n_modes): steps k.. of its stream, the full
         system's under common random numbers.  Checks nothing (see
         ``check_finite``)."""
         m = self.model

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -236,11 +237,29 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _warning_printer(show):
+    """A ``warnings.showwarning`` that prints the package's own warnings as
+    one ``WARNING: <message>`` line on stderr, without the source path and
+    line of Python's default format, and hands any other warning to ``show``."""
+    package = os.path.dirname(os.path.abspath(__file__))
+
+    def print_warning(message, category, filename, lineno, file=None, line=None):
+        if os.path.dirname(os.path.abspath(filename)) == package:
+            print(f"WARNING: {message}", file=sys.stderr)
+        else:
+            show(message, category, filename, lineno, file, line)
+
+    return print_warning
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a rate study's pool workers hand their warnings to this process
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_printer(warnings.showwarning)
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

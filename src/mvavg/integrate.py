@@ -236,18 +236,27 @@ class _FastSolver:
             self.inv_t = _inverses(model.grid.n_interior, h_effs)
 
     def step(self, u_args, mu_args, v, xi, forcing=None):
+        """v after one step: phi v + coef g + noise (scalar), else v + h_eff g
+        + noise, times the inverse (laplacian), g the drift's remainder."""
         m = self.model
-        noise_incr = self.sqrt_h_eff * m.b2_apply(u_args, mu_args, v, xi)
+        scale = self.coef if self.kind == "scalar" else self.h_eff
         if forcing is not None:
-            g = m.a2_split[0] * v + forcing
+            # a new array, summed and scaled in place (the products commute,
+            # so the bits are those of scale * (v_coeff * v + forcing))
+            g = m.a2_split[0] * v
+            g += forcing
+            g *= scale
         else:
-            g = m.a2_remainder(u_args, mu_args, v)
-        if self.kind == "explicit":
-            return v + self.h_eff * g + noise_incr
+            # the model's array, never written into: it may be a cached constant
+            g = scale * m.a2_remainder(u_args, mu_args, v)
+        # v's term first, so the sum has the state's shape
         if self.kind == "scalar":
-            return self.phi * v + self.coef * g + noise_incr
-        # laplacian, semi-implicit
-        return (v + self.h_eff * g + noise_incr) @ self.inv_t
+            out = self.phi * v
+            out += g
+        else:
+            out = v + g
+        out += self.sqrt_h_eff * m.b2_apply(u_args, mu_args, v, xi)
+        return out @ self.inv_t if self.kind == "laplacian" else out
 
 
 def _check_finite(X, Y, time, context, since=None):
@@ -276,8 +285,9 @@ def _initial_state(v, shape):
 
 def _measure_at(mu: MeasureMoments, g) -> MeasureMoments:
     """The measures of grid point g, (R, 1, ...), from a stack's (G, R, 1, ...);
-    of a list of grid points, the stack of theirs."""
-    return MeasureMoments(mean=mu.mean[g], second_moment=mu.second_moment[g])
+    of a list of grid points, the stack of theirs.  The second moment is
+    sliced on its first read, so a reader of the mean alone computes none."""
+    return MeasureMoments(mean=mu.mean[g], pending=lambda: mu.second_moment[g])
 
 
 def _due(k: int, steps) -> list:
@@ -337,19 +347,26 @@ class _SlowRunner:
                                         [h * self.slow_stab for h in hs])
 
     def leave(self, keep):
-        """Keep only the grid points at stack positions ``keep`` (a list, in stack order)."""
+        """Keep only the grid points at stack positions ``keep`` (a list, in stack
+        order).  Each stacked array is replaced by a copy, not written into."""
         for name in self._stacked:
             setattr(self, name, _take(getattr(self, name), keep))
         self._set_steps()
 
     def _slow_step(self, mu, coupling, xs):
-        """X + h * (a1 + coupling) + sqrt(h) * b1 xs, stabilised by K if declared."""
+        """X + h * (a1 + coupling) + sqrt(h) * b1 xs, stabilised by K if declared:
+        a new array, so that a measure view of ``X`` stays valid (see
+        ``models.empirical_view``)."""
         m = self.model
+        # a new array, stepped in place: products and sums commute, so the
+        # bits are those of X + h * drift + sqrt(h) * b1 xs
         drift = m.a1(self.X, mu) + coupling
         if self.slow_stab is not None:
             drift -= self.slow_stab * laplacian_apply(m.grid, self.X)
-        X1 = self.X + self.h * drift + self.sqrt_h * m.b1_apply(self.X, mu, xs)
-        return X1 if self.slow_stab is None else X1 @ self.stab_inv_t
+        drift *= self.h
+        drift += self.X
+        drift += self.sqrt_h * m.b1_apply(self.X, mu, xs)
+        return drift if self.slow_stab is None else drift @ self.stab_inv_t
 
     def check_finite(self, g, context=None):
         """Raise a BlowUpError for grid point g (stack position) if a step
@@ -410,9 +427,11 @@ def march(runners, n_steps: int, next_stop):
             k = lead.k
             stop = min(end, next_stop(k))
             # counter-based streams: a runner's slice of the shared window
-            # holds the increments it would draw alone
+            # holds the increments it would draw alone; each step's draw is
+            # (1, R, N, m), shaped like the (G, R, N, d) state
             for r in runners:
-                r.advance(stop - k, *(window[s][k - start:stop - start] for s in r.streams))
+                r.advance(stop - k, *(window[s][k - start:stop - start, None]
+                                      for s in r.streams))
             yield stop, stop == end
 
 
@@ -478,8 +497,8 @@ class FullRunner(_SlowRunner):
 
     def advance(self, n_sub: int, xs, xf):
         """Advance every grid point n_sub micro steps on the slow and fast
-        noise ``xs`` and ``xf``, each (n_sub, R, N, n_modes): steps k.. of the
-        two streams, which every grid point reads.  Checks nothing (see
+        noise ``xs`` and ``xf``, each (n_sub, [1,] R, N, n_modes): steps k.. of
+        the two streams, which every grid point reads.  Checks nothing (see
         ``check_finite``).  Each step adds its particle means of the squared
         aux gaps and block increment to the diagnostics' running sums."""
         m = self.model

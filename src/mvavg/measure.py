@@ -12,7 +12,8 @@ cases that actually occur:
 
 ``MeasureMoments`` holds the mean and second moment through which the
 coefficients see a measure; ``models.empirical_view`` takes them from a
-particle cloud under the model's state norm.
+particle cloud under the model's state norm, the second moment of a stack
+of clouds on its first read.
 """
 from __future__ import annotations
 
@@ -50,12 +51,30 @@ class SampleSet:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True)
 class MeasureMoments:
-    """Mean vector and the measure of the squared norm, mu(||.||^2)."""
+    """Mean vector and the measure of the squared norm, mu(||.||^2).
 
-    mean: np.ndarray
-    second_moment: float
+    Built with its ``second_moment``, or with ``pending``, a function of no
+    arguments that returns it: the second moment is then computed on its
+    first read and kept.  ``models.empirical_view`` builds the view of a
+    stack of clouds that way, so a step whose coefficients read the mean
+    alone never computes it.
+    """
+
+    __slots__ = ("mean", "_second_moment", "_pending")
+
+    def __init__(self, mean, second_moment=None, pending=None):
+        if (second_moment is None) == (pending is None):
+            raise ValueError("give exactly one of second_moment and pending")
+        self.mean = mean
+        self._second_moment = second_moment
+        self._pending = pending
+
+    @property
+    def second_moment(self):
+        if self._pending is not None:
+            self._second_moment, self._pending = self._pending(), None
+        return self._second_moment
 
 
 def _check_pair(a: SampleSet, b: SampleSet):

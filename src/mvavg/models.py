@@ -133,7 +133,10 @@ def empirical_view(model: ModelSpec, U) -> MeasureMoments:
     A cloud (N, d) gives a (d,) mean and a float second moment; a stack of
     clouds (..., N, d), such as a runner's (G, R, N, d), gives one measure
     per cloud, a (..., 1, d) mean and a (..., 1, 1) second moment, which
-    broadcast against the stack's states.
+    broadcast against the stack's states.  A stack's mean is computed here
+    and its second moment on its first read, from ``U``: the caller must
+    not write into ``U`` while the view may still be read (the runners
+    replace their state at each step and never write into it).
     """
     U = np.asarray(U, dtype=float)
     N = U.shape[-2]
@@ -142,7 +145,12 @@ def empirical_view(model: ModelSpec, U) -> MeasureMoments:
         return MeasureMoments(mean=U.sum(axis=0) / N,
                               second_moment=float(slow_norm_sq(model, U).sum() / N))
     return MeasureMoments(mean=U.sum(axis=-2, keepdims=True) / N,
-                          second_moment=(slow_norm_sq(model, U).sum(axis=-1) / N)[..., None, None])
+                          pending=lambda: _second_moment(model, U))
+
+
+def _second_moment(model: ModelSpec, U):
+    """The (..., 1, 1) second moments of a stack of clouds (..., N, d)."""
+    return (slow_norm_sq(model, U).sum(axis=-1) / U.shape[-2])[..., None, None]
 
 
 def _hs_sq(tag, grid, coeff):
@@ -420,9 +428,10 @@ def _field_grid(n_interior: int, n_slow_modes: int, n_fast_modes: int, c_g: floa
 def _sine_noise(grid, n_modes, scale):
     basis = np.stack([spatial.sine_mode(grid, k) for k in range(1, n_modes + 1)])
     coeff = scale * basis.T  # (d, m)
+    rows = scale * basis     # (m, d)
 
     def apply(xi):
-        return xi @ (scale * basis)
+        return xi @ rows
 
     return coeff, apply
 
@@ -451,12 +460,17 @@ def _field_model(model_id: str, grid: Grid1D, lam1: float, a1, *, norm_slow, hs_
     def a2_rem(U, mu, V):
         return -c_g * V + c_u * np.tanh(U) + c_mu_g * mu.mean
 
+    def _forc(tanh_u, mu):
+        return c_u * tanh_u + c_mu_g * mu.mean
+
     def forcing(U, mu):
-        return c_u * np.tanh(U) + c_mu_g * mu.mean
+        return _forc(np.tanh(U), mu)
 
     def exact_fbar(U, mu):
-        mean_v = spatial.solve_shifted_neg_laplacian(grid, c_g, forcing(U, mu))
-        return c_f * mean_v + c_m * mu.second_moment * np.tanh(U)
+        # not through forcing: the coupling term reads the same tanh(U)
+        tanh_u = np.tanh(U)
+        mean_v = spatial.solve_shifted_neg_laplacian(grid, c_g, _forc(tanh_u, mu))
+        return c_f * mean_v + c_m * mu.second_moment * tanh_u
 
     hs_b2 = sigma2 ** 2 * n_fast_modes                # columns measured in L^2
     kappa = lam1 + c_g

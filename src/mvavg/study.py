@@ -22,6 +22,7 @@ import json
 import math
 import numbers
 import os
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -378,6 +379,15 @@ def _grid_points(cfg: StudyConfig, eps_indices) -> list:
     return outcomes
 
 
+def _pooled_grid_points(cfg: StudyConfig, eps_indices):
+    """``_grid_points`` in a pool worker, with the warnings it raised as
+    ``warn_explicit`` arguments: the parent issues them again, so that they
+    reach its own filters and display whatever the start method."""
+    with warnings.catch_warnings(record=True) as caught:
+        outcomes = _grid_points(cfg, eps_indices)
+    return outcomes, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
 def aggregate(epsilon: float, results) -> RateRow:
     """One grid point's row from its replication results, in replication order.
 
@@ -485,8 +495,13 @@ def run_rate_study(cfg: StudyConfig) -> RateReport:
         # imported here, so that a one-job study does not pay for it
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=len(groups)) as pool:
-            futs = [pool.submit(_grid_points, cfg, g) for g in groups]
-            results = [f.result() for f in futs]
+            futs = [pool.submit(_pooled_grid_points, cfg, g) for g in groups]
+            results = []
+            for f in futs:
+                res, caught = f.result()
+                for args in caught:
+                    warnings.warn_explicit(*args)
+                results.append(res)
     else:
         results = [_grid_points(cfg, g) for g in groups]
     outcomes = {i: per for g, res in zip(groups, results) for i, per in zip(g, res)}

@@ -414,3 +414,30 @@ def test_recorder_takes_step_zero_each_stride_and_the_last_step(runner_cls, monk
         assert all(np.array_equal(a, b) for a, b in zip(rec.fast, fast, strict=True))
     else:
         assert rec.fast == []
+
+
+@pytest.mark.parametrize("runner_cls", [FullRunner, AveragedRunner])
+def test_measure_view_keeps_its_states_moments_after_steps_and_leave(runner_cls):
+    # a stack's view computes its second moment on the first read, from the
+    # state it was built from: the runners replace their state at each step
+    # and at leave, never writing into it, so a view read late still gives
+    # the moments of its own step, and so do its grid points' slices
+    from mvavg.integrate import _measure_at
+    m = build_model("porous-media-1d", {"n_interior": 7})
+    params = [MultiscaleParams(epsilon=e, t_end=0.02, h_micro=0.001) for e in (0.1, 0.05)]
+    plans = [NoisePlan(6), NoisePlan(7)]
+    args = (m, m.default_x0, m.default_y0, 8) if runner_cls is FullRunner else (
+        m, m.default_x0, 8)
+    r = runner_cls(*args, params, plans)
+    draws = [draw(plans, kind, 0, 20, 8, modes) for kind, modes in r.streams]
+    r.advance(3, *(d[:3] for d in draws))
+    late, at_1 = empirical_view(m, r.X), _measure_at(empirical_view(m, r.X), 1)
+    now = empirical_view(m, r.X)
+    want = now.second_moment.copy()
+    r.advance(5, *(d[3:8] for d in draws))
+    r.leave([1])
+    r.advance(4, *(d[8:12] for d in draws))
+    assert not np.array_equal(empirical_view(m, r.X).second_moment, want[1:])
+    assert late.second_moment.tobytes() == want.tobytes()
+    assert at_1.second_moment.tobytes() == want[1].tobytes()
+    assert at_1.mean.tobytes() == now.mean[1].tobytes()

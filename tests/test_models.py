@@ -5,8 +5,8 @@ import pytest
 
 from mvavg.measure import MeasureMoments
 from mvavg.models import (REGISTRY, ProbeSampler, build_model, empirical_view,
-                          fast_norm_sq, probe_hypothesis, run_probe_suite,
-                          slow_norm_sq)
+                          fast_inner, fast_norm_sq, probe_hypothesis, run_probe_suite,
+                          slow_inner, slow_norm_sq)
 from mvavg.spatial import Grid1D, laplacian_apply
 
 
@@ -118,6 +118,17 @@ def test_empirical_view_norm_tags():
     m2 = build_model("linear-benchmark")
     U2 = np.array([[1.0], [3.0]])
     assert empirical_view(m2, U2).second_moment == pytest.approx(5.0)
+
+
+def test_mixed_inner_product_of_one_component_keeps_the_sum():
+    # a product that is -0.0 sums to +0.0: an inner product of one-component
+    # states is the sum over its one term, not the term itself
+    m = build_model("linear-benchmark")
+    a, b = np.array([[1e-200], [-0.0]]), np.array([[-1e-200], [2.0]])
+    assert np.signbit(a * b).all()
+    for inner in (slow_inner, fast_inner):
+        got = inner(m, a, b)
+        assert np.array_equal(got, [0.0, 0.0]) and not np.signbit(got).any()
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import warnings
 
@@ -437,6 +439,37 @@ def test_group_steps_each_step_index_once(monkeypatch):
         assert {shape[0] for k, _, shape in calls if k < 50} == {3}
         assert {shape[0] for k, _, shape in calls if 50 <= k < 100} == {2}
         assert {shape[0] for k, _, shape in calls if k >= 100} == {1}
+
+
+@pytest.mark.parametrize("base", [BATCH_CASES[0], BATCH_CASES[3]], ids=["linear", "cubic-hmm"])
+@pytest.mark.filterwarnings("ignore:fbar standard error")
+def test_group_computes_the_second_moment_only_at_aux_block_starts(base, monkeypatch):
+    # the scalar models' coefficients read the mean of mu alone, so a group
+    # job computes the second moment only where the full runner's aux
+    # snapshot takes it: once per step index at which a grid point's block
+    # starts, not once per step, and none at the HMM refreshes of the
+    # x-only cubic law
+    from mvavg import models
+    computed = []
+
+    def spy(model, U, _second_moment=models._second_moment):
+        computed.append(U.shape)
+        return _second_moment(model, U)
+    monkeypatch.setattr(models, "_second_moment", spy)
+    cfg = StudyConfig(**base, epsilon_grid=[0.1, 0.05, 0.02], replications=2, t_end=0.3,
+                      seed=11)
+    _coupled_error_once(cfg, (0, 1, 2), (0, 1))
+    params = [cfg.params_for(e) for e in cfg.epsilon_grid]
+    starts = {k for p in params
+              for k in range(0, p.n_steps, p.block_steps(p.delta_block, "delta"))}
+    assert len(computed) == len(starts) == 8
+    assert max(p.n_steps for p in params) == 750
+    if "hmm" in base:
+        computed.clear()
+        model = build_model("mvsde-cubic")
+        AveragedRunner(model, [1.0], 8, params[2], [NoisePlan(3)],
+                       hmm=cfg.hmm_config(model)).run()
+        assert computed == []
 
 
 @pytest.mark.parametrize("base", BATCH_CASES[:3], ids=["linear", "linear-no-crn", "porous"])
@@ -888,6 +921,43 @@ def test_cli_simulate_warns_when_the_fast_moment_leaves_its_bound(tmp_path, caps
                                   ("linear-benchmark", "0.05", False)):
         assert main(["simulate", "--config", cfg, "--model", model, "--epsilon", epsilon]) == 0
         assert (warning in capsys.readouterr().out) is warns
+
+
+@pytest.mark.parametrize("workers, start", [(1, None), (2, None), (2, "spawn")],
+                         ids=["1", "2", "2-spawn"])
+def test_cli_prints_the_noisy_fbar_warning_as_one_line(tmp_path, capfd, monkeypatch,
+                                                       workers, start):
+    # the noisy-fbar warning reads as one WARNING line per grid point on
+    # stderr, from the pool workers too, and names no source file; spawned
+    # workers inherit no warning display, so they must hand theirs back
+    if start:
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+            concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context(start)))
+    cfg = write_cfg(tmp_path, model="mvsde-cubic", n_particles=16, averaged_mode="hmm",
+                    hmm={"replicas": 1, "horizon": 0.4, "burn_in": 0.1, "h_frozen": 0.02,
+                         "warn_fraction": 0.001},
+                    epsilon_grid=[0.1, 0.05, 0.02], replications=1, t_end=0.2, seed=5,
+                    workers=workers, out_dir=str(tmp_path / "out"))
+    assert main(["rate-study", "--config", cfg]) in (0, 4)
+    err = capfd.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 3
+    assert all(line.startswith("WARNING: fbar standard error ") for line in lines)
+    assert sorted(line.split(" at eps=")[1].split(";")[0] for line in lines) == [
+        "0.02", "0.05", "0.1"]
+    assert "averaging.py" not in err and "warnings.warn" not in err
+
+
+def test_cli_hands_other_warnings_on(monkeypatch, capfd):
+    # only the package's own warnings take the one-line format; a warning
+    # from elsewhere reaches the display the CLI found, category and all
+    def cmd(args):
+        warnings.warn("from elsewhere", UserWarning)
+        return 0
+    monkeypatch.setattr("mvavg.cli._cmd_probe", cmd)
+    with pytest.warns(UserWarning, match="from elsewhere"):
+        assert main(["probe", "--model", "linear-benchmark"]) == 0
+    assert "WARNING" not in capfd.readouterr().err
 
 
 def test_cli_blowup_is_exit_3(tmp_path):
