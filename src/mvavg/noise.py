@@ -13,8 +13,16 @@ The generator is numpy's Philox 4x64-10 counter-based block cipher (Salmon et
 al., SC'11), run in C, feeding a Box-Muller transform.  One cipher block gives
 four 64-bit words, two Box-Muller pairs, and serves a group of four steps of
 one particle: the pairs give steps 4g, 4g + 1 (cos, sin) and 4g + 2, 4g + 3.
-The stream thus rests on numpy's promise to keep the raw streams of its
-BitGenerators stable (NEP 19).
+Each pair's cos and sin come from t = tan(theta / 2) as (1 - t^2) / (1 + t^2)
+and 2t / (1 + t^2), which costs one vectorised tan in place of libm's cos
+and sin.
+
+The words rest on numpy's promise to keep the raw streams of its
+BitGenerators stable (NEP 19).  The normals also rest on numpy's float64
+``log`` and ``tan``, which follow numpy's CPU dispatch: with the AVX-512
+kernels disabled (``NPY_DISABLE_CPU_FEATURES``), 937 of 200,000 normals
+differed, by at most 6.7e-16.  So the bits hold at any worker count and
+chunk size on one machine and numpy build, not across CPU dispatch levels.
 
 ``windows`` is the one feed of noise to the steppers: the runners (through
 ``integrate.march``) and the frozen marcher advance window by window through
@@ -29,10 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Version of the (seed, stream, step) -> normal map: 3 reads numpy's C Philox
-# 4x64-10, one block per group of four steps (2 used a hand-rolled 4x32 cipher,
-# one counter per pair of steps; 1 drew one counter per step).
-STREAM_VERSION = 3
+# Version of the (seed, stream, step) -> normal map: 4 builds each Box-Muller
+# pair from tan of the half-angle; 3 read the same numpy C Philox 4x64-10
+# words, one block per group of four steps, through cos and sin (2 used a
+# hand-rolled 4x32 cipher, one counter per pair of steps; 1 drew one counter
+# per step).
+STREAM_VERSION = 4
 
 # Steps per counter group: a draw covers whole groups.
 GROUP_STEPS = 4
@@ -48,9 +58,12 @@ _DERIVE = 7     # internal: sub-seed derivation
 # Normals per stream and plan in one window of ``windows`` (rounded up to
 # whole counter groups).  A draw has a fixed cost per call and per counter
 # set, which a window shares among many advances.  On a 2-vCPU x86_64 host,
-# under stream version 3, the linear benchmark's eps = 0.01 job (N = 500, two
-# plans) took a median 0.84 s at 32768 against 0.95 s at 16384 and 0.90 s at
-# 65536, whose windows outgrow L2 (four runs each).
+# under stream version 4, the linear benchmark's eps = 0.01 job (N = 500, two
+# plans) took a median 0.52 s of CPU at 32768 against 0.50 s at 16384 and
+# 0.52 s at 65536 (12 interleaved runs each).  16384 was faster on the job,
+# but not in the benchmark's studies: six pairs per workload read study
+# times of 1.000x on linear-exact (faster in 4 of 6), 0.995x on cubic-hmm
+# (2 of 6), 1.032x on porous-spde (1 of 6) and 0.970x on linear-pool (3 of 6).
 NOISE_WINDOW_NORMALS = 32768
 
 # counter field limits (see NoisePlan); a value past its field would alias
@@ -88,12 +101,16 @@ class NoisePlan:
     (numpy's Philox adds one to its counter before each block, so the
     stream's own counter is the one a draw sets).  One ``random_raw`` call
     from the counter of particle p walks the particles after it.  The
-    block's four words give two Box-Muller pairs, radius then angle: steps
-    4g and 4g + 1 take the cos and sin outputs of the first pair, steps
-    4g + 2 and 4g + 3 those of the second.  Steps lie below 2^48, particles
-    below 2^32, and kind, mode and extra below 2^16; requests outside these
-    fields raise ValueError, so the map from stream and step to block is
-    one to one.
+    block's four words give two Box-Muller pairs, radius word then angle
+    word.  A word's top 52 bits give u in [1, 2); a pair's radius is
+    r = sqrt(-2 log(2 - u)), its half-angle pi (u - 1.5) in [-pi/2, pi/2)
+    gives t = tan(pi (u - 1.5)), and with rho = r / (1 + t^2) its outputs
+    are cos = (1 - t^2) rho and sin = (2t) rho, which are r cos and r sin of
+    the angle 2 pi (u - 1.5).  Steps 4g and 4g + 1 take the cos and sin
+    outputs of the first pair, steps 4g + 2 and 4g + 3 those of the second.
+    Steps lie below 2^48, particles below 2^32, and kind, mode and extra
+    below 2^16; requests outside these fields raise ValueError, so the map
+    from stream and step to block is one to one.
     """
 
     seed: int
@@ -135,26 +152,33 @@ class NoisePlan:
                 _COUNTER[0] = base | m << 32
                 _PHILOX.state = _STATE
                 words[g, m] = _PHILOX.random_raw(4 * n_particles)
-        # one transposing copy to (group, pair, radius/angle, particle, mode),
-        # so that log, cos and sin run on contiguous rows
-        u = np.empty((G, 2, 2, n_particles, n_modes), np.uint64)
-        np.right_shift(words.reshape(G, n_modes, n_particles, 2, 2).transpose(0, 3, 4, 2, 1),
+        # one transposing copy to (radius/angle, group, pair, particle, mode),
+        # so that the transform runs on contiguous halves: numpy buffers a
+        # ufunc over a strided half, where a multiply took 2-2.5x as long
+        u = np.empty((2, G, 2, n_particles, n_modes), np.uint64)
+        np.right_shift(words.reshape(G, n_modes, n_particles, 2, 2).transpose(4, 0, 3, 2, 1),
                        _MANTISSA_SHIFT, out=u)
         np.bitwise_or(u, _EXPONENT_ONE, out=u)
-        d = u.view(np.float64)
-        radius, angle = d[:, :, 0], d[:, :, 1]
+        radius, t = u.view(np.float64)
         np.subtract(2.0, radius, out=radius)        # in (0, 1], exact
         np.log(radius, out=radius)
         radius *= -2.0
         np.sqrt(radius, out=radius)
-        # an angle in [-pi, pi): numpy's cos and sin are about 20% faster
-        # there than on [0, 2 pi), and the angle is uniform on the circle either way
-        angle -= 1.5
-        angle *= 2.0 * np.pi
+        # t = tan(theta / 2) for theta = 2 pi (u - 1.5) in [-pi, pi): numpy's
+        # tan is vectorised, its cos and sin call libm per element
+        t -= 1.5
+        t *= np.pi
+        np.tan(t, out=t)
+        # the words are read: their buffer holds t^2 and 1 + t^2
+        t2, q = words.view(np.float64).reshape(u.shape)
+        np.multiply(t, t, out=t2)
+        np.add(t2, 1.0, out=q)
+        radius /= q                                 # r / (1 + t^2)
+        np.subtract(1.0, t2, out=t2)                # 1 - t^2
+        t *= 2.0
         z = np.empty((G, 2, 2, n_particles, n_modes))
-        np.cos(angle, out=z[:, :, 0])
-        np.sin(angle, out=z[:, :, 1])
-        z *= radius[:, :, None]
+        np.multiply(t2, radius, out=z[:, :, 0])     # r (1 - t^2) / (1 + t^2)
+        np.multiply(t, radius, out=z[:, :, 1])      # r 2t / (1 + t^2)
         first = step_start - GROUP_STEPS * g0
         return z.reshape((GROUP_STEPS * G, n_particles, n_modes))[first:first + n_steps]
 
@@ -222,9 +246,9 @@ def lattice_windows(plans, runs, replicas: int, n_modes: int, stop: int):
     axis 2.  Windows hold whole counter groups, as in ``windows``, and hold a
     quarter of its ``NOISE_WINDOW_NORMALS`` per plan and replica: a lattice
     march runs inside the runners' march, whose windows it finds held.
-    Under tracemalloc, the cubic-hmm benchmark study peaked at 2.73 MB with
-    full-size lattice windows and 2.21 MB with quarter windows (stream
-    version 3; 2.25 MB before the lattice), at the same study time.
+    Under tracemalloc, the cubic-hmm benchmark study peaked at 2.18 MB with
+    full-size lattice windows and 1.78 MB with quarter windows (stream
+    version 4; one run each, 1.46 and 1.54 s).
     """
     counts = [count for _, count in runs]
     window = GROUP_STEPS * math.ceil(NOISE_WINDOW_NORMALS / (

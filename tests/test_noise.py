@@ -102,8 +102,10 @@ def _block_normals(seed, kind, group, particle, mode, extra):
     w = np.random.Philox(key=np.array([seed, 0], np.uint64), counter=counter).random_raw(4)
     d = ((w >> np.uint64(12)) | np.uint64(0x3FF0000000000000)).view(np.float64)
     radius = np.sqrt(-2.0 * np.log(2.0 - d[0::2]))
-    angle = (d[1::2] - 1.5) * (2.0 * np.pi)
-    return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1).ravel()
+    t = np.tan((d[1::2] - 1.5) * np.pi)
+    t2 = t * t
+    rho = radius / (1.0 + t2)
+    return np.stack([(1.0 - t2) * rho, (2.0 * t) * rho], axis=1).ravel()
 
 
 @pytest.mark.parametrize("seed, kind, group, particle, mode, extra", [
@@ -117,6 +119,26 @@ def test_counter_layout(seed, kind, group, particle, mode, extra):
     z = NoisePlan(seed).gaussians(kind, 4 * group, 4, 1, mode + 1, extra, particle)
     want = _block_normals(seed, kind, group, particle, mode, extra)
     assert np.array_equal(z[:, 0, mode], want)
+
+
+def test_half_angle_pairs_match_cos_and_sin_of_the_same_words():
+    # the stream's pairs are radius * (cos, sin) of the angle 2 pi (u - 1.5),
+    # built from t = tan(angle / 2): over 10^6 normals each lies within
+    # 4 eps max(1, |z|) of numpy's cos and sin of the same Philox words
+    seed, groups, n = 90125, 500, 500
+    z = NoisePlan(seed).gaussians(SLOW, 0, 4 * groups, n, 1)[:, :, 0]
+    key = np.array([seed, 0], np.uint64)
+    w = np.stack([np.random.Philox(key=key, counter=np.array([0, g, SLOW, 0], np.uint64))
+                  .random_raw(4 * n).reshape(n, 2, 2) for g in range(groups)])
+    d = ((w >> np.uint64(12)) | np.uint64(0x3FF0000000000000)).view(np.float64)
+    radius = np.sqrt(-2.0 * np.log(2.0 - d[..., 0]))
+    angle = (d[..., 1] - 1.5) * (2.0 * np.pi)
+    want = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+    # step 4g + 2 pair + (0 for cos, 1 for sin)
+    want = want.transpose(0, 2, 3, 1).reshape(4 * groups, n)
+    assert z.size >= 10 ** 6
+    err = np.abs(z - want) / np.maximum(1.0, np.abs(want))
+    assert err.max() <= 4 * np.finfo(np.float64).eps
 
 
 def test_field_edges_are_finite_and_alias_no_neighbour():
@@ -194,18 +216,19 @@ def test_seed_range_checked():
 def test_in_range_streams_unchanged():
     # values recorded before the counter limits were enforced, at the field edges
     # too; re-recorded with stream version 3 (numpy's Philox 4x64-10, one block
-    # per group of four steps)
+    # per group of four steps), and re-recorded with noise stream version 4
+    # (Box-Muller through tan of the half-angle)
     plan = NoisePlan(123)
     assert plan.gaussians(SLOW, 0, 2, 2, 2).ravel().tolist() == [
-        -0.4874672230461946, 0.9014578333785855, -0.745373973043792,
-        -1.9610406120259982, -1.1035735810564706, -0.39026930640214436,
+        -0.48746722304619455, 0.9014578333785856, -0.7453739730437919,
+        -1.9610406120259982, -1.1035735810564709, -0.39026930640214436,
         -0.5880578591509568, -0.5640606062297658]
     edge = NoisePlan(2 ** 64 - 1).gaussians(FAST, 2 ** 48 - 3, 3, 1, 1, extra=2 ** 16 - 1)
     assert edge.ravel().tolist() == [-1.7690653270852583, 1.2238860179168223,
                                      0.7832525160161844]
     wide = NoisePlan(7).gaussians(FROZEN, 2 ** 40, 1, 3, 2 ** 16).ravel()
     assert wide[[0, 1, -1]].tolist() == [-2.140490772991871, 0.1704593713508872,
-                                         -1.4263512914108818]
+                                         -1.426351291410882]
     base = NoisePlan(42)
     assert base.derive(4242, 0).seed == 2065663018272311592
     assert base.derive(9001).seed == 5039835847134209703

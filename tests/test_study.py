@@ -1009,19 +1009,20 @@ def test_cli_aux_writes_table(tmp_path, capsys):
 
 def test_aux_diagnostic_gaps_unchanged_by_batching():
     # gaps recorded when every derive(777, rep) replication ran on its own runner,
-    # re-recorded with noise stream versions 2 and 3
+    # re-recorded with noise stream versions 2 and 3, and re-recorded with noise
+    # stream version 4
     cfg = StudyConfig(model="linear-benchmark", n_particles=16, replications=3, t_end=0.2,
                       seed=21)
     gaps = [row["gap"] for row in run_aux_diagnostic(cfg, 0.05)]
-    assert gaps == [float.fromhex(h) for h in ("0x1.9c12bafbc16d3p-13",
-                                               "0x1.632ab37dd481dp-11",
-                                               "0x1.3fa25cd9e185cp-10")]
+    assert gaps == [float.fromhex(h) for h in ("0x1.9c12bafbc16d4p-13",
+                                               "0x1.632ab37dd4815p-11",
+                                               "0x1.3fa25cd9e1859p-10")]
     # the porous gap re-recorded with the stabilised semi-implicit slow step
-    # and with noise stream version 3
+    # and with noise stream version 3, and re-recorded with noise stream version 4
     cfg = StudyConfig(model="porous-media-1d", model_params={"n_interior": 7}, n_particles=8,
                       replications=2, t_end=0.05, seed=22)
     gaps = [row["gap"] for row in run_aux_diagnostic(cfg, 0.1)]
-    assert gaps == [float.fromhex("0x1.516c85dc81508p-23")] * 3
+    assert gaps == [float.fromhex("0x1.516c85dc81514p-23")] * 3
 
 
 def test_aux_ladder_is_bitwise_single_delta_runners():
@@ -1071,22 +1072,23 @@ def test_cli_average_dumps_cache(tmp_path, capsys):
 # of them with noise stream versions 2 and 3, the cubic HMM ones with the fbar
 # lattice (one cache row per lattice node read), the exact-mode cache
 # with its HMM_NODES rows per cache step, and the cubic HMM cache with the
-# cubic fast drift computed as a product.
+# cubic fast drift computed as a product.  All of them re-recorded with noise
+# stream version 4.
 SINGLE_RUN_DIGESTS = {
     "simulate-linear/trajectories.csv":
-        "ff4862863fa893b70eb53683f75199aa871dbc0a74b48d4ab439df328e844910",
+        "f2dd6986cf89cdb31b3568b7d2c33d9d92fa365b42b221eaf30c7581639c350d",
     "simulate-porous/trajectories.csv":
-        "8ce61c3cca080f1ebef2d3c7372acb693bc27c6332284f4aecd3d3e55ecb3c7b",
+        "98155877fb86ff4b0d8621f49caebe0d44b000f5fb83fc62b6ca53ad30951fcf",
     "average-linear-exact/averaged_trajectories.csv":
-        "34ab8974182a5cc397af8169740046984799e21a4254eedbd28b74483eb243af",
+        "92808eab9fa39f552fa7f39e3eb5d9bb0d5feca987528b4b3e2c3c46f3423f3b",
     "average-linear-exact/fbar_cache.csv":
-        "b40975cc9d20f7e0f9361c5715197bb5cc83b4e9eacf5eafd19581e0b3575afb",
+        "062f4223aa9eaaa7563ea7d2e3cf87bec34dc3e9ea991ff7287fa7f8996b94b4",
     "average-cubic-hmm/averaged_trajectories.csv":
-        "8aad28ce871614fbb91b048abd720043d649de22cd1496c3f8b808e6c8c48dde",
+        "86d6be27a2de21ca69b1fef519f5ee262aeb7c57c296c4dd6e7985c3f1d93fa0",
     "average-cubic-hmm/fbar_cache.csv":
-        "30501a3360f89e3dd086711f75d3a2ed20e2d8bcc59126dfd6d944830aa4e658",
-    "freeze-porous": "a1485e2552e6b7a28f1be27c8ce91e5a4872d0ac406ff2e5c6b9eba52baadf04",
-    "frozen-simulate-cubic": "67b68c598a14b29af0eb79f7020ec8dba941ffeff2d0e2c6946faae8bd4b8672",
+        "e0accebd4817503ee238891545cfab3ffa15825f48478ecd6b8a0569087c56da",
+    "freeze-porous": "0886dd76fee85e2ab122fd09ec1c71f6419166166ae1195fd897d3e0357bb5ec",
+    "frozen-simulate-cubic": "0db4855517a3d7271b2e2ca648926cbe39b1a4433f600d417c1a3dd8bc890fa9",
 }
 
 
@@ -1127,17 +1129,19 @@ def test_single_run_outputs_unchanged(tmp_path, capsys):
     _, paths = frozen_simulate(cubic, fp, NoisePlan(9), n_paths=3, record_stride=7)
     got["frozen-simulate-cubic"] = hashlib.sha256(paths.tobytes()).hexdigest()
     assert got == SINGLE_RUN_DIGESTS
-    assert estimate_mixing_rate(cubic, fp, [-1.0], NoisePlan(10), n_pairs=4) == 2.902523445896667
+    # re-recorded with noise stream version 4
+    assert estimate_mixing_rate(cubic, fp, [-1.0], NoisePlan(10), n_pairs=4) == 2.902523445896668
 
 
 # SHA-256 of a porous HMM `average` run, recorded when every scalar and field
 # model estimated fbar per particle: field models still do, bit for bit.
 # Re-recorded with noise stream versions 2 and 3; under 3 also with each
-# refresh's frozen draw starting on a counter group.
+# refresh's frozen draw starting on a counter group.  Re-recorded with noise
+# stream version 4.
 POROUS_HMM_DIGESTS = {
     "averaged_trajectories.csv":
-        "f3e6ee89d50c292a8cd977a91d44839a886ca2614125441c05eb9d31198a9d65",
-    "fbar_cache.csv": "d9be948502d91f58059479b7762fd0b3c88e1a2cc8eb57f007cfdf1c587431ab",
+        "e47a4e2bde07d5af37618d6a05b95da33c927ac022c742431a4597ded5b42f03",
+    "fbar_cache.csv": "92261c3dcceee75cded15ef4a423b8523c82b7fbd18191f9b1ffa36f2275d294",
 }
 
 
