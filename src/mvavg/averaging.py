@@ -28,14 +28,10 @@ the frozen work need not grow with N:
     keeps one table of window estimates on the lattice x_j = j *
     ``HMM_NODE_SPACING`` (``_FbarLattice``) that all its grid points read:
     refresh r reads window r, interpolated linearly between a particle's two
-    nodes.  Windows come from chains of frozen paths, each serving
-    ``HMM_WINDOWS_PER_CHAIN`` consecutive windows with the burn-ins and
-    horizon of a warm-started refresh sequence, and every chain a runner
-    will read marches side by side in one vectorised march.  A node enters
-    at the first refresh whose particles read it, with every missing node
-    within ``HMM_NODE_PAD`` nodes of them.  Its streams depend on the node,
-    the frozen replica and the chain alone, so neither entry times nor
-    neighbours change its bits.
+    nodes.  Windows come from chains of frozen paths that march side by
+    side, and a node enters at the first refresh whose particles read it,
+    with every missing node within ``HMM_NODE_PAD`` nodes of them; neither
+    entry times nor neighbours change its bits.
   * A scalar law that reads mu is estimated at each refresh on a table of
     ``HMM_NODES`` equally spaced nodes over the replication's particle
     range, and a field model (slow_dim > 1) on one row per particle; these
@@ -43,6 +39,8 @@ the frozen work need not grow with N:
     the slow state only moves O(stride) per refresh.
 
 Either way each estimate averages ``hmm.replicas`` independent frozen paths.
+Every frozen march draws from the one noise feed, ``noise.windows``, and
+``check_frozen_budget`` holds a run's frozen paths and steps to its counter.
 """
 from __future__ import annotations
 
@@ -82,6 +80,10 @@ LATTICE_REACH = LATTICE_OFFSET - HMM_NODE_PAD - 2
 
 class MixingFailure(RuntimeError):
     """Shared-noise frozen copies refused to contract: no mixing evidence."""
+
+
+class FrozenBudgetError(ValueError):
+    """HMM frozen runs past the noise counter; the message starts with the config key."""
 
 
 @dataclass
@@ -281,9 +283,8 @@ class HmmConfig:
     particle for a field model.  A grid point refreshes every
     ``refresh_stride_steps`` micro steps; the first frozen estimate burns in
     for ``burn_in_initial``, each later one for ``burn_in``, and each then
-    averages f over ``horizon``, stepping by ``h_frozen``.  On the lattice
-    the estimate of refresh r is window r, and each chain restarts the
-    sequence every ``HMM_WINDOWS_PER_CHAIN`` windows.
+    averages f over ``horizon``, stepping by ``h_frozen`` (on the lattice,
+    as the windows of a chain; see ``_FbarLattice``).
     """
 
     replicas: int = 1
@@ -316,11 +317,60 @@ class HmmConfig:
         return (steps(self.burn_in_initial if first else self.burn_in),
                 max(MIN_SAMPLE_STEPS, steps(self.horizon)))
 
+    def refreshes(self, params: MultiscaleParams) -> int:
+        """A resolved config's refreshes in a run of ``params``: the lattice windows it reads."""
+        return max(1, -(-params.n_steps // self.refresh_stride_steps))
+
+
+def _group_pad(n_steps: int) -> int:
+    """Steps rounding a refresh's ``n_steps`` up to whole counter groups, so
+    that a warm-started run's next draw drops no rows."""
+    return -n_steps % noise_mod.GROUP_STEPS
+
 
 def lattice_law(model: ModelSpec) -> bool:
     """Whether HMM mode estimates ``model``'s fbar on the x-lattice: a scalar
     slow state whose frozen law does not read mu (``frozen_reads_mu``)."""
     return model.slow_dim == 1 and not model.frozen_reads_mu
+
+
+def check_frozen_budget(model: ModelSpec, hmm: HmmConfig, params, x0, n_particles: int):
+    """Refuse, with a FrozenBudgetError, an HMM run of ``params`` from ``x0``
+    whose frozen paths or steps pass the noise counter.  On the x-lattice a
+    replica fills the 16-bit extra field, a chain the 16-bit mode field and
+    marches ``HMM_WINDOWS_PER_CHAIN`` refreshes, and x0 lies within reach;
+    otherwise a refresh's paths fill the particle field, and a frozen run
+    marches every refresh, each but the last rounded to counter groups."""
+    hmm = hmm.resolved(model, params)
+    refreshes = hmm.refreshes(params)
+    lattice = lattice_law(model)
+    if lattice:
+        if hmm.replicas > noise_mod.FIELD16_LIMIT:
+            raise FrozenBudgetError("hmm.replicas: the frozen replicas of a lattice node pass "
+                                    "the 2^16 of the noise counter's extra field")
+        chains = -(-refreshes // HMM_WINDOWS_PER_CHAIN)
+        if chains * model.n_fast_modes > noise_mod.FIELD16_LIMIT:
+            raise FrozenBudgetError(f"hmm.refresh_stride_steps: the {refreshes} refreshes at "
+                                    f"eps={params.epsilon:g} take {chains} frozen chains per "
+                                    "lattice node, past the 2^16 modes of the noise counter")
+        if not np.all(np.abs(x0) < LATTICE_REACH * HMM_NODE_SPACING):
+            raise FrozenBudgetError(f"x0: past the reach of the fbar lattice, which needs "
+                                    f"|x0| < {LATTICE_REACH * HMM_NODE_SPACING:.6g}")
+        refreshes = min(refreshes, HMM_WINDOWS_PER_CHAIN)
+    elif hmm.replicas * (HMM_NODES if model.slow_dim == 1 else n_particles) \
+            > noise_mod.PARTICLE_LIMIT:
+        raise FrozenBudgetError("hmm.replicas: its frozen paths per replication pass the 2^32 "
+                                "particles of the noise counter")
+    (burn0, samp), (burn, _) = hmm.refresh_steps(True), hmm.refresh_steps(False)
+    steps = {"burn_in_initial": burn0, "burn_in": (refreshes - 1) * burn,
+             "horizon": refreshes * samp}
+    pad = 0 if lattice or refreshes < 2 else (
+        _group_pad(burn0 + samp) + (refreshes - 2) * _group_pad(burn + samp))
+    if sum(steps.values()) + pad > noise_mod.STEP_LIMIT:
+        key = max(steps, key=steps.get)
+        raise FrozenBudgetError(f"hmm.{key}: the frozen runs at eps={params.epsilon:g} take more "
+                                "than the 2^48 steps of the noise counter "
+                                f"(h_frozen={hmm.h_frozen:g})")
 
 
 class _FbarLattice:
@@ -402,9 +452,14 @@ class _FbarLattice:
             if w >= 0:
                 acc[w] += m.f(x, None, Z)[..., 0]
 
-        feed = (xi.reshape(xi.shape[:-1] + (chains, n_modes)) for _, xi in
-                noise_mod.lattice_windows(self.plans, runs, M, chains * n_modes,
-                                          first + (per_chain - 1) * (burn + samp)))
+        # replica j reads the streams of extra j, stacked on axis 3.  A window
+        # holds a quarter of the runners' NOISE_WINDOW_NORMALS per plan, as
+        # this march runs inside theirs, whose windows it finds held: under
+        # tracemalloc the cubic-hmm study peaked at 2.18 MB with full windows, 1.78 MB with these.
+        streams = [(noise_mod.FROZEN, chains * n_modes, j) for j in range(M)]
+        stop = first + (per_chain - 1) * (burn + samp)
+        feed = (np.stack(xis, axis=3).reshape(-1, R, P, M, chains, n_modes) for _, xis in
+                noise_mod.windows(self.plans, streams, 0, stop, runs, share=4 * M))
         # the law reads no measure, so none is passed
         _frozen_batch(m, x, None, hmm.h_frozen, feed, Z, on_sample=visit, context=None)
         # replicas summed in order, so a node's bits do not follow the array's shape
@@ -475,17 +530,13 @@ class AveragedRunner(_SlowRunner):
                 # the grid points differ in their strides alone, so they share
                 # one window schedule
                 self._lattice = _FbarLattice(model, self.hmm[0], self.frozen_noise, max(
-                    self._windows(g) for g in range(len(self.params))))
+                    cfg.refreshes(p) for cfg, p in zip(self.hmm, self.params)))
             else:
                 points = HMM_NODES if model.slow_dim == 1 else n_particles
                 self._Z = np.broadcast_to(model.default_y0, self.X.shape[:2] + (
                     self.hmm[0].replicas * points, model.fast_dim)).copy()
                 self.frozen_step = [0] * len(self.params)
                 self._stacked += ("frozen_step", "_Z")
-
-    def _windows(self, g):
-        """The refreshes of grid point g: the lattice windows it reads."""
-        return max(1, -(-self.params[g].n_steps // self.hmm[g].refresh_stride_steps))
 
     def _refresh_fbar(self, g, mu):
         """Re-estimate grid point g's fbar from its state and its measures ``mu``."""
@@ -514,13 +565,17 @@ class AveragedRunner(_SlowRunner):
         """Grid point g's fbar (R, N, 1) at its refresh r, from window r of the
         lattice, the nodes its particles read entering first.  Also callables
         for the standard error (R,) and for the cache rows (x, fbar,
-        std_error) of the nodes that replication 0 reads.  A particle whose
-        nodes lie past the lattice's reach raises a BlowUpError at study
-        time ``t``."""
+        std_error) of the nodes that replication 0 reads.  A particle whose x
+        is not finite, or whose nodes lie past the lattice's reach, raises a
+        BlowUpError at study time ``t``."""
         X = self.X[g, :, :, 0]
+        if not np.isfinite(X).all():
+            raise _blow_up(~np.isfinite(X), t, f"x non-finite at study t={t:.6g}" + (
+                "; the fbar lattice's frozen chains diverged: consider a smaller hmm.h_frozen"
+                if not np.isfinite(self._lattice.table).all() else ""))
         u = X / HMM_NODE_SPACING
         lo = np.floor(u)
-        past = ~(np.abs(lo) <= LATTICE_REACH)          # a NaN is past too
+        past = np.abs(lo) > LATTICE_REACH
         if past.any():
             raise _blow_up(past, t, f"x past the {LATTICE_REACH}-node reach of the fbar "
                                     f"lattice at study t={t:.6g}")
@@ -530,7 +585,7 @@ class AveragedRunner(_SlowRunner):
         i = lat.locate(lo)
         rep = np.arange(len(X))[:, None]
         w = self.k // self.hmm[g].refresh_stride_steps
-        n_read = self._windows(g)
+        n_read = self.hmm[g].refreshes(self.params[g])
 
         def at_particles(values):
             at_lo = values[rep, i]
@@ -578,8 +633,7 @@ class AveragedRunner(_SlowRunner):
         feed = _frozen_feed(m, self.frozen_noise, self.frozen_step[g], n_tot, Xa.shape[-2])
         self._Z[g] = _frozen_batch(m, Xa, mu, hmm.h_frozen, feed, self._Z[g], on_sample=visit,
                                    context=f"frozen run of the refresh at study t={t:.6g}")
-        # the next refresh starts on a counter group, so its draw drops no rows
-        self.frozen_step[g] += noise_mod.GROUP_STEPS * -(-n_tot // noise_mod.GROUP_STEPS)
+        self.frozen_step[g] += n_tot + _group_pad(n_tot)
         per_rep = (acc / n_samp).reshape(R, M, P, m.slow_dim)
         est = per_rep.mean(axis=1)
         se = (np.zeros(R) if M < 2 else

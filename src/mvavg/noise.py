@@ -25,10 +25,8 @@ differed, by at most 6.7e-16.  So the bits hold at any worker count and
 chunk size on one machine and numpy build, not across CPU dispatch levels.
 
 ``windows`` is the one feed of noise to the steppers: the runners (through
-``integrate.march``) and the frozen marcher advance window by window through
-it, and it is the only caller of ``draw``.  ``lattice_windows`` is its
-sibling for the chains of an fbar lattice (``averaging``), whose streams
-are addressed by lattice node, frozen replica and chain.
+``integrate.march``) and every frozen march advance window by window through
+it, and it is the only caller of ``draw``.
 """
 from __future__ import annotations
 
@@ -77,7 +75,7 @@ FIELD16_LIMIT = 2 ** 16
 # state it reads, key and counter, through one reused state dict, then walks
 # the particles in one ``random_raw`` call, so no draw sees another's state.
 # The dict holds lists, not arrays: numpy's state setter reads them in 0.8 us
-# against 1.8 us, and a lattice draw sets one counter per 17 to 34 particles.
+# against 1.8 us, and a draw of short particle runs sets one per 17 to 34.
 _COUNTER = [0, 0, 0, 0]
 _KEY = [0, 0]
 _STATE = {"bit_generator": "Philox", "state": {"counter": _COUNTER, "key": _KEY},
@@ -205,61 +203,46 @@ class NoisePlan:
         return NoisePlan(int(_PHILOX.random_raw()))
 
 
-def draw(plans, kind, step_start, n_steps, n_particles, n_modes):
-    """Normals of shape (n_steps, R, n_particles, n_modes) from a sequence of R plans.
+def _runs(particles):
+    """(first, count) runs of stream particles from a count or a list of runs."""
+    return [(0, particles)] if isinstance(particles, (int, np.integer)) else particles
 
-    Slice r is drawn by ``plans[r].gaussians``, so a batch consumes exactly
-    the numbers its plans would draw one at a time.
+
+def draw(plans, kind, step_start, n_steps, particles, n_modes, extra=0):
+    """Normals (n_steps, R, P, n_modes) of stream (kind, extra) from R plans.
+
+    ``particles`` counts stream particles 0 .. P - 1 or lists (first, count)
+    runs of them, side by side on axis 2.  Slice r is drawn by
+    ``plans[r].gaussians``, so a batch draws what its plans would alone.
     """
-    if len(plans) == 1:
+    runs = _runs(particles)
+    if len(plans) == 1 and len(runs) == 1:
         # a view of the one draw: filling a second array of the same size
         # made the one-replication benchmark workloads 2-6% slower
-        return plans[0].gaussians(kind, step_start, n_steps, n_particles, n_modes)[:, None]
-    out = np.empty((n_steps, len(plans), n_particles, n_modes))
+        first, count = runs[0]
+        return plans[0].gaussians(kind, step_start, n_steps, count, n_modes, extra, first)[:, None]
+    ends = np.cumsum([count for _, count in runs])
+    out = np.empty((n_steps, len(plans), ends[-1], n_modes))
     for r, plan in enumerate(plans):
-        out[:, r] = plan.gaussians(kind, step_start, n_steps, n_particles, n_modes)
+        for (first, count), end in zip(runs, ends):
+            out[:, r, end - count:end] = plan.gaussians(kind, step_start, n_steps, count,
+                                                        n_modes, extra, first)
     return out
 
 
-def windows(plans, streams, start: int, stop: int, n_particles: int):
+def windows(plans, streams, start: int, stop: int, particles, share: int = 1):
     """Consecutive noise windows covering steps [start, stop), as (first step, draws).
 
-    ``streams`` lists (kind, n_modes) pairs and ``draws`` holds one
-    (n_win, R, N, n_modes) draw of each.  Windows count from ``start`` and
-    have a whole number of counter groups, so a march from a group boundary
+    ``streams`` lists (kind, n_modes[, extra]) tuples, and ``draws`` holds a
+    ``draw`` of each over ``particles``.  A window holds about
+    ``NOISE_WINDOW_NORMALS / share`` normals of the widest stream per plan
+    in whole counter groups from ``start``, so a march from a group boundary
     computes no step only to drop it.
     """
-    per_step = n_particles * max(modes for _, modes in streams)
+    runs = _runs(particles)
+    per_step = sum(count for _, count in runs) * max(stream[1] for stream in streams) * share
     window = GROUP_STEPS * math.ceil(NOISE_WINDOW_NORMALS / (GROUP_STEPS * per_step))
     for k in range(start, stop, window):
         n_win = min(window, stop - k)
-        yield k, [draw(plans, kind, k, n_win, n_particles, modes) for kind, modes in streams]
-
-
-def lattice_windows(plans, runs, replicas: int, n_modes: int, stop: int):
-    """Consecutive FROZEN noise windows over steps [0, stop) for lattice streams.
-
-    ``runs`` lists (first particle, count) ranges of stream particles, and
-    path (particle p, replica m, mode i) of plan r reads stream (FROZEN,
-    particle p, mode i, extra m).  Yields (first step, draw), the draw
-    (n_win, R, P, replicas, n_modes) with the runs' particles in order on
-    axis 2.  Windows hold whole counter groups, as in ``windows``, and hold a
-    quarter of its ``NOISE_WINDOW_NORMALS`` per plan and replica: a lattice
-    march runs inside the runners' march, whose windows it finds held.
-    Under tracemalloc, the cubic-hmm benchmark study peaked at 2.18 MB with
-    full-size lattice windows and 1.78 MB with quarter windows (stream
-    version 4; one run each, 1.46 and 1.54 s).
-    """
-    counts = [count for _, count in runs]
-    window = GROUP_STEPS * math.ceil(NOISE_WINDOW_NORMALS / (
-        4 * GROUP_STEPS * sum(counts) * replicas * n_modes))
-    ends = np.cumsum(counts)
-    for k in range(0, stop, window):
-        n_win = min(window, stop - k)
-        out = np.empty((n_win, len(plans), ends[-1], replicas, n_modes))
-        for r, plan in enumerate(plans):
-            for m in range(replicas):
-                for (first, count), end in zip(runs, ends):
-                    out[:, r, end - count:end, m] = plan.gaussians(FROZEN, k, n_win, count,
-                                                                   n_modes, m, first)
-        yield k, out
+        yield k, [draw(plans, kind, k, n_win, runs, modes, *extra)
+                  for kind, modes, *extra in streams]

@@ -29,8 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import noise as noise_mod
-from .averaging import (HMM_NODE_SPACING, HMM_NODES, HMM_WINDOWS_PER_CHAIN, LATTICE_REACH,
-                        AveragedRunner, HmmConfig, lattice_law)
+from .averaging import AveragedRunner, FrozenBudgetError, HmmConfig, check_frozen_budget
 from .integrate import BlowUpError, FullRunner, MultiscaleParams, march, resolve_params
 from .models import REGISTRY, ModelParamError, ModelSpec, build_model, slow_norm_sq
 
@@ -195,50 +194,13 @@ class StudyConfig:
         return p
 
     def check_frozen_counter(self, model: ModelSpec, p: MultiscaleParams):
-        """In HMM mode, the frozen paths and steps of a run of ``p`` must fit
-        the noise counter; refused naming the key.
-
-        On the x-lattice (``averaging.lattice_law``) a path's replica fills
-        the 16-bit extra field and its chain the 16-bit mode field, the
-        initial states lie within the lattice's reach, and a chain marches
-        the steps of ``HMM_WINDOWS_PER_CHAIN`` refreshes; otherwise a
-        refresh's paths fill the 32-bit particle field and a grid point's
-        frozen run marches every refresh, each but the last rounded up to a
-        whole group of ``noise.GROUP_STEPS`` counter steps.
-        """
-        if self.averaged_mode != "hmm":
-            return
-        hmm = HmmConfig(**self.hmm).resolved(model, p)
-        refreshes = -(-p.n_steps // hmm.refresh_stride_steps)
-        lattice = lattice_law(model)
-        if lattice:
-            if hmm.replicas > noise_mod.FIELD16_LIMIT:
-                raise ConfigError("hmm.replicas: the frozen replicas of a lattice node pass the "
-                                  "2^16 of the noise counter's extra field")
-            chains = -(-refreshes // HMM_WINDOWS_PER_CHAIN)
-            if chains * model.n_fast_modes > noise_mod.FIELD16_LIMIT:
-                raise ConfigError(f"hmm.refresh_stride_steps: the {refreshes} refreshes at "
-                                  f"eps={p.epsilon:g} take {chains} frozen chains per lattice "
-                                  "node, past the 2^16 modes of the noise counter")
-            x0, _ = self.initial_states(model)
-            if not np.all(np.abs(x0) < LATTICE_REACH * HMM_NODE_SPACING):
-                raise ConfigError(f"x0: past the reach of the fbar lattice, which needs "
-                                  f"|x0| < {LATTICE_REACH * HMM_NODE_SPACING:.6g}")
-            refreshes = min(refreshes, HMM_WINDOWS_PER_CHAIN)
-        elif hmm.replicas * (HMM_NODES if model.slow_dim == 1 else self.n_particles) \
-                > noise_mod.PARTICLE_LIMIT:
-            raise ConfigError("hmm.replicas: its frozen paths per replication pass the 2^32 "
-                              "particles of the noise counter")
-        (burn0, samp), (burn, _) = hmm.refresh_steps(True), hmm.refresh_steps(False)
-        steps = {"burn_in_initial": burn0, "burn_in": (refreshes - 1) * burn,
-                 "horizon": refreshes * samp}
-        pad = 0 if lattice or refreshes < 2 else (
-            -(burn0 + samp) % noise_mod.GROUP_STEPS
-            + (refreshes - 2) * (-(burn + samp) % noise_mod.GROUP_STEPS))
-        if sum(steps.values()) + pad > noise_mod.STEP_LIMIT:
-            key = max(steps, key=steps.get)
-            raise ConfigError(f"hmm.{key}: the frozen runs at eps={p.epsilon:g} take more than "
-                              f"the 2^48 steps of the noise counter (h_frozen={hmm.h_frozen:g})")
+        """``averaging.check_frozen_budget`` of an HMM run of ``p``, as a ConfigError."""
+        try:
+            if self.averaged_mode == "hmm":
+                check_frozen_budget(model, HmmConfig(**self.hmm), p,
+                                    self.initial_states(model)[0], self.n_particles)
+        except FrozenBudgetError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def initial_states(self, model: ModelSpec):
         x0 = np.asarray(self.x0, dtype=float) if self.x0 is not None else model.default_x0

@@ -379,6 +379,51 @@ def test_hmm_lattice_divergence_is_a_blowup():
     assert len(far._lattice.nodes) == 0
 
 
+def test_hmm_lattice_chain_divergence_names_non_finite_x():
+    # h_frozen = 5 diverges the frozen chains: the lattice holds non-finite
+    # estimates, and the particles that read them are reported non-finite,
+    # not past the lattice's reach
+    m = build_model("mvsde-cubic")
+    runner = AveragedRunner(m, [1.0], 8, resolve_params(0.1, 0.1), [NoisePlan(5)],
+                            hmm=HmmConfig(h_frozen=5.0, horizon=200.0))
+    with pytest.raises(BlowUpError, match=r"t=0.002 \(particle 0\).*x non-finite at study "
+                                          r"t=0.002; .*smaller hmm.h_frozen") as err:
+        runner.run()
+    assert "past the" not in str(err.value)
+    assert not np.isfinite(runner._lattice.table).all()
+
+
+def test_hmm_lattice_frozen_draws_are_pinned(monkeypatch):
+    # the lattice's FROZEN draws on a small run: 110 nodes in three runs of
+    # stream particles, three replicas, two plans; windows of 28 steps (a
+    # quarter of NOISE_WINDOW_NORMALS per plan) over the 740 steps of its 10
+    # refreshes, one call per window, plan, replica and run.  Recorded when
+    # the lattice had a window feed of its own; a change to the lattice's
+    # noise budget shows here
+    calls = []
+    gaussians = NoisePlan.gaussians
+
+    def spy(plan, kind, step_start, n_steps, n_particles, n_modes, extra=0, first_particle=0):
+        if kind == noise.FROZEN:
+            calls.append((step_start, n_steps, n_particles, extra, first_particle))
+        return gaussians(plan, kind, step_start, n_steps, n_particles, n_modes, extra,
+                         first_particle)
+
+    monkeypatch.setattr(NoisePlan, "gaussians", spy)
+    m = build_model("mvsde-cubic")
+    runner = AveragedRunner(m, [[0.2], [1.0], [5.0], [9.0]], 4, resolve_params(0.1, 0.5),
+                            [NoisePlan(7), NoisePlan(8)],
+                            hmm=HmmConfig(replicas=3, horizon=0.5, burn_in=0.2,
+                                          refresh_stride_steps=25)).run()
+    assert runner._lattice.table.shape == (2, 110, 10)
+    assert len(calls) == 486
+    assert sorted({c[0] for c in calls}) == list(range(0, 740, 28))
+    assert {c[1] for c in calls} == {28, 12}
+    offset = averaging.LATTICE_OFFSET
+    assert sorted({(c[4] - offset, c[2]) for c in calls}) == [(-14, 42), (34, 34), (74, 34)]
+    assert {c[3] for c in calls} == {0, 1, 2}
+
+
 def test_hmm_node_table_matches_cubic_oracles():
     # a law that reads mu keeps the node table; on the cubic model's law, a
     # cloud over [0.5, 1.5] puts x = 1 between two nodes, and the

@@ -301,18 +301,23 @@ def test_particle_offset_draws_a_slice_of_the_particles():
 
 
 def test_lattice_windows_address_particle_replica_and_mode(monkeypatch):
-    # windows of 4 steps (one counter group) over 15 steps; particle runs
-    # 10..12 and 20..21, two replicas on the extra field, three modes: each
-    # slice is the per-plan, per-replica draw of its particles
+    # the fbar lattice's draw pattern through noise.windows: windows of 4
+    # steps (one counter group: a share of 8 of 200 normals) over 15 steps;
+    # particle runs 10..12 and 20..21, two replicas on the extra field, three
+    # modes: each slice is the per-plan, per-replica draw of its particles
     monkeypatch.setattr(noise, "NOISE_WINDOW_NORMALS", 200)
     plans = [NoisePlan(1), NoisePlan(2)]
     runs = [(10, 3), (20, 2)]
-    starts, draws = zip(*noise.lattice_windows(plans, runs, 2, 3, 15))
+    streams = [(FROZEN, 3, 0), (FROZEN, 3, 1)]
+    starts, draws = zip(*noise.windows(plans, streams, 0, 15, runs, share=8))
     assert starts == (0, 4, 8, 12)
-    xi = np.concatenate(draws)
+    xi = np.stack([np.concatenate([d[m] for d in draws]) for m in range(2)], axis=3)
     assert xi.shape == (15, 2, 5, 2, 3)
     for r, plan in enumerate(plans):
         for m in range(2):
             want = np.concatenate([plan.gaussians(FROZEN, 0, 15, n, 3, m, first)
                                    for first, n in runs], axis=1)
             assert np.array_equal(xi[:, r, :, m], want)
+    # one plan and one run: the draw is the plan's own, extra and first particle included
+    assert np.array_equal(draw(plans[:1], FROZEN, 3, 5, [(20, 2)], 3, 1)[:, 0],
+                          plans[0].gaussians(FROZEN, 3, 5, 2, 3, 1, 20))
