@@ -39,7 +39,9 @@ the frozen work need not grow with N:
     the slow state only moves O(stride) per refresh.
 
 Either way each estimate averages ``hmm.replicas`` independent frozen paths.
-Every frozen march draws from the one noise feed, ``noise.windows``, and
+Every frozen march draws from the one noise feed, ``noise.windows``, one
+window at a time into buffers of the march's own (a lattice march runs
+inside the runners' march, whose window it leaves intact), and
 ``check_frozen_budget`` holds a run's frozen paths and steps to its counter.
 """
 from __future__ import annotations

@@ -37,7 +37,8 @@ the streams a runner lists in ``streams`` and checks nothing, and records
 nothing.  ``march`` is the one loop over noise windows: it draws the
 union of its runners' streams window by window from ``noise.windows`` and
 advances them together to each stop, a window end or a step its caller
-names.  At a stop the caller checks grid points for blow-up
+names.  The feed draws every window into the same buffers, so a runner
+reads its noise inside ``advance`` and keeps none of it.  At a stop the caller checks grid points for blow-up
 (``check_finite``), reads or records states, and lets a grid point leave
 the stack (``leave``) when it is done with it.  ``run`` is a single runner's
 march to its last step: it checks at each window end, and a

@@ -26,7 +26,10 @@ chunk size on one machine and numpy build, not across CPU dispatch levels.
 
 ``windows`` is the one feed of noise to the steppers: the runners (through
 ``integrate.march``) and every frozen march advance window by window through
-it, and it is the only caller of ``draw``.
+it, and it is the only caller of ``draw``.  Each normal is written once, by
+its plan's ``gaussians``, into a buffer that the feed owns and draws every
+window into: a window's arrays hold until the feed yields the next window,
+so copy a window to keep it.
 """
 from __future__ import annotations
 
@@ -62,6 +65,9 @@ _DERIVE = 7     # internal: sub-seed derivation
 # but not in the benchmark's studies: six pairs per workload read study
 # times of 1.000x on linear-exact (faster in 4 of 6), 0.995x on cubic-hmm
 # (2 of 6), 1.032x on porous-spde (1 of 6) and 0.970x on linear-pool (3 of 6).
+# The feed's memory is one window per stream for each live ``windows``
+# generator, plus the words and uniforms of the largest draw so far
+# (``_SCRATCH``).
 NOISE_WINDOW_NORMALS = 32768
 
 # counter field limits (see NoisePlan); a value past its field would alias
@@ -85,6 +91,18 @@ _PHILOX = np.random.Philox(0)       # a fixed seed reads no OS entropy at import
 # of 1.0 give a float64 in [1, 2), with no integer conversion.
 _MANTISSA_SHIFT = np.uint64(12)
 _EXPONENT_ONE = np.uint64(0x3FF0000000000000)
+# A draw's Philox words and uniforms, one pair reused by every draw and grown
+# to the largest: gaussians never nests, and it returns no view of the pair.
+# Fresh arrays of a window's size sit above glibc's mmap threshold, so each
+# draw faulted their pages in again.
+_SCRATCH = [np.empty(0, np.uint64), np.empty(0, np.uint64)]
+
+
+def _scratch(size):
+    """The first ``size`` words of each of the scratch pair."""
+    if _SCRATCH[0].size < size:
+        _SCRATCH[:] = np.empty(size, np.uint64), np.empty(size, np.uint64)
+    return _SCRATCH[0][:size], _SCRATCH[1][:size]
 
 
 @dataclass(frozen=True)
@@ -118,13 +136,16 @@ class NoisePlan:
             raise ValueError("seed must fit in 64 bits")
 
     def gaussians(self, kind, step_start, n_steps, n_particles, n_modes, extra=0,
-                  first_particle=0):
-        """Standard normals of shape (n_steps, n_particles, n_modes).
+                  first_particle=0, out=None):
+        """Standard normals of shape (n_steps, n_particles, n_modes), in ``out``.
 
         The particles are ``first_particle`` and the ``n_particles - 1``
-        after it.  The draw covers whole groups of four steps; a window that
-        starts or ends mid-group computes the group's other steps and drops
-        them, so any window gives the same bits as a slice of a larger one.
+        after it.  ``out``, a float64 array of that shape and any strides (a
+        new array if None), takes the normals in the transform's last two
+        multiplies and is returned.  The draw covers whole groups of four
+        steps; a window that starts or ends mid-group computes its groups
+        into a temporary and copies its steps, so any window gives the same
+        bits as a slice of a larger one.
         """
         if not 0 <= step_start <= step_start + n_steps <= STEP_LIMIT:
             raise ValueError(f"steps [{step_start}, {step_start + n_steps}) "
@@ -138,9 +159,18 @@ class NoisePlan:
             raise ValueError(f"extra={extra} outside its 16-bit field")
         if not 0 <= kind < FIELD16_LIMIT:
             raise ValueError(f"kind={kind} outside its 16-bit field")
+        shape = (n_steps, n_particles, n_modes)
+        if out is None:
+            out = np.empty(shape)
+        elif not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == shape):
+            # numpy would broadcast into a wider array or cast into another dtype
+            raise ValueError(f"out must be a float64 array of shape {shape}, not "
+                             f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}")
         g0 = step_start // GROUP_STEPS
         G = -(-(step_start + n_steps) // GROUP_STEPS) - g0
-        words = np.empty((G, n_modes, 4 * n_particles), np.uint64)
+        first = step_start - GROUP_STEPS * g0
+        words, u = _scratch(4 * G * n_modes * n_particles)
+        words = words.reshape(G, n_modes, 4 * n_particles)
         base = int(first_particle) | int(extra) << 48
         _KEY[0] = int(self.seed)
         _COUNTER[2] = int(kind)
@@ -153,7 +183,7 @@ class NoisePlan:
         # one transposing copy to (radius/angle, group, pair, particle, mode),
         # so that the transform runs on contiguous halves: numpy buffers a
         # ufunc over a strided half, where a multiply took 2-2.5x as long
-        u = np.empty((2, G, 2, n_particles, n_modes), np.uint64)
+        u = u.reshape(2, G, 2, n_particles, n_modes)
         np.right_shift(words.reshape(G, n_modes, n_particles, 2, 2).transpose(4, 0, 3, 2, 1),
                        _MANTISSA_SHIFT, out=u)
         np.bitwise_or(u, _EXPONENT_ONE, out=u)
@@ -174,11 +204,16 @@ class NoisePlan:
         radius /= q                                 # r / (1 + t^2)
         np.subtract(1.0, t2, out=t2)                # 1 - t^2
         t *= 2.0
-        z = np.empty((G, 2, 2, n_particles, n_modes))
+        # (group, pair, cos/sin, particle, mode): out itself when the draw
+        # is whole groups, as splitting its step axis needs no copy
+        z_shape = (G, 2, 2, n_particles, n_modes)
+        whole = first == 0 and n_steps == GROUP_STEPS * G
+        z = out.reshape(z_shape, copy=False) if whole else np.empty(z_shape)
         np.multiply(t2, radius, out=z[:, :, 0])     # r (1 - t^2) / (1 + t^2)
         np.multiply(t, radius, out=z[:, :, 1])      # r 2t / (1 + t^2)
-        first = step_start - GROUP_STEPS * g0
-        return z.reshape((GROUP_STEPS * G, n_particles, n_modes))[first:first + n_steps]
+        if not whole:
+            out[...] = z.reshape((GROUP_STEPS * G, n_particles, n_modes))[first:first + n_steps]
+        return out
 
     def derive(self, *tags):
         """Hash (seed, tags) into a fresh 64-bit seed for an independent plan.
@@ -208,25 +243,23 @@ def _runs(particles):
     return [(0, particles)] if isinstance(particles, (int, np.integer)) else particles
 
 
-def draw(plans, kind, step_start, n_steps, particles, n_modes, extra=0):
-    """Normals (n_steps, R, P, n_modes) of stream (kind, extra) from R plans.
+def draw(plans, kind, step_start, n_steps, particles, n_modes, extra=0, out=None):
+    """Normals (n_steps, R, P, n_modes) of stream (kind, extra) from R plans, in ``out``.
 
     ``particles`` counts stream particles 0 .. P - 1 or lists (first, count)
-    runs of them, side by side on axis 2.  Slice r is drawn by
-    ``plans[r].gaussians``, so a batch draws what its plans would alone.
+    runs of them, side by side on axis 2.  ``plans[r].gaussians`` writes
+    each run of slice r straight into ``out`` (a new array if None), so a
+    batch draws what its plans would alone and each normal is written once.
     """
     runs = _runs(particles)
-    if len(plans) == 1 and len(runs) == 1:
-        # a view of the one draw: filling a second array of the same size
-        # made the one-replication benchmark workloads 2-6% slower
-        first, count = runs[0]
-        return plans[0].gaussians(kind, step_start, n_steps, count, n_modes, extra, first)[:, None]
-    ends = np.cumsum([count for _, count in runs])
-    out = np.empty((n_steps, len(plans), ends[-1], n_modes))
+    if out is None:
+        out = np.empty((n_steps, len(plans), sum(count for _, count in runs), n_modes))
     for r, plan in enumerate(plans):
-        for (first, count), end in zip(runs, ends):
-            out[:, r, end - count:end] = plan.gaussians(kind, step_start, n_steps, count,
-                                                        n_modes, extra, first)
+        end = 0
+        for first, count in runs:
+            end += count
+            plan.gaussians(kind, step_start, n_steps, count, n_modes, extra, first,
+                           out=out[:, r, end - count:end])
     return out
 
 
@@ -238,11 +271,19 @@ def windows(plans, streams, start: int, stop: int, particles, share: int = 1):
     ``NOISE_WINDOW_NORMALS / share`` normals of the widest stream per plan
     in whole counter groups from ``start``, so a march from a group boundary
     computes no step only to drop it.
+
+    Each stream has one buffer of min(window, stop - start) steps, owned by
+    this generator, and every window is drawn into it: a window's arrays
+    hold until the next window is yielded, so copy a window to keep it.  A
+    feed nested in another's march has buffers of its own.
     """
     runs = _runs(particles)
-    per_step = sum(count for _, count in runs) * max(stream[1] for stream in streams) * share
+    n_particles = sum(count for _, count in runs)
+    per_step = n_particles * max(stream[1] for stream in streams) * share
     window = GROUP_STEPS * math.ceil(NOISE_WINDOW_NORMALS / (GROUP_STEPS * per_step))
+    rows = max(0, min(window, stop - start))
+    bufs = [np.empty((rows, len(plans), n_particles, modes)) for _, modes, *_ in streams]
     for k in range(start, stop, window):
         n_win = min(window, stop - k)
-        yield k, [draw(plans, kind, k, n_win, runs, modes, *extra)
-                  for kind, modes, *extra in streams]
+        yield k, [draw(plans, kind, k, n_win, runs, modes, *extra, out=buf[:n_win])
+                  for (kind, modes, *extra), buf in zip(streams, bufs)]

@@ -403,11 +403,12 @@ def test_hmm_lattice_frozen_draws_are_pinned(monkeypatch):
     calls = []
     gaussians = NoisePlan.gaussians
 
-    def spy(plan, kind, step_start, n_steps, n_particles, n_modes, extra=0, first_particle=0):
+    def spy(plan, kind, step_start, n_steps, n_particles, n_modes, extra=0, first_particle=0,
+            out=None):
         if kind == noise.FROZEN:
             calls.append((step_start, n_steps, n_particles, extra, first_particle))
         return gaussians(plan, kind, step_start, n_steps, n_particles, n_modes, extra,
-                         first_particle)
+                         first_particle, out=out)
 
     monkeypatch.setattr(NoisePlan, "gaussians", spy)
     m = build_model("mvsde-cubic")

@@ -282,7 +282,8 @@ def test_windows_cover_an_odd_start_to_a_mid_window_stop_once(monkeypatch):
     plans = [NoisePlan(5).derive(4242, rep) for rep in range(2)]
     streams = [(SLOW, 1), (FAST, 3)]
     monkeypatch.setattr(noise, "NOISE_WINDOW_NORMALS", 5 * 4 * 3)
-    got = list(noise.windows(plans, streams, 7, 38, 4))
+    # a window holds until the next one is drawn: copy each as it comes
+    got = [(k, [d.copy() for d in draws]) for k, draws in noise.windows(plans, streams, 7, 38, 4)]
     assert [(k, len(d[0])) for k, d in got] == [(7, 8), (15, 8), (23, 8), (31, 7)]
     for i, (kind, modes) in enumerate(streams):
         joined = np.concatenate([d[i] for _, d in got])
@@ -309,7 +310,8 @@ def test_lattice_windows_address_particle_replica_and_mode(monkeypatch):
     plans = [NoisePlan(1), NoisePlan(2)]
     runs = [(10, 3), (20, 2)]
     streams = [(FROZEN, 3, 0), (FROZEN, 3, 1)]
-    starts, draws = zip(*noise.windows(plans, streams, 0, 15, runs, share=8))
+    starts, draws = zip(*((k, [d.copy() for d in ds])
+                          for k, ds in noise.windows(plans, streams, 0, 15, runs, share=8)))
     assert starts == (0, 4, 8, 12)
     xi = np.stack([np.concatenate([d[m] for d in draws]) for m in range(2)], axis=3)
     assert xi.shape == (15, 2, 5, 2, 3)
@@ -321,3 +323,43 @@ def test_lattice_windows_address_particle_replica_and_mode(monkeypatch):
     # one plan and one run: the draw is the plan's own, extra and first particle included
     assert np.array_equal(draw(plans[:1], FROZEN, 3, 5, [(20, 2)], 3, 1)[:, 0],
                           plans[0].gaussians(FROZEN, 3, 5, 2, 3, 1, 20))
+
+
+def test_window_feed_reuses_one_buffer_per_stream(monkeypatch):
+    # windows of 8 steps from step 7 to the mid-window stop 38: every window
+    # of a stream is drawn into the one buffer, and each, copied as it is
+    # consumed, is the draw of its own steps
+    plans = [NoisePlan(5).derive(4242, rep) for rep in range(2)]
+    streams = [(SLOW, 1), (FAST, 3)]
+    monkeypatch.setattr(noise, "NOISE_WINDOW_NORMALS", 5 * 4 * 3)
+    firsts = None
+    for k, draws in noise.windows(plans, streams, 7, 38, 4):
+        if firsts is None:
+            firsts = draws
+        for i, (kind, modes) in enumerate(streams):
+            assert np.shares_memory(draws[i], firsts[i])
+            kept = draws[i].copy()
+            assert np.array_equal(kept, draw(plans, kind, k, len(kept), 4, modes))
+    # a feed shorter than one window sizes its buffers to its own steps
+    [(k, draws)] = list(noise.windows(plans, streams, 7, 12, 4))
+    for d, (kind, modes) in zip(draws, streams):
+        assert d.base.shape == (5, 2, 4, modes)
+        assert np.array_equal(d, draw(plans, kind, 7, 5, 4, modes))
+
+
+@pytest.mark.parametrize("start, n_steps", [(8, 8), (7, 5)], ids=["whole-groups", "mid-group"])
+def test_gaussians_fill_a_strided_slice_and_nothing_else(start, n_steps):
+    plan = NoisePlan(11)
+    buf = np.full((n_steps, 2, 10, 3), np.nan)
+    got = plan.gaussians(FAST, start, n_steps, 5, 3, 2, 40, out=buf[:, 1, 3:8])
+    assert np.shares_memory(got, buf)
+    assert np.array_equal(buf[:, 1, 3:8], plan.gaussians(FAST, start, n_steps, 5, 3, 2, 40))
+    buf[:, 1, 3:8] = np.nan
+    assert np.all(np.isnan(buf))
+
+
+@pytest.mark.parametrize("out", [np.empty((5, 1, 3)), np.empty((5, 4, 3), np.int64)],
+                         ids=["broadcast-shape", "int64"])
+def test_gaussians_refuse_a_wrong_out(out):
+    with pytest.raises(ValueError, match=r"shape \(5, 4, 3\)"):
+        NoisePlan(1).gaussians(SLOW, 7, 5, 4, 3, out=out)

@@ -274,9 +274,9 @@ def test_coupled_noise_windows_start_on_step_pairs(monkeypatch):
     starts = []
     draw = study.noise_mod.draw
 
-    def spy(plans, kind, step_start, *shape):
+    def spy(plans, kind, step_start, *shape, **kwargs):
         starts.append(step_start)
-        return draw(plans, kind, step_start, *shape)
+        return draw(plans, kind, step_start, *shape, **kwargs)
 
     monkeypatch.setattr(study.noise_mod, "NOISE_WINDOW_NORMALS", 5 * cfg.n_particles)
     monkeypatch.setattr(study.noise_mod, "draw", spy)
@@ -330,9 +330,9 @@ def test_group_draws_each_stream_once_per_step(crn, monkeypatch):
     drawn = {}
     draw = study.noise_mod.draw
 
-    def spy(plans, kind, step_start, n_steps, *shape):
+    def spy(plans, kind, step_start, n_steps, *shape, **kwargs):
         drawn.setdefault(kind, []).append((step_start, n_steps))
-        return draw(plans, kind, step_start, n_steps, *shape)
+        return draw(plans, kind, step_start, n_steps, *shape, **kwargs)
 
     monkeypatch.setattr(study.noise_mod, "NOISE_WINDOW_NORMALS", 23 * cfg.n_particles)
     monkeypatch.setattr(study.noise_mod, "draw", spy)
@@ -360,9 +360,9 @@ def test_group_draws_each_window_of_each_stream_once(base, frozen, monkeypatch):
     calls = []
     gaussians = NoisePlan.gaussians
 
-    def spy(plan, kind, step_start, n_steps, *args):
+    def spy(plan, kind, step_start, n_steps, *args, **kwargs):
         calls.append((plan.seed, kind, step_start, n_steps))
-        return gaussians(plan, kind, step_start, n_steps, *args)
+        return gaussians(plan, kind, step_start, n_steps, *args, **kwargs)
 
     monkeypatch.setattr(study.noise_mod, "NOISE_WINDOW_NORMALS", 23 * 8)
     monkeypatch.setattr(NoisePlan, "gaussians", spy)
