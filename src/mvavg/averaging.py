@@ -47,6 +47,7 @@ inside the runners' march, whose window it leaves intact), and
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -140,29 +141,38 @@ def _frozen_feed(model, plans, start_step, n_steps, n_paths):
         yield xi
 
 
-def _frozen_batch(model, x_frozen, mu, h, feed, paths_y0, on_sample, context="frozen run"):
-    """March frozen paths at step h; ``on_sample(k, Z)`` visits each post-step state.
+def _frozen_batch(model, x_frozen, mu, h, feed, paths_y0, schedule, context="frozen run"):
+    """March frozen paths at step h, yielding (w, Z) after each sample step of span w.
 
-    ``paths_y0`` is (..., P, fast_dim), and ``feed`` yields its noise window
-    by window, each draw (n_win, ..., P, n_modes).  Row i of ``x_frozen``
-    (or the one shared row) is the slow state that path i sees.  The march
-    checks for blow-up at each window end, a failure naming ``context`` and
-    the march's own times of this check and the last; with ``context`` None
-    it checks nothing.
+    ``schedule`` lists consecutive (burn-in steps, sample steps) spans from
+    the march's first step, walked lazily; a feed of another length raises a
+    ValueError.  ``paths_y0`` is (..., P, fast_dim), and ``feed`` yields its
+    noise window by window, each draw (n_win, ..., P, n_modes).  Row i of
+    ``x_frozen`` (or the one shared row) is the slow state that path i sees.
+    A yielded Z is the march's live state: a caller that keeps it copies it.
+    The march checks for blow-up at each window end, the last after the final
+    yield, a failure naming ``context`` and the march's own times of this
+    check and the last; with ``context`` None it checks nothing.
     """
     Xa = np.broadcast_to(x_frozen, paths_y0.shape[:-1] + (model.slow_dim,))
     solver = _FastSolver(model, h)
     frc = model.a2_split[1](Xa, mu) if model.a2_split is not None else None
-    Z = paths_y0
-    k = 0
+    # each step's span and whether it samples
+    steps = ((w, j >= burn) for w, (burn, samp) in enumerate(schedule) for j in range(burn + samp))
+    Z, k = paths_y0, 0
     for xi in feed:
         for xi_k in xi:
+            w, sample = next(steps, (None, False))
+            if w is None:
+                raise ValueError(f"the frozen feed runs past its schedule's {k} steps")
             Z = solver.step(Xa, mu, Z, xi_k, forcing=frc)
             k += 1
-            on_sample(k, Z)
+            if sample:
+                yield w, Z
         if context is not None:
             _check_finite(Xa, Z, k * h, context, (k - len(xi)) * h)
-    return Z
+    if next(steps, None) is not None:
+        raise ValueError(f"the frozen schedule runs past its feed's {k} steps")
 
 
 def frozen_simulate(model: ModelSpec, fp: FrozenParams, noise: noise_mod.NoisePlan,
@@ -177,19 +187,19 @@ def frozen_simulate(model: ModelSpec, fp: FrozenParams, noise: noise_mod.NoisePl
     h = fp.h_micro
     n_steps = int(round((fp.burn_in + fp.sample_horizon) / h))
     Z = np.broadcast_to(fp.y_init, (1, n_paths, model.fast_dim)).copy()
-    times, snaps = [], []
-    if fp.burn_in == 0:
-        times.append(0.0)
-        snaps.append(Z[0].copy())
-
-    def visit(k, Zk):
-        t = k * h
-        if k % record_stride == 0 and t >= fp.burn_in - 1e-12:
-            times.append(t)
-            snaps.append(Zk[0].copy())
-
-    _frozen_batch(model, fp.x_frozen, fp.mu_frozen, h, _frozen_feed(model, (noise,), 0, n_steps,
-                                                                   n_paths), Z, on_sample=visit)
+    # the recorded steps: every record_stride-th step from the first past the burn-in
+    first = next((k for k in range(record_stride, n_steps + 1, record_stride)
+                  if k * h >= fp.burn_in - 1e-12), n_steps + 1)
+    recorded = range(first, n_steps + 1, record_stride)
+    # a one-step span ending at each recorded step, then the unrecorded tail
+    schedule = itertools.chain(
+        ((b - a - 1, 1) for a, b in itertools.pairwise(itertools.chain((0,), recorded))),
+        [(n_steps - (recorded[-1] if recorded else 0), 0)])
+    times, snaps = ([0.0], [Z[0].copy()]) if fp.burn_in == 0 else ([], [])
+    times += [k * h for k in recorded]
+    snaps += [Zk[0].copy() for _, Zk in _frozen_batch(
+        model, fp.x_frozen, fp.mu_frozen, h, _frozen_feed(model, (noise,), 0, n_steps, n_paths),
+        Z, schedule)]
     return np.asarray(times), np.stack(snaps)
 
 
@@ -224,14 +234,11 @@ def estimate_fbar(model: ModelSpec, fp: FrozenParams,
     Xa = np.broadcast_to(fp.x_frozen, (R, model.slow_dim))
     mu = fp.mu_frozen
     batch_sums = np.zeros((R, BATCHES_PER_PATH, model.slow_dim))
-
-    def visit(k, Zk):
-        j = k - n_burn - 1
-        if 0 <= j < n_samp:
-            batch_sums[:, j // batch_len, :] += model.f(Xa, mu, Zk[0])
-
-    _frozen_batch(model, fp.x_frozen, mu, h, _frozen_feed(model, (noise,), 0, n_burn + n_samp, R),
-                  Z, on_sample=visit)
+    # batch j is span j: the burn-in leads the first
+    schedule = [(n_burn, batch_len)] + [(0, batch_len)] * (BATCHES_PER_PATH - 1)
+    for j, Zk in _frozen_batch(model, fp.x_frozen, mu, h,
+                               _frozen_feed(model, (noise,), 0, n_burn + n_samp, R), Z, schedule):
+        batch_sums[:, j, :] += model.f(Xa, mu, Zk[0])
     batch_means = batch_sums / batch_len
     flat = batch_means.reshape(R * BATCHES_PER_PATH, model.slow_dim)
     n_batches = flat.shape[0]       # >= BATCHES_PER_PATH, so the spread is defined
@@ -285,8 +292,8 @@ class HmmConfig:
     particle for a field model.  A grid point refreshes every
     ``refresh_stride_steps`` micro steps; the first frozen estimate burns in
     for ``burn_in_initial``, each later one for ``burn_in``, and each then
-    averages f over ``horizon``, stepping by ``h_frozen`` (on the lattice,
-    as the windows of a chain; see ``_FbarLattice``).
+    averages f over ``horizon``, stepping by ``h_frozen``: a (burn-in, sample)
+    span of a frozen march (``refresh_steps``), on the lattice a chain's window.
     """
 
     replicas: int = 1
@@ -382,8 +389,8 @@ class _FbarLattice:
     the mean of f over the window's horizon, averaged over ``hmm.replicas``
     frozen paths.  Window w is window w % HMM_WINDOWS_PER_CHAIN of chain
     w // HMM_WINDOWS_PER_CHAIN; a chain starts from ``default_y0``, and its
-    windows burn in and sample as the refreshes of a warm-started frozen run
-    do (``HmmConfig.refresh_steps``).  Path (node j, replica m, chain c)
+    windows are exactly its schedule, the spans of a warm-started frozen run's
+    refreshes (``HmmConfig.refresh_steps``).  Path (node j, replica m, chain c)
     reads stream (FROZEN, particle j + LATTICE_OFFSET, mode c * n_fast_modes
     + i, extra m) of its plan, so a node's bits depend on its plan, j and the
     window schedule alone: a node may enter at any time, beside any others.
@@ -435,41 +442,32 @@ class _FbarLattice:
         n_modes = m.n_fast_modes
         chains = -(-self.n_windows // HMM_WINDOWS_PER_CHAIN)
         per_chain = min(HMM_WINDOWS_PER_CHAIN, self.n_windows)
-        (burn0, samp), (burn, _) = hmm.refresh_steps(True), hmm.refresh_steps(False)
-        first = burn0 + samp          # the steps of a chain's first window
+        # a chain's windows are its spans: the refreshes of a warm-started frozen run
+        schedule = [hmm.refresh_steps(w == 0) for w in range(per_chain)]
         # the nodes' stream particles, as runs of consecutive particles
         runs = [(int(run[0]) + LATTICE_OFFSET, len(run))
                 for run in np.split(new, np.flatnonzero(np.diff(new) != 1) + 1)]
         x = (new * HMM_NODE_SPACING).reshape(1, P, 1, 1, 1)
         Z = np.broadcast_to(m.default_y0, (R, P, M, chains, m.fast_dim)).copy()
         acc = np.zeros((per_chain, R, P, M, chains))
-
-        def visit(k, Z):
-            # window w samples the last samp steps of its span
-            if k <= first:
-                w = 0 if k > burn0 else -1
-            else:
-                w, pos = divmod(k - first - 1, burn + samp)
-                w = w + 1 if pos >= burn else -1
-            if w >= 0:
-                acc[w] += m.f(x, None, Z)[..., 0]
-
         # replica j reads the streams of extra j, stacked on axis 3.  A window
         # holds a quarter of the runners' NOISE_WINDOW_NORMALS per plan, as
         # this march runs inside theirs, whose windows it finds held: under
         # tracemalloc the cubic-hmm study peaked at 2.18 MB with full windows, 1.78 MB with these.
         streams = [(noise_mod.FROZEN, chains * n_modes, j) for j in range(M)]
-        stop = first + (per_chain - 1) * (burn + samp)
+        stop = sum(map(sum, schedule))
         feed = (np.stack(xis, axis=3).reshape(-1, R, P, M, chains, n_modes) for _, xis in
                 noise_mod.windows(self.plans, streams, 0, stop, runs, share=4 * M))
         # the law reads no measure, so none is passed
-        _frozen_batch(m, x, None, hmm.h_frozen, feed, Z, on_sample=visit, context=None)
+        for w, Z in _frozen_batch(m, x, None, hmm.h_frozen, feed, Z, schedule, context=None):
+            acc[w] += m.f(x, None, Z)[..., 0]
         # replicas summed in order, so a node's bits do not follow the array's shape
         total = acc[:, :, :, 0].copy()
         for j in range(1, M):
             total += acc[:, :, :, j]
         est = total.transpose(1, 2, 3, 0).reshape(R, P, chains * per_chain)
-        return est[..., :self.n_windows] / (samp * M)
+        # every window samples the same steps
+        return est[..., :self.n_windows] / (schedule[0][1] * M)
 
     def standard_errors(self, n_read):
         """The nodes' standard errors over their first ``n_read`` windows, (R, P).
@@ -627,14 +625,12 @@ class AveragedRunner(_SlowRunner):
         n_burn, n_samp = hmm.refresh_steps(self.frozen_step[g] == 0)
         n_tot = n_burn + n_samp
         acc = np.zeros(Xa.shape)
-
-        def visit(k, Z):
-            if k > n_burn:
-                np.add(acc, m.f(Xa, mu, Z), out=acc)
-
         feed = _frozen_feed(m, self.frozen_noise, self.frozen_step[g], n_tot, Xa.shape[-2])
-        self._Z[g] = _frozen_batch(m, Xa, mu, hmm.h_frozen, feed, self._Z[g], on_sample=visit,
-                                   context=f"frozen run of the refresh at study t={t:.6g}")
+        for _, Z in _frozen_batch(m, Xa, mu, hmm.h_frozen, feed, self._Z[g], [(n_burn, n_samp)],
+                                  context=f"frozen run of the refresh at study t={t:.6g}"):
+            np.add(acc, m.f(Xa, mu, Z), out=acc)
+        # the span ends on a sample step: its last state warm-starts the next refresh
+        self._Z[g] = Z
         self.frozen_step[g] += n_tot + _group_pad(n_tot)
         per_rep = (acc / n_samp).reshape(R, M, P, m.slow_dim)
         est = per_rep.mean(axis=1)

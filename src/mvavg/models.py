@@ -409,8 +409,8 @@ def make_mvsde_cubic(kappa: float = 1.0, k1: float = 0.5, c_sin: float = 0.5,
 
 
 def _field_grid(n_interior: int, n_slow_modes: int, n_fast_modes: int, c_g: float):
-    """A field model's grid and its lambda1, the node and mode counts checked,
-    and c_g against the eigenvalue gap condition c_g < lambda1."""
+    """A field model's grid and its lambda1, the node and mode counts checked, and c_g
+    against the eigenvalue gap c_g < lambda1 and a dissipating fast block, c_g > -lambda1."""
     if n_interior < 1:
         raise ModelParamError(f"n_interior: must be >= 1, got {n_interior!r}")
     for key, val in (("n_slow_modes", n_slow_modes), ("n_fast_modes", n_fast_modes)):
@@ -422,6 +422,9 @@ def _field_grid(n_interior: int, n_slow_modes: int, n_fast_modes: int, c_g: floa
     if lam1 - c_g <= 0.0:
         raise ModelParamError(f"c_g: the eigenvalue gap condition needs c_g < lambda1 = "
                               f"{lam1:.6g} of the n_interior = {n_interior} grid, got {c_g!r}")
+    if lam1 + c_g <= 0.0:
+        raise ModelParamError(f"c_g: a dissipating fast block needs c_g > -lambda1 = {-lam1:.6g} "
+                              f"of the n_interior = {n_interior} grid, got {c_g!r}")
     return grid, lam1
 
 

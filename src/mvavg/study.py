@@ -477,10 +477,10 @@ def run_rate_study(cfg: StudyConfig) -> RateReport:
     return assemble_report(rows, incomplete=bool(failures), failures=failures)
 
 
-def run_aux_diagnostic(cfg: StudyConfig, epsilon: float, deltas=None) -> list:
+def run_aux_diagnostic(cfg: StudyConfig, epsilon: float) -> list:
     """Time-integrated fast-vs-frozen-block gap for a ladder of block sizes.
 
-    Default ladder: delta in {eps, eps^(2/3), eps^(1/2)}.  Returns one dict
+    The ladder: delta in {eps, eps^(2/3), eps^(1/2)}.  Returns one dict
     per delta with the gap and the gap/delta ratio (the bound shape is linear
     in delta).  One runner steps the true path once, with one auxiliary
     process per delta, and runs the ``derive(777, rep)`` replications as one
@@ -489,9 +489,8 @@ def run_aux_diagnostic(cfg: StudyConfig, epsilon: float, deltas=None) -> list:
     model = cfg.build_model()
     params = cfg.params_for(epsilon)
     x0, y0 = cfg.initial_states(model)
-    if deltas is None:
-        deltas = [epsilon, epsilon ** (2.0 / 3.0), epsilon ** 0.5]
-    d_effs = [max(1, round(d / params.h_micro)) * params.h_micro for d in deltas]
+    d_effs = [max(1, round(d / params.h_micro)) * params.h_micro
+              for d in (epsilon, epsilon ** (2.0 / 3.0), epsilon ** 0.5)]
     plans = [noise_mod.NoisePlan(cfg.seed).derive(777, rep) for rep in range(cfg.replications)]
     seeds = ",".join(str(p.seed) for p in plans)
     runner = FullRunner(model, x0, y0, cfg.n_particles, params, plans, aux_deltas=d_effs,

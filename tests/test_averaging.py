@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -67,6 +68,36 @@ def test_shared_noise_runs_cancel_exactly():
     _, p2 = frozen_simulate(m, FrozenParams([2.0], DELTA0, [-1.0], **mk), NoisePlan(55))
     gap = np.abs(p1[:, 0, 0] - p2[:, 0, 0])
     assert np.max(np.abs(gap - 2.0 * np.exp(-t))) < 1e-8
+
+
+def _march(schedule, xi, context="frozen run"):
+    # a linear frozen march from y = 1 at step 0.01, fed xi in windows of 4 steps
+    return averaging._frozen_batch(linear_ou(), [0.0], DELTA0, 0.01, iter([xi[:4], xi[4:]]),
+                                   np.ones((1, 1, 1)), schedule, context)
+
+
+def test_frozen_schedule_yields_the_sample_steps_of_each_span():
+    # an 8-step feed under spans (2, 1), (0, 2), (3, 0): steps 3, 4 and 5
+    # sample, in spans 0, 1 and 1
+    xi = np.random.default_rng(0).standard_normal((8, 1, 1, 1))
+    states = [Z.copy() for _, Z in _march([(0, 8)], xi)]
+    got = [(w, Z.copy()) for w, Z in _march([(2, 1), (0, 2), (3, 0)], xi)]
+    assert [w for w, _ in got] == [0, 1, 1]
+    assert all(np.array_equal(Z, states[k - 1]) for (_, Z), k in zip(got, (3, 4, 5)))
+    # the window ending at step 8 has no sample step, and is still checked,
+    # after the last yield
+    xi[7] = 1e12
+    march = _march([(2, 1), (0, 2), (3, 0)], xi, context="probe")
+    assert [w for w, _ in itertools.islice(march, 3)] == [0, 1, 1]
+    with pytest.raises(BlowUpError, match=r"between t=0.04 and t=0.08 .*\[probe\]"):
+        next(march)
+
+
+@pytest.mark.parametrize("schedule", [[(2, 1), (0, 2), (2, 0)], [(7, 0)], [(8, 0), (0, 1)],
+                                      [(2, 1), (6, 0), (1, 0)]])
+def test_frozen_schedule_of_another_length_than_its_feed_raises(schedule):
+    with pytest.raises(ValueError, match="runs past its"):
+        list(_march(schedule, np.zeros((8, 1, 1, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +495,10 @@ def test_hmm_frozen_width_is_nodes_times_replicas(monkeypatch, n_particles):
     widths = []
     batch = averaging._frozen_batch
 
-    def spy(model, x_frozen, mu, h, plans, paths_y0, *args, **kwargs):
+    def spy(model, x_frozen, mu, h, feed, paths_y0, *args, **kwargs):
         widths.append(paths_y0.shape)
         assert x_frozen.shape[:-1] == paths_y0.shape[:-1]
-        return batch(model, x_frozen, mu, h, plans, paths_y0, *args, **kwargs)
+        return batch(model, x_frozen, mu, h, feed, paths_y0, *args, **kwargs)
 
     monkeypatch.setattr(averaging, "_frozen_batch", spy)
     m = build_model("linear-benchmark")
@@ -477,6 +508,18 @@ def test_hmm_frozen_width_is_nodes_times_replicas(monkeypatch, n_particles):
                    hmm=HmmConfig(replicas=3, horizon=0.5, refresh_stride_steps=10)).run()
     assert len(widths) == 3
     assert set(widths) == {(2, HMM_NODES * 3, 1)}
+
+
+def test_hmm_frozen_blow_up_names_its_refresh():
+    # the antidissipative fast drift blows up inside the first refresh's
+    # 38-step frozen run (burn-in 8, horizon 30): found at its last window's
+    # check, which runs after the march's last sample
+    runner = AveragedRunner(build_model("broken-antidissipative"), [0.0], 4,
+                            resolve_params(0.1, 0.1), [NoisePlan(1)],
+                            hmm=HmmConfig(horizon=30.0))
+    with pytest.raises(BlowUpError, match=r"between t=0 and t=38 \(particle 0\) \[averaged run; "
+                                          r"frozen run of the refresh at study t=0\]"):
+        runner.run()
 
 
 def test_estimate_fbar_across_windows_is_bitwise_one_window(monkeypatch):

@@ -205,13 +205,16 @@ def test_porous_monotonicity_certificate():
 
 
 def test_applicability_conditions_enforced():
-    # kappa > 2 l_b2^2 for the cubic; eigenvalue gap for the PDE fast block
+    # kappa > 2 l_b2^2 for the cubic; eigenvalue gap and dissipation
+    # (kappa = lambda1 + c_g > 0, lambda1 = 9.838 at 15 nodes) for the PDE fast block
     with pytest.raises(ValueError, match="kappa > 2"):
         build_model("mvsde-cubic", {"kappa": 0.005, "l_sigma2": 0.1, "sigma_c": 0.4})
     with pytest.raises(ValueError, match="lambda1"):
         build_model("porous-media-1d", {"n_interior": 15, "c_g": 50.0})
     with pytest.raises(ValueError, match="lambda1"):
         build_model("plaplace-1d", {"n_interior": 15, "c_g": 50.0})
+    with pytest.raises(ValueError, match="c_g > -lambda1"):
+        build_model("porous-media-1d", {"n_interior": 15, "c_g": -12.0})
 
 
 # SHA-256 of each model's coefficient layer: probe margins, every coefficient

@@ -751,6 +751,8 @@ def test_freeze_non_finite_flags_name_the_flag(tmp_path, capsys, flag, value):
                                                 ("linear-benchmark", "n_fast_modes", "100"),
                                                 ("porous-media-1d", "c_g", "20"),
                                                 ("plaplace-1d", "c_g", "20"),
+                                                ("porous-media-1d", "c_g", "-20"),
+                                                ("plaplace-1d", "c_g", "-20"),
                                                 ("mvsde-cubic", "kappa", "0.01"),
                                                 ("mvsde-cubic", "sigma_c", "0.05")])
 def test_model_params_checked_and_key_named(tmp_path, capsys, model, key, value):
@@ -758,7 +760,7 @@ def test_model_params_checked_and_key_named(tmp_path, capsys, model, key, value)
     # fractional node count, and values outside a builder's range (a field
     # model carries 1..n_interior sine modes per noise, n_interior = 63 by
     # default), a key the builder does not take, and the conditions that tie
-    # two keys (c_g below lambda1 of the n_interior grid; cubic kappa above
+    # two keys (c_g within +-lambda1 of the n_interior grid; cubic kappa above
     # 2 l_sigma2^2 and sigma_c above |l_sigma2|): each exits 2 naming
     # model_params.<key>
     argv = ["rate-study", "--model", model, "--param", f"{key}={value}", "--out", str(tmp_path)]
@@ -961,9 +963,9 @@ def test_cli_hands_other_warnings_on(monkeypatch, capfd):
 
 
 def test_cli_blowup_is_exit_3(tmp_path):
-    assert main(["simulate", "--model", "broken-antidissipative",
-                 "--epsilon", "0.01", "--seed", "1",
-                 "--out", str(tmp_path)]) == 3
+    for argv in (["simulate", "--epsilon", "0.01", "--seed", "1"],
+                 ["freeze", "--x", "0", "--horizon", "50"]):
+        assert main(argv + ["--model", "broken-antidissipative", "--out", str(tmp_path)]) == 3
 
 
 def test_cli_rate_study_pass_and_fail(tmp_path, capsys):
