@@ -50,7 +50,10 @@ each consumes the SAME fast noise increments as the true fast process but
 sees the slow state and measure frozen at the last boundary of its blocks,
 on its grid point's own block steps.  The time-integrated mean-square gap
 between it and the true fast process is the block-discretisation diagnostic
-of the rate study; a ladder of deltas shares one true path.
+of the rate study; a ladder of deltas shares one true path.  Where the
+model's ``b2`` reads no state (``ModelSpec.b2_reads_state`` False: additive
+fast noise), the true and auxiliary fast processes share one increment
+sqrt(h_eff) b2 xi per step, computed once.
 """
 from __future__ import annotations
 
@@ -236,27 +239,39 @@ class _FastSolver:
         elif self.kind == "laplacian":
             self.inv_t = _inverses(model.grid.n_interior, h_effs)
 
-    def step(self, u_args, mu_args, v, xi, forcing=None):
+    def step(self, u_args, mu_args, v, xi, forcing=None, noise=None):
         """v after one step: phi v + coef g + noise (scalar), else v + h_eff g
-        + noise, times the inverse (laplacian), g the drift's remainder."""
+        + noise, times the inverse (laplacian), g the drift's remainder and
+        noise sqrt(h_eff) b2 xi, or ``noise`` where the caller has it.
+
+        With ``forcing`` of a split whose v_coeff is 0.0 (the linear
+        benchmark), g is scale * forcing: once phi v is added these are the
+        bits of scale * (0.0 * v + forcing) at every finite v, signed zeros
+        included.  An infinite v gives inf where that form gives NaN; only
+        a slow state past the blow-up limit makes one, and its grid point
+        fails on that state first."""
         m = self.model
         scale = self.coef if self.kind == "scalar" else self.h_eff
-        if forcing is not None:
+        if forcing is None:
+            # the model's array, never written into: it may be a cached constant
+            g = scale * m.a2_remainder(u_args, mu_args, v)
+        elif m.a2_split[0] == 0.0:
+            g = scale * forcing
+        else:
             # a new array, summed and scaled in place (the products commute,
             # so the bits are those of scale * (v_coeff * v + forcing))
             g = m.a2_split[0] * v
             g += forcing
             g *= scale
-        else:
-            # the model's array, never written into: it may be a cached constant
-            g = scale * m.a2_remainder(u_args, mu_args, v)
         # v's term first, so the sum has the state's shape
         if self.kind == "scalar":
             out = self.phi * v
             out += g
         else:
             out = v + g
-        out += self.sqrt_h_eff * m.b2_apply(u_args, mu_args, v, xi)
+        if noise is None:
+            noise = self.sqrt_h_eff * m.b2_apply(u_args, mu_args, v, xi)
+        out += noise
         return out @ self.inv_t if self.kind == "laplacian" else out
 
 
@@ -474,6 +489,8 @@ class FullRunner(_SlowRunner):
             self._X_block = self.X.copy()
             self.inc_sum = np.zeros((G, R))
             self._stacked += ("inc_steps", "_X_block", "inc_sum")
+        # the next step at which an aux or increment block starts
+        self._next_due = 0
 
     def _block_steps(self, delta, name):
         """Micro steps per block on each grid point, from one delta or one per grid point."""
@@ -495,35 +512,52 @@ class FullRunner(_SlowRunner):
                                      None if snap[2] is None else snap[2][keep])
                            for snap in self._aux_snaps]
         self.gap_sum = self.gap_sum[:, keep]
+        # the next step looks up the block starts of the grid points kept
+        self._next_due = self.k
 
     def advance(self, n_sub: int, xs, xf):
         """Advance every grid point n_sub micro steps on the slow and fast
         noise ``xs`` and ``xf``, each (n_sub, [1,] R, N, n_modes): steps k.. of
         the two streams, which every grid point reads.  Checks nothing (see
         ``check_finite``).  Each step adds its particle means of the squared
-        aux gaps and block increment to the diagnostics' running sums."""
+        aux gaps and block increment to the diagnostics' running sums.  A
+        model whose ``b2`` reads no state gives the true and aux fast steps
+        one increment per step."""
         m = self.model
         N = self.X.shape[-2]
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(n_sub):
                 mu = empirical_view(m, self.X)
-                for i, steps in enumerate(self.aux_steps):
-                    due = _due(self.k, steps)
-                    if due:
-                        self._aux_snaps[i] = self._snapshot(self._aux_snaps[i], due, mu)
-                due = _due(self.k, self.inc_steps)
-                if due:
-                    self._X_block[due] = self.X[due]
+                if self.k == self._next_due:
+                    self._start_blocks(mu)
 
                 Xn = self._slow_step(mu, m.f(self.X, mu, self.Y), xs[j])
-                Yn = self.solver.step(self.X, mu, self.Y, xf[j])
+                noise = (None if m.b2_reads_state else
+                         self.solver.sqrt_h_eff * m.b2_apply(self.X, mu, self.Y, xf[j]))
+                Yn = self.solver.step(self.X, mu, self.Y, xf[j], noise=noise)
                 for i, (Xs, mus, frc) in enumerate(self._aux_snaps):
-                    self.Y_aux[i] = self.solver.step(Xs, mus, self.Y_aux[i], xf[j], forcing=frc)
+                    self.Y_aux[i] = self.solver.step(Xs, mus, self.Y_aux[i], xf[j],
+                                                     forcing=frc, noise=noise)
                     self.gap_sum[i] += fast_norm_sq(m, Yn - self.Y_aux[i]).sum(axis=-1) / N
                 self.X, self.Y = Xn, Yn
                 self.k += 1
                 if self.inc_steps:
                     self.inc_sum += slow_norm_sq(m, self.X - self._X_block).sum(axis=-1) / N
+
+    def _start_blocks(self, mu):
+        """Freeze the aux processes and slow state of the grid points whose
+        blocks start at step k, and find the next step at which one does."""
+        for i, steps in enumerate(self.aux_steps):
+            due = _due(self.k, steps)
+            if due:
+                self._aux_snaps[i] = self._snapshot(self._aux_snaps[i], due, mu)
+        due = _due(self.k, self.inc_steps)
+        if due:
+            self._X_block[due] = self.X[due]
+        # -1, a step never reached, when the runner has no blocks
+        self._next_due = min(((self.k // s + 1) * s
+                              for steps in (*self.aux_steps, self.inc_steps) for s in steps),
+                             default=-1)
 
     def _snapshot(self, snap, due, mu):
         """An aux process's frozen (X, mu, forcing), with the grid points ``due``

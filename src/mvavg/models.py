@@ -84,6 +84,10 @@ class ModelSpec:
     # frozen law does not shares one fbar(x) lattice per replication in HMM
     # mode (see averaging)
     frozen_reads_mu: bool = True
+    # whether b2_apply reads U, mu or V: a model whose fast noise is additive
+    # (False) gives the true and the block-frozen auxiliary fast processes of
+    # a FullRunner one increment per step (see integrate)
+    b2_reads_state: bool = True
 
     def fast_linear_apply(self, V):
         if self.fast_linear is None:
@@ -111,12 +115,21 @@ def _inner(tag, grid, a, b):
     raise ValueError(f"unknown norm tag {tag!r}")
 
 
+def _norm_sq(tag, grid, U):
+    if tag == "euclidean" and U.shape[-1] == 1:
+        # a square is never -0.0, so a one-component state's square is the
+        # bits of its one-term sum, without the reduction
+        u = U[..., 0]
+        return u * u
+    return _inner(tag, grid, U, U)
+
+
 def slow_norm_sq(model: ModelSpec, U):
-    return _inner(model.norm_slow, model.grid, U, U)
+    return _norm_sq(model.norm_slow, model.grid, U)
 
 
 def fast_norm_sq(model: ModelSpec, V):
-    return _inner(model.norm_fast, model.grid, V, V)
+    return _norm_sq(model.norm_fast, model.grid, V)
 
 
 def slow_inner(model: ModelSpec, a, b):
@@ -279,7 +292,7 @@ def run_probe_suite(model: ModelSpec, n_samples: int = 1000,
 
 def _scalar_model(model_id: str, a1, a2_remainder, *, f0, sigma1, rate, b2_apply, b2_coeff,
                   y0, constants, measure_dependent, a2_split=None, exact_fbar=None,
-                  frozen_reads_mu=True):
+                  frozen_reads_mu=True, b2_reads_state=True):
     """A scalar model: coupling f0 y, additive slow noise sigma1, the fast
     drift's exact scalar rate, euclidean norms and x0 = 1."""
 
@@ -304,6 +317,7 @@ def _scalar_model(model_id: str, a1, a2_remainder, *, f0, sigma1, rate, b2_apply
         v1_norm_alpha=lambda U: np.sum(U * U, axis=-1),
         measure_dependent=measure_dependent,
         frozen_reads_mu=frozen_reads_mu,
+        b2_reads_state=b2_reads_state,
     )
 
     def lip_f_bound(du, dv, w2, mu1, mu2):
@@ -355,7 +369,7 @@ def make_linear_benchmark(a11: float = -1.0, a12: float = 0.25, f0: float = 1.0,
             "a11": a11, "a12": a12, "gamma": gamma, "k1": k1, "k2": k2, "sigma2": sigma2,
         },
         measure_dependent=not (a12 == 0.0 and k2 == 0.0),
-        a2_split=(0.0, a2_forcing), exact_fbar=exact_fbar)
+        a2_split=(0.0, a2_forcing), exact_fbar=exact_fbar, b2_reads_state=False)
 
 
 def make_mvsde_cubic(kappa: float = 1.0, k1: float = 0.5, c_sin: float = 0.5,
@@ -500,6 +514,7 @@ def _field_model(model_id: str, grid: Grid1D, lam1: float, a1, *, norm_slow, hs_
         grid=grid, exact_fbar=exact_fbar,
         v1_norm_alpha=v1_norm_alpha,
         slow_stab=slow_stab,
+        b2_reads_state=False,
     )
 
     def lip_f_bound(du_l2, dv, w2, mu1, mu2):
@@ -620,7 +635,7 @@ def make_broken_antidissipative(sigma2: float = 0.3) -> ModelSpec:
         default_x0=np.array([0.0]), default_y0=np.array([1.0]),
         fast_linear=None, exact_fbar=None,
         v1_norm_alpha=lambda U: np.sum(U * U, axis=-1),
-        measure_dependent=False,
+        measure_dependent=False, b2_reads_state=False,
     )
     m.probe_fns = {
         "strict_monotonicity_fast": _strict_fast_slack(m),

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import pickle
 
@@ -374,6 +376,58 @@ def test_grid_point_leaving_the_stack_keeps_the_others_bitwise(diagnostics):
     assert both.X.shape == lone.X.shape == (1, 2, 8, 1)
     for name in ("X", "Y") + (("aux_gap", "increment_stat") if diagnostics else ()):
         assert np.array_equal(getattr(both, name), getattr(lone, name)), name
+
+
+@pytest.mark.parametrize("model_id, model_params", [("linear-benchmark", {}),
+                                                     ("porous-media-1d", {"n_interior": 7})])
+def test_shared_fast_increment_is_bitwise_the_per_process_one(model_id, model_params):
+    # a model whose b2 reads no state computes one fast increment per step for
+    # the true and aux processes; declaring that it does gives one per process,
+    # and the same bits, across two grid points of their own h and block
+    # steps and a grid point leaving the stack mid-block
+    shared = build_model(model_id, model_params)
+    assert not shared.b2_reads_state
+    per_process = dataclasses.replace(shared, b2_reads_state=True)
+    params = [MultiscaleParams(epsilon=e, t_end=0.05, h_micro=h)
+              for e, h in ((0.1, 0.002), (0.05, 0.0005))]
+    plans = [NoisePlan(6), NoisePlan(7)]
+    runners = []
+    for m in (shared, per_process):
+        calls = []
+        b2 = m.b2_apply
+        m = dataclasses.replace(m, b2_apply=lambda *args, b2=b2: calls.append(1) or b2(*args))
+        r = FullRunner(m, m.default_x0, m.default_y0, 6, params, plans,
+                       aux_deltas=(0.01, 0.02), increment_delta=0.004)
+        draws = [draw(plans, kind, 0, r.n_steps, 6, modes) for kind, modes in r.streams]
+        r.advance(13, *(d[:13] for d in draws))
+        r.leave([1])
+        r.advance(r.n_steps - 13, *(d[13:] for d in draws))
+        runners.append((r, len(calls)))
+    (a, calls_shared), (b, calls_per_process) = runners
+    assert (calls_shared, calls_per_process) == (100, 300)
+    for name in ("X", "Y", "aux_gap", "increment_stat"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert [Y.tobytes() for Y in a.Y_aux] == [Y.tobytes() for Y in b.Y_aux]
+    assert a.increment_stat.all() and a.aux_gap.all()
+
+
+def test_zero_coefficient_forcing_step_keeps_the_bits_of_the_three_operation_form():
+    # the linear benchmark's aux and frozen steps take g = coef * forcing, not
+    # coef * (0.0 * v + forcing): the step's bits are the same at every finite
+    # v, signed zeros included, and an infinite v gives inf, not NaN
+    m = build_model("linear-benchmark")
+    solver = _FastSolver(m, 0.02)
+    values = [0.0, -0.0, 5e-324, -2.5, 1e300]
+    v, forcing = (np.array(c)[:, None] for c in zip(*itertools.product(values, values)))
+    for x in (0.0, -0.0, 1.0):
+        xi = np.full_like(v, x)
+        got = solver.step(None, None, v, xi, forcing=forcing)
+        want = solver.phi * v + solver.coef * (0.0 * v + forcing)
+        want += solver.sqrt_h_eff * m.b2_apply(None, None, v, xi)
+        assert got.tobytes() == want.tobytes()
+    got = solver.step(None, None, np.array([[np.inf]]), np.zeros((1, 1)),
+                      forcing=np.array([[1.0]]))
+    assert np.isposinf(got).all()
 
 
 def test_zero_horizon_returns_initial_state_only():

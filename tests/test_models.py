@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mvavg.measure import MeasureMoments
-from mvavg.models import (REGISTRY, ProbeSampler, build_model, empirical_view,
+from mvavg.models import (REGISTRY, ProbeSampler, _inner, build_model, empirical_view,
                           fast_inner, fast_norm_sq, probe_hypothesis, run_probe_suite,
                           slow_inner, slow_norm_sq)
 from mvavg.spatial import Grid1D, laplacian_apply
@@ -129,6 +129,21 @@ def test_mixed_inner_product_of_one_component_keeps_the_sum():
     for inner in (slow_inner, fast_inner):
         got = inner(m, a, b)
         assert np.array_equal(got, [0.0, 0.0]) and not np.signbit(got).any()
+
+
+def test_one_component_squared_norm_is_the_bits_of_its_inner_product():
+    # the squared norms of a one-component state skip the one-term sum: a
+    # square is never -0.0, so the bits, nan and inf included, are those of
+    # the inner product's sum
+    m = build_model("linear-benchmark")
+    u = np.array([0.0, -0.0, 5e-324, -5e-324, 1e200, -1e200, np.inf, -np.inf, np.nan])
+    with np.errstate(over="ignore"):
+        for U in (u[:, None], u.reshape(3, 3, 1), u[:1]):
+            want = _inner("euclidean", None, U, U)
+            for norm_sq in (slow_norm_sq, fast_norm_sq):
+                got = norm_sq(m, U)
+                assert type(got) is type(want) and np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -309,3 +324,31 @@ def test_frozen_laws_declared_free_of_mu_do_not_read_it():
     for name in declared:
         assert not _frozen_maps_move_with_mu(build_model(name))
     assert _frozen_maps_move_with_mu(build_model("linear-benchmark"))
+
+
+def _b2_moves_with_state(m):
+    """Whether b2_apply differs, bit for bit, between two random (U, mu, V)
+    at one fixed xi."""
+    rng = np.random.default_rng(8)
+    xi = rng.standard_normal((6, m.n_fast_modes))
+
+    def b2_at_random_state():
+        U = rng.standard_normal((6, m.slow_dim))
+        V = rng.standard_normal((6, m.fast_dim))
+        mu = MeasureMoments(mean=rng.standard_normal(m.slow_dim),
+                            second_moment=float(rng.exponential()))
+        return m.b2_apply(U, mu, V, xi)
+
+    return b2_at_random_state().tobytes() != b2_at_random_state().tobytes()
+
+
+def test_fast_noise_declared_free_of_state_does_not_read_it():
+    # a model that declares b2_reads_state=False gives a FullRunner's true and
+    # aux fast processes one increment per step, so a wrong declaration fails
+    # here; the check sees the cubic model's sig2(V)
+    declared = [name for name, build in REGISTRY.items() if not build().b2_reads_state]
+    assert declared == ["linear-benchmark", "porous-media-1d", "plaplace-1d",
+                        "broken-antidissipative"]
+    for name in declared:
+        assert not _b2_moves_with_state(build_model(name))
+    assert _b2_moves_with_state(build_model("mvsde-cubic"))
