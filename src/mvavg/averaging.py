@@ -91,15 +91,15 @@ class FrozenBudgetError(ValueError):
 
 @dataclass
 class FrozenParams:
-    """One frozen-equation run: frozen arguments, horizon, and resolution."""
+    """One frozen-equation run of ``replicas`` paths: frozen arguments, horizon, resolution."""
 
     x_frozen: np.ndarray
     mu_frozen: MeasureMoments
     y_init: np.ndarray
     burn_in: float
     sample_horizon: float
-    h_micro: float = 0.01
-    replicas: int = 4
+    h_micro: float
+    replicas: int
 
     def __post_init__(self):
         self.x_frozen = np.asarray(self.x_frozen, dtype=float).reshape(-1)
@@ -176,17 +176,17 @@ def _frozen_batch(model, x_frozen, mu, h, feed, paths_y0, schedule, context="fro
 
 
 def frozen_simulate(model: ModelSpec, fp: FrozenParams, noise: noise_mod.NoisePlan,
-                    n_paths: int = 1, record_stride: int = 1):
-    """Simulate frozen fast paths; return (times, paths) past the burn-in.
+                    record_stride: int = 1):
+    """Simulate ``fp.replicas`` frozen fast paths; return (times, paths) past the burn-in.
 
-    ``paths`` has shape (n_recorded, n_paths, fast_dim).  Paths share nothing
+    ``paths`` is (n_recorded, fp.replicas, fast_dim).  Paths share nothing
     but the frozen arguments; path i consumes stream (FROZEN, particle=i).
     With burn_in = 0 the trajectory is returned from t = 0 (initial state
     included), which is what the shared-noise contraction diagnostics use.
     """
     h = fp.h_micro
     n_steps = int(round((fp.burn_in + fp.sample_horizon) / h))
-    Z = np.broadcast_to(fp.y_init, (1, n_paths, model.fast_dim)).copy()
+    Z = np.broadcast_to(fp.y_init, (1, fp.replicas, model.fast_dim)).copy()
     # the recorded steps: every record_stride-th step from the first past the burn-in
     first = next((k for k in range(record_stride, n_steps + 1, record_stride)
                   if k * h >= fp.burn_in - 1e-12), n_steps + 1)
@@ -198,7 +198,7 @@ def frozen_simulate(model: ModelSpec, fp: FrozenParams, noise: noise_mod.NoisePl
     times, snaps = ([0.0], [Z[0].copy()]) if fp.burn_in == 0 else ([], [])
     times += [k * h for k in recorded]
     snaps += [Zk[0].copy() for _, Zk in _frozen_batch(
-        model, fp.x_frozen, fp.mu_frozen, h, _frozen_feed(model, (noise,), 0, n_steps, n_paths),
+        model, fp.x_frozen, fp.mu_frozen, h, _frozen_feed(model, (noise,), 0, n_steps, fp.replicas),
         Z, schedule)]
     return np.asarray(times), np.stack(snaps)
 
@@ -231,14 +231,13 @@ def estimate_fbar(model: ModelSpec, fp: FrozenParams,
     n_samp = batch_len * BATCHES_PER_PATH
     R = fp.replicas
     Z = np.broadcast_to(fp.y_init, (1, R, model.fast_dim)).copy()
-    Xa = np.broadcast_to(fp.x_frozen, (R, model.slow_dim))
     mu = fp.mu_frozen
     batch_sums = np.zeros((R, BATCHES_PER_PATH, model.slow_dim))
     # batch j is span j: the burn-in leads the first
     schedule = [(n_burn, batch_len)] + [(0, batch_len)] * (BATCHES_PER_PATH - 1)
     for j, Zk in _frozen_batch(model, fp.x_frozen, mu, h,
                                _frozen_feed(model, (noise,), 0, n_burn + n_samp, R), Z, schedule):
-        batch_sums[:, j, :] += model.f(Xa, mu, Zk[0])
+        batch_sums[:, j, :] += model.f(fp.x_frozen, mu, Zk[0])
     batch_means = batch_sums / batch_len
     flat = batch_means.reshape(R * BATCHES_PER_PATH, model.slow_dim)
     n_batches = flat.shape[0]       # >= BATCHES_PER_PATH, so the spread is defined
@@ -247,13 +246,13 @@ def estimate_fbar(model: ModelSpec, fp: FrozenParams,
 
 
 def estimate_mixing_rate(model: ModelSpec, fp: FrozenParams, y_alt,
-                         noise: noise_mod.NoisePlan, n_pairs: int = 1) -> float:
+                         noise: noise_mod.NoisePlan) -> float:
     """Fit the mean-square contraction rate of two shared-noise frozen copies.
 
-    Runs the frozen dynamics from y_init and y_alt with identical Gaussian
-    increments, fits log E||Y - Y'||^2 against t by least squares over the
-    window before the gap collapses under ``MIXING_REL_FLOOR`` times its
-    start (at least ``MIXING_MIN_POINTS`` samples), and returns the decay
+    Runs ``fp.replicas`` pairs from y_init and y_alt, each pair on identical
+    Gaussian increments, fits log E||Y - Y'||^2 against t by least squares
+    over the window before the gap collapses under ``MIXING_REL_FLOOR`` times
+    its start (at least ``MIXING_MIN_POINTS`` samples), and returns the decay
     rate (so additive-noise linear models give exactly twice their drift
     rate).  Raises :class:`MixingFailure` when the gap does not decay.
     """
@@ -261,8 +260,8 @@ def estimate_mixing_rate(model: ModelSpec, fp: FrozenParams, y_alt,
     if np.allclose(y_alt, fp.y_init):
         raise ValueError("y_alt must differ from y_init")
     fp = dataclasses.replace(fp, burn_in=0.0)
-    t, path = frozen_simulate(model, fp, noise, n_pairs)
-    _, alt = frozen_simulate(model, dataclasses.replace(fp, y_init=y_alt), noise, n_pairs)
+    t, path = frozen_simulate(model, fp, noise)
+    _, alt = frozen_simulate(model, dataclasses.replace(fp, y_init=y_alt), noise)
     gaps = np.mean(fast_norm_sq(model, path - alt), axis=-1)
     valid = gaps > gaps[0] * MIXING_REL_FLOOR
     # stop at the first collapsed point: later samples are noise-floor chatter

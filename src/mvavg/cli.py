@@ -81,7 +81,7 @@ def _cmd_simulate(args) -> int:
     model = cfg.build_model()
     epsilon, params = _epsilon_params(cfg, args.epsilon)
     x0, y0 = cfg.initial_states(model)
-    rec = TrajectoryRecorder(stride_steps=max(1, params.n_steps // cfg.record_points))
+    rec = TrajectoryRecorder(stride_steps=cfg.record_stride(params))
     FullRunner(model, x0, y0, cfg.n_particles, params, (noise_mod.NoisePlan(cfg.seed),)).run(rec)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "trajectories.csv")
@@ -102,10 +102,12 @@ def _cmd_freeze(args) -> int:
     if not 0.0 <= args.mu_m2 < math.inf:
         raise ConfigError(f"--mu-m2: expected a finite number >= 0, got {args.mu_m2!r}")
     mu = MeasureMoments(mean=mu_mean, second_moment=args.mu_m2)
+    # an unset flag takes default_frozen_params's default
+    given = {key: val for key, val in (("burn_in", args.burn_in), ("sample_horizon", args.horizon),
+                                       ("h_micro", args.h), ("replicas", args.replicas))
+             if val is not None}
     try:
-        fp = default_frozen_params(model, x, mu, burn_in=args.burn_in,
-                                   sample_horizon=args.horizon, h_micro=args.h,
-                                   replicas=args.replicas)
+        fp = default_frozen_params(model, x, mu, **given)
         est = estimate_fbar(model, fp, noise_mod.NoisePlan(cfg.seed))
     except ValueError as exc:
         flag = _FREEZE_FLAGS.get(str(exc).split(" ", 1)[0].split("=", 1)[0])
@@ -128,7 +130,7 @@ def _cmd_average(args) -> int:
     epsilon, params = _epsilon_params(cfg, args.epsilon)
     cfg.check_frozen_counter(model, params)
     x0, _ = cfg.initial_states(model)
-    rec = TrajectoryRecorder(stride_steps=max(1, params.n_steps // cfg.record_points))
+    rec = TrajectoryRecorder(stride_steps=cfg.record_stride(params))
     runner = AveragedRunner(model, x0, cfg.n_particles, params, (noise_mod.NoisePlan(cfg.seed),),
                             hmm=cfg.hmm_config(model), collect_fbar_cache=True).run(rec)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -211,9 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu-mean", help="measure mean (comma separated)")
     sp.add_argument("--mu-m2", type=float, default=0.0, help="measure second moment")
     sp.add_argument("--burn-in", type=float, default=None)
-    sp.add_argument("--horizon", type=float, default=200.0)
-    sp.add_argument("--h", type=float, default=0.01)
-    sp.add_argument("--replicas", type=int, default=4)
+    sp.add_argument("--horizon", type=float, default=None)
+    sp.add_argument("--h", type=float, default=None)
+    sp.add_argument("--replicas", type=int, default=None)
     sp.set_defaults(func=_cmd_freeze)
 
     sp = sub.add_parser("average", parents=[common],

@@ -143,11 +143,6 @@ def dirichlet_inverse(n: int, a: float, b: float) -> np.ndarray:
     return inv
 
 
-def solve_neg_laplacian(grid: Grid1D, rhs) -> np.ndarray:
-    """Solve (-laplacian) w = rhs for stacked right-hand sides."""
-    return solve_shifted_neg_laplacian(grid, 0.0, rhs)
-
-
 def solve_shifted_neg_laplacian(grid: Grid1D, shift: float, rhs) -> np.ndarray:
     """Solve (shift*I - laplacian) w = rhs; shift >= 0 keeps it SPD."""
     rhs = _check(grid, rhs)
@@ -156,7 +151,7 @@ def solve_shifted_neg_laplacian(grid: Grid1D, shift: float, rhs) -> np.ndarray:
 
 def hminus1_inner(grid: Grid1D, a, b) -> np.ndarray | float:
     """Discrete H^-1 inner product dx * a^T (-laplacian)^{-1} b."""
-    return grid.dx * np.sum(_check(grid, a) * solve_neg_laplacian(grid, b), axis=-1)
+    return grid.dx * np.sum(_check(grid, a) * solve_shifted_neg_laplacian(grid, 0.0, b), axis=-1)
 
 
 def l2_inner(grid: Grid1D, a, b) -> np.ndarray | float:

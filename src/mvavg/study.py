@@ -132,8 +132,8 @@ class StudyConfig:
         self.epsilon_grid = grid
         if self.t_end <= 0:
             raise ConfigError("t_end: must be positive")
-        if not 0 < self.h_factor <= 0.1:
-            raise ConfigError("h_factor: must lie in (0, 0.1]")
+        if not 0 < self.h_factor <= MultiscaleParams.H_FRACTION_MAX:
+            raise ConfigError(f"h_factor: must lie in (0, {MultiscaleParams.H_FRACTION_MAX:g}]")
         if self.record_points < 2:
             raise ConfigError("record_points: must be >= 2")
         for e in grid:
@@ -145,8 +145,9 @@ class StudyConfig:
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) \
                 or not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed: must be an integer in [0, 2^64), got {self.seed!r}")
+        model = self.build_model()
         if self.n_particles is None:
-            self.n_particles = 200 if self.model in ("porous-media-1d", "plaplace-1d") else 1000
+            self.n_particles = 200 if model.grid is not None else 1000
         # a particle index and a replication's derive tag each fill a 32-bit counter field
         for key in ("n_particles", "replications"):
             if not 1 <= getattr(self, key) <= noise_mod.PARTICLE_LIMIT:
@@ -155,7 +156,6 @@ class StudyConfig:
         if not isinstance(self.crn, bool):
             raise ConfigError(f"crn: must be true or false, got {self.crn!r}")
         _check_hmm(self.hmm)
-        model = self.build_model()
         if model.measure_dependent and self.n_particles < 2:
             raise ConfigError("n_particles: need N >= 2 for measure-dependent models")
         for key, dim in (("x0", model.slow_dim), ("y0", model.fast_dim)):
@@ -192,6 +192,10 @@ class StudyConfig:
             raise ConfigError(f"t_end: {self.t_end:g} takes {p.t_end / p.h_micro:.3g} steps at "
                               f"eps={epsilon:g}, past the 2^48 steps of the noise counter")
         return p
+
+    def record_stride(self, params: MultiscaleParams) -> int:
+        """Steps between the recorded (sup) times of a run of ``params``."""
+        return max(1, params.n_steps // self.record_points)
 
     def check_frozen_counter(self, model: ModelSpec, p: MultiscaleParams):
         """``averaging.check_frozen_budget`` of an HMM run of ``p``, as a ConfigError."""
@@ -291,7 +295,7 @@ def _coupled_error_once(cfg: StudyConfig, eps_indices, reps) -> list:
     avg = AveragedRunner(model, x0, N, params, plans,
                          hmm=cfg.hmm_config(model),
                          slow_kind=noise_mod.SLOW if cfg.crn else noise_mod.SLOW_ALT)
-    strides = [max(1, p.n_steps // cfg.record_points) for p in params]
+    strides = [cfg.record_stride(p) for p in params]
     sup_sq = [np.zeros((len(reps), N)) for _ in params]
     outcomes = [None] * len(params)
 

@@ -39,10 +39,21 @@ def test_frozen_long_run_mean_matches_invariant_mean():
     m = linear_ou()
     fp = FrozenParams([2.0], DELTA0, [0.0], burn_in=8.0, sample_horizon=150.0,
                       h_micro=0.01, replicas=2)
-    _, paths = frozen_simulate(m, fp, NoisePlan(1), n_paths=2)
+    _, paths = frozen_simulate(m, fp, NoisePlan(1))
     samples = paths[:, :, 0].ravel()
     se = samples.std(ddof=1) / math.sqrt(150.0 / 1.0)  # ~1 correlation time unit
     assert abs(samples.mean() - 2.0) < 3 * se + 0.02
+
+
+def test_frozen_simulate_marches_replicas_paths():
+    # the path count is fp.replicas alone, and FrozenParams refuses 0
+    m = linear_ou()
+    mk = dict(burn_in=0.0, sample_horizon=0.5, h_micro=0.01)
+    _, paths = frozen_simulate(m, FrozenParams([1.0], DELTA0, [0.0], **mk, replicas=3),
+                               NoisePlan(1))
+    assert paths.shape == (51, 3, 1)
+    with pytest.raises(ValueError, match="replicas"):
+        FrozenParams([1.0], DELTA0, [0.0], **mk, replicas=0)
 
 
 def test_frozen_deterministic_contraction_without_noise():
@@ -176,8 +187,8 @@ def test_mixing_rate_cubic_beats_linear_rate():
     # the cubic term only adds contraction: fitted rate >= 2 kappa
     m = build_model("mvsde-cubic")
     fp = FrozenParams([1.0], DELTA0, [1.0], burn_in=0.0, sample_horizon=2.0,
-                      h_micro=0.005, replicas=1)
-    rho = estimate_mixing_rate(m, fp, [-1.0], NoisePlan(8), n_pairs=64)
+                      h_micro=0.005, replicas=64)
+    rho = estimate_mixing_rate(m, fp, [-1.0], NoisePlan(8))
     assert rho >= 2.0 * m.constants["kappa"]
 
 
@@ -219,7 +230,7 @@ def test_frozen_second_moment_bound_stable_across_seeds():
     for seed in (21, 22):
         fp = FrozenParams([3.0], mu, [0.0], burn_in=5.0, sample_horizon=50.0,
                           h_micro=0.01, replicas=4)
-        _, p = frozen_simulate(m, fp, NoisePlan(seed), n_paths=4)
+        _, p = frozen_simulate(m, fp, NoisePlan(seed))
         m2 = float(np.mean(p[:, :, 0] ** 2))
         cs.append(m2 / (1.0 + 9.0 + 2.0))
     assert cs[0] <= 1.0 and cs[1] <= 1.0

@@ -5,8 +5,7 @@ from scipy.linalg import solve_banded
 
 from mvavg import spatial
 from mvavg.spatial import (Grid1D, GridDimensionError, hminus1_inner, l2_inner, lambda1,
-                           laplacian_apply, sine_mode, solve_neg_laplacian,
-                           solve_shifted_neg_laplacian)
+                           laplacian_apply, sine_mode, solve_shifted_neg_laplacian)
 
 
 def h01_norm_sq(grid, u):
@@ -161,7 +160,7 @@ def test_solve_neg_laplacian_roundtrip():
     g = Grid1D(20)
     rng = np.random.default_rng(6)
     u = rng.normal(size=(3, 20))
-    w = solve_neg_laplacian(g, u)
+    w = solve_shifted_neg_laplacian(g, 0.0, u)
     assert np.allclose(-laplacian_apply(g, w), u, atol=1e-9)
 
 
@@ -177,13 +176,10 @@ def test_dense_solves_match_banded_solve(n, shift):
     ab[2, :-1] = -1.0 / dx2
     rhs = np.random.default_rng(n).normal(size=(2, 3, n))
     ref = solve_banded((1, 1), ab, rhs.reshape(-1, n).T).T.reshape(rhs.shape)
-    solves = [solve_shifted_neg_laplacian(g, shift, rhs)]
-    if shift == 0.0:
-        solves.append(solve_neg_laplacian(g, rhs))
-    for got in solves:
-        assert got.shape == rhs.shape
-        err = np.linalg.norm(got - ref, axis=-1)
-        assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=-1))
+    got = solve_shifted_neg_laplacian(g, shift, rhs)
+    assert got.shape == rhs.shape
+    err = np.linalg.norm(got - ref, axis=-1)
+    assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=-1))
     single = solve_shifted_neg_laplacian(g, shift, rhs[0, 0])
     assert single.shape == (n,)
     assert np.linalg.norm(single - ref[0, 0]) <= 1e-12 * np.linalg.norm(ref[0, 0])

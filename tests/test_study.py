@@ -40,8 +40,13 @@ def test_minimal_config_fills_defaults(tmp_path):
     assert cfg.n_particles == 1000
     assert cfg.replications == 8
     assert cfg.averaged_mode == "exact"
-    pde = load_config(write_cfg(tmp_path, model="porous-media-1d"))
-    assert pde.n_particles == 200
+    # N defaults by the model's structure: 200 on a grid, 1000 otherwise
+    one_node = {"n_interior": 1, "n_slow_modes": 1, "n_fast_modes": 1}   # slow_dim 1
+    for model, params, n in (("porous-media-1d", {}, 200), ("plaplace-1d", {}, 200),
+                             ("porous-media-1d", one_node, 200),
+                             ("mvsde-cubic", {}, 1000), ("broken-antidissipative", {}, 1000)):
+        cfg = load_config(write_cfg(tmp_path, model=model, model_params=params))
+        assert cfg.n_particles == n, model
 
 
 def test_field_model_step_follows_eps():
@@ -254,14 +259,14 @@ def test_windowed_noise_draws_are_bitwise_per_stride_draws(base, monkeypatch):
     # and the default window: all give the same job
     cfg = StudyConfig(**base, epsilon_grid=[0.05], replications=1, t_end=0.1, seed=11)
     model = cfg.build_model()
-    n_steps = cfg.params_for(0.05).n_steps
-    stride = max(1, n_steps // cfg.record_points)
+    params = cfg.params_for(0.05)
+    stride = cfg.record_stride(params)
     per_stride = stride * cfg.n_particles * max(model.n_slow_modes, model.n_fast_modes)
     results = []
     for normals in (1, 3 * per_stride, study.noise_mod.NOISE_WINDOW_NORMALS):
         monkeypatch.setattr(study.noise_mod, "NOISE_WINDOW_NORMALS", normals)
         results.append(_coupled_error_once(cfg, (0,), (0,)))
-    assert n_steps % (3 * stride) != 0
+    assert params.n_steps % (3 * stride) != 0
     assert results[0] == results[1] == results[2]
 
 
@@ -412,7 +417,7 @@ def test_grid_point_blowup_names_the_interval_since_its_last_sup_time():
     cfg = StudyConfig(model="linear-benchmark", model_params={"a11": 40.0}, n_particles=8,
                       epsilon_grid=[0.02], replications=1, t_end=1.0, seed=2024)
     params = cfg.params_for(0.02)
-    stride = max(1, params.n_steps // cfg.record_points)
+    stride = cfg.record_stride(params)
     err = _coupled_error_once(cfg, (0,), (0,))[0]
     assert isinstance(err, BlowUpError)
     assert 0.0 < err.since < err.time and round((err.time - err.since) / params.h_micro) == stride
@@ -1127,12 +1132,13 @@ def test_single_run_outputs_unchanged(tmp_path, capsys):
     got["freeze-porous"] = hashlib.sha256(est.fbar.tobytes() + est.std_error.tobytes()).hexdigest()
     cubic = build_model("mvsde-cubic")
     mu = MeasureMoments(mean=np.array([0.0]), second_moment=0.0)
-    fp = default_frozen_params(cubic, [1.0], mu, sample_horizon=3.0, replicas=1)
-    _, paths = frozen_simulate(cubic, fp, NoisePlan(9), n_paths=3, record_stride=7)
+    fp = default_frozen_params(cubic, [1.0], mu, sample_horizon=3.0, replicas=3)
+    _, paths = frozen_simulate(cubic, fp, NoisePlan(9), record_stride=7)
     got["frozen-simulate-cubic"] = hashlib.sha256(paths.tobytes()).hexdigest()
     assert got == SINGLE_RUN_DIGESTS
     # re-recorded with noise stream version 4
-    assert estimate_mixing_rate(cubic, fp, [-1.0], NoisePlan(10), n_pairs=4) == 2.902523445896668
+    fp = dataclasses.replace(fp, replicas=4)
+    assert estimate_mixing_rate(cubic, fp, [-1.0], NoisePlan(10)) == 2.902523445896668
 
 
 # SHA-256 of a porous HMM `average` run, recorded when every scalar and field
