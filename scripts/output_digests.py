@@ -10,7 +10,9 @@ module path), each run in its own temporary directory:
     default seeds) with 1 and with 2 workers;
   * small runs of ``simulate``, ``average`` (closed form, cubic HMM on the
     fbar lattice, linear HMM on a node table), ``aux``, ``freeze`` (with its
-    defaults, with every flag, and with a refused flag) and ``probe``.
+    defaults, with every flag, and with a refused flag) and ``probe``;
+  * two ``rate-study`` runs refused for an ``hmm`` value: cubic in HMM mode,
+    linear in exact mode.
 
 Prints one JSON object and nothing else: per run, its exit code and the
 SHA-256 of its stdout, its stderr and each file it wrote.  Two checkouts
@@ -56,6 +58,13 @@ RUNS = {
     "freeze-bad-replicas": (["freeze", "--x", "1.0", "--replicas", "0"],
                             dict(model="mvsde-cubic", seed=9)),
     "probe-cubic": (["probe", "--samples", "500"], dict(model="mvsde-cubic", seed=4)),
+    # hmm keys are checked in either averaged mode
+    "rate-study-cubic-hmm-bad-h-frozen": (["rate-study"],
+                                          dict(model="mvsde-cubic", averaged_mode="hmm",
+                                               hmm={"h_frozen": 0})),
+    "rate-study-linear-exact-bad-replicas": (["rate-study"],
+                                             dict(model="linear-benchmark", averaged_mode="exact",
+                                                  hmm={"replicas": 0})),
 }
 SMALL = dict(n_particles=4, record_points=10)
 STUDY_WORKLOADS = ("linear-exact", "cubic-hmm", "porous-spde")

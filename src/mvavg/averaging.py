@@ -46,9 +46,11 @@ inside the runners' march, whose window it leaves intact), and
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -79,6 +81,23 @@ HMM_WINDOWS_PER_CHAIN = 25
 HMM_NODE_PAD = 16
 LATTICE_OFFSET = 2 ** 31
 LATTICE_REACH = LATTICE_OFFSET - HMM_NODE_PAD - 2
+# default HMM refreshes, and closed-form fbar cache times, per run: every n_steps // this
+FBAR_POINTS_PER_RUN = 200
+
+
+# a value's type check, raising ``error`` led by its key; a bool is not a number
+def check_int(key: str, val, error=ValueError):
+    if not isinstance(val, numbers.Integral) or isinstance(val, bool):
+        raise error(f"{key}: must be an integer, got {val!r}")
+
+
+def check_real(key: str, val, error=ValueError):
+    try:
+        finite = isinstance(val, numbers.Real) and not isinstance(val, bool) and math.isfinite(val)
+    except OverflowError:   # an int past the largest float
+        finite = False
+    if not finite:
+        raise error(f"{key}: must be a finite number, got {val!r}")
 
 
 class MixingFailure(RuntimeError):
@@ -120,14 +139,19 @@ class FrozenParams:
                              f"{self.sample_horizon:g}) / h_micro passes the noise counter's 2^48")
 
 
+def _initial_burn_in(model: ModelSpec) -> float:
+    """A frozen run's default first burn-in, 8 / (dissipativity rate): residual bias ~ e^-8."""
+    return 8.0 / model.constants.get("lam", 1.0)
+
+
 def default_frozen_params(model: ModelSpec, x_frozen, mu_frozen, y_init=None,
                           burn_in: Optional[float] = None, sample_horizon: float = 200.0,
                           h_micro: float = 0.01, replicas: int = 4) -> FrozenParams:
-    """Burn-in by default 8 / (declared dissipativity rate): residual bias ~ e^-8."""
+    """Burn-in by default ``_initial_burn_in``."""
     return FrozenParams(
         x_frozen=x_frozen, mu_frozen=mu_frozen,
         y_init=model.default_y0 if y_init is None else y_init,
-        burn_in=8.0 / model.constants.get("lam", 1.0) if burn_in is None else burn_in,
+        burn_in=_initial_burn_in(model) if burn_in is None else burn_in,
         sample_horizon=sample_horizon, h_micro=h_micro, replicas=replicas)
 
 
@@ -293,6 +317,7 @@ class HmmConfig:
     for ``burn_in_initial``, each later one for ``burn_in``, and each then
     averages f over ``horizon``, stepping by ``h_frozen``: a (burn-in, sample)
     span of a frozen march (``refresh_steps``), on the lattice a chain's window.
+    A bad field raises a ValueError led by its name; None asks ``resolved`` for its default.
     """
 
     replicas: int = 1
@@ -303,18 +328,32 @@ class HmmConfig:
     refresh_stride_steps: Optional[int] = None
     warn_fraction: float = 0.5
 
+    def __post_init__(self):
+        for key, val in vars(self).items():
+            if val is None and key not in ("replicas", "warn_fraction"):
+                continue
+            if key in ("replicas", "refresh_stride_steps"):
+                check_int(key, val)
+                if val < 1:
+                    raise ValueError(f"{key}: must be >= 1, got {val!r}")
+            else:
+                check_real(key, val)
+                if key.startswith("burn_in") and val < 0:
+                    raise ValueError(f"{key}: must be >= 0, got {val!r}")
+                if not key.startswith("burn_in") and val <= 0:
+                    raise ValueError(f"{key}: must be positive, got {val!r}")
+
     def resolved(self, model: ModelSpec, params: MultiscaleParams):
+        """A copy with each None set to its default for ``model`` and ``params``.
+        The defaults are not checked again: one past the noise counter (from a
+        tiny declared ``lam``) is refused by ``check_frozen_budget``."""
         lam = model.constants.get("lam", 1.0)
-        return HmmConfig(
-            replicas=self.replicas,
-            burn_in_initial=self.burn_in_initial if self.burn_in_initial is not None else 8.0 / lam,
-            burn_in=self.burn_in if self.burn_in is not None else 1.0 / lam,
-            horizon=self.horizon if self.horizon is not None else 12.0 / lam,
-            h_frozen=self.h_frozen if self.h_frozen is not None else min(0.02 / lam, 0.02),
-            refresh_stride_steps=(self.refresh_stride_steps
-                                  if self.refresh_stride_steps is not None
-                                  else max(1, params.n_steps // 200)),
-            warn_fraction=self.warn_fraction)
+        defaults = dict(burn_in_initial=_initial_burn_in(model), burn_in=1.0 / lam,
+                        horizon=12.0 / lam, h_frozen=min(0.02 / lam, 0.02),
+                        refresh_stride_steps=max(1, params.n_steps // FBAR_POINTS_PER_RUN))
+        out = copy.copy(self)
+        vars(out).update((key, val) for key, val in defaults.items() if vars(self)[key] is None)
+        return out
 
     def refresh_steps(self, first: bool):
         """Frozen (burn-in, sample) steps of a refresh of a resolved config; the
@@ -657,7 +696,8 @@ class AveragedRunner(_SlowRunner):
                 mu = empirical_view(m, self.X)
                 if self.hmm is None:
                     fbar = m.exact_fbar(self.X, mu)
-                    if self.fbar_cache is not None and self.k % max(1, self.n_steps // 200) == 0:
+                    if self.fbar_cache is not None \
+                            and self.k % max(1, self.n_steps // FBAR_POINTS_PER_RUN) == 0:
                         self._cache_exact(_measure_at(mu, 0), fbar[0])
                 else:
                     for g, hmm in enumerate(self.hmm):
@@ -704,8 +744,9 @@ def write_fbar_cache(rows, path):
     An HMM run's rows are its estimates at each refresh: one per lattice node
     that its particles read (x-only frozen law), one per table node (a
     scalar law that reads mu) or one per particle (field model).  An exact
-    run's rows are ``HMM_NODES`` points over the particle range (scalar
-    state) or one per particle (field model), every ``n_steps // 200`` steps.
+    run's rows, every ``n_steps // FBAR_POINTS_PER_RUN`` steps, are
+    ``HMM_NODES`` points over the particle range (scalar state) or one per
+    particle (field model).
     """
     with open(path, "w") as fh:
         fh.write("x,mu_mean,mu_m2,fbar,std_error\n")

@@ -276,9 +276,10 @@ class _FastSolver:
 
 
 def _check_finite(X, Y, time, context, since=None):
-    # one reduction per array; a NaN fails the comparison too
-    if np.abs(X).max() <= BLOWUP_LIMIT and np.abs(Y).max() <= BLOWUP_LIMIT:
+    # one reduction per array (Y None: X alone); a NaN fails the comparison too
+    if np.abs(X).max() <= BLOWUP_LIMIT and (Y is None or np.abs(Y).max() <= BLOWUP_LIMIT):
         return
+    Y = X if Y is None else Y
     bad = ~np.isfinite(X).all(axis=-1) | ~np.isfinite(Y).all(axis=-1)
     bad |= (np.abs(X) > BLOWUP_LIMIT).any(axis=-1) | (np.abs(Y) > BLOWUP_LIMIT).any(axis=-1)
     raise _blow_up(bad, time, context, since)
@@ -396,7 +397,7 @@ class _SlowRunner:
             raise BlowUpError(failure.time, failure.particle, f"{context}; {failure.context}",
                               failure.since)
         h = self.params[g].h_micro
-        _check_finite(self.X[g], self.X[g] if self.Y is None else self.Y[g], self.k * h,
+        _check_finite(self.X[g], None if self.Y is None else self.Y[g], self.k * h,
                       context, self.clean_k[g] * h)
         self.clean_k[g] = self.k
 

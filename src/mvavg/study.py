@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -29,7 +28,8 @@ from typing import Optional
 import numpy as np
 
 from . import noise as noise_mod
-from .averaging import AveragedRunner, FrozenBudgetError, HmmConfig, check_frozen_budget
+from .averaging import (AveragedRunner, FrozenBudgetError, HmmConfig, check_frozen_budget,
+                        check_int, check_real)
 from .integrate import BlowUpError, FullRunner, MultiscaleParams, march, resolve_params
 from .models import REGISTRY, ModelParamError, ModelSpec, build_model, slow_norm_sq
 
@@ -42,39 +42,6 @@ class ConfigError(ValueError):
     """Invalid study configuration; the message names the offending key."""
 
 
-def _check_int(key: str, val):
-    if not isinstance(val, numbers.Integral) or isinstance(val, bool):
-        raise ConfigError(f"{key}: must be an integer, got {val!r}")
-
-
-def _check_real(key: str, val):
-    if not isinstance(val, numbers.Real) or isinstance(val, bool) or not math.isfinite(val):
-        raise ConfigError(f"{key}: must be a finite number, got {val!r}")
-
-
-def _check_hmm(hmm):
-    """The ``hmm`` object: known keys, each of its type and range, or null where allowed."""
-    if not isinstance(hmm, dict):
-        raise ConfigError(f"hmm: must be a JSON object, got {hmm!r}")
-    unknown = set(hmm) - {f.name for f in dataclasses.fields(HmmConfig)}
-    if unknown:
-        raise ConfigError(f"hmm: unknown key(s): {', '.join(sorted(unknown))}")
-    for key, val in hmm.items():
-        name = f"hmm.{key}"
-        if val is None and key not in ("replicas", "warn_fraction"):
-            continue
-        if key in ("replicas", "refresh_stride_steps"):
-            _check_int(name, val)
-            if val < 1:
-                raise ConfigError(f"{name}: must be >= 1, got {val!r}")
-        else:
-            _check_real(name, val)
-            if key.startswith("burn_in") and val < 0:
-                raise ConfigError(f"{name}: must be >= 0, got {val!r}")
-            if not key.startswith("burn_in") and val <= 0:
-                raise ConfigError(f"{name}: must be positive, got {val!r}")
-
-
 def _check_state(key: str, val, dim: int, n_particles: int):
     """An initial state: finite numbers shaped (dim,) or (n_particles, dim)."""
     arr = np.asarray(val, dtype=object)
@@ -82,7 +49,7 @@ def _check_state(key: str, val, dim: int, n_particles: int):
         raise ConfigError(f"{key}: must be a list of {dim} numbers or {n_particles} such "
                           f"lists (one per particle), got {val!r}")
     for v in arr.flat:
-        _check_real(key, v)
+        check_real(key, v, ConfigError)
 
 
 # model parameters that count something (grid nodes, noise modes)
@@ -115,15 +82,15 @@ class StudyConfig:
         if self.model not in REGISTRY:
             raise ConfigError(f"model: unknown id {self.model!r}; known: {sorted(REGISTRY)}")
         for key in ("replications", "record_points", "workers"):
-            _check_int(key, getattr(self, key))
+            check_int(key, getattr(self, key), ConfigError)
         if self.n_particles is not None:
-            _check_int("n_particles", self.n_particles)
+            check_int("n_particles", self.n_particles, ConfigError)
         for key in ("t_end", "h_factor", "delta_exponent"):
-            _check_real(key, getattr(self, key))
+            check_real(key, getattr(self, key), ConfigError)
         if not isinstance(self.epsilon_grid, (list, tuple)):
             raise ConfigError(f"epsilon_grid: must be a list, got {self.epsilon_grid!r}")
         for e in self.epsilon_grid:
-            _check_real("epsilon_grid", e)
+            check_real("epsilon_grid", e, ConfigError)
         grid = tuple(float(e) for e in self.epsilon_grid)
         if any(not 0.0 < e <= 1.0 for e in grid):
             raise ConfigError("epsilon_grid: every entry must lie in (0, 1]")
@@ -155,7 +122,7 @@ class StudyConfig:
                                   f"got {getattr(self, key)}")
         if not isinstance(self.crn, bool):
             raise ConfigError(f"crn: must be true or false, got {self.crn!r}")
-        _check_hmm(self.hmm)
+        self._hmm()
         if model.measure_dependent and self.n_particles < 2:
             raise ConfigError("n_particles: need N >= 2 for measure-dependent models")
         for key, dim in (("x0", model.slow_dim), ("y0", model.fast_dim)):
@@ -169,7 +136,8 @@ class StudyConfig:
         if not isinstance(self.model_params, dict):
             raise ConfigError(f"model_params: must be a JSON object, got {self.model_params!r}")
         for key, val in self.model_params.items():
-            (_check_int if key in _INT_MODEL_PARAMS else _check_real)(f"model_params.{key}", val)
+            check = check_int if key in _INT_MODEL_PARAMS else check_real
+            check(f"model_params.{key}", val, ConfigError)
         try:
             return build_model(self.model, self.model_params)
         except ModelParamError as exc:
@@ -201,10 +169,23 @@ class StudyConfig:
         """``averaging.check_frozen_budget`` of an HMM run of ``p``, as a ConfigError."""
         try:
             if self.averaged_mode == "hmm":
-                check_frozen_budget(model, HmmConfig(**self.hmm), p,
+                check_frozen_budget(model, self._hmm(), p,
                                     self.initial_states(model)[0], self.n_particles)
         except FrozenBudgetError as exc:
             raise ConfigError(str(exc)) from exc
+
+    def _hmm(self) -> HmmConfig:
+        """The ``hmm`` object as an HmmConfig, which checks each value; an
+        unknown key or a refused value is a ConfigError naming ``hmm.<key>``."""
+        if not isinstance(self.hmm, dict):
+            raise ConfigError(f"hmm: must be a JSON object, got {self.hmm!r}")
+        unknown = set(self.hmm) - {f.name for f in dataclasses.fields(HmmConfig)}
+        if unknown:
+            raise ConfigError(f"hmm: unknown key(s): {', '.join(sorted(unknown))}")
+        try:
+            return HmmConfig(**self.hmm)
+        except ValueError as exc:
+            raise ConfigError(f"hmm.{exc}") from exc
 
     def initial_states(self, model: ModelSpec):
         x0 = np.asarray(self.x0, dtype=float) if self.x0 is not None else model.default_x0
@@ -214,7 +195,7 @@ class StudyConfig:
     def hmm_config(self, model: ModelSpec) -> Optional[HmmConfig]:
         """The averaged run's ``hmm`` argument for this model: None for the closed form."""
         if self.averaged_mode == "hmm":
-            return HmmConfig(**self.hmm)
+            return self._hmm()
         if model.exact_fbar is None:
             raise ConfigError(f"averaged_mode: model {self.model!r} has no closed-form "
                               "fbar; use 'hmm'")

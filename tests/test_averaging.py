@@ -169,6 +169,8 @@ def test_default_frozen_params_burn_in_rule():
     fp = default_frozen_params(m, [1.0], DELTA0)
     assert fp.burn_in == pytest.approx(8.0 / 2.0)
     assert default_frozen_params(m, [1.0], DELTA0, burn_in=0.5).burn_in == 0.5
+    # an HMM refresh's first burn-in follows the same rule
+    assert HmmConfig().resolved(m, resolve_params(0.1, 1.0)).burn_in_initial == fp.burn_in
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +270,20 @@ def test_averaged_requires_closed_form_for_exact_mode():
     params = resolve_params(0.05, 0.5)
     with pytest.raises(ValueError, match="closed-form"):
         AveragedRunner(m, [1.0], 4, params, [NoisePlan(1)])
+
+
+def test_hmm_config_refuses_a_bad_field_by_name():
+    # checked where it is built, not by a ZeroDivisionError or a silent
+    # negative horizon inside a run
+    for kw in (dict(replicas=0), dict(replicas=2.5), dict(replicas=True), dict(h_frozen=0.0),
+               dict(h_frozen=-0.02), dict(horizon=-1.0), dict(burn_in=-5.0),
+               dict(burn_in_initial=math.nan), dict(refresh_stride_steps=0),
+               dict(warn_fraction=0), dict(horizon=10 ** 400)):
+        (key,) = kw
+        with pytest.raises(ValueError, match=f"^{key}: must be"):
+            HmmConfig(**kw)
+    HmmConfig()
+    HmmConfig(h_frozen=5.0, horizon=200.0)
 
 
 def test_hmm_consistent_with_exact_fbar():

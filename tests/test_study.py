@@ -695,6 +695,18 @@ def test_config_types_checked_and_key_named(tmp_path, capsys):
         assert f"config error: hmm.{key}:" in capsys.readouterr().err
 
 
+def test_int_past_the_largest_float_is_not_a_finite_number(tmp_path, capsys):
+    # JSON reads a long digit string as an int that no float holds
+    for key, kw in (("t_end", dict(t_end=10 ** 400)),
+                    ("model_params.gamma", dict(model_params={"gamma": 10 ** 400})),
+                    ("x0", dict(x0=[10 ** 400])),
+                    ("hmm.horizon", dict(model="mvsde-cubic", averaged_mode="hmm",
+                                         hmm={"horizon": 10 ** 400}))):
+        path = write_cfg(tmp_path, **{"model": "linear-benchmark", **kw})
+        assert main(["rate-study", "--config", path]) == 2
+        assert f"config error: {key}: must be a finite number" in capsys.readouterr().err
+
+
 def test_initial_states_and_crn_checked_and_key_named(tmp_path, capsys):
     for key, val in (("x0", [1, 2, 3]), ("y0", [[1.0]] * 3), ("x0", 1.0), ("x0", ["1"]),
                      ("y0", [float("inf")]), ("x0", [True]), ("crn", "no"), ("crn", 0)):
@@ -808,6 +820,11 @@ def test_frozen_runs_past_the_counter_are_refused(tmp_path, capsys):
             load_config(path)
         assert main(["average", "--config", path]) == 2
         assert f"config error: hmm.{key}:" in capsys.readouterr().err
+    # so do the defaults: a tiny declared rate lam makes the horizon 12 / lam infinite
+    path = write_cfg(tmp_path, model="linear-benchmark", model_params={"gamma": 1e-320},
+                     averaged_mode="hmm")
+    assert main(["average", "--config", path]) == 2
+    assert "config error: hmm.horizon: the frozen runs at eps=0.1" in capsys.readouterr().err
     # fits at the grid, but not at the --epsilon of an average run (a law that
     # reads mu: its frozen run marches every refresh)
     path = write_cfg(tmp_path, model="linear-benchmark", averaged_mode="hmm",
